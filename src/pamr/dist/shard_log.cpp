@@ -1,5 +1,6 @@
 #include "pamr/dist/shard_log.hpp"
 
+#include <filesystem>
 #include <fstream>
 
 #include "pamr/exp/metrics.hpp"
@@ -24,18 +25,29 @@ bool ShardLog::load(std::string_view fingerprint,
                     std::map<std::uint64_t, std::string>& completed,
                     std::string& error) {
   completed.clear();
+  intact_bytes_.reset();
   std::ifstream in(path_, std::ios::binary);
   if (!in) return true;  // no journal yet — nothing to resume
 
+  // getline sets eof only when the line ran into the end of the file
+  // without its newline: the append that wrote it never finished.
   std::string line;
-  if (!std::getline(in, line) || line.empty()) return true;  // empty file
-  if (!starts_with(line, kHeaderPrefix) ||
-      line.substr(kHeaderPrefix.size()) != fingerprint) {
+  if (!std::getline(in, line)) {
+    intact_bytes_ = 0;  // empty file
+    return true;
+  }
+  const std::string header = std::string(kHeaderPrefix) + std::string(fingerprint);
+  if (in.eof() && starts_with(header, line)) {
+    intact_bytes_ = 0;  // this campaign's header, torn mid-write: start over
+    return true;
+  }
+  if (line != header) {
     error = "journal '" + path_ + "' belongs to a different campaign (header '" +
             line + "', expected fingerprint " + std::string(fingerprint) + ")";
     return false;
   }
 
+  std::uintmax_t intact = line.size() + 1;
   std::size_t line_number = 1;
   bool previous_incomplete = false;
   std::string pending_warning;
@@ -50,6 +62,10 @@ bool ShardLog::load(std::string_view fingerprint,
       pending_warning = what + " at line " + std::to_string(line_number);
       previous_incomplete = true;
     };
+    if (in.eof()) {
+      fail("unterminated line");
+      continue;
+    }
     if (!starts_with(line, kDonePrefix)) {
       fail("expected a 'done' line");
       continue;
@@ -73,15 +89,25 @@ bool ShardLog::load(std::string_view fingerprint,
       continue;
     }
     completed[static_cast<std::uint64_t>(unit_id)] = std::string(aggregate);
+    intact += line.size() + 1;
   }
   if (previous_incomplete) {
     PAMR_LOG_WARN("journal '" + path_ + "': dropping truncated final line (" +
                   pending_warning + "); its unit will rerun");
   }
+  intact_bytes_ = intact;
   return true;
 }
 
 bool ShardLog::open_append(std::string_view fingerprint, std::string& error) {
+  if (intact_bytes_.has_value()) {
+    std::error_code ec;
+    std::filesystem::resize_file(path_, *intact_bytes_, ec);
+    if (ec) {
+      error = "cannot truncate journal '" + path_ + "': " + ec.message();
+      return false;
+    }
+  }
   bool need_header = true;
   {
     std::ifstream existing(path_, std::ios::binary);

@@ -12,11 +12,19 @@
 //
 // A truncated final line (the crash happened mid-append) is dropped with a
 // warning — its unit simply reruns; corruption anywhere else is an error.
+// Every record ends in a newline, so a final line without one is truncated
+// even when its text happens to parse. Before appending after a load, the
+// journal is cut back to its intact prefix, so the next record starts on a
+// line of its own instead of being glued onto the torn bytes. A header
+// torn mid-write (a first line with no newline that is a prefix of this
+// campaign's header) starts the journal over; any other first line is a
+// different campaign's and is refused.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -36,12 +44,21 @@ class ShardLog {
   /// Reads an existing journal into `completed` (unit id -> aggregate wire
   /// line). A missing or empty file is fine (leaves `completed` empty);
   /// a fingerprint mismatch or a corrupt interior line returns false with
-  /// `error` set.
+  /// `error` set. On success intact_bytes() is the offset just past the last
+  /// good line.
   [[nodiscard]] bool load(std::string_view fingerprint,
                           std::map<std::uint64_t, std::string>& completed,
                           std::string& error);
 
-  /// Opens for appending, writing the header first if the file is new or
+  /// Length of the journal's intact prefix as of the last successful load()
+  /// (the header and every complete record); nullopt before one, or when
+  /// there was no file.
+  [[nodiscard]] std::optional<std::uintmax_t> intact_bytes() const noexcept {
+    return intact_bytes_;
+  }
+
+  /// Opens for appending, first truncating the file to intact_bytes() when
+  /// load() found one, and writing the header if the file is then new or
   /// empty. Returns false with `error` set on I/O failure.
   [[nodiscard]] bool open_append(std::string_view fingerprint, std::string& error);
 
@@ -53,6 +70,7 @@ class ShardLog {
  private:
   std::string path_;
   std::FILE* file_ = nullptr;
+  std::optional<std::uintmax_t> intact_bytes_;
   bool warned_ = false;
 };
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "pamr/obs/obs.hpp"
+#include "pamr/opt/lower_bound.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/sim/sim_stats.hpp"
 #include "pamr/topo/topo_router.hpp"
@@ -37,6 +38,13 @@ SimSample probe_with_simulator(const Mesh& mesh, const CommSet& comms,
 InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
                             const PowerModel& model, const sim::SimConfig* sim_config) {
   std::array<HeuristicSample, kNumBaseRouters> base;
+  // Malformed input throws here exactly as it would in the first route call.
+  check_comm_set(mesh, comms);
+  if (certify_infeasible(mesh, comms, model)) {
+    // Every policy would fail: six invalid samples, no routing, no probe.
+    obs::bump(obs::Metric::kRouteCertifiedInfeasible);
+    return make_instance_sample(base);
+  }
   // The BEST routing (lowest power among valid policies) doubles as the
   // simulation probe's subject, so keep it while the scalars are folded.
   Routing best_routing;

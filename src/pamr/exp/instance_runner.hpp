@@ -3,6 +3,33 @@
 // are stateless, but constructing them here keeps the runner trivially
 // thread-safe (the campaign calls it from every pool worker).
 //
+// Certify, then route. The Mesh overload first asks certify_infeasible
+// (opt/lower_bound.hpp) whether the instance can be routed at all. When a
+// certificate holds, every policy is bound to fail, so no router runs: the
+// six samples are recorded as failures (valid=false, power 0, elapsed 0)
+// and the route.certified_infeasible counter counts the instance. The
+// result bytes equal those of routing it, wall-clock field aside. An
+// instance is certified when it violates one of three conditions, each
+// necessary for any Manhattan routing (single-path ones in particular)
+// that keeps every link load within the model's feasibility limit cap:
+//   1. Diagonal cuts. A direction-d path advances one diagonal per hop, so
+//      it crosses the cut between diagonals k and k+1 on exactly one of
+//      that cut's m(k) direction-d links: K(d,k) ≤ m(k)·cap.
+//   2. Row and column cuts. A path is monotone in each coordinate, so an
+//      eastbound communication crosses every column boundary between its
+//      endpoints on one of the p east links there: the eastward traffic
+//      across a column boundary is ≤ p·cap, and likewise westward; the
+//      southward and northward traffic across a row boundary is ≤ q·cap.
+//   3. Forced loads. A same-row or same-column communication has exactly
+//      one Manhattan path, so its weight lands on those links in every
+//      routing: the sum of forced loads on any link is ≤ cap.
+// A sum counts as a violation only past a relative margin that dominates
+// floating-point summation error, so no certified instance is routable.
+// The topology overload is not gated: a torus wraparound link lets a path
+// go round a cut instead of across it, and a diagonal link crosses a row
+// and a column boundary in one hop, so none of the three counts bounds
+// those routings.
+//
 // With a sim::SimConfig the runner additionally drives the cycle-level NoC
 // simulator on the instance's BEST routing (open-loop injection: the
 // Injector offers each subflow weight/flit_mbps flits per cycle, so a

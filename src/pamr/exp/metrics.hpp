@@ -29,6 +29,8 @@ struct HeuristicSample {
   bool valid = false;
   double power = 0.0;
   double static_power = 0.0;
+  /// Wall-clock routing time. 0 in every series of an instance that
+  /// run_instance certified infeasible, since no router ran on it.
   double elapsed_ms = 0.0;
 
   [[nodiscard]] double inverse_power() const noexcept {
@@ -58,7 +60,7 @@ struct InstanceSample {
 struct PointAggregate {
   std::array<RunningStats, kNumSeries> normalized_inverse;  ///< per series
   std::array<std::size_t, kNumSeries> failures{};
-  std::array<RunningStats, kNumSeries> elapsed_ms;
+  std::array<RunningStats, kNumSeries> elapsed_ms;  ///< certified instances add 0
   std::array<RunningStats, kNumSeries> inverse_power;  ///< absolute 1/P (0 on failure)
   RunningStats static_fraction;  ///< static/total of BEST, valid instances only
   // Simulation probe aggregates (instances where the probe ran only; their

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,7 +119,7 @@ class Mesh {
     PAMR_CHECK(id >= 0 && id < num_links(), "link id out of range");
     return links_[static_cast<std::size_t>(id)];
   }
-  [[nodiscard]] const std::vector<LinkInfo>& links() const noexcept { return links_; }
+  [[nodiscard]] std::span<const LinkInfo> links() const noexcept { return links_; }
 
   /// Outgoing neighbours of a core (the paper's succ(u,v)): 2–4 cores.
   [[nodiscard]] std::vector<Coord> successors(Coord c) const;
@@ -128,8 +129,11 @@ class Mesh {
  private:
   std::int32_t p_;
   std::int32_t q_;
-  std::vector<LinkInfo> links_;
-  std::vector<LinkId> link_of_core_dir_;  // num_cores × 4, kInvalidLink at borders
+  // The link tables depend on (p, q) alone, so every mesh of one shape views
+  // the same copy (mesh.cpp): a campaign holds a mesh per point, and the
+  // tables of an 8×8 mesh take ~5.5 KB.
+  std::span<const LinkInfo> links_;
+  const LinkId* link_of_core_dir_ = nullptr;  // num_cores × 4, kInvalidLink at borders
 };
 
 }  // namespace pamr

@@ -12,6 +12,10 @@
 // directions bounds the whole routing's dynamic power under the
 // *continuous* frequency model. Quantization and leakage only increase
 // power, so the bound also holds for the discrete model's dynamic part.
+//
+// The same cuts also give an infeasibility certificate (certify_infeasible
+// below): a cut whose traffic exceeds what its links can carry at capacity
+// rules out every Manhattan routing before any heuristic runs.
 #pragma once
 
 #include "pamr/comm/communication.hpp"
@@ -30,6 +34,28 @@ struct DiagonalBound {
 [[nodiscard]] std::vector<double> direction_cut_traffic(const Mesh& mesh,
                                                         const CommSet& comms,
                                                         Quadrant direction);
+
+/// Relative margin by which a traffic sum must exceed its bound before
+/// certify_infeasible trusts it. Sums of up to a few hundred weights carry a
+/// relative round-off far below this, so a certificate never depends on the
+/// order in which a sum or a routing's link load was accumulated.
+inline constexpr double kCertificateMargin = 1e-9;
+
+/// True only when no Manhattan routing of `comms` (single- or multi-path)
+/// keeps every link within the model's feasibility limit
+/// (capacity() + PowerModel::kFeasibilityTolerance, the limit of
+/// PowerModel::feasible). It checks three necessary conditions, each in
+/// O(nc·(p+q)), and reports a violation only past kCertificateMargin:
+///   1. diagonal cuts: K(d,k) ≤ m(k)·cap for every direction d and cut k;
+///   2. row and column cuts: the eastward and the westward traffic across
+///      every column boundary ≤ p·cap, the southward and the northward
+///      traffic across every row boundary ≤ q·cap;
+///   3. forced loads: same-row and same-column communications have a single
+///      Manhattan path, and their sum on any link ≤ cap.
+/// False means "not proven infeasible", not "feasible". `comms` must pass
+/// check_comm_set.
+[[nodiscard]] bool certify_infeasible(const Mesh& mesh, const CommSet& comms,
+                                      const PowerModel& model);
 
 /// The bound described above. Uses the model's continuous dynamic curve
 /// (P0, α, load_unit); p_leak and the frequency table are ignored.

@@ -51,7 +51,7 @@ RouteResult AnnealingRouter::route_impl(const Mesh& mesh, const CommSet& comms,
   if (comms.empty()) {
     return finish(mesh, comms, model, Routing{}, timer.elapsed_ms());
   }
-  const LoadCost cost(model);
+  const LoadCost cost(model, mesh.num_links());
   Rng rng(options_.seed);
 
   std::vector<CommRect> rects;

@@ -201,7 +201,7 @@ RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
                                                     const CommSet& comms,
                                                     const PowerModel& model) const {
   const WallTimer timer;
-  const LoadCost cost(model);
+  const LoadCost cost(model, mesh.num_links());
   LinkLoads loads(mesh);
   std::vector<Path> paths(comms.size());
 
@@ -268,7 +268,7 @@ RouteResult ImprovedGreedyRouter::route_reference(const Mesh& mesh,
                                                   const CommSet& comms,
                                                   const PowerModel& model) const {
   const WallTimer timer;
-  const LoadCost cost(model);
+  const LoadCost cost(model, mesh.num_links());
   LinkLoads loads(mesh);
   std::vector<Path> paths(comms.size());
 

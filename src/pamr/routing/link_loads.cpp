@@ -41,13 +41,27 @@ LinkLoads loads_of_routing(const Mesh& mesh, const Routing& routing) {
   return loads;
 }
 
-LoadCost::LoadCost(const PowerModel& model)
+namespace {
+
+// Overload memo sizes: 64 slots per link, between 2^12 and 2^16 slots.
+constexpr int kMinMemoBits = 12;
+constexpr int kMaxMemoBits = 16;
+
+int memo_bits(std::int32_t num_links) {
+  const auto slots = std::max<std::uint64_t>(static_cast<std::uint64_t>(num_links), 1) * 64;
+  return std::clamp(static_cast<int>(std::bit_width(slots - 1)), kMinMemoBits, kMaxMemoBits);
+}
+
+}  // namespace
+
+LoadCost::LoadCost(const PowerModel& model, std::int32_t num_links)
     : model_(&model),
       capacity_(model.capacity()),
       p_leak_(model.params().p_leak),
       p0_(model.params().p0),
       alpha_(model.params().alpha),
-      load_unit_(model.params().load_unit) {
+      load_unit_(model.params().load_unit),
+      memo_bits_(memo_bits(num_links)) {
   if (!model.discrete()) return;
   for (const double frequency : model.table()->frequencies()) {
     level_edges_.push_back(frequency);
@@ -83,13 +97,16 @@ double LoadCost::overload_cost(double load) const noexcept {
   // working set of an overloaded 32×32/nc=2000 descent — every (link load
   // ± comm weight) pair alive between load changes — while staying
   // cache-resident; a 4096-slot table thrashed at ~40% misses, and a 4 MiB
-  // one spilled L2 and made every probe a memory round trip.
-  constexpr std::size_t kSlots = std::size_t{1} << 16;
+  // one spilled L2 and made every probe a memory round trip. Meshes below
+  // 16×16 get proportionally smaller tables (64 slots per link): every
+  // overloaded route call allocates one, and once the allocator serves it
+  // from reused heap memory, calloc clears all of it.
   const std::uint64_t key = std::bit_cast<std::uint64_t>(load);
   const std::size_t slot =
-      static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - 16));
+      static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - memo_bits_));
   if (over_slots_ == nullptr) {
-    over_slots_.reset(static_cast<OverSlot*>(std::calloc(kSlots, sizeof(OverSlot))));
+    over_slots_.reset(static_cast<OverSlot*>(
+        std::calloc(std::size_t{1} << memo_bits_, sizeof(OverSlot))));
     PAMR_ASSERT(over_slots_ != nullptr);
   } else if (over_slots_[slot].key == key) {
     return over_slots_[slot].value;

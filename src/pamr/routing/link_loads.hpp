@@ -79,7 +79,9 @@ class LoadCost {
   /// heuristics' innermost loops replace a quantize + std::pow per call
   /// with a scan over a handful of level edges. Values are computed through
   /// PowerModel::link_power itself — bit-identical to the unmemoized path.
-  explicit LoadCost(const PowerModel& model);
+  /// `num_links` is the link count of the mesh or topology being routed;
+  /// it sizes the overload memo (see overload_cost).
+  explicit LoadCost(const PowerModel& model, std::int32_t num_links);
 
   /// Cost of one link at `load`: the model's power when feasible, the
   /// continuous extension plus a steep overload penalty otherwise; 0 when
@@ -116,13 +118,14 @@ class LoadCost {
   double p0_ = 0.0;
   double alpha_ = 0.0;
   double load_unit_ = 0.0;
+  int memo_bits_ = 0;  ///< the overload memo holds 2^memo_bits_ slots
   // Direct-mapped memo for the penalty branch, allocated on first overload.
   // Key 0 marks an empty slot: a load whose bits are zero is +0.0, which
   // returns before ever reaching the penalty branch. Key and value share a
   // 16-byte slot so a probe touches exactly one cache line. calloc-backed
   // rather than a zero-filled vector: an allocation this size is served as
   // lazily-zeroed pages, so a short-lived router that brushes a transient
-  // overload touches a few pages instead of paying a 1 MiB memset up front.
+  // overload touches a few pages instead of paying a full memset up front.
   struct OverSlot {
     std::uint64_t key;
     double value;

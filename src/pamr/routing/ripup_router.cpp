@@ -15,7 +15,7 @@ namespace pamr {
 RouteResult RipUpRerouteRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                       const PowerModel& model) const {
   const WallTimer timer;
-  const LoadCost cost(model);
+  const LoadCost cost(model, mesh.num_links());
   LinkLoads loads(mesh);
   std::vector<Path> paths(comms.size());
   std::vector<CommRect> rects;

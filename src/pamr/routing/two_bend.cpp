@@ -84,7 +84,7 @@ std::vector<Path> two_bend_paths(const Mesh& mesh, Coord src, Coord snk) {
 RouteResult TwoBendRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                  const PowerModel& model) const {
   const WallTimer timer;
-  const LoadCost cost(model);
+  const LoadCost cost(model, mesh.num_links());
   LinkLoads loads(mesh);
   std::vector<Path> paths(comms.size());
 

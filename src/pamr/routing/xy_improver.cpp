@@ -46,7 +46,7 @@ RouteResult XYImproverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
 RouteResult XYImproverRouter::route_reference(const Mesh& mesh, const CommSet& comms,
                                               const PowerModel& model) const {
   const WallTimer timer;
-  const LoadCost cost(model);
+  const LoadCost cost(model, mesh.num_links());
 
   std::vector<std::vector<Coord>> paths;
   paths.reserve(comms.size());

@@ -68,7 +68,7 @@ bool same_candidate(const xyi::Candidate& a, const xyi::Candidate& b) {
 RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet& comms,
                                                 const PowerModel& model) const {
   const WallTimer timer;
-  const LoadCost cost(model);
+  const LoadCost cost(model, mesh.num_links());
 
   std::vector<std::vector<Coord>> paths;
   paths.reserve(comms.size());

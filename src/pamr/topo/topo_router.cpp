@@ -105,7 +105,7 @@ Routing route_sg(const Topology& topology, const CommSet& comms) {
 /// the pinned next_steps order.
 Routing route_ig(const Topology& topology, const CommSet& comms,
                  const PowerModel& model) {
-  const LoadCost cost(model);
+  const LoadCost cost(model, topology.num_links());
   Routing routing;
   routing.per_comm.resize(comms.size());
   LinkLoads loads(topology.num_links());
@@ -146,7 +146,7 @@ Routing route_ig(const Topology& topology, const CommSet& comms,
 /// enumerated (the canonical path first).
 Routing route_tb(const Topology& topology, const CommSet& comms,
                  const PowerModel& model) {
-  const LoadCost cost(model);
+  const LoadCost cost(model, topology.num_links());
   Routing routing;
   routing.per_comm.resize(comms.size());
   LinkLoads loads(topology.num_links());
@@ -181,7 +181,7 @@ std::size_t move_cap(const CommSet& comms) { return 8 * comms.size() + 64; }
 /// nothing (or the move cap trips).
 Routing route_xyi(const Topology& topology, const CommSet& comms,
                   const PowerModel& model, LocalSearchStats& stats) {
-  const LoadCost cost(model);
+  const LoadCost cost(model, topology.num_links());
   Routing routing = route_xy(topology, comms);
   LinkLoads loads(topology.num_links());
   loads.add_routing(routing);
@@ -232,7 +232,7 @@ Routing route_xyi(const Topology& topology, const CommSet& comms,
 /// link.
 Routing route_pr(const Topology& topology, const CommSet& comms,
                  const PowerModel& model, LocalSearchStats& stats) {
-  const LoadCost cost(model);
+  const LoadCost cost(model, topology.num_links());
   Routing routing = route_xy(topology, comms);
   LinkLoads loads(topology.num_links());
   loads.add_routing(routing);

@@ -13,8 +13,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "pamr/dist/coordinator.hpp"
 #include "pamr/dist/merger.hpp"
@@ -229,6 +232,88 @@ TEST(ShardLogTest, RecordsLoadAndRefusesForeignJournals) {
   }
 }
 
+TEST(ShardLogTest, CrashResumeCrashResumeLosesNoUnit) {
+  // Reproducer: after a crash mid-append, the resumed run used to append its
+  // next record straight onto the torn bytes; after a second crash the next
+  // --resume refused the journal as corrupt and the glued record was lost.
+  const std::string path = fresh_dir("journal_torn") + "/shards.log";
+  const std::string wire = exp::serialize_point_aggregate(sample_aggregate());
+  const std::string fingerprint = "aaaa000011112222";
+  const auto crash_mid_append = [&](std::uint64_t unit, std::size_t kept) {
+    std::ofstream append(path, std::ios::app | std::ios::binary);
+    append << "done " << unit << ' ' << wire.substr(0, kept);
+  };
+  /// Loads the journal, appends `rerun` and returns the loaded unit ids.
+  const auto resume = [&](const std::vector<std::uint64_t>& rerun) {
+    ShardLog log(path);
+    std::map<std::uint64_t, std::string> completed;
+    std::string error;
+    EXPECT_TRUE(log.load(fingerprint, completed, error)) << error;
+    EXPECT_TRUE(log.open_append(fingerprint, error)) << error;
+    for (const std::uint64_t unit : rerun) EXPECT_TRUE(log.record(unit, wire));
+    std::vector<std::uint64_t> ids;
+    for (const auto& [id, aggregate] : completed) {
+      EXPECT_EQ(aggregate, wire);
+      ids.push_back(id);
+    }
+    return ids;
+  };
+  std::string error;
+  {
+    ShardLog log(path);
+    ASSERT_TRUE(log.open_append(fingerprint, error)) << error;
+    EXPECT_TRUE(log.record(0, wire));
+  }
+  crash_mid_append(1, wire.size() / 2);
+  EXPECT_EQ(resume({1, 2}), (std::vector<std::uint64_t>{0}));
+  // This time the whole record made it out but its newline did not: a line
+  // without its newline is torn too, even though its text parses.
+  crash_mid_append(3, wire.size());
+  EXPECT_EQ(resume({3}), (std::vector<std::uint64_t>{0, 1, 2}));
+  EXPECT_EQ(resume({}), (std::vector<std::uint64_t>{0, 1, 2, 3}));
+
+  // The journal holds exactly the header and one line per unit.
+  std::size_t lines = 0;
+  std::istringstream journal(read_file(path));
+  for (std::string line; std::getline(journal, line);) ++lines;
+  EXPECT_EQ(lines, 5u);
+  EXPECT_EQ(read_file(path).back(), '\n');
+}
+
+TEST(ShardLogTest, TornHeaderStartsTheJournalOver) {
+  const std::string path = fresh_dir("journal_torn_header") + "/shards.log";
+  std::ofstream(path, std::ios::binary) << "pamr-shards/1 finger";
+  ShardLog log(path);
+  std::map<std::uint64_t, std::string> completed;
+  std::string error;
+  ASSERT_TRUE(log.load("aaaa000011112222", completed, error)) << error;
+  EXPECT_TRUE(completed.empty());
+  EXPECT_EQ(log.intact_bytes(), std::optional<std::uintmax_t>(0));
+  ASSERT_TRUE(log.open_append("aaaa000011112222", error)) << error;
+  EXPECT_TRUE(log.record(5, "x"));
+  EXPECT_EQ(read_file(path), "pamr-shards/1 fingerprint=aaaa000011112222\ndone 5 x\n");
+}
+
+TEST(ShardLogTest, ForeignFirstLinesAreRefusedAndLeftAlone) {
+  // Only a prefix of this campaign's own header counts as a torn header; any
+  // other first line, with or without its newline, is refused and the file
+  // is not touched.
+  const std::string path = fresh_dir("journal_foreign") + "/shards.log";
+  for (const std::string& contents :
+       {std::string("pamr-shards/1 fingerprint=bbbb"), std::string("notes"),
+        std::string("\ndone 5 x\n"),
+        std::string("pamr-shards/1 fingerprint=aaaa000011112222x")}) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << contents;
+    ShardLog log(path);
+    std::map<std::uint64_t, std::string> completed;
+    std::string error;
+    EXPECT_FALSE(log.load("aaaa000011112222", completed, error)) << contents;
+    EXPECT_NE(error.find("different campaign"), std::string::npos) << error;
+    EXPECT_EQ(log.intact_bytes(), std::nullopt);
+    EXPECT_EQ(read_file(path), contents);
+  }
+}
+
 // -- Differential: in-process thread counts × serialized merge --------------
 
 TEST(Differential, MergerReproducesSuiteRunnerBitForBit) {
@@ -348,6 +433,26 @@ TEST(EndToEnd, InterruptedThenResumedRunMatchesByteForByte) {
   // Without --resume the journal is protected from accidental overwrite.
   EXPECT_NE(run_dist(base), 0);
   // Resume completes the campaign and the merged bytes are identical.
+  ASSERT_EQ(run_dist(base + " --resume"), 0);
+  expect_outputs_match_reference(dir);
+}
+
+TEST(EndToEnd, TornJournalLinesSurviveRepeatedResume) {
+  // Interrupt, tear the journal's final line as a crash mid-append would,
+  // resume part of the way, tear it again, resume to the end: the merged
+  // bytes match the uninterrupted run and no unit is lost.
+  const std::string dir = fresh_dir("resume_torn");
+  const std::string base = "--run " + std::string(kScenario) +
+                           " --workers 2 --trials " + std::to_string(kTrials) +
+                           " --no-tables --out " + dir;
+  const auto tear = [&] {
+    std::ofstream(dir + "/shards.log", std::ios::app | std::ios::binary)
+        << "done 1 aggv=";
+  };
+  ASSERT_EQ(run_dist(base + " --max-units 2"), 3);
+  tear();
+  ASSERT_EQ(run_dist(base + " --resume --max-units 2"), 3);
+  tear();
   ASSERT_EQ(run_dist(base + " --resume"), 0);
   expect_outputs_match_reference(dir);
 }

@@ -56,7 +56,7 @@ TEST(LinkLoadsAdd, ExactCancellationStaysZeroWithoutThrowing) {
 
 TEST(LoadCostBoundary, ExactlyAtEachDiscreteLevelCostsThatLevel) {
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model);
+  const LoadCost cost(model, Mesh(16, 16).num_links());
   for (const double frequency : model.table()->frequencies()) {
     EXPECT_EQ(cost(frequency), *model.link_power(frequency))
         << "at level " << frequency;
@@ -65,7 +65,7 @@ TEST(LoadCostBoundary, ExactlyAtEachDiscreteLevelCostsThatLevel) {
 
 TEST(LoadCostBoundary, OneUlpAboveAnInnerLevelQuantizesToTheNextLevel) {
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model);
+  const LoadCost cost(model, Mesh(16, 16).num_links());
   const auto& frequencies = model.table()->frequencies();
   ASSERT_GE(frequencies.size(), 2u);
   for (std::size_t level = 0; level + 1 < frequencies.size(); ++level) {
@@ -78,7 +78,7 @@ TEST(LoadCostBoundary, OneUlpAboveAnInnerLevelQuantizesToTheNextLevel) {
 
 TEST(LoadCostBoundary, AtCapacityIsFeasibleOneUlpAboveIsPenalized) {
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model);
+  const LoadCost cost(model, Mesh(16, 16).num_links());
   const double capacity = model.capacity();
   ASSERT_EQ(capacity, model.table()->frequencies().back())
       << "discrete capacity is the top table frequency";
@@ -95,7 +95,7 @@ TEST(LoadCostBoundary, PenaltyBranchIsContinuousAtCapacity) {
   // meets the top-level cost at load → capacity⁺: the descent never sees a
   // cliff it could exploit, only the steep linear slope.
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model);
+  const LoadCost cost(model, Mesh(16, 16).num_links());
   const double capacity = model.capacity();
   const double just_above =
       std::nextafter(capacity, std::numeric_limits<double>::infinity());
@@ -109,7 +109,7 @@ TEST(LoadCostBoundary, PenaltyBranchIsContinuousAtCapacity) {
 
 TEST(LoadCostBoundary, FeasibleLoadsMatchPowerModelExactly) {
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model);
+  const LoadCost cost(model, Mesh(16, 16).num_links());
   Rng rng(0xC057);
   for (int i = 0; i < 500; ++i) {
     const double load = rng.uniform(1e-3, model.capacity());
@@ -121,7 +121,7 @@ TEST(LoadCostBoundary, FeasibleLoadsMatchPowerModelExactly) {
 
 TEST(LoadCostBoundary, ContinuousModelMatchesPowerModelExactly) {
   const PowerModel model = PowerModel::theory();
-  const LoadCost cost(model);
+  const LoadCost cost(model, Mesh(16, 16).num_links());
   Rng rng(0xC058);
   for (int i = 0; i < 200; ++i) {
     const double load = rng.uniform(1e-3, 1e6);
@@ -141,7 +141,7 @@ TEST(LoadCostMemo, WarmHitIsBitIdenticalToColdEvaluation) {
   for (int i = 0; i < 20000; ++i) {
     overloads.push_back(capacity + rng.uniform(1e-6, 50000.0));
   }
-  const LoadCost warm(model);
+  const LoadCost warm(model, Mesh(16, 16).num_links());
   std::vector<double> first;
   first.reserve(overloads.size());
   for (const double load : overloads) first.push_back(warm(load));
@@ -149,10 +149,27 @@ TEST(LoadCostMemo, WarmHitIsBitIdenticalToColdEvaluation) {
     // Second pass over the warm instance: mixture of hits and recomputes.
     EXPECT_EQ(warm(overloads[i]), first[i]) << "load " << overloads[i];
     // Fresh instance: guaranteed cold path.
-    const LoadCost cold(model);
+    const LoadCost cold(model, Mesh(16, 16).num_links());
     if (i % 97 == 0) {
       EXPECT_EQ(cold(overloads[i]), first[i]) << "load " << overloads[i];
     }
+  }
+}
+
+TEST(LoadCostMemo, MeshSizedMemoReturnsTheSameValues) {
+  // An 8×8 mesh gets a quarter of a 16×16 mesh's table and a linkless 1×1
+  // mesh the smallest one, so 20000 distinct overloads collide constantly;
+  // every value must still equal the full-size memo's.
+  const PowerModel model = PowerModel::paper_discrete();
+  Rng rng(0x3E31);
+  const LoadCost full(model, Mesh(16, 16).num_links());
+  const LoadCost small(model, Mesh(8, 8).num_links());
+  const LoadCost linkless(model, Mesh(1, 1).num_links());
+  for (int i = 0; i < 20000; ++i) {
+    const double load = model.capacity() + rng.uniform(1e-6, 50000.0);
+    EXPECT_EQ(small(load), full(load)) << "load " << load;
+    EXPECT_EQ(small(load), full(load)) << "load " << load << " (second probe)";
+    EXPECT_EQ(linkless(load), full(load)) << "load " << load;
   }
 }
 
@@ -162,11 +179,11 @@ TEST(LoadCostMemo, DeltaIsUnchangedByEvaluationOrder) {
   const double capacity = model.capacity();
   const double a = capacity + 123.456;
   const double b = capacity + 789.012;
-  const LoadCost ab(model);
+  const LoadCost ab(model, Mesh(16, 16).num_links());
   (void)ab(a);
-  const LoadCost ba(model);
+  const LoadCost ba(model, Mesh(16, 16).num_links());
   (void)ba(b);
-  const LoadCost fresh(model);
+  const LoadCost fresh(model, Mesh(16, 16).num_links());
   EXPECT_EQ(ab.delta(a, b), fresh.delta(a, b));
   EXPECT_EQ(ba.delta(a, b), fresh.delta(a, b));
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "pamr/mesh/diagonal.hpp"
 #include "pamr/mesh/mesh.hpp"
@@ -72,6 +74,34 @@ TEST(Mesh, SuccessorCounts) {
   EXPECT_EQ(mesh.successors({0, 0}).size(), 2u);  // corner
   EXPECT_EQ(mesh.successors({0, 1}).size(), 3u);  // edge
   EXPECT_EQ(mesh.successors({1, 1}).size(), 4u);  // interior
+}
+
+TEST(Mesh, MeshesOfOneShapeShareTheirLinkTables) {
+  const Mesh a(8, 8);
+  const Mesh b(8, 8);
+  const Mesh wide(8, 4);
+  const Mesh tall(4, 8);
+  EXPECT_EQ(a.links().data(), b.links().data());
+  EXPECT_NE(a.links().data(), wide.links().data());
+  EXPECT_NE(wide.links().data(), tall.links().data());
+  const Mesh copy = wide;
+  EXPECT_EQ(copy.links().data(), wide.links().data());
+  EXPECT_EQ(copy.num_links(), 2 * (8 * 3 + 7 * 4));
+  const LinkInfo& east = tall.link(tall.link_between({3, 6}, {3, 7}));
+  EXPECT_EQ(east.from, (Coord{3, 6}));
+  EXPECT_EQ(east.to, (Coord{3, 7}));
+}
+
+TEST(Mesh, ConcurrentConstructionSharesOneTable) {
+  // Pool workers build meshes concurrently; all of them must get the one
+  // table of their shape.
+  std::vector<const LinkInfo*> seen(8, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&seen, t] { seen[t] = Mesh(5, 9).links().data(); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const LinkInfo* links : seen) EXPECT_EQ(links, Mesh(5, 9).links().data());
 }
 
 TEST(Mesh, RejectsBadInputs) {

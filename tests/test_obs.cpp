@@ -126,20 +126,40 @@ TEST_F(ObsTest, UnitCountersArePinnedToExactValues) {
 
   EXPECT_EQ(snap.counter(Metric::kSuiteInstances), instances);
   EXPECT_EQ(snap.counter(Metric::kSuiteUnits), points * units_per_point);
-  // exp::run_instance routes each instance through the six base routers.
-  EXPECT_EQ(snap.counter(Metric::kRouteCalls), 6 * instances);
+  // exp::run_instance routes each instance through the six base routers,
+  // except the instances it certifies infeasible, which it routes not at all.
+  const std::uint64_t certified = snap.counter(Metric::kRouteCertifiedInfeasible);
+  EXPECT_LE(certified, instances);
+  EXPECT_EQ(snap.counter(Metric::kRouteCalls) + 6 * certified, 6 * instances);
   EXPECT_EQ(snap.counter(Metric::kSimProbes), 0u) << "fig7a_small is not a sim scenario";
   EXPECT_GT(snap.counter(Metric::kIgCutBounds), 0u);
 
   // One histogram sample per XYI / PR route call; sums tie to the counters.
-  EXPECT_EQ(snap.hist_count(Metric::kXyiMovesPerCall), instances);
+  EXPECT_EQ(snap.hist_count(Metric::kXyiMovesPerCall), instances - certified);
   EXPECT_EQ(snap.hist_sum(Metric::kXyiMovesPerCall), snap.counter(Metric::kXyiMoves));
-  EXPECT_EQ(snap.hist_count(Metric::kPrRemovalsPerCall), instances);
+  EXPECT_EQ(snap.hist_count(Metric::kPrRemovalsPerCall), instances - certified);
   EXPECT_EQ(snap.hist_sum(Metric::kPrRemovalsPerCall), snap.counter(Metric::kPrRemovals));
 
   // The timer side is wall clock, but the call counts are deterministic.
   EXPECT_EQ(snap.timer_calls(Metric::kPhaseUnit), points * units_per_point);
   EXPECT_EQ(snap.timer_calls(Metric::kPhaseSuite), 1u);
+}
+
+TEST_F(ObsTest, CertificateFiresOnAnInfeasibleHeavyPanel) {
+  // fig7c_big's heavy communications overload a cut on many instances: the
+  // identity above must not hold only because the counter stays at zero.
+  const scenario::Scenario& panel = scenario::ScenarioRegistry::builtin().at("fig7c_big");
+  scenario::SuiteOptions options;
+  options.instances = kTrials;
+  options.chunk = kChunk;
+  options.seed = panel.default_seed;
+  options.threads = 1;
+  (void)scenario::SuiteRunner(options).run(panel);
+  const Snapshot snap = snapshot();
+  const std::uint64_t instances = panel.points.size() * static_cast<std::uint64_t>(kTrials);
+  const std::uint64_t certified = snap.counter(Metric::kRouteCertifiedInfeasible);
+  EXPECT_GT(certified, 0u);
+  EXPECT_EQ(snap.counter(Metric::kRouteCalls) + 6 * certified, 6 * instances);
 }
 
 TEST_F(ObsTest, UnitCellsAreBitIdenticalAcrossThreadCounts) {
@@ -438,8 +458,14 @@ TEST_F(ObsTest, TelemetryFlagsLeaveResultBytesIdentical) {
   EXPECT_NE(report.find("\"driver\": \"pamr_dist\""), std::string::npos);
   const std::uint64_t instances =
       test_scenario().points.size() * static_cast<std::uint64_t>(kTrials);
+  const std::string certified_key =
+      "\"route.certified_infeasible\": {\"scope\": \"unit\", \"value\": ";
+  const std::size_t certified_at = report.find(certified_key);
+  ASSERT_NE(certified_at, std::string::npos) << report;
+  const std::uint64_t certified =
+      std::stoull(report.substr(certified_at + certified_key.size()));
   EXPECT_NE(report.find("\"route.calls\": {\"scope\": \"unit\", \"value\": " +
-                        std::to_string(6 * instances) + "}"),
+                        std::to_string(6 * (instances - certified)) + "}"),
             std::string::npos)
       << report;
   const std::string resumed_report = read_file(resume_dir + "/report.json");

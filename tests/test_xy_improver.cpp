@@ -230,7 +230,7 @@ TEST(XyImproverEdgeCases, EveryMoveStrictlyDecreasesPenalizedPower) {
   for (const Communication& comm : comms) {
     xy_loads.add_path(xy_path(mesh, comm.src, comm.snk), comm.weight);
   }
-  const LoadCost cost(model);
+  const LoadCost cost(model, mesh.num_links());
   const double initial = cost.total(xy_loads.values());
 
   for (const auto mode : {XYImproverRouter::Mode::kReference,
