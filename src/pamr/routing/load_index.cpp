@@ -1,80 +1,108 @@
 #include "pamr/routing/load_index.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <string>
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/util/assert.hpp"
 
 namespace pamr {
 
-LoadIndex::LoadIndex(std::int32_t num_links, const LinkLoads& loads)
-    : order_(static_cast<std::size_t>(num_links)),
-      pos_(static_cast<std::size_t>(num_links)),
-      retired_(static_cast<std::size_t>(num_links), 0),
-      changed_mark_(static_cast<std::size_t>(num_links), 0),
-      members_(static_cast<std::size_t>(num_links)) {
-  PAMR_ASSERT(num_links >= 0);
-  std::iota(order_.begin(), order_.end(), LinkId{0});
+LoadIndex::LoadIndex(const LinkLoads& loads)
+    : pos_(loads.values().size()),
+      low_stamp_(-1),
+      high_stamp_(static_cast<std::int64_t>(loads.values().size())),
+      members_(loads.values().size()) {
   // The seed's first round: identity order stably sorted by the initial
-  // loads, so ties start out in LinkId order.
-  std::stable_sort(order_.begin(), order_.end(), [&loads](LinkId a, LinkId b) {
-    return loads.load(a) > loads.load(b);
-  });
-  for (std::size_t at = 0; at < order_.size(); ++at) {
-    pos_[static_cast<std::size_t>(order_[at])] = static_cast<std::int32_t>(at);
+  // loads, i.e. (load desc, LinkId asc) — so each initial stamp is the
+  // link's id and no sort is needed, only a heapify.
+  const std::size_t n = loads.values().size();
+  heap_.reserve(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    const auto link = static_cast<LinkId>(l);
+    heap_.push_back({loads.load(link), static_cast<std::int64_t>(l), link});
+    pos_[l] = static_cast<std::int32_t>(l);
   }
-  merge_scratch_.reserve(order_.size());
+  for (std::size_t at = n / 2; at-- > 0;) sift_down(at, heap_[at]);
 }
 
 void LoadIndex::add_member(LinkId link, std::uint32_t comm) {
   members_[static_cast<std::size_t>(link)].push_back(comm);
 }
 
+void LoadIndex::sift_up(std::size_t at, Entry entry) {
+  while (at > 0) {
+    const std::size_t parent = (at - 1) / 2;
+    if (!precedes(entry, heap_[parent])) break;
+    heap_[at] = heap_[parent];
+    pos_[static_cast<std::size_t>(heap_[at].link)] = static_cast<std::int32_t>(at);
+    at = parent;
+  }
+  heap_[at] = entry;
+  pos_[static_cast<std::size_t>(entry.link)] = static_cast<std::int32_t>(at);
+}
+
+void LoadIndex::sift_down(std::size_t at, Entry entry) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * at + 1;
+    if (child >= n) break;
+    if (child + 1 < n && precedes(heap_[child + 1], heap_[child])) ++child;
+    if (!precedes(heap_[child], entry)) break;
+    heap_[at] = heap_[child];
+    pos_[static_cast<std::size_t>(heap_[at].link)] = static_cast<std::int32_t>(at);
+    at = child;
+  }
+  heap_[at] = entry;
+  pos_[static_cast<std::size_t>(entry.link)] = static_cast<std::int32_t>(at);
+}
+
+void LoadIndex::update(std::size_t at, const Entry& entry) {
+  if (at > 0 && precedes(entry, heap_[(at - 1) / 2])) {
+    sift_up(at, entry);
+  } else {
+    sift_down(at, entry);
+  }
+}
+
 void LoadIndex::retire(LinkId link) {
   obs::bump(obs::Metric::kPrLinksRetired);
-  retired_[static_cast<std::size_t>(link)] = 1;
+  const std::int32_t at = pos_[static_cast<std::size_t>(link)];
+  PAMR_DCHECK(at >= 0);
+  pos_[static_cast<std::size_t>(link)] = -1;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (static_cast<std::size_t>(at) < heap_.size()) {
+    update(static_cast<std::size_t>(at), last);
+  }
 }
 
 void LoadIndex::reorder(const std::vector<LinkId>& changed, const LinkLoads& loads) {
   obs::bump(obs::Metric::kLoadIndexReorders);
-  // The changed links, re-sorted by (new load desc, previous position asc).
-  // Everything else keeps its relative order, which is exactly what the
-  // seed's stable_sort of the persistent order vector computes; merging the
-  // two sequences under the same comparator reproduces it bit for bit.
-  std::vector<LinkId>& resorted = resort_scratch_;
-  resorted.clear();
+  // The moved links with their old keys, ranked in the old order.
+  moved_.clear();
   for (const LinkId link : changed) {
-    if (retired_[static_cast<std::size_t>(link)] != 0) continue;
-    changed_mark_[static_cast<std::size_t>(link)] = 1;
-    resorted.push_back(link);
+    const std::int32_t at = pos_[static_cast<std::size_t>(link)];
+    if (at < 0) continue;  // retired
+    const Entry& entry = heap_[static_cast<std::size_t>(at)];
+    if (entry.load == loads.load(link)) continue;  // did not move
+    moved_.push_back(entry);
   }
-  const auto precedes = [&](LinkId a, LinkId b) {
-    const double la = loads.load(a);
-    const double lb = loads.load(b);
-    if (la != lb) return la > lb;
-    return pos_[static_cast<std::size_t>(a)] < pos_[static_cast<std::size_t>(b)];
-  };
-  std::sort(resorted.begin(), resorted.end(), precedes);
+  std::sort(moved_.begin(), moved_.end(),
+            [](const Entry& a, const Entry& b) { return precedes(a, b); });
 
-  merge_scratch_.clear();
-  std::size_t next = 0;
-  for (const LinkId link : order_) {
-    if (changed_mark_[static_cast<std::size_t>(link)] != 0) continue;  // merged below
-    if (retired_[static_cast<std::size_t>(link)] != 0) continue;       // purged for good
-    while (next < resorted.size() && precedes(resorted[next], link)) {
-      merge_scratch_.push_back(resorted[next++]);
-    }
-    merge_scratch_.push_back(link);
+  // The stamp rule (see load_index.hpp): fallen links take fresh low
+  // stamps in reverse old order, risen links fresh high stamps in old
+  // order, so each group keeps its old relative order.
+  for (std::size_t k = moved_.size(); k-- > 0;) {
+    if (loads.load(moved_[k].link) < moved_[k].load) moved_[k].stamp = low_stamp_--;
   }
-  while (next < resorted.size()) merge_scratch_.push_back(resorted[next++]);
-
-  order_.swap(merge_scratch_);
-  for (std::size_t at = 0; at < order_.size(); ++at) {
-    pos_[static_cast<std::size_t>(order_[at])] = static_cast<std::int32_t>(at);
+  for (Entry& entry : moved_) {
+    if (loads.load(entry.link) > entry.load) entry.stamp = high_stamp_++;
   }
-  for (const LinkId link : resorted) {
-    changed_mark_[static_cast<std::size_t>(link)] = 0;
+  for (Entry& entry : moved_) {
+    entry.load = loads.load(entry.link);
+    update(static_cast<std::size_t>(pos_[static_cast<std::size_t>(entry.link)]), entry);
   }
 #if PAMR_CHECK_LEVEL >= 2
   check_invariants(loads);
@@ -82,34 +110,86 @@ void LoadIndex::reorder(const std::vector<LinkId>& changed, const LinkLoads& loa
 }
 
 void LoadIndex::check_invariants(const LinkLoads& loads) const {
-  std::vector<char> seen(pos_.size(), 0);
-  for (std::size_t at = 0; at < order_.size(); ++at) {
-    const auto link = static_cast<std::size_t>(order_[at]);
+  std::size_t live = 0;
+  for (std::size_t link = 0; link < pos_.size(); ++link) {
+    if (pos_[link] >= 0) ++live;
+  }
+  PAMR_INVARIANT_ALWAYS("load-index", live == heap_.size(),
+                        "pos_ counts " + std::to_string(live) +
+                            " live links but the heap holds " +
+                            std::to_string(heap_.size()));
+  for (std::size_t at = 0; at < heap_.size(); ++at) {
+    const Entry& entry = heap_[at];
+    const auto link = static_cast<std::size_t>(entry.link);
     PAMR_INVARIANT_ALWAYS("load-index", link < pos_.size(),
-                          "order_ holds an out-of-range link id");
-    PAMR_INVARIANT_ALWAYS("load-index", seen[link] == 0,
-                          "link appears twice in order_");
-    seen[link] = 1;
+                          "heap holds an out-of-range link id");
     PAMR_INVARIANT_ALWAYS(
         "load-index", pos_[link] == static_cast<std::int32_t>(at),
-        "pos_ disagrees with order_ for link " + std::to_string(link));
-  }
-  // Live links must be in non-increasing load order. Retired links are
-  // skipped: reorder() ignores load changes reported for them, so their
-  // stored position may legitimately lag the current loads until purged.
-  double previous = 0.0;
-  bool first = true;
-  for (const LinkId link : order_) {
-    if (retired_[static_cast<std::size_t>(link)] != 0) continue;
-    const double load = loads.load(link);
+        "pos_ disagrees with the heap for link " + std::to_string(link));
     PAMR_INVARIANT_ALWAYS(
-        "load-index", first || previous >= load,
-        "order_ is not sorted by non-increasing load at link " +
-            std::to_string(static_cast<std::size_t>(link)) +
-            " — a load change was never reported to reorder()");
-    previous = load;
-    first = false;
+        "load-index", at == 0 || precedes(heap_[(at - 1) / 2], entry),
+        "heap property violated at slot " + std::to_string(at));
+    PAMR_INVARIANT_ALWAYS(
+        "load-index", entry.load == loads.load(entry.link),
+        "stored load of link " + std::to_string(link) +
+            " differs from its current load — a load change was never "
+            "reported to reorder()");
   }
+}
+
+LinkId LoadIndex::Walk::next() {
+  if (frontier_.empty()) return kInvalidLink;
+  const std::size_t size = index_->heap_.size();
+  const std::uint32_t slot = frontier_.front();
+  // The yielded slot's children are the only new candidates: the first
+  // takes its place on top of the frontier, the second is pushed.
+  const std::size_t left = 2 * static_cast<std::size_t>(slot) + 1;
+  if (left < size) {
+    replace_first(static_cast<std::uint32_t>(left));
+    if (left + 1 < size) push(static_cast<std::uint32_t>(left + 1));
+  } else {
+    const std::uint32_t last = frontier_.back();
+    frontier_.pop_back();
+    if (!frontier_.empty()) replace_first(last);
+  }
+  return index_->heap_[slot].link;
+}
+
+void LoadIndex::Walk::replace_first(std::uint32_t slot) {
+  const std::vector<Entry>& heap = index_->heap_;
+  const Entry& entry = heap[slot];
+  const std::size_t n = frontier_.size();
+  std::size_t at = 0;
+  for (;;) {
+    std::size_t child = 2 * at + 1;
+    if (child >= n) break;
+    if (child + 1 < n && precedes(heap[frontier_[child + 1]], heap[frontier_[child]])) {
+      ++child;
+    }
+    if (!precedes(heap[frontier_[child]], entry)) break;
+    frontier_[at] = frontier_[child];
+    at = child;
+  }
+  frontier_[at] = slot;
+}
+
+void LoadIndex::Walk::push(std::uint32_t slot) {
+  const std::vector<Entry>& heap = index_->heap_;
+  const Entry& entry = heap[slot];
+  std::size_t at = frontier_.size();
+  frontier_.push_back(slot);
+  while (at > 0) {
+    const std::size_t parent = (at - 1) / 2;
+    if (!precedes(entry, heap[frontier_[parent]])) break;
+    frontier_[at] = frontier_[parent];
+    at = parent;
+  }
+  frontier_[at] = slot;
+}
+
+void LoadIndex::Walk::restart() {
+  frontier_.clear();
+  if (!index_->heap_.empty()) frontier_.push_back(0);
 }
 
 }  // namespace pamr

@@ -1,36 +1,62 @@
-// Incremental removal index for the PR path remover (paper §5.5).
+// Incremental hot-link index for the PR path remover (paper §5.5) and the
+// XY improver (§5.4).
 //
-// PR's inner loop repeatedly asks one question — "which is the most loaded
-// link, and which is the heaviest communication still using it?" — while
-// each removal only changes a handful of link loads (the cuts of one
-// communication's rectangle). The seed implementation answered it from
-// scratch every time: a stable_sort of every mesh link followed by a scan
-// of every communication per link, O(L log L + nc) per removal.
+// Both heuristics repeatedly ask one question — "which is the most loaded
+// link?" — while each local change (a PR removal, an XYI move) only changes
+// a handful of link loads. The seed answered it from scratch every time: a
+// stable_sort of a persistent vector of every mesh link by load.
 //
-// Crucially, the seed's sort is a *stable* sort of a persistent order
-// vector: equal-load links keep the relative order they had in the previous
-// round, so the effective tie-break is the whole load history (most recent
-// round where the two loads differed, higher first; LinkId only if they
-// never differed). Exact equal loads are common — every link of a cut
-// carries the same δ/m share — so this history is observable in the final
-// routing, and a plain (load, LinkId) priority queue does NOT reproduce it:
-// lazy heap entries pushed in different rounds cannot be compared under a
-// history-dependent order. LoadIndex therefore keeps the *materialized*
-// sorted order and updates it by merge:
+// Crucially, that sort is *stable*: equal-load links keep the relative
+// order they had in the previous round, so the effective tie-break is the
+// whole load history. Exact equal loads are common — every link of a PR
+// cut carries the same δ/m share — so this history is observable in the
+// final routing, and a plain (load, LinkId) priority queue does NOT
+// reproduce it. LoadIndex instead gives every live link a *stamp* chosen so
+// that the seed's order is exactly (load desc, stamp asc), and keeps the
+// live links in an indexed binary heap on that key.
 //
-//   stable_sort(order, by load)  ==  sort by (load desc, prev position asc)
+// The stamp rule. One round of the seed computes
 //
-// so after a removal the unchanged links (already in correct relative
-// order) are merged with the re-sorted changed links in O(L + K log K),
-// instead of re-sorting everything in O(L log L).
+//   stable_sort(order, by new load)  ==  sort by (new load desc, old position asc).
+//
+// Suppose the old order is (old load desc, stamp asc) — true initially with
+// stamp = LinkId, because a stable sort of the identity permutation breaks
+// ties by LinkId. Let M be the links whose load moved this round. Assign:
+//   * links whose load fell: fresh stamps below every stamp in use, in
+//     reverse old order (so among them, stamp order == old order);
+//   * links whose load rose: fresh stamps above every stamp in use, in old
+//     order (so again stamp order == old order);
+//   * every other link keeps its stamp.
+// Claim: for any two live links a, b with equal new load L, new stamp(a) <
+// new stamp(b) iff a preceded b in the old order. Case by case:
+//   * neither moved: both had old load L, so the old order between them was
+//     decided by their unchanged stamps;
+//   * a fell, b did not move: a's old load was > L = b's, so a preceded b;
+//     a's stamp is below every stamp in use, in particular below b's;
+//   * a rose, b did not move: symmetrically a followed b, and a's stamp is
+//     above b's;
+//   * a fell, b rose: old load(a) > L > old load(b), so a preceded b, and
+//     a's stamp is below every old stamp while b's is above all of them;
+//   * both fell, or both rose: the fresh stamps were handed out so that
+//     their order is the old order.
+// Links of different new load are ordered by load in both. Hence (new load
+// desc, new stamp asc) is exactly the seed's next order, and by induction
+// every round's. A link reported as changed whose stored load equals its
+// current load did not move and keeps its stamp. Retired links leave the
+// heap; dropping a link from a stable sort never changes the relative order
+// of the others, so the live order is unaffected.
+//
+// Each round therefore costs O(|M| log |M|) to rank the moved links by
+// their old key plus O(|M| log L) to sift them, instead of O(L) for a
+// rebuild: PR reads only top(), and XYI reads a short prefix through a
+// Walk.
 //
 // The index also keeps a membership list per link — the indices of the
 // communications whose path DAG still contains the link, heaviest-first —
-// so the "largest communication using this link" scan is O(members)
+// so PR's "largest communication using this link" scan is O(members)
 // instead of O(nc); lists are compacted lazily by the caller. Links whose
-// scan proves permanently unremovable are retire()d: they are skipped in
-// O(1) and purged from the order on the next rebuild (the caller's
-// monotonicity argument lives in path_remover.cpp).
+// scan proves permanently unremovable are retire()d: erased from the heap
+// for good (the caller's monotonicity argument lives in path_remover.cpp).
 #pragma once
 
 #include <cstdint>
@@ -61,7 +87,14 @@ struct TouchLog {
     before.push_back(load);
   }
 
-  void clear() {
+  /// Ends one update: fills `changed` with the logged links whose stored
+  /// load now differs from its snapshot, in first-touch order, and clears
+  /// the log for the next update.
+  void take_changed(const LinkLoads& loads, std::vector<LinkId>& changed) {
+    changed.clear();
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      if (loads.load(links[i]) != before[i]) changed.push_back(links[i]);
+    }
     for (const LinkId link : links) seen[static_cast<std::size_t>(link)] = 0;
     links.clear();
     before.clear();
@@ -71,8 +104,8 @@ struct TouchLog {
 class LoadIndex {
  public:
   /// Captures the seed's first round: the identity permutation stably
-  /// sorted by the initial loads (ties by LinkId).
-  LoadIndex(std::int32_t num_links, const LinkLoads& loads);
+  /// sorted by the initial loads (ties by LinkId). O(L) heapify.
+  explicit LoadIndex(const LinkLoads& loads);
 
   // ------------------------------------------------------- membership --
   /// Appends `comm` to the link's member list. Call in heaviest-first
@@ -86,46 +119,87 @@ class LoadIndex {
   }
 
   // ------------------------------------------------------------ order --
-  /// Walk support: the current descending-load order. Retired links stay
-  /// in the order until the next reorder() purges them; skip them via
-  /// is_retired().
-  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
-  [[nodiscard]] LinkId link_at(std::size_t at) const { return order_[at]; }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
-  /// Marks a link permanently unremovable. It is skipped by callers and
-  /// dropped from the order on the next reorder(); any later load change
-  /// reported for it is ignored (its relative order can never matter
-  /// again).
-  void retire(LinkId link);
-  [[nodiscard]] bool is_retired(LinkId link) const {
-    return retired_[static_cast<std::size_t>(link)] != 0;
+  /// The first live link of the seed's order (highest load, history
+  /// tie-break). Requires !empty().
+  [[nodiscard]] LinkId top() const {
+    PAMR_DCHECK(!heap_.empty());
+    return heap_.front().link;
   }
 
-  /// Re-establishes sorted order after one removal changed the stored
-  /// loads of `changed` (each currently in the order, unless retired;
-  /// duplicates not allowed). Exactly equivalent to the seed's
-  /// stable_sort of the persistent order vector by the new loads.
-  /// At PAMR_CHECK_LEVEL >= 2 every call re-verifies the full structural
-  /// invariant against `loads` (O(L) per removal).
+  /// Marks a link permanently unremovable and erases it from the order in
+  /// O(log L); any later load change reported for it is ignored (its
+  /// relative order can never matter again).
+  void retire(LinkId link);
+
+  /// Re-establishes the seed's order after one update changed the stored
+  /// loads of `changed` (no duplicates; retired links and links whose load
+  /// did not actually move are skipped). Exactly equivalent to the seed's
+  /// stable_sort of the persistent order vector by the new loads; costs
+  /// O(moved · log L). At PAMR_CHECK_LEVEL >= 2 every call re-verifies the
+  /// full structural invariant against `loads` (O(L) per call).
   void reorder(const std::vector<LinkId>& changed, const LinkLoads& loads);
 
   /// Verifies the index's structural invariants against the current loads:
-  /// order_/pos_ agree, no link appears twice, and live links are in
-  /// non-increasing load order. Throws pamr::InvariantError (category
-  /// "load-index") on the first violation — an order that has drifted from
-  /// `loads` means some load change was never reported to reorder(), which
-  /// is exactly the corruption that silently changes PR's removal order.
-  /// Called automatically from reorder() under the paranoid check level;
-  /// always callable directly (tests do).
+  /// pos_ and the heap agree, every parent strictly precedes its children,
+  /// and every live link's stored load equals loads.load(link). Throws
+  /// pamr::InvariantError (category "load-index") on the first violation —
+  /// a stored load that differs from `loads` means some load change was
+  /// never reported to reorder(), which is exactly the corruption that
+  /// silently changes the heuristics' link order. Called automatically from
+  /// reorder() under the paranoid check level; always callable directly
+  /// (tests do).
   void check_invariants(const LinkLoads& loads) const;
 
+  /// In-order walk over the live links (the seed's full sorted order),
+  /// O(log k) per step after k steps: a small frontier heap holds the heap
+  /// slots whose parents were already yielded. Any reorder() or retire()
+  /// invalidates the walk until restart().
+  class Walk {
+   public:
+    explicit Walk(const LoadIndex& index) : index_(&index) { restart(); }
+
+    /// The next link in order, or kInvalidLink once every live link was
+    /// yielded.
+    [[nodiscard]] LinkId next();
+
+    /// Starts over from the first link of the index's current order.
+    void restart();
+
+   private:
+    /// Frontier heap operations, ordered by the index's keys of the slots.
+    void replace_first(std::uint32_t slot);
+    void push(std::uint32_t slot);
+
+    const LoadIndex* index_;
+    std::vector<std::uint32_t> frontier_;  ///< heap slots, first-in-order on top
+  };
+
  private:
-  std::vector<LinkId> order_;          ///< live links, (load desc, history) order
-  std::vector<std::int32_t> pos_;      ///< link -> index in order_ (stale once purged)
-  std::vector<char> retired_;          ///< link -> permanently unremovable
-  std::vector<char> changed_mark_;     ///< scratch: link is in `changed`
-  std::vector<LinkId> merge_scratch_;  ///< scratch: next order_ being built
-  std::vector<LinkId> resort_scratch_; ///< scratch: changed links, re-sorted
+  /// One live link's key: order is (load desc, stamp asc); stamps are
+  /// unique, so the order is strict.
+  struct Entry {
+    double load;
+    std::int64_t stamp;
+    LinkId link;
+  };
+  static bool precedes(const Entry& a, const Entry& b) {
+    return a.load > b.load || (a.load == b.load && a.stamp < b.stamp);
+  }
+
+  /// Writes `entry` into slot `at` (whose previous key is being replaced)
+  /// and sifts it to its place. The sifts take the entry by value: it may
+  /// alias a heap slot they overwrite.
+  void update(std::size_t at, const Entry& entry);
+  void sift_up(std::size_t at, Entry entry);
+  void sift_down(std::size_t at, Entry entry);
+
+  std::vector<Entry> heap_;        ///< live links, binary heap on precedes()
+  std::vector<std::int32_t> pos_;  ///< link -> heap slot, -1 once retired
+  std::int64_t low_stamp_;         ///< next stamp below every stamp in use
+  std::int64_t high_stamp_;        ///< next stamp above every stamp in use
+  std::vector<Entry> moved_;       ///< scratch: old keys of moved links
   std::vector<std::vector<std::uint32_t>> members_;
 };
 

@@ -25,13 +25,13 @@
 //     removal. Kept (selectable via Mode::kReference) as the ground truth
 //     for differential tests.
 //   * route_incremental (default) — answers "most loaded link, heaviest
-//     communication using it" from a LoadIndex: the materialized sorted
-//     order, merge-updated only for the links whose stored load actually
-//     changed, plus per-link heaviest-first membership lists. Links whose
-//     scan finds no removable member are retired permanently: every
-//     surviving member holds them in a singleton cut, cuts only shrink,
-//     and membership only dies, so such a link can never yield a removal
-//     again.
+//     communication using it" from a LoadIndex: the top of a heap keyed on
+//     (load, history stamp), re-keyed only for the links whose stored load
+//     actually changed, plus per-link heaviest-first membership lists.
+//     Links whose scan finds no removable member are retired permanently:
+//     every surviving member holds them in a singleton cut, cuts only
+//     shrink, and membership only dies, so such a link can never yield a
+//     removal again.
 //
 // Both order removals identically — most-loaded link first with the
 // seed's stable-history tie-break (see load_index.hpp), heaviest
@@ -391,7 +391,7 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
   // by_weight order, so each list stays heaviest-first under compaction.
   const std::vector<std::size_t> by_weight = order_by_decreasing_weight(comms);
 
-  LoadIndex index(mesh.num_links(), loads);
+  LoadIndex index(loads);
   for (const std::size_t idx : by_weight) {
     for (const auto& cut : states[idx].cuts) {
       for (const LinkId link : cut) {
@@ -408,15 +408,14 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
 
   const std::size_t none = states.size();
   while (active > 0) {
-    // Selection: walk the maintained (load desc, stable history) order;
-    // the first link with a member whose cut keeps ≥ 2 links is exactly
-    // the reference's choice.
+    // Selection: the index's top is the reference's first candidate in
+    // (load desc, stable history) order; the first link with a member whose
+    // cut keeps ≥ 2 links is exactly the reference's choice.
     LinkId link = kInvalidLink;
     std::size_t chosen = none;
     std::int32_t depth = -1;
-    for (std::size_t at = 0; at < index.size(); ++at) {
-      const LinkId cand = index.link_at(at);
-      if (index.is_retired(cand)) continue;
+    while (!index.empty()) {
+      const LinkId cand = index.top();
       if (loads.load(cand) <= 0.0) break;  // same early break as the reference
       const Coord tail = mesh.link(cand).from;
       auto& members = index.members(cand);
@@ -454,12 +453,8 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
     std::erase(state.cuts[static_cast<std::size_t>(depth)], link);
     state.prune_after_removal(mesh, depth, scratch);
     state.apply_spread_tracked(weight, loads, log);
-    changed.clear();
-    for (std::size_t i = 0; i < log.links.size(); ++i) {
-      if (loads.load(log.links[i]) != log.before[i]) changed.push_back(log.links[i]);
-    }
+    log.take_changed(loads, changed);
     index.reorder(changed, loads);
-    log.clear();
     ++removals;
     obs::bump(obs::Metric::kPrRemovals);
     if (state.is_single_path()) --active;

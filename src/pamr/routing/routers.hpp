@@ -92,7 +92,8 @@ class XYImproverRouter final : public Router {
   /// Implementation selector, mirroring PathRemoverRouter. kIncremental
   /// (default) drives the descent through a CrossingIndex (link→crossing
   /// communications, per-core dirty stamping, no-improving-move
-  /// memoization) plus a LoadIndex (merge-maintained hot-link order);
+  /// memoization) plus a LoadIndex (hot-link heap re-keyed per move, read
+  /// in order through a LoadIndex::Walk);
   /// kReference is the seed's loop — a full stable_sort of every mesh link
   /// and an every-communication rescan per move — kept for differential
   /// testing. Both produce bit-identical routings, including the
@@ -127,8 +128,8 @@ class XYImproverRouter final : public Router {
 class PathRemoverRouter final : public Router {
  public:
   /// Implementation selector. kIncremental drives the removal loop through
-  /// the LoadIndex (merge-maintained sorted order + per-link membership
-  /// lists) and is the default; kReference is the seed's loop — a full
+  /// the LoadIndex (hot-link heap re-keyed per removal + per-link
+  /// membership lists) and is the default; kReference is the seed's loop — a full
   /// stable_sort of every mesh link and a rescan of every communication
   /// per removal — kept for differential testing. Both produce
   /// bit-identical routings: most-loaded link first with the seed's

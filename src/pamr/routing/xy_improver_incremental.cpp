@@ -7,11 +7,13 @@
 // hot-prefix link that was already known to have no improving move. This
 // file removes all three without changing a single decision:
 //
-//   * hot-link order: a LoadIndex (the PR remover's merge-maintained sorted
-//     order) re-sorted only for the links whose stored load actually
-//     changed under a move. The seed's stable_sort of a persistent order
-//     vector makes the tie-break history-dependent; LoadIndex::reorder
-//     reproduces it bit for bit (see load_index.hpp).
+//   * hot-link order: a LoadIndex (the PR remover's heap keyed on load and
+//     a history stamp) re-keyed only for the links whose stored load
+//     actually changed under a move, and read through a LoadIndex::Walk
+//     that restarts from the hottest link after every applied move. The
+//     seed's stable_sort of a persistent order vector makes the tie-break
+//     history-dependent; the stamps reproduce it bit for bit (see
+//     load_index.hpp).
 //   * crossings: a CrossingIndex maps each link to the communications whose
 //     current path crosses it, in ascending order — the reference's scan
 //     order — and is patched per move from the rewritten window only.
@@ -87,7 +89,8 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
 
   // == the reference's first resort(): identity order stably sorted by the
   // initial loads.
-  LoadIndex index(mesh.num_links(), loads);
+  LoadIndex index(loads);
+  LoadIndex::Walk walk(index);
   CrossingIndex crossings(mesh, comms.size());
   for (std::size_t ci = 0; ci < comms.size(); ++ci) {
     crossings.add_initial_path(static_cast<std::uint32_t>(ci), paths[ci]);
@@ -124,9 +127,9 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   };
 #endif
 
-  std::size_t at = 0;
-  while (at < index.size() && moves < cap) {
-    const LinkId hot = index.link_at(at);
+  while (moves < cap) {
+    const LinkId hot = walk.next();
+    if (hot == kInvalidLink) break;
     if (loads.load(hot) <= 0.0) break;  // remaining links are idle
 
     xyi::Candidate best;
@@ -278,23 +281,16 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
       ++moves;
       obs::bump(obs::Metric::kXyiMoves);
       crossings.apply_rewrite(static_cast<std::uint32_t>(best_comm), old_cores, cores);
-      changed.clear();
-      for (std::size_t i = 0; i < log.links.size(); ++i) {
-        if (loads.load(log.links[i]) != log.before[i]) {
-          changed.push_back(log.links[i]);
-          crossings.note_load_change(log.links[i]);
-          cost_now[static_cast<std::size_t>(log.links[i])] =
-              cost(loads.load(log.links[i]));
-        }
+      log.take_changed(loads, changed);
+      for (const LinkId link : changed) {
+        crossings.note_load_change(link);
+        cost_now[static_cast<std::size_t>(link)] = cost(loads.load(link));
       }
       index.reorder(changed, loads);
-      log.clear();
       if (trace_ != nullptr) {
         trace_->penalized_totals.push_back(cost.total(loads.values()));
       }
-      at = 0;
-    } else {
-      ++at;
+      walk.restart();
     }
   }
 

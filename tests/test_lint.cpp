@@ -312,11 +312,11 @@ TEST(ParanoidLoadIndex, DirectSweepCatchesUnreportedLoadChange) {
   loads.add(1, 3.0);
   loads.add(2, 2.0);
   loads.add(3, 1.0);
-  LoadIndex index(4, loads);
+  LoadIndex index(loads);
   EXPECT_NO_THROW(index.check_invariants(loads));
 
   // Corrupt: bump a cold link's load past the hot one WITHOUT telling
-  // reorder() — the stored order is now stale, which is exactly the bug
+  // reorder() — its stored key is now stale, which is exactly the bug
   // class that silently changes PR's removal order.
   loads.add(3, 10.0);
   try {
@@ -334,17 +334,17 @@ TEST(ParanoidLoadIndex, ReorderSweepsAutomaticallyUnderParanoidBuilds) {
   loads.add(0, 3.0);
   loads.add(1, 2.0);
   loads.add(2, 1.0);
-  LoadIndex index(3, loads);
+  LoadIndex index(loads);
 
   loads.add(2, 9.0);  // unreported corruption, as above
   if (compiled_check_level() >= 2) {
     // Paranoid library builds (sanitizer CI) sweep after every reorder; an
-    // empty changed set leaves the stale order in place, so the sweep
-    // must throw.
+    // empty changed set leaves the stale key in place, so the sweep must
+    // throw.
     EXPECT_THROW(index.reorder({}, loads), InvariantError);
   } else {
     // Default builds skip the automatic sweep — reorder accepts the stale
-    // order (the direct sweep above is how it would be caught).
+    // key (the direct sweep above is how it would be caught).
     EXPECT_NO_THROW(index.reorder({}, loads));
   }
 }
@@ -355,12 +355,12 @@ TEST(ParanoidLoadIndex, ReorderKeepsInvariantsOnHonestUpdates) {
   loads.add(1, 3.0);
   loads.add(2, 2.0);
   loads.add(3, 1.0);
-  LoadIndex index(4, loads);
+  LoadIndex index(loads);
 
   loads.add(3, 10.0);            // link 3 becomes the hottest...
   index.reorder({3}, loads);     // ...and reorder is told about it
   EXPECT_NO_THROW(index.check_invariants(loads));
-  EXPECT_EQ(index.link_at(0), 3);
+  EXPECT_EQ(index.top(), 3);
 }
 
 TEST(ParanoidCsvStream, AppendUnderMismatchedHeaderIsCaughtWhenParanoid) {

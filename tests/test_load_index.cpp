@@ -1,13 +1,16 @@
-// LoadIndex unit tests plus the PR differential suite: the incremental
-// removal loop must reproduce the reference implementation bit for bit —
-// same paths, same power — across mesh shapes, seeds and comm counts,
-// including exact-tie workloads (equal weights make whole cuts carry
-// exactly equal loads, which is where the seed's stable-history tie-break
-// is observable).
+// LoadIndex unit tests plus the PR differential suite. The index is checked
+// against the seed's own model — a persistent order vector stably re-sorted
+// by load every round — on its full Walk order and its top() after every
+// call. The incremental removal loop must reproduce the reference
+// implementation bit for bit — same paths, same power — across mesh shapes,
+// seeds and comm counts, including exact-tie workloads (equal weights make
+// whole cuts carry exactly equal loads, which is where the seed's
+// stable-history tie-break is observable).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "pamr/comm/generator.hpp"
@@ -19,12 +22,57 @@ namespace {
 
 // ------------------------------------------------------------ LoadIndex --
 
-std::vector<LinkId> order_of(LoadIndex& index) {
+std::vector<LinkId> walk_order(const LoadIndex& index) {
   std::vector<LinkId> order;
-  for (std::size_t at = 0; at < index.size(); ++at) {
-    if (!index.is_retired(index.link_at(at))) order.push_back(index.link_at(at));
+  LoadIndex::Walk walk(index);
+  for (LinkId link = walk.next(); link != kInvalidLink; link = walk.next()) {
+    order.push_back(link);
   }
   return order;
+}
+
+/// The seed's order: every link in a persistent vector, stably re-sorted by
+/// load each round. Retired links stay in the vector (the seed never drops
+/// them) but are left out of the live order the index is compared against.
+class StableSortOracle {
+ public:
+  explicit StableSortOracle(const LinkLoads& loads)
+      : order_(loads.values().size()), retired_(loads.values().size(), 0) {
+    std::iota(order_.begin(), order_.end(), LinkId{0});
+    resort(loads);
+  }
+
+  void resort(const LinkLoads& loads) {
+    std::stable_sort(order_.begin(), order_.end(), [&](LinkId a, LinkId b) {
+      return loads.load(a) > loads.load(b);
+    });
+  }
+
+  void retire(LinkId link) { retired_[static_cast<std::size_t>(link)] = 1; }
+  [[nodiscard]] bool retired(LinkId link) const {
+    return retired_[static_cast<std::size_t>(link)] != 0;
+  }
+
+  [[nodiscard]] std::vector<LinkId> live() const {
+    std::vector<LinkId> out;
+    for (const LinkId link : order_) {
+      if (!retired(link)) out.push_back(link);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<LinkId> order_;
+  std::vector<char> retired_;
+};
+
+void expect_matches(const LoadIndex& index, const StableSortOracle& oracle,
+                    const LinkLoads& loads, const std::string& label) {
+  const std::vector<LinkId> live = oracle.live();
+  ASSERT_EQ(walk_order(index), live) << label;
+  ASSERT_EQ(index.empty(), live.empty()) << label;
+  if (!live.empty()) ASSERT_EQ(index.top(), live.front()) << label;
+  index.check_invariants(loads);
 }
 
 TEST(LoadIndex, InitialOrderIsLoadDescendingWithLinkIdTies) {
@@ -33,85 +81,198 @@ TEST(LoadIndex, InitialOrderIsLoadDescendingWithLinkIdTies) {
   loads.add(LinkId{3}, 10.0);
   loads.add(LinkId{7}, 10.0);
   loads.add(LinkId{1}, 25.0);
-  LoadIndex index(mesh.num_links(), loads);
+  const LoadIndex index(loads);
 
-  const std::vector<LinkId> order = order_of(index);
+  const std::vector<LinkId> order = walk_order(index);
   ASSERT_EQ(order.size(), static_cast<std::size_t>(mesh.num_links()));
+  EXPECT_EQ(index.top(), LinkId{1});
   EXPECT_EQ(order[0], LinkId{1});
   EXPECT_EQ(order[1], LinkId{3});  // tie with 7 → lower LinkId first
   EXPECT_EQ(order[2], LinkId{7});
   // Idle links follow in LinkId order.
   EXPECT_EQ(order[3], LinkId{0});
+  EXPECT_EQ(order[4], LinkId{2});
+}
+
+/// Random update rounds against the oracle. Every round reports a set of
+/// distinct links, mixing: fresh values; exact duplicates of other links'
+/// loads; a small value grid (so whole tie blocks form); a pair that rises
+/// and falls into the same tie block; links reported without moving; and,
+/// with `retire` set, retired links (reported or not) and retire() calls
+/// between reorders.
+void run_oracle_rounds(const Mesh& mesh, std::uint64_t seed, int rounds, bool retire) {
+  const auto num_links = static_cast<std::size_t>(mesh.num_links());
+  LinkLoads loads(mesh);
+  Rng rng(seed);
+  for (std::size_t l = 0; l < num_links; ++l) {
+    // Half the links on a coarse grid: ties from the very first round.
+    const double value = (rng.below(2) == 0)
+                             ? rng.uniform(0.0, 100.0)
+                             : 10.0 * static_cast<double>(rng.below(6));
+    loads.add(static_cast<LinkId>(l), value);
+  }
+  LoadIndex index(loads);
+  StableSortOracle oracle(loads);
+  LoadIndex::Walk walk(index);
+  const auto label = [&](int round) {
+    return std::to_string(mesh.p()) + "x" + std::to_string(mesh.q()) +
+           " seed " + std::to_string(seed) + " round " + std::to_string(round);
+  };
+  expect_matches(index, oracle, loads, label(-1));
+
+  const auto set_load = [&](LinkId link, double value) {
+    loads.add(link, value - loads.load(link));
+  };
+  const auto random_link = [&] { return static_cast<LinkId>(rng.below(num_links)); };
+
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<LinkId> changed;
+    const auto report = [&](LinkId link) {
+      if (std::find(changed.begin(), changed.end(), link) != changed.end()) return false;
+      changed.push_back(link);
+      return true;
+    };
+
+    // One rise and one fall into the same tie block: both take the load of
+    // a third link, one from above and one from below.
+    if (rng.below(3) == 0) {
+      const LinkId anchor = random_link();
+      const double target = loads.load(anchor);
+      LinkId above = kInvalidLink;
+      LinkId below = kInvalidLink;
+      for (int tries = 0; tries < 64 && (above == kInvalidLink || below == kInvalidLink);
+           ++tries) {
+        const LinkId link = random_link();
+        if (link == anchor || oracle.retired(link)) continue;
+        if (loads.load(link) > target && above == kInvalidLink) above = link;
+        if (loads.load(link) < target && below == kInvalidLink) below = link;
+      }
+      for (const LinkId link : {above, below}) {
+        if (link != kInvalidLink && report(link)) set_load(link, target);
+      }
+    }
+
+    const auto count = 1 + rng.below(num_links > 100 ? 18 : 6);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const LinkId link = random_link();
+      if (!report(link)) continue;
+      switch (rng.below(4)) {
+        case 0: set_load(link, rng.uniform(0.0, 100.0)); break;
+        case 1: set_load(link, loads.load(random_link())); break;
+        case 2: set_load(link, 10.0 * static_cast<double>(rng.below(6))); break;
+        default: break;  // reported, but its load does not move
+      }
+    }
+
+    index.reorder(changed, loads);
+    oracle.resort(loads);
+
+    if (retire && rng.below(4) == 0 && !index.empty()) {
+      // Retire either the top (as PR does) or any live link.
+      LinkId victim = index.top();
+      if (rng.below(2) == 0) {
+        const std::vector<LinkId> live = oracle.live();
+        victim = live[rng.below(live.size())];
+      }
+      index.retire(victim);
+      oracle.retire(victim);
+    }
+
+    // The long-lived walk was abandoned midway last round, before this
+    // round's reorder and retire: restarted, it yields the full new order.
+    walk.restart();
+    const std::vector<LinkId> live = oracle.live();
+    std::vector<LinkId> walked;
+    for (LinkId link = walk.next(); link != kInvalidLink; link = walk.next()) {
+      walked.push_back(link);
+    }
+    ASSERT_EQ(walked, live) << label(round);
+    expect_matches(index, oracle, loads, label(round));
+
+    // Abandon it midway again: restarted on an unchanged index, it repeats
+    // the same prefix.
+    walk.restart();
+    const std::size_t partial = live.empty() ? 0 : rng.below(live.size());
+    for (std::size_t k = 0; k < partial; ++k) {
+      ASSERT_EQ(walk.next(), live[k]) << label(round) << " step " << k;
+    }
+  }
 }
 
 TEST(LoadIndex, ReorderMatchesRepeatedStableSort) {
-  // Property check of the merge update: against a model that re-runs the
-  // seed's stable_sort of a persistent order vector every round.
-  const Mesh mesh(4, 4);
-  const auto num_links = static_cast<std::size_t>(mesh.num_links());
-  LinkLoads loads(mesh);
-  Rng rng(0x10AD);
-  for (std::size_t l = 0; l < num_links; ++l) {
-    loads.add(static_cast<LinkId>(l), rng.uniform(0.0, 100.0));
-  }
-  LoadIndex index(mesh.num_links(), loads);
-
-  std::vector<LinkId> model_order(num_links);
-  std::iota(model_order.begin(), model_order.end(), LinkId{0});
-  std::stable_sort(model_order.begin(), model_order.end(),
-                   [&](LinkId a, LinkId b) { return loads.load(a) > loads.load(b); });
-
-  for (int round = 0; round < 200; ++round) {
-    std::vector<LinkId> changed;
-    const auto count = 1 + rng.below(5);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto link = static_cast<LinkId>(rng.below(num_links));
-      if (std::find(changed.begin(), changed.end(), link) != changed.end()) continue;
-      changed.push_back(link);
-      // Mix fresh values with exact duplicates of other links' loads so the
-      // tie path is exercised.
-      const double value = (rng.below(2) == 0)
-                               ? rng.uniform(0.0, 100.0)
-                               : loads.load(static_cast<LinkId>(rng.below(num_links)));
-      loads.add(link, value - loads.load(link));
-    }
-    index.reorder(changed, loads);
-    std::stable_sort(model_order.begin(), model_order.end(),
-                     [&](LinkId a, LinkId b) { return loads.load(a) > loads.load(b); });
-    ASSERT_EQ(order_of(index), model_order) << "round " << round;
+  for (const std::uint64_t seed : {0x10ADull, 7ull, 0xF00Dull}) {
+    run_oracle_rounds(Mesh(4, 4), seed, 300, /*retire=*/false);
+    run_oracle_rounds(Mesh(16, 16), seed, 120, /*retire=*/false);  // 960 links
   }
 }
 
-TEST(LoadIndex, RetiredLinksArePurgedOnReorder) {
+TEST(LoadIndex, ReorderMatchesRepeatedStableSortWithRetirement) {
+  for (const std::uint64_t seed : {0x2E71ull, 11ull}) {
+    run_oracle_rounds(Mesh(4, 4), seed, 300, /*retire=*/true);
+    run_oracle_rounds(Mesh(16, 16), seed, 120, /*retire=*/true);
+  }
+}
+
+TEST(LoadIndex, RetireErasesTheLinkImmediately) {
   const Mesh mesh(2, 2);
   LinkLoads loads(mesh);
   for (LinkId l = 0; l < mesh.num_links(); ++l) loads.add(l, 1.0 + l);
-  LoadIndex index(mesh.num_links(), loads);
+  LoadIndex index(loads);
+  const auto num_links = static_cast<std::size_t>(mesh.num_links());
 
   index.retire(LinkId{2});
-  EXPECT_TRUE(index.is_retired(LinkId{2}));
-  // Still present (skipped by callers) until the next reorder…
-  EXPECT_EQ(index.size(), static_cast<std::size_t>(mesh.num_links()));
-  index.reorder({}, loads);
-  // …then gone for good, even if its load later changes.
-  EXPECT_EQ(index.size(), static_cast<std::size_t>(mesh.num_links()) - 1);
+  // Gone from the order at once, without waiting for a reorder…
+  std::vector<LinkId> order = walk_order(index);
+  EXPECT_EQ(order.size(), num_links - 1);
+  EXPECT_EQ(std::count(order.begin(), order.end(), LinkId{2}), 0);
+  EXPECT_NO_THROW(index.check_invariants(loads));
+
+  // …and for good, even if its load later changes and is reported.
   loads.add(LinkId{2}, 100.0);
   index.reorder({LinkId{2}}, loads);
-  EXPECT_EQ(index.size(), static_cast<std::size_t>(mesh.num_links()) - 1);
-  for (std::size_t at = 0; at < index.size(); ++at) {
-    EXPECT_NE(index.link_at(at), LinkId{2});
+  order = walk_order(index);
+  EXPECT_EQ(order.size(), num_links - 1);
+  EXPECT_EQ(std::count(order.begin(), order.end(), LinkId{2}), 0);
+  EXPECT_NE(index.top(), LinkId{2});
+  EXPECT_NO_THROW(index.check_invariants(loads));
+
+  // Retiring the top repeatedly drains the index in order.
+  std::vector<LinkId> drained;
+  while (!index.empty()) {
+    drained.push_back(index.top());
+    index.retire(index.top());
   }
+  EXPECT_EQ(drained, order);
 }
 
 TEST(LoadIndex, MemberListsKeepInsertionOrder) {
   const Mesh mesh(2, 2);
   LinkLoads loads(mesh);
-  LoadIndex index(mesh.num_links(), loads);
+  LoadIndex index(loads);
   index.add_member(LinkId{1}, 4);
   index.add_member(LinkId{1}, 0);
   index.add_member(LinkId{1}, 2);
   EXPECT_EQ(index.members(LinkId{1}), (std::vector<std::uint32_t>{4, 0, 2}));
   EXPECT_TRUE(index.members(LinkId{0}).empty());
+}
+
+TEST(TouchLog, TakeChangedKeepsOnlyMovedLinksAndClears) {
+  LinkLoads loads(4);
+  loads.add(1, 5.0);
+  TouchLog log(4);
+  log.record(1, loads.load(1));
+  loads.add(1, 2.0);
+  log.record(1, loads.load(1));  // second touch: snapshot stays 5.0
+  log.record(2, loads.load(2));  // touched, never moved
+  log.record(3, loads.load(3));
+  loads.add(3, 1.0);
+
+  std::vector<LinkId> changed{0};  // overwritten, not appended to
+  log.take_changed(loads, changed);
+  EXPECT_EQ(changed, (std::vector<LinkId>{1, 3}));
+  EXPECT_TRUE(log.links.empty());
+  EXPECT_TRUE(log.before.empty());
+  EXPECT_EQ(std::count(log.seen.begin(), log.seen.end(), 1), 0);
 }
 
 // ---------------------------------------------------------- differential --
