@@ -45,6 +45,13 @@ int main(int argc, char** argv) {
   table.set_double_precision(3);
   for (const RouterKind kind : {RouterKind::kXY, RouterKind::kBest}) {
     const RouteResult result = make_router(kind)->route(mesh, comms, model);
+    if (!result.routing.has_value()) {
+      // BEST keeps only valid routings, so it has none when every policy fails.
+      const std::string none = "-";
+      table.add_row({std::string{to_cstring(kind)}, std::string{"NO"},
+                     std::string{"no valid routing"}, none, none, none, none, none});
+      continue;
+    }
     const LinkLoads loads = loads_of_routing(mesh, *result.routing);
     const bool risky = has_deadlock_risk(mesh, *result.routing);
     const bool vc_safe = verify_vc_acyclic(mesh, comms, *result.routing);

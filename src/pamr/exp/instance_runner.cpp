@@ -52,7 +52,8 @@ InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
   double best_power = 0.0;
   const auto kinds = all_base_routers();
   for (std::size_t h = 0; h < kinds.size(); ++h) {
-    RouteResult result = make_router(kinds[h])->route(mesh, comms, model);
+    RouteResult result =
+        make_router(kinds[h])->route(mesh, comms, model, RouteGoal::kVerdict);
     base[h].valid = result.valid;
     base[h].power = result.power;
     base[h].static_power = result.breakdown.static_part;

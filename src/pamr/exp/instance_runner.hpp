@@ -30,6 +30,15 @@
 // and a column boundary in one hop, so none of the three counts bounds
 // those routings.
 //
+// Verdicts only. The campaign keeps a policy's valid flag and powers, never
+// its routing (except BEST's, for the simulation probe, and a valid routing
+// always comes back). So the Mesh overload routes with RouteGoal::kVerdict:
+// SG, TB, IG and PR stop as soon as they hold an overload witness, a link
+// load that proves their final routing invalid, and the sample records the
+// same failure the full routing would have. route.abandoned counts those
+// calls. The topology overload routes through topo::route_on with the
+// default goal.
+//
 // With a sim::SimConfig the runner additionally drives the cycle-level NoC
 // simulator on the instance's BEST routing (open-loop injection: the
 // Injector offers each subflow weight/flit_mbps flits per cycle, so a

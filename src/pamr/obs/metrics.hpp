@@ -36,6 +36,7 @@ enum class Metric : std::uint32_t {
   // -------------------------------------------- unit-scoped counters --
   kRouteCalls,            ///< Router::route / topo::route_on invocations
   kRouteCertifiedInfeasible,  ///< instances run_instance certified infeasible (not routed)
+  kRouteAbandoned,        ///< RouteGoal::kVerdict calls stopped at an overload witness
   kXyiMoves,              ///< accepted moves across both XYI loops
   kXyiEvalHits,           ///< CachedEval slots reused (stamp-fresh or box-revalidated)
   kXyiEvalMisses,         ///< CachedEval slot misses (genuine re-evaluation)
@@ -103,6 +104,7 @@ inline constexpr std::size_t cells_for(Kind kind) noexcept {
 inline constexpr MetricInfo kMetricTable[kNumMetrics] = {
     {"route.calls", Kind::kCounter, Scope::kUnit},
     {"route.certified_infeasible", Kind::kCounter, Scope::kUnit},
+    {"route.abandoned", Kind::kCounter, Scope::kUnit},
     {"xyi.moves", Kind::kCounter, Scope::kUnit},
     {"xyi.memo.eval_hits", Kind::kCounter, Scope::kImpl},
     {"xyi.memo.eval_misses", Kind::kCounter, Scope::kImpl},

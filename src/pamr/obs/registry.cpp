@@ -73,6 +73,13 @@ std::atomic<bool>& enabled_storage() noexcept {
   return on;
 }
 
+// MuteScope's per-thread switch; plain storage, so reading it costs no
+// thread-local initialization guard.
+thread_local bool t_muted = false;
+
+/// The gate of every recording entry point.
+bool recording() noexcept { return enabled() && !t_muted; }
+
 }  // namespace
 
 bool enabled() noexcept { return enabled_storage().load(std::memory_order_relaxed); }
@@ -89,12 +96,12 @@ std::uint64_t now_ns() noexcept {
 }
 
 void bump(Metric m, std::uint64_t n) noexcept {
-  if (!enabled()) return;
+  if (!recording()) return;
   local_shard().cells[cell_offset(m)].fetch_add(n, std::memory_order_relaxed);
 }
 
 void sample(Metric m, std::uint64_t value) noexcept {
-  if (!enabled()) return;
+  if (!recording()) return;
   Shard& shard = local_shard();
   const std::size_t base = cell_offset(m);
   std::size_t bucket = 0;
@@ -109,7 +116,7 @@ void sample(Metric m, std::uint64_t value) noexcept {
 }
 
 void add_ns(Metric m, std::uint64_t ns) noexcept {
-  if (!enabled()) return;
+  if (!recording()) return;
   Shard& shard = local_shard();
   const std::size_t base = cell_offset(m);
   shard.cells[base].fetch_add(ns, std::memory_order_relaxed);
@@ -117,7 +124,7 @@ void add_ns(Metric m, std::uint64_t ns) noexcept {
 }
 
 PhaseScope::PhaseScope(Metric m) noexcept : metric_(m) {
-  if (!enabled()) return;
+  if (!recording()) return;
   armed_ = true;
   start_ = now_ns();
 }
@@ -130,6 +137,10 @@ PhaseScope::~PhaseScope() {
     record_span(info(metric_).name, std::string(), start_, end);
   }
 }
+
+MuteScope::MuteScope() noexcept : was_muted_(t_muted) { t_muted = true; }
+
+MuteScope::~MuteScope() { t_muted = was_muted_; }
 
 Snapshot snapshot() {
   Snapshot snap;

@@ -117,6 +117,22 @@ class PhaseScope {
   bool armed_ = false;
 };
 
+/// Suspends recording on the calling thread for its lifetime (counters,
+/// histograms and timers alike). A paranoid cross-check that re-runs
+/// instrumented code uses it, so the deterministic counters read the same
+/// at every check level.
+class MuteScope {
+ public:
+  MuteScope() noexcept;
+  ~MuteScope();
+
+  MuteScope(const MuteScope&) = delete;
+  MuteScope& operator=(const MuteScope&) = delete;
+
+ private:
+  bool was_muted_;
+};
+
 [[nodiscard]] Snapshot snapshot();
 
 /// Zeroes every cell, live and retired. Test/CLI quiesce-point use only.
@@ -145,6 +161,13 @@ class PhaseScope {
   explicit PhaseScope(Metric) noexcept {}
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
+};
+
+class MuteScope {
+ public:
+  MuteScope() noexcept {}
+  MuteScope(const MuteScope&) = delete;
+  MuteScope& operator=(const MuteScope&) = delete;
 };
 
 [[nodiscard]] inline Snapshot snapshot() { return {}; }

@@ -24,11 +24,6 @@ std::vector<double> direction_cut_traffic(const Mesh& mesh, const CommSet& comms
 
 namespace {
 
-/// True when `traffic` exceeds `bound` by more than the certificate margin.
-bool exceeds(double traffic, double bound) {
-  return traffic > bound * (1.0 + kCertificateMargin);
-}
-
 /// Adds `weight` to slots [from, to) of `traffic`.
 void add_span(std::vector<double>& traffic, std::int32_t from, std::int32_t to,
               double weight) {
@@ -37,7 +32,7 @@ void add_span(std::vector<double>& traffic, std::int32_t from, std::int32_t to,
 
 bool any_exceeds(const std::vector<double>& traffic, double bound) {
   for (const double t : traffic) {
-    if (exceeds(t, bound)) return true;
+    if (PowerModel::proven_overload(t, bound)) return true;
   }
   return false;
 }
@@ -45,7 +40,7 @@ bool any_exceeds(const std::vector<double>& traffic, double bound) {
 }  // namespace
 
 bool certify_infeasible(const Mesh& mesh, const CommSet& comms, const PowerModel& model) {
-  const double cap = model.capacity() + PowerModel::kFeasibilityTolerance;
+  const double cap = model.limit();
 
   // 1. Diagonal cuts: every direction-d path crosses cut k of family d on
   // one of its m(k) links.
@@ -55,7 +50,9 @@ bool certify_infeasible(const Mesh& mesh, const CommSet& comms, const PowerModel
     for (std::size_t k = 0; k < traffic.size(); ++k) {
       const std::int32_t m =
           diagonal_cut_size(mesh, direction, static_cast<std::int32_t>(k));
-      if (exceeds(traffic[k], static_cast<double>(m) * cap)) return true;
+      if (PowerModel::proven_overload(traffic[k], static_cast<double>(m) * cap)) {
+        return true;
+      }
     }
   }
 

@@ -35,17 +35,11 @@ struct DiagonalBound {
                                                         const CommSet& comms,
                                                         Quadrant direction);
 
-/// Relative margin by which a traffic sum must exceed its bound before
-/// certify_infeasible trusts it. Sums of up to a few hundred weights carry a
-/// relative round-off far below this, so a certificate never depends on the
-/// order in which a sum or a routing's link load was accumulated.
-inline constexpr double kCertificateMargin = 1e-9;
-
 /// True only when no Manhattan routing of `comms` (single- or multi-path)
 /// keeps every link within the model's feasibility limit
-/// (capacity() + PowerModel::kFeasibilityTolerance, the limit of
-/// PowerModel::feasible). It checks three necessary conditions, each in
-/// O(nc·(p+q)), and reports a violation only past kCertificateMargin:
+/// (PowerModel::limit(), the limit of PowerModel::feasible). It checks three
+/// necessary conditions, each in O(nc·(p+q)), and reports a violation only
+/// when PowerModel::proven_overload holds (past kCertificateMargin):
 ///   1. diagonal cuts: K(d,k) ≤ m(k)·cap for every direction d and cut k;
 ///   2. row and column cuts: the eastward and the westward traffic across
 ///      every column boundary ≤ p·cap, the southward and the northward

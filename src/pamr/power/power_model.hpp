@@ -43,6 +43,12 @@ struct PowerBreakdown {
   std::int32_t active_links = 0;
 };
 
+/// Relative margin by which a sum must exceed its bound before
+/// PowerModel::proven_overload trusts it. Sums of up to a few hundred
+/// weights carry a relative round-off far below this, so no proof depends
+/// on the order in which a sum or a routing's link load was accumulated.
+inline constexpr double kCertificateMargin = 1e-9;
+
 class PowerModel {
  public:
   /// Continuous-frequency model.
@@ -68,9 +74,24 @@ class PowerModel {
   /// Maximum feasible per-link load (Mb/s).
   [[nodiscard]] double capacity() const noexcept;
 
+  /// Per-link feasibility limit: capacity() plus kFeasibilityTolerance.
+  [[nodiscard]] double limit() const noexcept {
+    return capacity() + kFeasibilityTolerance;
+  }
+
   /// True iff a link can carry `load` without exceeding its capacity.
-  [[nodiscard]] bool feasible(double load) const noexcept {
-    return load <= capacity() + kFeasibilityTolerance;
+  [[nodiscard]] bool feasible(double load) const noexcept { return load <= limit(); }
+
+  /// The one "proven overload" rule: true when `total` exceeds `bound` by
+  /// more than the relative kCertificateMargin. certify_infeasible tests its
+  /// cut sums against m·limit() with it, and the routers' overload
+  /// witnesses (RouteGoal::kVerdict) test a link's load against limit().
+  /// The margin dominates the round-off of adding the same weights in any
+  /// other order, so when a partial sum of a link's final weights passes
+  /// proven_overload(sum, limit()), the final load fails feasible().
+  [[nodiscard]] static constexpr bool proven_overload(double total,
+                                                      double bound) noexcept {
+    return total > bound * (1.0 + kCertificateMargin);
   }
 
   /// Power of one link carrying `load` Mb/s; nullopt if infeasible,

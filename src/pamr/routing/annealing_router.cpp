@@ -46,7 +46,8 @@ Path uniform_random_path(const CommRect& rect, Rng& rng) {
 }  // namespace
 
 RouteResult AnnealingRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                   const PowerModel& model) const {
+                                        const PowerModel& model,
+                                        RouteGoal /*goal*/) const {
   const WallTimer timer;
   if (comms.empty()) {
     return finish(mesh, comms, model, Routing{}, timer.elapsed_ms());

@@ -9,7 +9,7 @@
 namespace pamr {
 
 RouteResult BestRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                              const PowerModel& model) const {
+                                   const PowerModel& model, RouteGoal /*goal*/) const {
   const WallTimer timer;
   RouteResult best;
   for (const RouterKind kind : all_base_routers()) {

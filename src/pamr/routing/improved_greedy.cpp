@@ -33,6 +33,14 @@
 //     cut (same cells, same step predicates, same vertical-then-horizontal
 //     order), so the windowed min chain and the ascending-depth summation
 //     replay the reference's arithmetic double for double.
+//
+// Overload witness (route_incremental under RouteGoal::kVerdict): `loads`
+// mixes committed hops with the virtual spread of communications not yet
+// processed, and that spread leaves again, so `loads` proves nothing. A
+// separate `committed` array holds only the weights of committed hops.
+// Those stay on their links in the final routing and only grow, so a
+// committed load that passes PowerModel::proven_overload proves the routing
+// invalid and the call stops. The reference loop ignores the goal.
 #include <limits>
 
 #include "pamr/mesh/rectangle.hpp"
@@ -192,18 +200,24 @@ class CutCache {
 }  // namespace
 
 RouteResult ImprovedGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                             const PowerModel& model) const {
+                                             const PowerModel& model,
+                                             RouteGoal goal) const {
   return mode_ == Mode::kReference ? route_reference(mesh, comms, model)
-                                   : route_incremental(mesh, comms, model);
+                                   : route_incremental(mesh, comms, model, goal);
 }
 
 RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
                                                     const CommSet& comms,
-                                                    const PowerModel& model) const {
+                                                    const PowerModel& model,
+                                                    RouteGoal goal) const {
   const WallTimer timer;
   const LoadCost cost(model, mesh.num_links());
   LinkLoads loads(mesh);
   std::vector<Path> paths(comms.size());
+  // Committed load per link, tracked for the overload witness only.
+  const bool verdict = goal == RouteGoal::kVerdict;
+  const double limit = model.limit();
+  std::vector<double> committed(verdict ? static_cast<std::size_t>(mesh.num_links()) : 0);
 
   // Phase 1: virtual pre-routing of everything.
   std::vector<CommRect> rects;
@@ -254,6 +268,11 @@ RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
       }
       loads.add(chosen->link, comm.weight);
       cache.reload(chosen->link, loads, cost);
+      if (verdict) {
+        double& load = committed[static_cast<std::size_t>(chosen->link)];
+        load += comm.weight;
+        if (PowerModel::proven_overload(load, limit)) return abandon(timer.elapsed_ms());
+      }
       cores.push_back(chosen->to);
       at = chosen->to;
     }

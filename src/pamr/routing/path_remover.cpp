@@ -38,6 +38,19 @@
 // communication first with ties by original index — and keep the load
 // array bit-identical at every decision point (see apply_spread_tracked),
 // so the routings they produce are bit-identical.
+//
+// Overload witness (route_incremental under RouteGoal::kVerdict). A link
+// that is the only one left in some cut of communication i stays on i's
+// final path: cuts only shrink and never empty. Its *forced* load is
+// Σ δ_i over the communications that hold it as such a singleton cut, and
+// it only grows as cuts shrink. So a forced load that passes
+// PowerModel::proven_overload proves the final routing invalid, and the
+// call stops. A cut turns singleton only when a removal erases a link from
+// it or its prune filters it, which is exactly the window
+// prune_after_removal already visits; the forced loads cost no extra scan.
+// A two-link cut forces nothing: either link may be removed later. The
+// virtual spread (`loads`) proves nothing either, since it moves as paths
+// are removed. The reference loop ignores the goal.
 #include <algorithm>
 #include <numeric>
 
@@ -183,11 +196,18 @@ struct CommState {
   }
 
   /// Windowed prune after the caller erased a link from cut t0 (see struct
-  /// comment). Requires the persistent marks (track_reachability).
-  void prune_after_removal(const Mesh& mesh, std::int32_t t0, PruneScratch& scratch) {
+  /// comment). Requires the persistent marks (track_reachability). Appends
+  /// to `singled` the link of every cut the removal left single: cut t0 (it
+  /// held ≥ 2 links before the erase) and each filtered cut that dropped
+  /// from ≥ 2 links to one.
+  void prune_after_removal(const Mesh& mesh, std::int32_t t0, PruneScratch& scratch,
+                           std::vector<LinkId>& singled) {
     const std::int32_t len = rect.length();
     PAMR_DCHECK(t0 >= 0 && t0 < len);
     PAMR_DCHECK(!forward.empty());
+    if (cuts[static_cast<std::size_t>(t0)].size() == 1) {
+      singled.push_back(cuts[static_cast<std::size_t>(t0)].front());
+    }
     const std::int32_t du = rect.du();
     const std::int32_t dv = rect.dv();
     auto cell_key = [&](Coord c) {
@@ -261,6 +281,7 @@ struct CommState {
     // sit outside both changed ranges.
     auto filter_cut = [&](std::int32_t d) {
       auto& cut = cuts[static_cast<std::size_t>(d)];
+      const std::size_t before = cut.size();
       std::erase_if(cut, [&](LinkId link) {
         const LinkInfo& info = mesh.link(link);
         const bool alive = allowed[static_cast<std::size_t>(link)] != 0 &&
@@ -270,6 +291,7 @@ struct CommState {
         return !alive;
       });
       PAMR_ASSERT_MSG(!cut.empty(), "prune emptied a cut — connectivity broken");
+      if (before >= 2 && cut.size() == 1) singled.push_back(cut.front());
     };
     for (std::int32_t d = std::max<std::int32_t>(0, b_lo - 1); d < t0; ++d) {
       filter_cut(d);
@@ -373,18 +395,40 @@ std::vector<Path> extract_paths(const Mesh& mesh,
 }  // namespace
 
 RouteResult PathRemoverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                          const PowerModel& model) const {
+                                          const PowerModel& model, RouteGoal goal) const {
   return mode_ == Mode::kReference ? route_reference(mesh, comms, model)
-                                   : route_incremental(mesh, comms, model);
+                                   : route_incremental(mesh, comms, model, goal);
 }
 
 RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
                                                  const CommSet& comms,
-                                                 const PowerModel& model) const {
+                                                 const PowerModel& model,
+                                                 RouteGoal goal) const {
   const WallTimer timer;
   LinkLoads loads(mesh);
   std::vector<CommState> states =
       make_states(mesh, comms, loads, /*track_reachability=*/true);
+
+  // Forced load per link, tracked for the overload witness only (see file
+  // comment); the full rectangle's singleton cuts are forced from the start.
+  const bool verdict = goal == RouteGoal::kVerdict;
+  const double limit = model.limit();
+  std::vector<double> forced(verdict ? static_cast<std::size_t>(mesh.num_links()) : 0);
+  auto force = [&](LinkId link, double weight) {
+    double& load = forced[static_cast<std::size_t>(link)];
+    load += weight;
+    return PowerModel::proven_overload(load, limit);
+  };
+  if (verdict) {
+    for (std::size_t idx = 0; idx < states.size(); ++idx) {
+      for (const auto& cut : states[idx].cuts) {
+        if (cut.size() == 1 && force(cut.front(), comms[idx].weight)) {
+          obs::sample(obs::Metric::kPrRemovalsPerCall, 0);
+          return abandon(timer.elapsed_ms());
+        }
+      }
+    }
+  }
 
   // Heaviest-first candidate order within a link (paper: "the largest
   // communication that uses this link"): member lists are filled in
@@ -404,6 +448,7 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
   PruneScratch scratch(static_cast<std::size_t>(mesh.num_cores()));
   TouchLog log(static_cast<std::size_t>(mesh.num_links()));
   std::vector<LinkId> changed;
+  std::vector<LinkId> singled;
   std::size_t removals = 0;
 
   const std::size_t none = states.size();
@@ -451,13 +496,22 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
     state.apply_spread_tracked(-weight, loads, log);
     state.allowed[static_cast<std::size_t>(link)] = 0;
     std::erase(state.cuts[static_cast<std::size_t>(depth)], link);
-    state.prune_after_removal(mesh, depth, scratch);
+    singled.clear();
+    state.prune_after_removal(mesh, depth, scratch, singled);
     state.apply_spread_tracked(weight, loads, log);
     log.take_changed(loads, changed);
     index.reorder(changed, loads);
     ++removals;
     obs::bump(obs::Metric::kPrRemovals);
     if (state.is_single_path()) --active;
+    if (verdict) {
+      for (const LinkId single : singled) {
+        if (force(single, weight)) {
+          obs::sample(obs::Metric::kPrRemovalsPerCall, removals);
+          return abandon(timer.elapsed_ms());
+        }
+      }
+    }
   }
 
   obs::sample(obs::Metric::kPrRemovalsPerCall, removals);

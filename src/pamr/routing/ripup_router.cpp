@@ -13,7 +13,8 @@
 namespace pamr {
 
 RouteResult RipUpRerouteRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                      const PowerModel& model) const {
+                                           const PowerModel& model,
+                                           RouteGoal /*goal*/) const {
   const WallTimer timer;
   const LoadCost cost(model, mesh.num_links());
   LinkLoads loads(mesh);

@@ -26,11 +26,22 @@ std::vector<RouterKind> all_base_routers() {
 }
 
 RouteResult Router::route(const Mesh& mesh, const CommSet& comms,
-                          const PowerModel& model) const {
+                          const PowerModel& model, RouteGoal goal) const {
   check_comm_set(mesh, comms);
   obs::bump(obs::Metric::kRouteCalls);
   const obs::PhaseScope phase(obs::route_phase(name()));
-  return route_impl(mesh, comms, model);
+  RouteResult result = route_impl(mesh, comms, model, goal);
+#if PAMR_CHECK_LEVEL >= 2
+  if (goal == RouteGoal::kVerdict && !result.routing.has_value()) {
+    // The witness must not lie: the full routing is invalid as well. Muted,
+    // so the re-run leaves the deterministic counters as they were.
+    const obs::MuteScope mute;
+    PAMR_INVARIANT("route-abandon",
+                   !route_impl(mesh, comms, model, RouteGoal::kRouting).valid,
+                   "an abandoned route call's full routing is valid");
+  }
+#endif
+  return result;
 }
 
 RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
@@ -51,6 +62,13 @@ RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
     result.breakdown = *breakdown;
   }
   result.routing = std::move(routing);
+  return result;
+}
+
+RouteResult Router::abandon(double elapsed_ms) noexcept {
+  obs::bump(obs::Metric::kRouteAbandoned);
+  RouteResult result;
+  result.elapsed_ms = elapsed_ms;
   return result;
 }
 

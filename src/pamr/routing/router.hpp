@@ -2,10 +2,12 @@
 // XY, SG (simple greedy), IG (improved greedy), TB (two-bend), XYI (XY
 // improver), PR (path remover), and the BEST meta-heuristic.
 //
-// A router always *constructs* a routing; the RouteResult records whether
-// that routing is valid under the model (the paper's "failure" outcome is
-// an infeasible or absent routing). Power figures are only present for
-// valid results.
+// By default a router always *constructs* a routing; the RouteResult
+// records whether that routing is valid under the model (the paper's
+// "failure" outcome is an infeasible or absent routing). Power figures are
+// only present for valid results. A caller that needs only the verdict asks
+// for RouteGoal::kVerdict, which lets a policy stop as soon as its routing
+// is provably invalid (see RouteGoal).
 #pragma once
 
 #include <memory>
@@ -40,8 +42,27 @@ struct LocalSearchStats {
   bool converged = true;  ///< false iff the move cap truncated the descent
 };
 
+/// What a caller needs from one Router::route call.
+///
+///   kRouting  the constructed routing, valid or not (the default). Callers
+///             that read an overloaded routing — map::placement's penalized
+///             score, the examples, the differential suites — need this.
+///   kVerdict  only valid, power and breakdown (exp::run_instance). SG, TB,
+///             IG and PR (Mode::kIncremental) then stop as soon as they hold
+///             an *overload witness*: a link whose load is bound to reach
+///             the final routing and already passes
+///             PowerModel::proven_overload(load, model.limit()). Such a call
+///             is *abandoned*: it returns valid=false with no routing and
+///             bumps route.abandoned. The witness load only grows and
+///             the margin covers summation order, so the full routing would
+///             have been invalid too. A call that is not abandoned returns
+///             exactly the kRouting result, routing included, bit for bit.
+///             The other policies ignore the goal.
+enum class RouteGoal : std::uint8_t { kRouting, kVerdict };
+
 struct RouteResult {
-  std::optional<Routing> routing;  ///< constructed routing (may be invalid)
+  std::optional<Routing> routing;  ///< constructed routing (may be invalid;
+                                   ///< absent when a kVerdict call abandoned)
   bool valid = false;              ///< feasibility under the model
   double power = 0.0;              ///< total power, defined iff valid
   PowerBreakdown breakdown;        ///< static/dynamic split, defined iff valid
@@ -65,19 +86,27 @@ class Router {
   /// non-finite or non-positive weights, out-of-bounds or coincident
   /// endpoints — throws std::logic_error before any heuristic work, for
   /// every policy. Implementations must be deterministic functions of
-  /// their arguments.
+  /// their arguments. `goal` is the per-call contract of RouteGoal; at
+  /// PAMR_CHECK_LEVEL >= 2 every abandoned call re-runs the full routing
+  /// (with telemetry muted) and asserts that it is invalid.
   [[nodiscard]] RouteResult route(const Mesh& mesh, const CommSet& comms,
-                                  const PowerModel& model) const;
+                                  const PowerModel& model,
+                                  RouteGoal goal = RouteGoal::kRouting) const;
 
  protected:
   /// Policy body; `comms` has already passed check_comm_set.
   [[nodiscard]] virtual RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                               const PowerModel& model) const = 0;
+                                               const PowerModel& model,
+                                               RouteGoal goal) const = 0;
 
   /// Shared epilogue: validates, evaluates power and stamps the result.
   [[nodiscard]] static RouteResult finish(const Mesh& mesh, const CommSet& comms,
                                           const PowerModel& model, Routing routing,
                                           double elapsed_ms);
+
+  /// The result of an abandoned kVerdict call (invalid, no routing); bumps
+  /// route.abandoned.
+  [[nodiscard]] static RouteResult abandon(double elapsed_ms) noexcept;
 };
 
 [[nodiscard]] std::unique_ptr<Router> make_router(RouterKind kind);

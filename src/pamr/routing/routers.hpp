@@ -16,7 +16,8 @@ class XYRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 };
 
 /// SG — simple greedy (§5.1): communications by decreasing weight, path
@@ -28,7 +29,8 @@ class SimpleGreedyRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 };
 
 /// IG — improved greedy (§5.2): virtual diagonal-spread pre-routing, then
@@ -55,11 +57,13 @@ class ImprovedGreedyRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 
  private:
   [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model) const;
+                                              const PowerModel& model,
+                                              RouteGoal goal) const;
   [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
                                             const PowerModel& model) const;
 
@@ -74,7 +78,8 @@ class TwoBendRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 };
 
 /// Test/diagnostic hook for XYImproverRouter: while attached, both modes
@@ -110,7 +115,8 @@ class XYImproverRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 
  private:
   [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
@@ -145,11 +151,13 @@ class PathRemoverRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 
  private:
   [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model) const;
+                                              const PowerModel& model,
+                                              RouteGoal goal) const;
   [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
                                             const PowerModel& model) const;
 
@@ -164,7 +172,8 @@ class BestRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 };
 
 }  // namespace pamr

@@ -11,6 +11,11 @@
 // next core to the straight src→snk segment via the cross product; a final
 // tie (symmetric geometry) prefers the vertical step, which keeps the
 // policy deterministic.
+//
+// Overload witness (RouteGoal::kVerdict): `loads` holds only committed
+// paths, and a committed weight stays on its link in the final routing, so
+// a link whose load passes PowerModel::proven_overload proves the routing
+// invalid; the call stops there.
 #include "pamr/mesh/rectangle.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
@@ -36,9 +41,12 @@ std::int64_t diagonal_deviation(Coord src, Coord snk, Coord c) noexcept {
 }  // namespace
 
 RouteResult SimpleGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                      const PowerModel& model) const {
-  (void)model;  // SG looks only at loads, not at powers.
+                                           const PowerModel& model,
+                                           RouteGoal goal) const {
+  // SG looks only at loads, not at powers; the model only bounds a witness.
   const WallTimer timer;
+  const bool verdict = goal == RouteGoal::kVerdict;
+  const double limit = model.limit();
   LinkLoads loads(mesh);
   std::vector<Path> paths(comms.size());
 
@@ -66,6 +74,9 @@ RouteResult SimpleGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comm
         }
       }
       loads.add(chosen->link, comm.weight);
+      if (verdict && PowerModel::proven_overload(loads.load(chosen->link), limit)) {
+        return abandon(timer.elapsed_ms());
+      }
       cores.push_back(chosen->to);
       at = chosen->to;
     }

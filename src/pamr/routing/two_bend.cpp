@@ -11,6 +11,10 @@
 //     path, m = v_src the YX-with-trailing-horizontal = VH path);
 //   * V-H-V with an interior turning row — (Δu − 1) more.
 // Total Δv + 1 + Δu − 1 = Δu + Δv, matching the paper's count.
+//
+// Overload witness (RouteGoal::kVerdict): as in SG, `loads` holds only
+// committed paths, so a link whose load passes PowerModel::proven_overload
+// after a commit proves the routing invalid and the call stops.
 #include <limits>
 
 #include "pamr/mesh/rectangle.hpp"
@@ -82,9 +86,11 @@ std::vector<Path> two_bend_paths(const Mesh& mesh, Coord src, Coord snk) {
 }  // namespace
 
 RouteResult TwoBendRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                 const PowerModel& model) const {
+                                      const PowerModel& model, RouteGoal goal) const {
   const WallTimer timer;
   const LoadCost cost(model, mesh.num_links());
+  const bool verdict = goal == RouteGoal::kVerdict;
+  const double limit = model.limit();
   LinkLoads loads(mesh);
   std::vector<Path> paths(comms.size());
 
@@ -106,6 +112,13 @@ RouteResult TwoBendRouter::route_impl(const Mesh& mesh, const CommSet& comms,
     }
     PAMR_ASSERT(best != nullptr);
     loads.add_path(*best, comm.weight);
+    if (verdict) {
+      for (const LinkId link : best->links) {
+        if (PowerModel::proven_overload(loads.load(link), limit)) {
+          return abandon(timer.elapsed_ms());
+        }
+      }
+    }
     paths[index] = *best;
   }
 

@@ -38,7 +38,8 @@
 namespace pamr {
 
 RouteResult XYImproverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                         const PowerModel& model) const {
+                                         const PowerModel& model,
+                                         RouteGoal /*goal*/) const {
   return mode_ == Mode::kReference ? route_reference(mesh, comms, model)
                                    : route_incremental(mesh, comms, model);
 }

@@ -7,7 +7,7 @@
 namespace pamr {
 
 RouteResult XYRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                            const PowerModel& model) const {
+                                 const PowerModel& model, RouteGoal /*goal*/) const {
   const WallTimer timer;
   std::vector<Path> paths;
   paths.reserve(comms.size());

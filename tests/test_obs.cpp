@@ -134,7 +134,8 @@ TEST_F(ObsTest, UnitCountersArePinnedToExactValues) {
   EXPECT_EQ(snap.counter(Metric::kSimProbes), 0u) << "fig7a_small is not a sim scenario";
   EXPECT_GT(snap.counter(Metric::kIgCutBounds), 0u);
 
-  // One histogram sample per XYI / PR route call; sums tie to the counters.
+  // One histogram sample per XYI / PR route call, abandoned PR calls
+  // included; sums tie to the counters.
   EXPECT_EQ(snap.hist_count(Metric::kXyiMovesPerCall), instances - certified);
   EXPECT_EQ(snap.hist_sum(Metric::kXyiMovesPerCall), snap.counter(Metric::kXyiMoves));
   EXPECT_EQ(snap.hist_count(Metric::kPrRemovalsPerCall), instances - certified);
@@ -145,21 +146,35 @@ TEST_F(ObsTest, UnitCountersArePinnedToExactValues) {
   EXPECT_EQ(snap.timer_calls(Metric::kPhaseSuite), 1u);
 }
 
-TEST_F(ObsTest, CertificateFiresOnAnInfeasibleHeavyPanel) {
-  // fig7c_big's heavy communications overload a cut on many instances: the
-  // identity above must not hold only because the counter stays at zero.
+TEST_F(ObsTest, CertificateAndWitnessesFireOnAnInfeasibleHeavyPanel) {
+  // fig7c_big's heavy communications overload a cut on many instances and a
+  // link under some policy on many more: the identities below must not hold
+  // only because the counters stay at zero.
   const scenario::Scenario& panel = scenario::ScenarioRegistry::builtin().at("fig7c_big");
   scenario::SuiteOptions options;
   options.instances = kTrials;
   options.chunk = kChunk;
   options.seed = panel.default_seed;
   options.threads = 1;
-  (void)scenario::SuiteRunner(options).run(panel);
+  const scenario::ScenarioResult result = scenario::SuiteRunner(options).run(panel);
   const Snapshot snap = snapshot();
   const std::uint64_t instances = panel.points.size() * static_cast<std::uint64_t>(kTrials);
   const std::uint64_t certified = snap.counter(Metric::kRouteCertifiedInfeasible);
   EXPECT_GT(certified, 0u);
   EXPECT_EQ(snap.counter(Metric::kRouteCalls) + 6 * certified, 6 * instances);
+
+  // Every abandoned call is a failed policy call of a routed instance.
+  std::uint64_t failed_calls = 0;
+  for (const scenario::ScenarioPointResult& point : result.points) {
+    for (std::size_t h = 0; h < kNumBaseRouters; ++h) {
+      failed_calls += point.aggregate.failures[h];
+    }
+  }
+  failed_calls -= 6 * certified;
+  const std::uint64_t abandoned = snap.counter(Metric::kRouteAbandoned);
+  EXPECT_GT(abandoned, 0u);
+  EXPECT_LE(abandoned, failed_calls);
+  EXPECT_EQ(snap.hist_count(Metric::kPrRemovalsPerCall), instances - certified);
 }
 
 TEST_F(ObsTest, UnitCellsAreBitIdenticalAcrossThreadCounts) {
