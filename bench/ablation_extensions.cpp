@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "pamr/comm/generator.hpp"
-#include "pamr/exp/campaign.hpp"
 #include "pamr/opt/exact_solver.hpp"
 #include "pamr/routing/extensions.hpp"
 #include "pamr/routing/routers.hpp"
@@ -18,8 +17,7 @@
 int main(int argc, char** argv) {
   using namespace pamr;
   ArgParser parser("ablation_extensions", "BEST vs RR/SA vs exact optimum");
-  parser.add_int("trials", std::min<std::int64_t>(exp::default_trials(), 150),
-                 "instances per workload", "PAMR_TRIALS");
+  parser.add_int("trials", 150, "instances per workload", "PAMR_TRIALS");
   parser.add_int("seed", 909, "base seed");
   int exit_code = 0;
   if (!parser.parse(argc, argv, exit_code)) return exit_code;

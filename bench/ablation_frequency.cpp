@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "pamr/comm/generator.hpp"
-#include "pamr/exp/campaign.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/util/args.hpp"
@@ -22,8 +21,7 @@
 int main(int argc, char** argv) {
   using namespace pamr;
   ArgParser parser("ablation_frequency", "discrete vs continuous link frequencies");
-  parser.add_int("trials", std::min<std::int64_t>(exp::default_trials(), 200),
-                 "instances per workload", "PAMR_TRIALS");
+  parser.add_int("trials", 200, "instances per workload", "PAMR_TRIALS");
   parser.add_int("seed", 2500, "base seed");
   int exit_code = 0;
   if (!parser.parse(argc, argv, exit_code)) return exit_code;

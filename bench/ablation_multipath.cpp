@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "pamr/comm/generator.hpp"
-#include "pamr/exp/campaign.hpp"
 #include "pamr/opt/frank_wolfe.hpp"
 #include "pamr/opt/split_router.hpp"
 #include "pamr/routing/routers.hpp"
@@ -22,8 +21,7 @@ int main(int argc, char** argv) {
   using namespace pamr;
   ArgParser parser("ablation_multipath",
                    "split-factor sweep vs single-path BEST and the FW bound");
-  parser.add_int("trials", std::min<std::int64_t>(exp::default_trials(), 200),
-                 "instances per workload", "PAMR_TRIALS");
+  parser.add_int("trials", 200, "instances per workload", "PAMR_TRIALS");
   parser.add_int("seed", 1337, "base seed");
   int exit_code = 0;
   if (!parser.parse(argc, argv, exit_code)) return exit_code;

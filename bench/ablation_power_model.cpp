@@ -13,29 +13,28 @@
 // that drives every load-balancing argument in §4.
 #include <cstdio>
 
-#include "pamr/exp/campaign.hpp"
+#include "pamr/scenario/suite_runner.hpp"
 #include "pamr/util/args.hpp"
 #include "pamr/util/csv.hpp"
 
 int main(int argc, char** argv) {
   using namespace pamr;
   ArgParser parser("ablation_power_model", "Pleak and alpha sensitivity (§6.4)");
-  parser.add_int("trials", std::min<std::int64_t>(exp::default_trials(), 200),
-                 "instances per configuration", "PAMR_TRIALS");
+  parser.add_int("trials", 200, "instances per configuration", "PAMR_TRIALS");
   parser.add_int("seed", 4096, "base seed");
   int exit_code = 0;
   if (!parser.parse(argc, argv, exit_code)) return exit_code;
 
   const Mesh mesh(8, 8);
-  exp::CampaignOptions options;
-  options.trials = static_cast<std::int32_t>(parser.get_int("trials"));
-  options.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  const auto trials = static_cast<std::int32_t>(parser.get_int("trials"));
+  const auto seed = static_cast<std::uint64_t>(parser.get_int("seed"));
 
-  exp::PointSpec point;
-  point.x = 40;
-  point.workload.num_comms = 40;
-  point.workload.weight_lo = 100.0;
-  point.workload.weight_hi = 1500.0;
+  scenario::ScenarioSpec spec;
+  scenario::WorkloadLayer& layer = spec.layers.emplace_back();
+  layer.kind = scenario::WorkloadLayer::Kind::kUniform;
+  layer.num_comms = 40;
+  layer.weight_lo = 100.0;
+  layer.weight_hi = 1500.0;
 
   {
     Table table({"Pleak (mW)", "XY", "SG", "IG", "TB", "XYI", "PR", "BEST",
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
       params.p_leak *= scale;
       const PowerModel model(params, FrequencyTable::kim_horowitz());
       const exp::PointAggregate agg =
-          exp::run_point(mesh, model, point, options, point_id++);
+          scenario::run_scenario_point(mesh, model, spec, trials, seed, point_id++);
       std::vector<Cell> row{params.p_leak};
       for (std::size_t s = 0; s < exp::kNumSeries; ++s) {
         row.emplace_back(agg.normalized_inverse[s].mean());
@@ -59,7 +58,7 @@ int main(int argc, char** argv) {
         "== Pleak sweep (40 x U[100,1500) Mb/s, %d trials/row) ==\n"
         "normalized power inverse per policy; expect PR to lead at low Pleak\n"
         "and concentrating policies (XYI) to close the gap as Pleak grows\n%s\n",
-        options.trials, table.to_text().c_str());
+        trials, table.to_text().c_str());
   }
 
   {
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
       params.alpha = alpha;
       const PowerModel model(params, FrequencyTable::kim_horowitz());
       const exp::PointAggregate agg =
-          exp::run_point(mesh, model, point, options, point_id++);
+          scenario::run_scenario_point(mesh, model, spec, trials, seed, point_id++);
       std::vector<Cell> row{alpha};
       for (std::size_t s = 0; s < exp::kNumSeries; ++s) {
         row.emplace_back(agg.normalized_inverse[s].mean());

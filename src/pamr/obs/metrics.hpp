@@ -38,8 +38,8 @@ enum class Metric : std::uint32_t {
   kRouteCertifiedInfeasible,  ///< instances run_instance certified infeasible (not routed)
   kRouteAbandoned,        ///< RouteGoal::kVerdict calls stopped at an overload witness
   kXyiMoves,              ///< accepted moves across both XYI loops
-  kXyiEvalHits,           ///< CachedEval slots reused (stamp-fresh or box-revalidated)
-  kXyiEvalMisses,         ///< CachedEval slot misses (genuine re-evaluation)
+  kXyiEvalHits,           ///< XYI evaluation slots reused (no side re-evaluated)
+  kXyiEvalMisses,         ///< XYI evaluation slot misses (a side re-evaluated)
   kXyiVerdictSkips,       ///< whole links folded in O(1) via the band-checked fold cache
   kXyiIndexRewrites,      ///< CrossingIndex::apply_rewrite calls
   kPrRemovals,            ///< PR removals applied (both loops)

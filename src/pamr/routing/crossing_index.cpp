@@ -29,15 +29,10 @@ CrossingIndex::CrossingIndex(const Mesh& mesh, std::size_t num_comms)
       visitors_(static_cast<std::size_t>(mesh.num_cores())),
       comm_stamp_(num_comms, 1),  // ≥ 1, so never-computed slots (stamp 0) are stale
       path_epoch_(num_comms, 0),
-      load_epoch_(static_cast<std::size_t>(mesh.num_links()), 0),
       core_mark_(static_cast<std::size_t>(mesh.num_cores()), 0),
       fold_best_(static_cast<std::size_t>(mesh.num_links())),
       fold_comm_(static_cast<std::size_t>(mesh.num_links()), 0),
       fold_stamp_(static_cast<std::size_t>(mesh.num_links()), 0),
-      h_blocks_per_row_((mesh.q() + 3) / 4),
-      v_blocks_per_col_((mesh.p() + 3) / 4),
-      h_block_(static_cast<std::size_t>(mesh.p() * h_blocks_per_row_), 0),
-      v_block_(static_cast<std::size_t>(mesh.q() * v_blocks_per_col_), 0),
       h_pair_base_(mesh.p()),
       v_col_base_(mesh.p() + mesh.q()),
       v_pair_base_(mesh.p() + 2 * mesh.q()),
@@ -92,47 +87,14 @@ void CrossingIndex::touch_link_geometry(const LinkInfo& info) {
   if (info.horizontal()) {
     const auto row = static_cast<std::size_t>(info.from.u);
     const auto col = static_cast<std::size_t>(std::min(info.from.v, info.to.v));
-    h_block_[row * static_cast<std::size_t>(h_blocks_per_row_) + (col >> 2)] = epoch_;
     lane_epoch_[row] = epoch_;                                          // h_row
     lane_epoch_[static_cast<std::size_t>(h_pair_base_) + col] = epoch_;  // h_pair
   } else {
     const auto col = static_cast<std::size_t>(info.from.v);
     const auto row = static_cast<std::size_t>(std::min(info.from.u, info.to.u));
-    v_block_[col * static_cast<std::size_t>(v_blocks_per_col_) + (row >> 2)] = epoch_;
     lane_epoch_[static_cast<std::size_t>(v_col_base_) + col] = epoch_;   // v_col
     lane_epoch_[static_cast<std::size_t>(v_pair_base_) + row] = epoch_;  // v_pair
   }
-}
-
-bool CrossingIndex::window_clean(const xyi::WindowBox& box, std::uint64_t stamp) const {
-  if (box.empty()) return true;  // the evaluation read no loads
-  // Horizontal links with both endpoints in the box: rows [u_lo, u_hi],
-  // spanning column pairs inside [v_lo, v_hi].
-  if (box.v_hi > box.v_lo) {
-    const std::size_t b_lo = static_cast<std::size_t>(box.v_lo) >> 2;
-    const std::size_t b_hi = static_cast<std::size_t>(box.v_hi - 1) >> 2;
-    for (std::size_t u = box.u_lo; u <= box.u_hi; ++u) {
-      const std::uint64_t* row =
-          h_block_.data() + u * static_cast<std::size_t>(h_blocks_per_row_);
-      for (std::size_t b = b_lo; b <= b_hi; ++b) {
-        if (row[b] > stamp) return false;
-      }
-    }
-  }
-  // Vertical links: columns [v_lo, v_hi], spanning row pairs inside
-  // [u_lo, u_hi].
-  if (box.u_hi > box.u_lo) {
-    const std::size_t b_lo = static_cast<std::size_t>(box.u_lo) >> 2;
-    const std::size_t b_hi = static_cast<std::size_t>(box.u_hi - 1) >> 2;
-    for (std::size_t v = box.v_lo; v <= box.v_hi; ++v) {
-      const std::uint64_t* col =
-          v_block_.data() + v * static_cast<std::size_t>(v_blocks_per_col_);
-      for (std::size_t b = b_lo; b <= b_hi; ++b) {
-        if (col[b] > stamp) return false;
-      }
-    }
-  }
-  return true;
 }
 
 void CrossingIndex::apply_rewrite(std::uint32_t comm, const std::vector<Coord>& before,
@@ -175,8 +137,8 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, const std::vector<Coord>& 
     insert_member(added, comm);
     // Unconditional geometric bump: membership and window shape changed
     // here even if the later load accounting cancels bit-exactly (e.g. a
-    // zero-weight communication), so fold caches and box-revalidated slots
-    // in this neighbourhood must not survive on load epochs alone.
+    // zero-weight communication), so fold caches in this neighbourhood
+    // must not survive on load changes alone.
     touch_link_geometry(mesh_->link(removed));
     touch_link_geometry(mesh_->link(added));
   }
@@ -220,7 +182,6 @@ void CrossingIndex::note_load_change(LinkId link) {
   //   * paths one lane over whose shifted run would land on the link — the
   //     members of the two lane-parallel links.
   const LinkInfo& info = mesh_->link(link);
-  load_epoch_[static_cast<std::size_t>(link)] = epoch_;
   touch_link_geometry(info);
   stamp_core(info.from);
   stamp_core(info.to);

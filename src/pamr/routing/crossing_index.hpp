@@ -15,17 +15,16 @@
 //     first-candidate tie-break) exactly;
 //   * per-core visitor lists — the communications whose path visits the
 //     core, which is the reverse mapping needed for dirty stamping (below);
-//   * per-(link, member) evaluation slots — each member's best candidate
-//     rotation, revalidated either by the comm-level stamp or, failing
-//     that, by the geometric read-set check below;
+//   * per-(link, member) evaluation slots — each member's cached candidate
+//     rotations, revalidated by the comm-level stamp below;
 //   * a per-link fold cache — the whole link's best (candidate, member)
 //     pair, reusable in O(1) while the link's three-lane band is untouched.
 //
 // Two invalidation granularities keep the caches exact rather than
 // heuristic:
 //
-// 1. Comm-level stamps (the fast accept). Evaluating a hot link L reads,
-//    per crossing communication c: c's path (the rotation windows) and the
+// 1. Comm-level stamps (per slot). Evaluating a hot link L reads, per
+//    crossing communication c: c's path (the rotation windows) and the
 //    loads of the candidate removed/added links. A candidate rotation's
 //    links are exactly (i) removed steps, which lie on c's path, (ii) the
 //    shifted run, whose links are one-lane parallels of path steps, and
@@ -34,36 +33,22 @@
 //    whose cached evaluations could have read it are the visitors of ℓ's
 //    two endpoint cores (covers i and iii) plus the members of ℓ's two
 //    lane-parallel links (covers ii). A slot whose communication is older
-//    than every relevant stamp is therefore still exact.
+//    than every relevant stamp is therefore still exact; a stamp-dirtied
+//    one is re-evaluated.
 //
-// 2. Geometric read-set epochs (the second chance). The comm stamp is
-//    deliberately coarse — it dirties a communication when *any* load near
-//    its whole path changes, while a slot for link L only read loads inside
-//    its rotation window around L. Measured on an overloaded 32×32 descent,
-//    ~85% of stamp-dirtied slots recompute to the bit-identical candidate.
-//    So each slot also records the bounding box of every core its
-//    evaluation touched (WindowBox — a superset of the endpoints of every
-//    load it read), and the index keeps, per 4-link block of same-lane
-//    links, the epoch of the last load change or window rewrite that
-//    touched the block. A stamp-dirtied slot whose path is unrewritten
-//    (path_epoch ≤ slot stamp) and whose box blocks are all ≤ slot stamp
-//    would recompute from identical inputs — the cached candidate is
-//    reused and restamped, no approximation involved.
-//
-// The fold cache rides on the same geometry at link granularity: every
-// member's window around a horizontal link L in row u is a horizontal run
-// in row u shifted to row u±1, closed by perpendicular steps joining rows
-// u-1..u+1 — so the entire fold reads only horizontal-link loads in rows
-// u-1..u+1 and vertical-link loads on the row pairs (u-1,u) and (u,u+1),
-// and membership/shape changes of that window necessarily rewrite a link
-// in the same band. If no band entry advanced past the fold's stamp, every
-// member's candidate and the membership itself are unchanged, and the
-// cached (best, member) pair is the exact fold result. Columns mirror the
-// argument for vertical links.
+// 2. Lane-band epochs (per link). Every member's window around a
+//    horizontal link L in row u is a horizontal run in row u shifted to
+//    row u±1, closed by perpendicular steps joining rows u-1..u+1 — so the
+//    entire fold reads only horizontal-link loads in rows u-1..u+1 and
+//    vertical-link loads on the row pairs (u-1,u) and (u,u+1), and
+//    membership/shape changes of that window necessarily rewrite a link in
+//    the same band. If no band entry advanced past the fold's stamp, every
+//    member's candidate and the membership itself are unchanged, and the
+//    cached (best, member) pair is the exact fold result. Columns mirror
+//    the argument for vertical links.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "pamr/mesh/coord.hpp"
@@ -83,12 +68,12 @@ class CrossingIndex {
   /// One SlotCold entry per candidate rotation (at most two, in
   /// preferred-side-first evaluation order — the order the strict-<
   /// tie-break of the fold depends on). Each candidate carries its own
-  /// compute stamp and read-set box, so a load change near one side of the
-  /// crossing revalidates or recomputes that side alone; the other side's
-  /// cached delta stays exact. `count` and the rotations' j/i/forward
-  /// (stored inside cand[]) are pure functions of the path shape, derived
-  /// at `spec_stamp` and valid while the path is unrewritten (path_epoch ≤
-  /// spec_stamp). Stamp 0 = never computed (epochs start at 1).
+  /// compute stamp, so a recompute touches only the sides computed before
+  /// the comm's dirty stamp; the other side's cached delta stays exact.
+  /// `count` and the rotations' j/i/forward (stored inside cand[]) are pure
+  /// functions of the path shape, derived at `spec_stamp` and valid while
+  /// the path is unrewritten (path_epoch ≤ spec_stamp). Stamp 0 = never
+  /// computed (epochs start at 1).
   struct SlotHot {
     /// combined(cold), refreshed by the caller whenever cand[] changes.
     xyi::Candidate best;
@@ -100,7 +85,6 @@ class CrossingIndex {
   struct SlotCold {
     xyi::Candidate cand[2];
     std::uint64_t cstamp[2] = {0, 0};
-    xyi::WindowBox box[2];
     std::uint64_t spec_stamp = 0;
     std::uint8_t count = 0;
   };
@@ -156,22 +140,6 @@ class CrossingIndex {
     return comm_stamp_[comm];
   }
 
-  /// Second-chance revalidation of one stamp-dirtied cached candidate: true
-  /// iff no load inside its recorded read-set box changed (and no window
-  /// was rewritten there) since it was computed at `stamp`. Together with
-  /// path_epoch(comm) ≤ stamp this makes the cached candidate exact — the
-  /// caller may restamp it to the current epoch. An empty box (a candidate
-  /// that read no loads) is always clean.
-  [[nodiscard]] bool window_clean(const xyi::WindowBox& box, std::uint64_t stamp) const;
-
-  /// Exact per-link load-change epochs (0 = never changed), for the third
-  /// revalidation layer: when the blocked box check reports dirt, an exact
-  /// rewalk of the slot's read set against these epochs separates real
-  /// changes from block-quantization false positives.
-  [[nodiscard]] std::span<const std::uint64_t> load_epochs() const noexcept {
-    return load_epoch_;
-  }
-
   /// The stamp for slots recomputed now.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
@@ -184,8 +152,8 @@ class CrossingIndex {
   /// The stored load of `link` changed under the current move: stamps every
   /// communication whose path passes within one hop of it (the set whose
   /// cached evaluations could have read this load — see file comment) and
-  /// advances the link's block and band epochs. Call after apply_rewrite
-  /// for each link whose value actually changed.
+  /// advances the link's band epochs. Call after apply_rewrite for each
+  /// link whose value actually changed.
   void note_load_change(LinkId link);
 
   /// True iff `link`'s cached fold (best candidate over all members) is
@@ -232,11 +200,11 @@ class CrossingIndex {
   };
 
   void stamp_core(Coord core);
-  /// Stamps `info`'s block and band epochs at the current epoch — called
-  /// for every load change and for every link entering or leaving a
-  /// rewritten window (the latter unconditionally, so shape and membership
-  /// changes invalidate geometric caches even when a load change cancels
-  /// out bit-exactly).
+  /// Stamps `info`'s band epochs at the current epoch — called for every
+  /// load change and for every link entering or leaving a rewritten window
+  /// (the latter unconditionally, so shape and membership changes
+  /// invalidate fold caches even when a load change cancels out
+  /// bit-exactly).
   void touch_link_geometry(const LinkInfo& info);
 
   const Mesh* mesh_;
@@ -247,22 +215,15 @@ class CrossingIndex {
   std::vector<std::vector<std::uint32_t>> visitors_;   ///< core → visiting comms
   std::vector<std::uint64_t> comm_stamp_;              ///< comm → epoch last dirtied
   std::vector<std::uint64_t> path_epoch_;              ///< comm → epoch last rewritten
-  std::vector<std::uint64_t> load_epoch_;              ///< link → epoch load last changed
   std::vector<std::uint64_t> core_mark_;               ///< scratch: core stamped this epoch
   // Per-link fold cache (see file comment).
   std::vector<xyi::Candidate> fold_best_;
   std::vector<std::uint32_t> fold_comm_;
   std::vector<std::uint64_t> fold_stamp_;              ///< 0 = no fold recorded
-  // Geometric epochs. Horizontal links live in a row and span a column
-  // pair; vertical links live in a column and span a row pair. Blocks
-  // group 4 consecutive same-lane links for the per-slot box check; bands
-  // are whole lanes for the per-link fold check. All fit in L1.
-  std::int32_t h_blocks_per_row_ = 0;
-  std::int32_t v_blocks_per_col_ = 0;
-  std::vector<std::uint64_t> h_block_;  ///< [row][col/4] horizontal-link changes
-  std::vector<std::uint64_t> v_block_;  ///< [col][row/4] vertical-link changes
-  // Lane epochs, concatenated: h_row (row → last horizontal-link change in
-  // it, size p), then h_pair (col c → last horizontal-link change spanning
+  // Lane epochs for the per-link fold check. Horizontal links live in a
+  // row and span a column pair; vertical links live in a column and span a
+  // row pair. Concatenated: h_row (row → last horizontal-link change in it,
+  // size p), then h_pair (col c → last horizontal-link change spanning
   // c,c+1, size q), then v_col (size q), then v_pair (size p). One array so
   // BandRef entries are plain offsets.
   std::int32_t h_pair_base_ = 0;

@@ -17,19 +17,17 @@
 //   * crossings: a CrossingIndex maps each link to the communications whose
 //     current path crosses it, in ascending order — the reference's scan
 //     order — and is patched per move from the rewritten window only.
-//   * dirty-move memoization, at three granularities: a link whose fold
+//   * dirty-move memoization, at two granularities: a link whose fold
 //     (best candidate over every crossing member) is cached and whose
 //     three-lane band is untouched reuses the cached result in O(1) —
 //     whether it found an improving move or not; when a link's band IS
-//     dirty and it is re-folded, each member's best candidate rotation is
-//     cached per (link, member) slot; and a slot dirtied only by the
-//     coarse comm-level stamp is revalidated from its recorded read-set
-//     box (no load inside it changed ⇒ the cached candidate is what a
-//     recompute would produce) before any real re-evaluation happens. The
-//     stamp and geometry rules make all three caches exact, not heuristic
-//     — see crossing_index.hpp for the argument. The windowed
-//     allocation-free evaluation itself is xy_moves.hpp's best_candidate,
-//     pinned against the seed arithmetic by the differential suite.
+//     dirty and it is re-folded, each member's candidate rotations are
+//     cached per (link, member) slot and re-evaluated only once the
+//     member's comm-level stamp marks them dirty. The stamp and band rules
+//     make both caches exact, not heuristic — see crossing_index.hpp for
+//     the argument. The windowed allocation-free evaluation itself is
+//     xy_moves.hpp's best_candidate, pinned against the seed arithmetic by
+//     the differential suite.
 //
 // Load arithmetic follows the reference exactly: a move subtracts the
 // weight from every old-path link and adds it to every new-path link, so
@@ -186,40 +184,25 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
                 hot_vertical);
             cold.count = specs.count;
             for (std::uint8_t c = 0; c < specs.count; ++c) {
-              cold.box[c] = {};
               cold.cand[c] = xyi::eval_candidate(
                   mesh, paths[ci], path_links[ci], specs.j[c], specs.i[c],
-                  specs.forward[c], comms[ci].weight, loads, cost, cost_now,
-                  &cold.box[c]);
+                  specs.forward[c], comms[ci].weight, loads, cost, cost_now);
               cold.cstamp[c] = epoch;
             }
             cold.spec_stamp = epoch;
             recomputed = true;
           } else {
-            // Path unchanged: the cached rotations are current; revalidate
-            // or recompute each dirty side on its own. The comm-level stamp
-            // is coarse — if nothing a candidate read has changed, per the
-            // O(1) box check or, when its block quantization cries wolf, an
-            // exact rewalk of the read set against per-link load epochs,
-            // the cached delta is what a recompute would produce: restamp.
+            // Path unchanged: the cached rotations are current; recompute
+            // only the sides computed before the comm's dirty stamp.
             const std::uint64_t dirty = crossings.dirty_stamp(ci);
             for (std::uint8_t c = 0; c < cold.count; ++c) {
               if (cold.cstamp[c] >= dirty) continue;  // this side untouched
               const xyi::Candidate& cached = cold.cand[c];
-              if (crossings.window_clean(cold.box[c], cold.cstamp[c]) ||
-                  xyi::candidate_loads_unchanged(
-                      mesh, paths[ci], path_links[ci], cached.j, cached.i,
-                      cached.forward, crossings.load_epochs(), cold.cstamp[c])) {
-                cold.cstamp[c] = epoch;
-              } else {
-                cold.box[c] = {};
-                cold.cand[c] = xyi::eval_candidate(
-                    mesh, paths[ci], path_links[ci], cached.j, cached.i,
-                    cached.forward, comms[ci].weight, loads, cost, cost_now,
-                    &cold.box[c]);
-                cold.cstamp[c] = epoch;
-                recomputed = true;
-              }
+              cold.cand[c] = xyi::eval_candidate(
+                  mesh, paths[ci], path_links[ci], cached.j, cached.i,
+                  cached.forward, comms[ci].weight, loads, cost, cost_now);
+              cold.cstamp[c] = epoch;
+              recomputed = true;
             }
           }
           if (recomputed) slot.best = CrossingIndex::combined(cold);
@@ -230,8 +213,8 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
           slot.fresh_stamp = fresh;
           recomputed ? ++n_misses : ++n_hits;
 #if PAMR_CHECK_LEVEL >= 2
-          // Paranoid: every cached candidate — revalidated or recomputed —
-          // must match a from-scratch evaluation bit for bit.
+          // Paranoid: every cached candidate — reused or recomputed — must
+          // match a from-scratch evaluation bit for bit.
           {
             const xyi::CandidateSpecs specs = xyi::candidate_specs(
                 paths[ci], xyi::known_crossing_position(paths[ci], hot_info),

@@ -48,7 +48,29 @@ ScenarioSpec single_layer_spec(WorkloadLayer layer) {
   return spec;
 }
 
-// -- Paper figure sweeps (§6; parameters mirrored by exp::panels) ----------
+// -- Paper figure sweeps (§6) ----------------------------------------------
+//
+// The nine figure panels on the paper's platform (8×8 CMP, Kim–Horowitz
+// discrete links, weights in Mb/s; the paper draws 50 000 instances per
+// point). This file is the single source of truth for their parameters:
+//
+//  Figure 7 — sensitivity to the number of communications:
+//    (a) small  U[100, 1500),  nc = 10..140 step 10
+//    (b) mixed  U[100, 2500),  nc = 5..70 step 5
+//    (c) big    U[2500, 3500), nc = 2..30 step 2
+//  Figure 8 — sensitivity to the size (weight) of communications, constant
+//    weight per instance (the paper's "every communication reaches 1751
+//    Mb/s" cliff pins the distribution to a degenerate one at the swept
+//    average):
+//    (a) few = 10, (b) some = 20, (c) numerous = 40 communications,
+//    weight swept 100..3400. Expect XYI to dominate while unconstrained
+//    and collapse past the cliff, where two communications can no longer
+//    share a link; PR is unaffected.
+//  Figure 9 — sensitivity to the Manhattan length, swept 2..14:
+//    (a) 100 comms U[200, 800), (b) 25 comms U[100, 3500),
+//    (c) 12 comms U[2700, 3300). Expect XYI best at short lengths and PR
+//    to take over as length (hence contention) grows; BEST's failures
+//    peak at length 2, where short communications are often collinear.
 
 Scenario count_sweep(std::string name, std::string description, double lo, double hi,
                      std::int32_t max_comms, std::int32_t step) {
@@ -72,7 +94,7 @@ Scenario weight_sweep(std::string name, std::string description,
   scenario.x_label = "avg_weight";
   scenario.default_seed = 8;
   // Constant weights; the paper's cliff sits at 1751 = capacity/2 + ε, so
-  // sample that region densely (see exp/panels.hpp for the derivation).
+  // sample that region densely (see the Figure 8 note above).
   for (double w : {100.0, 300.0, 500.0, 700.0, 900.0, 1100.0, 1300.0, 1500.0,
                    1600.0, 1700.0, 1740.0, 1760.0, 1800.0, 1900.0, 2000.0, 2200.0,
                    2400.0, 2600.0, 2800.0, 3000.0, 3200.0, 3400.0}) {

@@ -4,9 +4,9 @@
 // the SuiteRunner executes with many instances each — one paper figure
 // panel, one ablation, or one structured stress suite per entry. The
 // built-in registry is the single source of truth for the §6 figure
-// parameters (exp::panels derives its Panel definitions from it) plus the
-// structured suites the paper never drew: permutation sweeps, hotspot
-// storms, intensity ramps and multi-application mixes.
+// parameters (registry.cpp documents them) plus the structured suites the
+// paper never drew: permutation sweeps, hotspot storms, intensity ramps
+// and multi-application mixes.
 #pragma once
 
 #include <cstdint>

@@ -20,8 +20,7 @@
 //
 // so a scenario can be printed, logged, diffed, stored in a registry, or
 // passed on a command line — reproducibility from the printed parameters
-// alone, like exp::WorkloadSpec before it, but for every workload the
-// system knows how to draw.
+// alone, for every workload the system knows how to draw.
 #pragma once
 
 #include <cstdint>

@@ -156,86 +156,29 @@ std::vector<ScenarioResult> fold_suite_units(
   return results;
 }
 
-// -------------------------------------------------------- campaign bridge --
-
-ScenarioSpec spec_from_workload(const exp::WorkloadSpec& workload) {
-  WorkloadLayer layer;
-  switch (workload.kind) {
-    case exp::WorkloadSpec::Kind::kUniform:
-      layer.kind = WorkloadLayer::Kind::kUniform;
-      break;
-    case exp::WorkloadSpec::Kind::kFixedLength:
-      layer.kind = WorkloadLayer::Kind::kFixedLength;
-      layer.length = workload.length;
-      break;
-  }
-  layer.num_comms = workload.num_comms;
-  layer.weight_lo = workload.weight_lo;
-  layer.weight_hi = workload.weight_hi;
-  ScenarioSpec spec;
-  spec.layers.push_back(std::move(layer));
-  return spec;
-}
-
-exp::WorkloadSpec workload_from_spec(const ScenarioSpec& spec) {
-  PAMR_CHECK(spec.mesh_p == 8 && spec.mesh_q == 8 &&
-                 spec.model == ScenarioSpec::ModelKind::kDiscrete,
-             "not a paper-platform scenario");
-  PAMR_CHECK(spec.layers.size() == 1, "campaign workloads are single-layer");
-  const WorkloadLayer& layer = spec.layers.front();
-  PAMR_CHECK(layer.envelope.flat(), "campaign workloads have no envelope");
-  exp::WorkloadSpec workload;
-  switch (layer.kind) {
-    case WorkloadLayer::Kind::kUniform:
-      workload.kind = exp::WorkloadSpec::Kind::kUniform;
-      break;
-    case WorkloadLayer::Kind::kFixedLength:
-      workload.kind = exp::WorkloadSpec::Kind::kFixedLength;
-      break;
-    default:
-      PAMR_CHECK(false, "not a uniform or fixed-length layer");
-  }
-  workload.num_comms = layer.num_comms;
-  workload.weight_lo = layer.weight_lo;
-  workload.weight_hi = layer.weight_hi;
-  workload.length = layer.length;
-  return workload;
-}
-
 // ---------------------------------------------------------------- tables --
 
-Table series_table(const std::string& x_label, const std::vector<double>& xs,
-                   const std::vector<const exp::PointAggregate*>& points,
-                   SeriesExtractor extract) {
-  PAMR_CHECK(xs.size() == points.size(), "xs/points size mismatch");
-  std::vector<std::string> header{x_label};
+namespace {
+
+/// One row per point, one column per series; `extract` maps (aggregate,
+/// series) to the cell value.
+using SeriesExtractor = double (*)(const exp::PointAggregate&, std::size_t);
+
+Table result_table(const ScenarioResult& result, SeriesExtractor extract) {
+  std::vector<std::string> header{result.x_label};
   for (std::size_t s = 0; s < exp::kNumSeries; ++s) {
     header.emplace_back(exp::series_name(s));
   }
   Table table(std::move(header));
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  for (const ScenarioPointResult& point : result.points) {
     std::vector<Cell> row;
-    row.emplace_back(xs[i]);
+    row.emplace_back(point.x);
     for (std::size_t s = 0; s < exp::kNumSeries; ++s) {
-      row.emplace_back(extract(*points[i], s));
+      row.emplace_back(extract(point.aggregate, s));
     }
     table.add_row(std::move(row));
   }
   return table;
-}
-
-namespace {
-
-Table result_table(const ScenarioResult& result, SeriesExtractor extract) {
-  std::vector<double> xs;
-  std::vector<const exp::PointAggregate*> points;
-  xs.reserve(result.points.size());
-  points.reserve(result.points.size());
-  for (const ScenarioPointResult& point : result.points) {
-    xs.push_back(point.x);
-    points.push_back(&point.aggregate);
-  }
-  return series_table(result.x_label, xs, points, extract);
 }
 
 }  // namespace

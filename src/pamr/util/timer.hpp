@@ -1,5 +1,5 @@
 // Wall-clock timing for the experiment harness (the paper reports heuristic
-// runtimes: "24 ms for XYI, 38 ms for PR" — bench/micro_heuristics
+// runtimes: "24 ms for XYI, 38 ms for PR" — bench/table_summary
 // regenerates that row).
 #pragma once
 

@@ -1,11 +1,10 @@
-// Tests for the §6 experiment harness: metric bookkeeping, campaign
-// determinism, and coarse shape checks of the panels (full-resolution
-// sweeps live in bench/).
+// Tests for the §6 experiment harness: metric bookkeeping, single-point
+// determinism, and coarse shape checks of the registry's figure panels
+// (full-resolution sweeps run through pamr_scenarios).
 #include <gtest/gtest.h>
 
-#include "pamr/exp/campaign.hpp"
 #include "pamr/exp/instance_runner.hpp"
-#include "pamr/exp/panels.hpp"
+#include "pamr/scenario/suite_runner.hpp"
 
 namespace pamr {
 namespace exp {
@@ -86,43 +85,23 @@ TEST(Metrics, MergeMatchesSequentialAggregation) {
   }
 }
 
-TEST(Campaign, WorkloadSpecGeneratesWhatItSays) {
-  const Mesh mesh(8, 8);
-  Rng rng(9);
-  WorkloadSpec uniform;
-  uniform.kind = WorkloadSpec::Kind::kUniform;
-  uniform.num_comms = 30;
-  uniform.weight_lo = 200.0;
-  uniform.weight_hi = 900.0;
-  const CommSet a = uniform.generate(mesh, rng);
-  EXPECT_EQ(a.size(), 30u);
-  for (const auto& comm : a) {
-    EXPECT_GE(comm.weight, 200.0);
-    EXPECT_LT(comm.weight, 900.0);
-  }
-  WorkloadSpec fixed;
-  fixed.kind = WorkloadSpec::Kind::kFixedLength;
-  fixed.num_comms = 10;
-  fixed.length = 7;
-  const CommSet b = fixed.generate(mesh, rng);
-  for (const auto& comm : b) {
-    EXPECT_EQ(manhattan_distance(comm.src, comm.snk), 7);
-  }
+/// A single uniform layer on the paper's platform (8×8, discrete links).
+scenario::ScenarioSpec uniform_spec(std::int32_t n, double lo, double hi) {
+  scenario::ScenarioSpec spec;
+  scenario::WorkloadLayer& layer = spec.layers.emplace_back();
+  layer.kind = scenario::WorkloadLayer::Kind::kUniform;
+  layer.num_comms = n;
+  layer.weight_lo = lo;
+  layer.weight_hi = hi;
+  return spec;
 }
 
-TEST(Campaign, RunPointIsDeterministicAcrossThreadCounts) {
+TEST(ScenarioPoint, RunIsDeterministic) {
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
-  PointSpec point;
-  point.x = 20;
-  point.workload.num_comms = 20;
-  point.workload.weight_lo = 100.0;
-  point.workload.weight_hi = 1500.0;
-  CampaignOptions options;
-  options.trials = 24;
-  options.seed = 42;
-  const PointAggregate first = run_point(mesh, model, point, options, 3);
-  const PointAggregate second = run_point(mesh, model, point, options, 3);
+  const scenario::ScenarioSpec spec = uniform_spec(20, 100.0, 1500.0);
+  const PointAggregate first = scenario::run_scenario_point(mesh, model, spec, 24, 42, 3);
+  const PointAggregate second = scenario::run_scenario_point(mesh, model, spec, 24, 42, 3);
   EXPECT_EQ(first.instances, second.instances);
   for (std::size_t s = 0; s < kNumSeries; ++s) {
     EXPECT_EQ(first.failures[s], second.failures[s]);
@@ -131,17 +110,11 @@ TEST(Campaign, RunPointIsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(Campaign, NormalizedInverseIsAtMostOneAndBestIsExactlyOneWhenValid) {
+TEST(ScenarioPoint, NormalizedInverseIsAtMostOneAndBestIsExactlyOneWhenValid) {
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
-  PointSpec point;
-  point.x = 30;
-  point.workload.num_comms = 30;
-  point.workload.weight_lo = 100.0;
-  point.workload.weight_hi = 2500.0;
-  CampaignOptions options;
-  options.trials = 16;
-  const PointAggregate aggregate = run_point(mesh, model, point, options, 0);
+  const PointAggregate aggregate = scenario::run_scenario_point(
+      mesh, model, uniform_spec(30, 100.0, 2500.0), 16, 0x9e3779b9ULL, 0);
   for (std::size_t s = 0; s < kNumSeries; ++s) {
     EXPECT_LE(aggregate.normalized_inverse[s].max(), 1.0 + 1e-9);
     EXPECT_GE(aggregate.normalized_inverse[s].min(), 0.0);
@@ -152,20 +125,14 @@ TEST(Campaign, NormalizedInverseIsAtMostOneAndBestIsExactlyOneWhenValid) {
               1.0 - aggregate.failure_ratio(kBestSeries), 1e-12);
 }
 
-TEST(Campaign, FailureOrderingMatchesThePaperHierarchy) {
+TEST(ScenarioPoint, FailureOrderingMatchesThePaperHierarchy) {
   // §6.1: "From the worst one to the best one, we have XY, SG, TB, IG, XYI
   // and finally PR." Check the coarse ends of that ordering (XY worst, the
   // portfolio BEST at least as good as anything).
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
-  PointSpec point;
-  point.x = 50;
-  point.workload.num_comms = 50;
-  point.workload.weight_lo = 100.0;
-  point.workload.weight_hi = 1500.0;
-  CampaignOptions options;
-  options.trials = 32;
-  const PointAggregate aggregate = run_point(mesh, model, point, options, 7);
+  const PointAggregate aggregate = scenario::run_scenario_point(
+      mesh, model, uniform_spec(50, 100.0, 1500.0), 32, 0x9e3779b9ULL, 7);
   // BEST dominates everything by construction; XYI starts from XY and only
   // applies strictly improving moves, so it can only fix XY failures, not
   // create new ones.
@@ -176,49 +143,52 @@ TEST(Campaign, FailureOrderingMatchesThePaperHierarchy) {
   EXPECT_LE(aggregate.failure_ratio(4), aggregate.failure_ratio(0) + 1e-12);
 }
 
-TEST(Panels, DefinitionsMatchThePaperParameters) {
-  const auto fig7 = figure7_panels();
-  ASSERT_EQ(fig7.size(), 3u);
-  EXPECT_EQ(fig7[0].points.back().workload.num_comms, 140);
-  EXPECT_EQ(fig7[1].points.back().workload.num_comms, 70);
-  EXPECT_EQ(fig7[2].points.back().workload.num_comms, 30);
-  EXPECT_DOUBLE_EQ(fig7[0].points[0].workload.weight_lo, 100.0);
-  EXPECT_DOUBLE_EQ(fig7[2].points[0].workload.weight_lo, 2500.0);
+TEST(Panels, RegistryDefinitionsMatchThePaperParameters) {
+  const scenario::ScenarioRegistry& registry = scenario::ScenarioRegistry::builtin();
+  const auto layer = [&](const char* name, std::size_t point) {
+    const scenario::Scenario& panel = registry.at(name);
+    EXPECT_EQ(panel.points[point].spec.mesh_p, 8) << name;
+    EXPECT_EQ(panel.points[point].spec.mesh_q, 8) << name;
+    EXPECT_EQ(panel.points[point].spec.model, scenario::ScenarioSpec::ModelKind::kDiscrete)
+        << name;
+    EXPECT_EQ(panel.points[point].spec.layers.size(), 1u) << name;
+    return panel.points[point].spec.layers.front();
+  };
+  const auto last = [&](const char* name) { return registry.at(name).points.size() - 1; };
 
-  const auto fig8 = figure8_panels();
-  ASSERT_EQ(fig8.size(), 3u);
-  EXPECT_EQ(fig8[0].points[0].workload.num_comms, 10);
-  EXPECT_EQ(fig8[1].points[0].workload.num_comms, 20);
-  EXPECT_EQ(fig8[2].points[0].workload.num_comms, 40);
+  EXPECT_EQ(layer("fig7a_small", last("fig7a_small")).num_comms, 140);
+  EXPECT_EQ(layer("fig7b_mixed", last("fig7b_mixed")).num_comms, 70);
+  EXPECT_EQ(layer("fig7c_big", last("fig7c_big")).num_comms, 30);
+  EXPECT_DOUBLE_EQ(layer("fig7a_small", 0).weight_lo, 100.0);
+  EXPECT_DOUBLE_EQ(layer("fig7c_big", 0).weight_lo, 2500.0);
 
-  const auto fig9 = figure9_panels();
-  ASSERT_EQ(fig9.size(), 3u);
-  for (const auto& panel : fig9) {
-    EXPECT_DOUBLE_EQ(panel.points.front().x, 2.0);
-    EXPECT_DOUBLE_EQ(panel.points.back().x, 14.0);
+  EXPECT_EQ(layer("fig8a_few_10comms", 0).num_comms, 10);
+  EXPECT_EQ(layer("fig8b_some_20comms", 0).num_comms, 20);
+  EXPECT_EQ(layer("fig8c_numerous_40comms", 0).num_comms, 40);
+
+  for (const char* name : {"fig9a_numerous_small", "fig9b_some_mixed", "fig9c_few_big"}) {
+    const scenario::Scenario& panel = registry.at(name);
+    EXPECT_DOUBLE_EQ(panel.points.front().x, 2.0) << name;
+    EXPECT_DOUBLE_EQ(panel.points.back().x, 14.0) << name;
+    EXPECT_EQ(layer(name, 0).kind, scenario::WorkloadLayer::Kind::kFixedLength) << name;
   }
-  EXPECT_EQ(fig9[0].points[0].workload.num_comms, 100);
-  EXPECT_EQ(fig9[1].points[0].workload.num_comms, 25);
-  EXPECT_EQ(fig9[2].points[0].workload.num_comms, 12);
+  EXPECT_EQ(layer("fig9a_numerous_small", 0).num_comms, 100);
+  EXPECT_EQ(layer("fig9b_some_mixed", 0).num_comms, 25);
+  EXPECT_EQ(layer("fig9c_few_big", 0).num_comms, 12);
 }
 
 TEST(Panels, TablesHaveOneRowPerPointAndAllSeries) {
-  const Mesh mesh(8, 8);
-  const PowerModel model = PowerModel::paper_discrete();
-  Panel panel;
-  panel.name = std::string{"tiny"};
-  panel.x_label = std::string{"n"};
+  scenario::Scenario tiny;
+  tiny.name = "tiny";
+  tiny.x_label = "n";
   for (const std::int32_t n : {5, 10}) {
-    PointSpec point;
-    point.x = n;
-    point.workload.num_comms = n;
-    panel.points.push_back(point);
+    tiny.points.push_back({static_cast<double>(n), uniform_spec(n, 100.0, 1500.0)});
   }
-  CampaignOptions options;
-  options.trials = 4;
-  const PanelResult result = run_panel(mesh, model, panel.points, options);
-  const Table norm = normalized_inverse_table(panel, result);
-  const Table fail = failure_ratio_table(panel, result);
+  scenario::SuiteOptions options;
+  options.instances = 4;
+  const scenario::ScenarioResult result = scenario::SuiteRunner(options).run(tiny);
+  const Table norm = scenario::normalized_inverse_table(result);
+  const Table fail = scenario::failure_ratio_table(result);
   EXPECT_EQ(norm.rows(), 2u);
   EXPECT_EQ(norm.columns(), 1 + kNumSeries);
   EXPECT_EQ(fail.rows(), 2u);

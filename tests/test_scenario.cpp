@@ -1,12 +1,11 @@
 // Tests for the scenario subsystem: envelope semantics, spec parse/print
-// round-trips, registry completeness, suite-runner determinism across
-// thread counts, and the campaign bridge.
+// round-trips, registry completeness, layer generation, and suite-runner
+// determinism across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "pamr/comm/generator.hpp"
-#include "pamr/exp/campaign.hpp"
 #include "pamr/scenario/suite_runner.hpp"
 
 namespace pamr {
@@ -218,6 +217,32 @@ TEST(Layers, EnvelopeScalesWeightsOnly) {
   }
 }
 
+TEST(Layers, UniformAndFixedLengthGenerateWhatTheySay) {
+  const Mesh mesh(8, 8);
+  const PowerModel model = PowerModel::paper_discrete();
+  Rng rng(9);
+  WorkloadLayer uniform;
+  uniform.kind = WorkloadLayer::Kind::kUniform;
+  uniform.num_comms = 30;
+  uniform.weight_lo = 200.0;
+  uniform.weight_hi = 900.0;
+  const CommSet a = uniform.generate(mesh, model, 0.0, rng);
+  EXPECT_EQ(a.size(), 30u);
+  for (const Communication& comm : a) {
+    EXPECT_GE(comm.weight, 200.0);
+    EXPECT_LT(comm.weight, 900.0);
+  }
+  WorkloadLayer fixed;
+  fixed.kind = WorkloadLayer::Kind::kFixedLength;
+  fixed.num_comms = 10;
+  fixed.length = 7;
+  const CommSet b = fixed.generate(mesh, model, 0.0, rng);
+  EXPECT_EQ(b.size(), 10u);
+  for (const Communication& comm : b) {
+    EXPECT_EQ(manhattan_distance(comm.src, comm.snk), 7);
+  }
+}
+
 TEST(Layers, HotspotStormConvergesOnItsSpots) {
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
@@ -263,43 +288,6 @@ TEST(SuiteRunner, AggregatesAreBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(lhs.inverse_power[s].mean(), rhs.inverse_power[s].mean());
     }
   }
-}
-
-TEST(SuiteRunner, CampaignRunPointDelegatesToTheSameKernel) {
-  const Mesh mesh(8, 8);
-  const PowerModel model = PowerModel::paper_discrete();
-  exp::PointSpec point;
-  point.x = 20;
-  point.workload.num_comms = 20;
-  exp::CampaignOptions options;
-  options.trials = 32;
-  options.seed = 99;
-  const exp::PointAggregate via_campaign = exp::run_point(mesh, model, point, options, 5);
-  const exp::PointAggregate via_scenario = run_scenario_point(
-      mesh, model, spec_from_workload(point.workload), options.trials, options.seed, 5);
-  EXPECT_EQ(via_campaign.instances, via_scenario.instances);
-  for (std::size_t s = 0; s < exp::kNumSeries; ++s) {
-    EXPECT_EQ(via_campaign.failures[s], via_scenario.failures[s]);
-    EXPECT_EQ(via_campaign.normalized_inverse[s].mean(),
-              via_scenario.normalized_inverse[s].mean());
-  }
-}
-
-TEST(SuiteRunner, CampaignBridgeRoundTrips) {
-  exp::WorkloadSpec workload;
-  workload.kind = exp::WorkloadSpec::Kind::kFixedLength;
-  workload.num_comms = 25;
-  workload.weight_lo = 300.0;
-  workload.weight_hi = 2000.0;
-  workload.length = 9;
-  const ScenarioSpec spec = spec_from_workload(workload);
-  const exp::WorkloadSpec back = workload_from_spec(spec);
-  EXPECT_EQ(back.kind, workload.kind);
-  EXPECT_EQ(back.num_comms, workload.num_comms);
-  EXPECT_DOUBLE_EQ(back.weight_lo, workload.weight_lo);
-  EXPECT_DOUBLE_EQ(back.weight_hi, workload.weight_hi);
-  EXPECT_EQ(back.length, workload.length);
-  EXPECT_THROW((void)workload_from_spec(ScenarioSpec{}), std::logic_error);
 }
 
 TEST(SuiteRunner, JsonExportNamesTheScenarioAndBothTables) {

@@ -8,13 +8,11 @@
 //   $ pamr_scenarios --spec "mesh=8x8 model=discrete ; kind=uniform n=40
 //         lo=100 hi=1500 envelope=ramp:0.5:2" --trials 100
 //
-// Figure suites default to the seed their bench binary uses (fig7* → 7,
-// fig8* → 8, fig9* → 9), so `--run fig7a_small` reproduces
-// `bench/fig7_num_comms` number-for-number; --seed overrides.
+// Figure suites default to their registered seed (fig7* → 7, fig8* → 8,
+// fig9* → 9); --seed overrides.
 #include <cstdio>
 
 #include "pamr/dist/protocol.hpp"
-#include "pamr/exp/campaign.hpp"
 #include "pamr/obs/obs.hpp"
 #include "pamr/scenario/suite_runner.hpp"
 #include "pamr/util/args.hpp"
@@ -30,7 +28,7 @@ int main(int argc, char** argv) {
   parser.add_string("describe", "", "print a scenario's point specs and exit");
   parser.add_string("run", "", "comma-separated scenario names, or 'all'");
   parser.add_string("spec", "", "run one ad-hoc scenario spec (see scenario_spec.hpp)");
-  parser.add_int("trials", exp::default_trials(), "instances per point", "PAMR_TRIALS");
+  parser.add_int("trials", 300, "instances per point", "PAMR_TRIALS");
   parser.add_int("seed", -1, "base seed; -1 uses each scenario's default");
   parser.add_int("threads", 0, "worker threads; 0 follows PAMR_THREADS/hardware");
   parser.add_flag("csv", "also write CSV files to PAMR_OUT_DIR");
