@@ -14,12 +14,20 @@ double total_weight(const CommSet& comms) noexcept {
 }
 
 std::vector<std::size_t> order_by_decreasing_weight(const CommSet& comms) {
-  std::vector<std::size_t> order(comms.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&comms](std::size_t a, std::size_t b) {
-    return comms[a].weight > comms[b].weight;
-  });
+  std::vector<std::size_t> order;
+  order_by_decreasing_weight(comms, order);
   return order;
+}
+
+void order_by_decreasing_weight(const CommSet& comms, std::vector<std::size_t>& out) {
+  out.resize(comms.size());
+  std::iota(out.begin(), out.end(), std::size_t{0});
+  // Ties by index: exactly a stable sort by weight, without stable_sort's
+  // temporary buffer.
+  std::sort(out.begin(), out.end(), [&comms](std::size_t a, std::size_t b) {
+    return comms[a].weight > comms[b].weight ||
+           (comms[a].weight == comms[b].weight && a < b);
+  });
 }
 
 double mean_length(const CommSet& comms) noexcept {

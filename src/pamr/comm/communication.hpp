@@ -30,6 +30,9 @@ using CommSet = std::vector<Communication>;
 /// stable for routings.
 [[nodiscard]] std::vector<std::size_t> order_by_decreasing_weight(const CommSet& comms);
 
+/// The same order written into `out`, reusing its capacity.
+void order_by_decreasing_weight(const CommSet& comms, std::vector<std::size_t>& out);
+
 /// Mean Manhattan length of the set (0 for an empty set).
 [[nodiscard]] double mean_length(const CommSet& comms) noexcept;
 

@@ -1,5 +1,8 @@
 #include "pamr/exp/instance_runner.hpp"
 
+#include <array>
+#include <memory>
+#include <optional>
 #include <utility>
 
 #include "pamr/obs/obs.hpp"
@@ -33,10 +36,29 @@ SimSample probe_with_simulator(const Mesh& mesh, const CommSet& comms,
   return sample;
 }
 
+/// The six base policies, built once: routers are stateless, so one set
+/// serves every thread.
+const std::array<std::unique_ptr<Router>, kNumBaseRouters>& base_routers() {
+  static const auto routers = [] {
+    std::array<std::unique_ptr<Router>, kNumBaseRouters> made;
+    const auto kinds = all_base_routers();
+    for (std::size_t h = 0; h < kinds.size(); ++h) made[h] = make_router(kinds[h]);
+    return made;
+  }();
+  return routers;
+}
+
 }  // namespace
 
 InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
                             const PowerModel& model, const sim::SimConfig* sim_config) {
+  RouteWorkspace workspace;
+  return run_instance(mesh, comms, model, sim_config, workspace);
+}
+
+InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
+                            const PowerModel& model, const sim::SimConfig* sim_config,
+                            RouteWorkspace& workspace) {
   std::array<HeuristicSample, kNumBaseRouters> base;
   // Malformed input throws here exactly as it would in the first route call.
   check_comm_set(mesh, comms);
@@ -47,27 +69,29 @@ InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
   }
   // The BEST routing (lowest power among valid policies) doubles as the
   // simulation probe's subject, so keep it while the scalars are folded.
-  Routing best_routing;
-  bool have_best = false;
+  std::optional<Routing> best_routing;
   double best_power = 0.0;
-  const auto kinds = all_base_routers();
-  for (std::size_t h = 0; h < kinds.size(); ++h) {
+  const auto& routers = base_routers();
+  for (std::size_t h = 0; h < routers.size(); ++h) {
     RouteResult result =
-        make_router(kinds[h])->route(mesh, comms, model, RouteGoal::kVerdict);
+        routers[h]->route(mesh, comms, model, RouteGoal::kVerdict, workspace);
     base[h].valid = result.valid;
     base[h].power = result.power;
     base[h].static_power = result.breakdown.static_part;
     base[h].elapsed_ms = result.elapsed_ms;
     if (sim_config != nullptr && result.valid && result.routing.has_value() &&
-        (!have_best || result.power < best_power)) {
-      best_routing = *std::move(result.routing);
+        (!best_routing.has_value() || result.power < best_power)) {
+      std::swap(best_routing, result.routing);
       best_power = result.power;
-      have_best = true;
     }
+    workspace.recycle(result);
   }
   InstanceSample sample = make_instance_sample(base);
-  if (sim_config != nullptr && have_best && !comms.empty()) {
-    sample.sim = probe_with_simulator(mesh, comms, best_routing, *sim_config);
+  if (best_routing.has_value()) {
+    if (!comms.empty()) {
+      sample.sim = probe_with_simulator(mesh, comms, *best_routing, *sim_config);
+    }
+    workspace.recycle(*std::move(best_routing));
   }
   return sample;
 }

@@ -1,7 +1,7 @@
 // Runs the six base policies on one instance and folds the outcome into the
-// campaign's scalar samples. Routers are constructed once per call — they
-// are stateless, but constructing them here keeps the runner trivially
-// thread-safe (the campaign calls it from every pool worker).
+// campaign's scalar samples. The routers are stateless and shared by every
+// thread; per-call scratch lives in a RouteWorkspace, one per thread (the
+// campaign calls the runner from every pool worker).
 //
 // Certify, then route. The Mesh overload first asks certify_infeasible
 // (opt/lower_bound.hpp) whether the instance can be routed at all. When a
@@ -51,6 +51,7 @@
 #include "pamr/exp/metrics.hpp"
 #include "pamr/mesh/mesh.hpp"
 #include "pamr/power/power_model.hpp"
+#include "pamr/routing/workspace.hpp"
 #include "pamr/sim/simulator.hpp"
 #include "pamr/topo/topology.hpp"
 
@@ -64,6 +65,14 @@ namespace exp {
 [[nodiscard]] InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
                                           const PowerModel& model,
                                           const sim::SimConfig* sim_config = nullptr);
+
+/// The same on a caller-owned RouteWorkspace, which every policy call
+/// reuses (routing/workspace.hpp); the sample is bit-identical to the
+/// overload above, wall-clock fields aside.
+[[nodiscard]] InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
+                                          const PowerModel& model,
+                                          const sim::SimConfig* sim_config,
+                                          RouteWorkspace& workspace);
 
 /// Topology-generic variant: the six policy analogues via topo::route_on.
 /// No simulation probe (the cycle simulator is rect-only; ScenarioSpec

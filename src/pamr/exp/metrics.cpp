@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <utility>
 
 #include "pamr/util/assert.hpp"
 #include "pamr/util/string_util.hpp"
@@ -44,6 +46,42 @@ InstanceSample make_instance_sample(
   return sample;
 }
 
+PointAggregate::PointAggregate(const PointAggregate& other)
+    : normalized_inverse(other.normalized_inverse),
+      failures(other.failures),
+      elapsed_ms(other.elapsed_ms),
+      inverse_power(other.inverse_power),
+      static_fraction(other.static_fraction),
+      instances(other.instances),
+      sim_(other.sim_ != nullptr ? std::make_unique<SimAggregate>(*other.sim_)
+                                 : nullptr) {}
+
+PointAggregate& PointAggregate::operator=(const PointAggregate& other) {
+  if (this != &other) *this = PointAggregate(other);
+  return *this;
+}
+
+namespace {
+
+const RunningStats kNoSamples;
+
+}  // namespace
+
+const RunningStats& PointAggregate::sim_latency() const noexcept {
+  return sim_ != nullptr ? sim_->latency : kNoSamples;
+}
+const RunningStats& PointAggregate::sim_delivery() const noexcept {
+  return sim_ != nullptr ? sim_->delivery : kNoSamples;
+}
+const RunningStats& PointAggregate::sim_throughput() const noexcept {
+  return sim_ != nullptr ? sim_->throughput : kNoSamples;
+}
+
+SimAggregate& PointAggregate::sim() {
+  if (sim_ == nullptr) sim_ = std::make_unique<SimAggregate>();
+  return *sim_;
+}
+
 void PointAggregate::add(const InstanceSample& sample) {
   ++instances;
   const HeuristicSample& best = sample.series[kBestSeries];
@@ -54,16 +92,17 @@ void PointAggregate::add(const InstanceSample& sample) {
         best_inverse > 0.0 ? heuristic.inverse_power() / best_inverse : 0.0;
     normalized_inverse[s].add(normalized);
     inverse_power[s].add(heuristic.inverse_power());
-    elapsed_ms[s].add(heuristic.elapsed_ms);
+    elapsed_ms[s] += heuristic.elapsed_ms;
     if (!heuristic.valid) ++failures[s];
   }
   if (best.valid && best.power > 0.0) {
     static_fraction.add(best.static_power / best.power);
   }
   if (sample.sim.ran) {
-    sim_latency.add(sample.sim.latency_cycles);
-    sim_delivery.add(sample.sim.delivery);
-    sim_throughput.add(sample.sim.throughput_mbps);
+    SimAggregate& probe = sim();
+    probe.latency.add(sample.sim.latency_cycles);
+    probe.delivery.add(sample.sim.delivery);
+    probe.throughput.add(sample.sim.throughput_mbps);
   }
 }
 
@@ -72,13 +111,16 @@ void PointAggregate::merge(const PointAggregate& other) {
   for (std::size_t s = 0; s < kNumSeries; ++s) {
     normalized_inverse[s].merge(other.normalized_inverse[s]);
     inverse_power[s].merge(other.inverse_power[s]);
-    elapsed_ms[s].merge(other.elapsed_ms[s]);
+    elapsed_ms[s] += other.elapsed_ms[s];
     failures[s] += other.failures[s];
   }
   static_fraction.merge(other.static_fraction);
-  sim_latency.merge(other.sim_latency);
-  sim_delivery.merge(other.sim_delivery);
-  sim_throughput.merge(other.sim_throughput);
+  if (other.sim_ != nullptr) {
+    SimAggregate& probe = sim();
+    probe.latency.merge(other.sim_->latency);
+    probe.delivery.merge(other.sim_->delivery);
+    probe.throughput.merge(other.sim_->throughput);
+  }
 }
 
 // ------------------------------------------------------------- wire form --
@@ -132,17 +174,17 @@ bool parse_stats(std::string_view text, RunningStats& out) noexcept {
 }  // namespace
 
 std::string serialize_point_aggregate(const PointAggregate& aggregate) {
-  // aggv=2 added the simulation-probe stats (sl/sd/st); every key of the
-  // version is required, so a v1 journal line is rejected loudly rather
-  // than merged with silently-empty sim aggregates.
-  std::string out = "aggv=2 n=" + std::to_string(aggregate.instances) + " sf=";
+  // aggv=3 carries each series' wall time as one summed double (ms<s>)
+  // instead of a full RunningStats. Every key of the version is required,
+  // so a line of another version is rejected loudly rather than merged.
+  std::string out = "aggv=3 n=" + std::to_string(aggregate.instances) + " sf=";
   append_stats(out, aggregate.static_fraction);
   out += " sl=";
-  append_stats(out, aggregate.sim_latency);
+  append_stats(out, aggregate.sim_latency());
   out += " sd=";
-  append_stats(out, aggregate.sim_delivery);
+  append_stats(out, aggregate.sim_delivery());
   out += " st=";
-  append_stats(out, aggregate.sim_throughput);
+  append_stats(out, aggregate.sim_throughput());
   for (std::size_t s = 0; s < kNumSeries; ++s) {
     const std::string tag = std::to_string(s);
     out += " ni" + tag + "=";
@@ -150,15 +192,64 @@ std::string serialize_point_aggregate(const PointAggregate& aggregate) {
     out += " ip" + tag + "=";
     append_stats(out, aggregate.inverse_power[s]);
     out += " ms" + tag + "=";
-    append_stats(out, aggregate.elapsed_ms[s]);
+    append_hex_double(out, aggregate.elapsed_ms[s]);
     out += " f" + tag + "=" + std::to_string(aggregate.failures[s]);
   }
   return out;
 }
 
+namespace {
+
+/// The counts add() and merge() keep consistent; empty when `a` is one
+/// they could have built, else the first contradiction found.
+std::string contradiction(const PointAggregate& a) {
+  const std::size_t n = a.instances;
+  const std::string of_n = " (n=" + std::to_string(n) + ")";
+  for (std::size_t s = 0; s < kNumSeries; ++s) {
+    const std::string tag = std::to_string(s);
+    if (a.failures[s] > n) {
+      return "aggregate f" + tag + "=" + std::to_string(a.failures[s]) +
+             " exceeds its instance count" + of_n;
+    }
+    if (a.normalized_inverse[s].count() != n) {
+      return "aggregate ni" + tag + " holds " +
+             std::to_string(a.normalized_inverse[s].count()) +
+             " samples, not one per instance" + of_n;
+    }
+    if (a.inverse_power[s].count() != n) {
+      return "aggregate ip" + tag + " holds " +
+             std::to_string(a.inverse_power[s].count()) +
+             " samples, not one per instance" + of_n;
+    }
+  }
+  const std::pair<const char*, const RunningStats*> at_most_n[] = {
+      {"sf", &a.static_fraction},
+      {"sl", &a.sim_latency()},
+      {"sd", &a.sim_delivery()},
+      {"st", &a.sim_throughput()}};
+  for (const auto& [key, stats] : at_most_n) {
+    if (stats->count() > n) {
+      return std::string("aggregate ") + key + " holds " +
+             std::to_string(stats->count()) + " samples, more than its instances" + of_n;
+    }
+  }
+  if (a.sim_delivery().count() != a.sim_latency().count() ||
+      a.sim_throughput().count() != a.sim_latency().count()) {
+    return "aggregate sim stats disagree on the probe count (sl=" +
+           std::to_string(a.sim_latency().count()) +
+           " sd=" + std::to_string(a.sim_delivery().count()) +
+           " st=" + std::to_string(a.sim_throughput().count()) + ")";
+  }
+  return {};
+}
+
+}  // namespace
+
 bool parse_point_aggregate(std::string_view text, PointAggregate& out,
                            std::string& error) {
   PointAggregate parsed;
+  SimAggregate probe;
+  error.clear();
   // Every key must appear exactly once: kinds 0..3 are ni/ip/ms/f per
   // series, then aggv, n, sf, sl, sd, st. Duplicates could otherwise mask a
   // missing token of another kind — this parser is the journal's integrity
@@ -184,7 +275,12 @@ bool parse_point_aggregate(std::string_view text, PointAggregate& out,
     const std::string_view value = token.substr(eq + 1);
     bool ok = true;
     if (key == "aggv") {
-      ok = once(4 * kNumSeries, key) && value == "2";
+      ok = once(4 * kNumSeries, key);
+      if (ok && value != "3") {
+        error = "unsupported aggregate version aggv=" + std::string(value) +
+                " (this build reads aggv=3)";
+        ok = false;
+      }
     } else if (key == "n") {
       std::int64_t n = 0;
       ok = once(4 * kNumSeries + 1, key) && parse_int64(value, n) && n >= 0;
@@ -192,11 +288,11 @@ bool parse_point_aggregate(std::string_view text, PointAggregate& out,
     } else if (key == "sf") {
       ok = once(4 * kNumSeries + 2, key) && parse_stats(value, parsed.static_fraction);
     } else if (key == "sl") {
-      ok = once(4 * kNumSeries + 3, key) && parse_stats(value, parsed.sim_latency);
+      ok = once(4 * kNumSeries + 3, key) && parse_stats(value, probe.latency);
     } else if (key == "sd") {
-      ok = once(4 * kNumSeries + 4, key) && parse_stats(value, parsed.sim_delivery);
+      ok = once(4 * kNumSeries + 4, key) && parse_stats(value, probe.delivery);
     } else if (key == "st") {
-      ok = once(4 * kNumSeries + 5, key) && parse_stats(value, parsed.sim_throughput);
+      ok = once(4 * kNumSeries + 5, key) && parse_stats(value, probe.throughput);
     } else if (key.size() >= 2 && (key[0] == 'f' || key.substr(0, 2) == "ni" ||
                                    key.substr(0, 2) == "ip" || key.substr(0, 2) == "ms")) {
       const bool failures_key = key[0] == 'f';
@@ -212,14 +308,15 @@ bool parse_point_aggregate(std::string_view text, PointAggregate& out,
         ok = once(kind * kNumSeries + s, key);
         if (ok && failures_key) {
           std::int64_t count = 0;
-          ok = parse_int64(value, count) && count >= 0;
-          if (ok) parsed.failures[s] = static_cast<std::size_t>(count);
+          ok = parse_int64(value, count) && count >= 0 &&
+               count <= std::numeric_limits<std::uint32_t>::max();
+          if (ok) parsed.failures[s] = static_cast<std::uint32_t>(count);
         } else if (ok && kind == 0) {
           ok = parse_stats(value, parsed.normalized_inverse[s]);
         } else if (ok && kind == 1) {
           ok = parse_stats(value, parsed.inverse_power[s]);
         } else if (ok) {
-          ok = parse_stats(value, parsed.elapsed_ms[s]);
+          ok = parse_hex_double(value, parsed.elapsed_ms[s]);
         }
       }
     } else {
@@ -235,13 +332,21 @@ bool parse_point_aggregate(std::string_view text, PointAggregate& out,
   for (std::size_t slot = 0; slot < seen.size(); ++slot) {
     if (!seen[slot]) {
       error = slot == 4 * kNumSeries
-                  ? "missing aggv=2 version token"
+                  ? "missing aggv=3 version token"
                   : "incomplete aggregate: a required key is missing";
       return false;
     }
   }
-  out = parsed;
-  error.clear();
+  // Stats in any state but the empty one need the probe block, so that
+  // serialize(parse(x)) == x holds for every line that parses.
+  const RunningStats::State empty{};
+  if (probe.latency.state() != empty || probe.delivery.state() != empty ||
+      probe.throughput.state() != empty) {
+    parsed.sim() = probe;
+  }
+  error = contradiction(parsed);
+  if (!error.empty()) return false;
+  out = std::move(parsed);
   return true;
 }
 

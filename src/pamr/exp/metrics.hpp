@@ -8,6 +8,8 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -56,24 +58,59 @@ struct InstanceSample {
 [[nodiscard]] InstanceSample make_instance_sample(
     const std::array<HeuristicSample, kNumBaseRouters>& base);
 
+/// Simulation probe aggregates of one point (see PointAggregate).
+struct SimAggregate {
+  RunningStats latency;     ///< mean flit latency, cycles
+  RunningStats delivery;    ///< delivery ratio in [0, 1]
+  RunningStats throughput;  ///< delivered Mb/s
+};
+
 /// Aggregates over the instances of one plotted point.
-struct PointAggregate {
+///
+/// Size matters: a campaign holds one aggregate per work unit, and the
+/// campaign benchmark keeps every pass's (hundreds per pass), so its peak
+/// memory grows with this struct times the passes it fits into its time.
+/// Hence the 32-bit failure counts, the summed wall clock and the
+/// simulation stats kept off-line.
+class PointAggregate {
+ public:
   std::array<RunningStats, kNumSeries> normalized_inverse;  ///< per series
-  std::array<std::size_t, kNumSeries> failures{};
-  std::array<RunningStats, kNumSeries> elapsed_ms;  ///< certified instances add 0
+  /// Failed instances per series; a point's instance count stays far below
+  /// 2^32 (SuiteOptions caps it at ten million).
+  std::array<std::uint32_t, kNumSeries> failures{};
+  /// Total routing wall time per series, in ms (certified instances add
+  /// 0). A wall clock, so only its mean over `instances` is ever reported.
+  std::array<double, kNumSeries> elapsed_ms{};
   std::array<RunningStats, kNumSeries> inverse_power;  ///< absolute 1/P (0 on failure)
   RunningStats static_fraction;  ///< static/total of BEST, valid instances only
-  // Simulation probe aggregates (instances where the probe ran only; their
-  // shared count() is the number of simulated instances).
-  RunningStats sim_latency;     ///< mean flit latency, cycles
-  RunningStats sim_delivery;    ///< delivery ratio in [0, 1]
-  RunningStats sim_throughput;  ///< delivered Mb/s
   std::size_t instances = 0;
+
+  PointAggregate() = default;
+  PointAggregate(const PointAggregate& other);
+  PointAggregate& operator=(const PointAggregate& other);
+  PointAggregate(PointAggregate&&) noexcept = default;
+  PointAggregate& operator=(PointAggregate&&) noexcept = default;
+
+  // Simulation probe aggregates, over the instances where the probe ran;
+  // their shared count() is the number of simulated instances (all empty
+  // when none did).
+  [[nodiscard]] const RunningStats& sim_latency() const noexcept;
+  [[nodiscard]] const RunningStats& sim_delivery() const noexcept;
+  [[nodiscard]] const RunningStats& sim_throughput() const noexcept;
 
   void add(const InstanceSample& sample);
   void merge(const PointAggregate& other);
 
   [[nodiscard]] double failure_ratio(std::size_t series) const;
+
+ private:
+  friend bool parse_point_aggregate(std::string_view text, PointAggregate& out,
+                                    std::string& error);
+
+  /// The probe stats, allocated when the first probed instance arrives.
+  SimAggregate& sim();
+
+  std::unique_ptr<SimAggregate> sim_;  ///< null until an instance was probed
 };
 
 // -- Wire form --------------------------------------------------------------
@@ -88,7 +125,10 @@ struct PointAggregate {
 [[nodiscard]] std::string serialize_point_aggregate(const PointAggregate& aggregate);
 
 /// Parses serialize_point_aggregate's form. On failure returns false and
-/// sets `error` (leaving `out` untouched).
+/// sets `error` (leaving `out` untouched). Besides the syntax, it rejects
+/// counts that add() and merge() can never produce: a failure count or a
+/// static-fraction or sim-stat count above n, a normalized-inverse or
+/// inverse-power count other than n, and sim stats of unequal counts.
 [[nodiscard]] bool parse_point_aggregate(std::string_view text, PointAggregate& out,
                                          std::string& error);
 

@@ -64,29 +64,20 @@ std::int32_t CommRect::width_at_depth(std::int32_t t) const noexcept {
   return a_hi - a_lo + 1;
 }
 
-std::vector<CommRect::Step> CommRect::next_steps(Coord c) const {
-  std::vector<Step> steps;
+CommRect::Steps CommRect::next_steps(Coord c) const {
+  Steps steps;
   std::int32_t a = 0;
   std::int32_t b = 0;
   if (!offsets(c, a, b)) return steps;
-  steps.reserve(2);
   if (a < du_) {
     const Coord to = cell_at(a + 1, b);
-    steps.push_back(Step{mesh_->link_between(c, to), to});
+    steps.items[steps.n++] = Step{mesh_->link_between(c, to), to};
   }
   if (b < dv_) {
     const Coord to = cell_at(a, b + 1);
-    steps.push_back(Step{mesh_->link_between(c, to), to});
+    steps.items[steps.n++] = Step{mesh_->link_between(c, to), to};
   }
   return steps;
-}
-
-std::vector<LinkId> CommRect::cut_links(std::int32_t t) const {
-  std::vector<LinkId> cut;
-  for (const Coord c : cells_at_depth(t)) {
-    for (const Step& s : next_steps(c)) cut.push_back(s.link);
-  }
-  return cut;
 }
 
 std::int32_t CommRect::cut_size(std::int32_t t) const noexcept {
@@ -99,15 +90,6 @@ std::int32_t CommRect::cut_size(std::int32_t t) const noexcept {
     if (t - a < dv_) ++count;   // horizontal step available
   }
   return count;
-}
-
-std::vector<LinkId> CommRect::all_links() const {
-  std::vector<LinkId> links;
-  for (std::int32_t t = 0; t < length(); ++t) {
-    const auto cut = cut_links(t);
-    links.insert(links.end(), cut.begin(), cut.end());
-  }
-  return links;
 }
 
 }  // namespace pamr

@@ -9,6 +9,7 @@
 // this structure instead of re-deriving the geometry.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -61,20 +62,45 @@ class CommRect {
     Coord to;
   };
 
+  /// At most two steps, stored inline: the hop-by-hop walks of SG and IG
+  /// ask for them at every core, so they must not touch the heap.
+  struct Steps {
+    Step items[2];
+    std::size_t n = 0;
+
+    [[nodiscard]] const Step* begin() const noexcept { return items; }
+    [[nodiscard]] const Step* end() const noexcept { return items + n; }
+    [[nodiscard]] std::size_t size() const noexcept { return n; }
+    [[nodiscard]] bool empty() const noexcept { return n == 0; }
+    [[nodiscard]] const Step& operator[](std::size_t i) const noexcept {
+      return items[i];
+    }
+    [[nodiscard]] const Step& front() const noexcept { return items[0]; }
+  };
+
   /// The ≤2 monotone steps from `c` that remain inside the rectangle
   /// (vertical first, then horizontal, for deterministic iteration order).
-  [[nodiscard]] std::vector<Step> next_steps(Coord c) const;
+  [[nodiscard]] Steps next_steps(Coord c) const;
 
-  /// All links crossing from depth t to depth t+1 inside the rectangle —
-  /// the per-communication cut used by IG's virtual pre-routing and PR.
-  [[nodiscard]] std::vector<LinkId> cut_links(std::int32_t t) const;
+  /// Calls f(link) for every link crossing from depth t to depth t+1
+  /// inside the rectangle — the per-communication cut used by IG's virtual
+  /// pre-routing and PR — in a fixed order: cells by increasing row
+  /// offset, the vertical step of a cell before its horizontal one.
+  template <class F>
+  void for_each_cut_link(std::int32_t t, F&& f) const {
+    if (t < 0 || t >= length()) return;
+    const std::int32_t a_lo = t > dv_ ? t - dv_ : 0;
+    const std::int32_t a_hi = t < du_ ? t : du_;
+    for (std::int32_t a = a_lo; a <= a_hi; ++a) {
+      const Coord c = cell_at(a, t - a);
+      if (a < du_) f(mesh_->link_between(c, cell_at(a + 1, t - a)));
+      if (t - a < dv_) f(mesh_->link_between(c, cell_at(a, t - a + 1)));
+    }
+  }
 
   /// Number of links in cut t (closed form: cells at depth t each contribute
   /// their in-rectangle steps).
   [[nodiscard]] std::int32_t cut_size(std::int32_t t) const noexcept;
-
-  /// Every monotone link of the rectangle (union of all cuts).
-  [[nodiscard]] std::vector<LinkId> all_links() const;
 
  private:
   /// Offset of a cell from src along the quadrant's step directions:

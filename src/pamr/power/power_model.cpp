@@ -18,6 +18,10 @@ PowerModel::PowerModel(PowerParams params, FrequencyTable table)
   PAMR_CHECK(table.max_frequency() <= params_.bandwidth + kFeasibilityTolerance,
              "top frequency exceeds the physical link bandwidth");
   table_ = std::move(table);
+  level_powers_.reserve(table_->frequencies().size());
+  for (const double frequency : table_->frequencies()) {
+    level_powers_.push_back(*link_power(frequency));
+  }
 }
 
 PowerModel PowerModel::paper_discrete() {

@@ -98,6 +98,13 @@ class PowerModel {
   /// 0 for an idle link.
   [[nodiscard]] std::optional<double> link_power(double load) const noexcept;
 
+  /// Discrete models: link_power at each table frequency, in table order,
+  /// computed once at construction (LoadCost's per-level costs). Empty for
+  /// a continuous model.
+  [[nodiscard]] std::span<const double> level_powers() const noexcept {
+    return level_powers_;
+  }
+
   /// Dynamic part only (no leakage), with the same feasibility rule.
   [[nodiscard]] std::optional<double> link_dynamic_power(double load) const noexcept;
 
@@ -117,6 +124,7 @@ class PowerModel {
  private:
   PowerParams params_;
   std::optional<FrequencyTable> table_;
+  std::vector<double> level_powers_;
 };
 
 }  // namespace pamr

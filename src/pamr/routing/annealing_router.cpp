@@ -47,7 +47,8 @@ Path uniform_random_path(const CommRect& rect, Rng& rng) {
 
 RouteResult AnnealingRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                         const PowerModel& model,
-                                        RouteGoal /*goal*/) const {
+                                        RouteGoal /*goal*/,
+                                        RouteWorkspace& /*workspace*/) const {
   const WallTimer timer;
   if (comms.empty()) {
     return finish(mesh, comms, model, Routing{}, timer.elapsed_ms());

@@ -20,6 +20,13 @@
 //   * a per-link fold cache — the whole link's best (candidate, member)
 //     pair, reusable in O(1) while the link's three-lane band is untouched.
 //
+// The per-link member/hot-slot lists and the per-core visitor lists live in
+// flat CSR arrays, built in two passes over the initial paths (count, then
+// add) with a little slack per list. A list that outgrows its slack moves
+// to the end of its array with doubled capacity, so a rewrite never
+// allocates once the arrays reached their high-water mark; reset() keeps
+// that capacity for the next route call.
+//
 // Two invalidation granularities keep the caches exact rather than
 // heuristic:
 //
@@ -49,6 +56,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pamr/mesh/coord.hpp"
@@ -63,7 +71,12 @@ class CrossingIndex {
   /// scans every member's SlotHot each time a link is re-folded — tens of
   /// millions of sequential reads per overloaded descent — while SlotCold
   /// is touched only for the members the comm stamp dirtied. Keeping the
-  /// scanned half at 32 bytes (two per cache line) is worth the split.
+  /// scanned half at 32 bytes (two per cache line) is worth the split. The
+  /// hot halves sit in the link's member list; the cold halves are stored
+  /// by (member, path position), which names the same slot: a monotone
+  /// path crosses a link only at the link's Manhattan depth from the
+  /// source. So the cold table is exactly one entry per path step, with no
+  /// list slack.
   ///
   /// One SlotCold entry per candidate rotation (at most two, in
   /// preferred-side-first evaluation order — the order the strict-<
@@ -98,26 +111,41 @@ class CrossingIndex {
     return best;
   }
 
-  CrossingIndex(const Mesh& mesh, std::size_t num_comms);
+  /// An empty index; reset() prepares it for a mesh.
+  CrossingIndex() = default;
 
-  /// Registers a communication's initial path (as visited cores). Call in
-  /// increasing `comm` order so member lists start out sorted.
-  void add_initial_path(std::uint32_t comm, const std::vector<Coord>& cores);
+  /// Empties the index for `num_comms` communications on `mesh`, keeping
+  /// the buffers' capacity. Then register every initial path twice:
+  /// count_initial_path for each, then add_initial_path for each.
+  void reset(const Mesh& mesh, std::size_t num_comms);
+
+  /// Pass 1: counts the links and cores of one initial path.
+  void count_initial_path(std::span<const Coord> cores);
+
+  /// Pass 2: registers a communication's initial path (as visited cores).
+  /// Call in increasing `comm` order so member lists start out sorted; the
+  /// first call ends pass 1.
+  void add_initial_path(std::uint32_t comm, std::span<const Coord> cores);
 
   /// Communications whose current path crosses `link`, ascending.
-  [[nodiscard]] const std::vector<std::uint32_t>& members(LinkId link) const {
-    return members_[static_cast<std::size_t>(link)];
+  [[nodiscard]] std::span<const std::uint32_t> members(LinkId link) const {
+    const Segment& seg = member_seg_[static_cast<std::size_t>(link)];
+    return {member_data_.data() + seg.begin, seg.size};
   }
 
   /// Hot halves of the evaluation slots parallel to members(link) — what
-  /// the fold scans — and their cold halves, touched only when dirty. Both
-  /// writable by the caller, which keeps hot.best/fresh_stamp in sync with
-  /// the cold state it derives from.
-  [[nodiscard]] std::vector<SlotHot>& hot_slots(LinkId link) {
-    return hot_[static_cast<std::size_t>(link)];
+  /// the fold scans. Writable by the caller, which keeps hot.best and
+  /// fresh_stamp in sync with the cold state they derive from. Like
+  /// members(), valid until the next apply_rewrite.
+  [[nodiscard]] std::span<SlotHot> hot_slots(LinkId link) {
+    const Segment& seg = member_seg_[static_cast<std::size_t>(link)];
+    return {hot_data_.data() + seg.begin, seg.size};
   }
-  [[nodiscard]] std::vector<SlotCold>& cold_slots(LinkId link) {
-    return cold_[static_cast<std::size_t>(link)];
+
+  /// Cold half of `comm`'s slot for the link its path crosses at step
+  /// `pos` (xyi::known_crossing_position), touched only when dirty.
+  [[nodiscard]] SlotCold& cold_slot(std::uint32_t comm, std::size_t pos) {
+    return cold_[cold_begin_[comm] + pos];
   }
 
   /// True iff the slot (belonging to `comm`) still reflects the current
@@ -146,8 +174,8 @@ class CrossingIndex {
   /// A move rewrote `comm`'s path from `before` to `after` (same length,
   /// shared prefix/suffix): advances the move epoch, stamps `comm` dirty and
   /// re-indexes exactly the changed window's links and cores.
-  void apply_rewrite(std::uint32_t comm, const std::vector<Coord>& before,
-                     const std::vector<Coord>& after);
+  void apply_rewrite(std::uint32_t comm, std::span<const Coord> before,
+                     std::span<const Coord> after);
 
   /// The stored load of `link` changed under the current move: stamps every
   /// communication whose path passes within one hop of it (the set whose
@@ -199,6 +227,25 @@ class CrossingIndex {
     std::uint16_t idx[5] = {0, 0, 0, 0, 0};
   };
 
+  /// One CSR list: entries [begin, begin + size) of its arrays, with room
+  /// for `cap` before it must move.
+  struct Segment {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t cap = 0;
+  };
+
+  /// Ends pass 1: lays every counted list out with its slack.
+  void seal();
+  /// Makes room for one more member of `link`.
+  void reserve_member(LinkId link);
+  /// Makes room for one more visitor of core `idx`.
+  void reserve_visitor(std::size_t idx);
+  void insert_member(LinkId link, std::uint32_t comm);
+  void erase_member(LinkId link, std::uint32_t comm);
+  void push_visitor(std::size_t idx, std::uint32_t comm);
+  void erase_visitor(std::size_t idx, std::uint32_t comm);
+
   void stamp_core(Coord core);
   /// Stamps `info`'s band epochs at the current epoch — called for every
   /// load change and for every link entering or leaving a rewritten window
@@ -207,12 +254,16 @@ class CrossingIndex {
   /// bit-exactly).
   void touch_link_geometry(const LinkInfo& info);
 
-  const Mesh* mesh_;
+  const Mesh* mesh_ = nullptr;
   std::uint64_t epoch_ = 1;                            ///< applied-move counter
-  std::vector<std::vector<std::uint32_t>> members_;    ///< link → crossing comms, sorted
-  std::vector<std::vector<SlotHot>> hot_;              ///< parallel to members_
-  std::vector<std::vector<SlotCold>> cold_;            ///< parallel to members_
-  std::vector<std::vector<std::uint32_t>> visitors_;   ///< core → visiting comms
+  bool sealed_ = false;                                ///< pass 2 started
+  std::vector<Segment> member_seg_;                    ///< link → its member list
+  std::vector<std::uint32_t> member_data_;             ///< crossing comms, sorted
+  std::vector<SlotHot> hot_data_;                      ///< parallel to member_data_
+  std::vector<SlotCold> cold_;                         ///< by (comm, path position)
+  std::vector<std::uint32_t> cold_begin_;              ///< comm → its first cold slot
+  std::vector<Segment> visitor_seg_;                   ///< core → its visitor list
+  std::vector<std::uint32_t> visitor_data_;            ///< visiting comms, unordered
   std::vector<std::uint64_t> comm_stamp_;              ///< comm → epoch last dirtied
   std::vector<std::uint64_t> path_epoch_;              ///< comm → epoch last rewritten
   std::vector<std::uint64_t> core_mark_;               ///< scratch: core stamped this epoch

@@ -37,8 +37,8 @@ class RipUpRerouteRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model,
-                                       RouteGoal goal) const override;
+                                       const PowerModel& model, RouteGoal goal,
+                                       RouteWorkspace& workspace) const override;
 
  private:
   RipUpOptions options_;
@@ -60,8 +60,8 @@ class AnnealingRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model,
-                                       RouteGoal goal) const override;
+                                       const PowerModel& model, RouteGoal goal,
+                                       RouteWorkspace& workspace) const override;
 
  private:
   AnnealingOptions options_;

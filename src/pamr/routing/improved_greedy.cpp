@@ -47,6 +47,7 @@
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
+#include "pamr/routing/workspace.hpp"
 #include "pamr/util/assert.hpp"
 #include "pamr/util/timer.hpp"
 
@@ -58,10 +59,10 @@ namespace {
 /// the virtual pre-routing of Figure 3 and its removal.
 void apply_virtual_spread(const CommRect& rect, double weight, LinkLoads& loads) {
   for (std::int32_t t = 0; t < rect.length(); ++t) {
-    const auto cut = rect.cut_links(t);
-    PAMR_ASSERT(!cut.empty());
-    const double share = weight / static_cast<double>(cut.size());
-    for (const LinkId link : cut) loads.add(link, share);
+    const std::int32_t cut_size = rect.cut_size(t);
+    PAMR_ASSERT(cut_size > 0);
+    const double share = weight / static_cast<double>(cut_size);
+    rect.for_each_cut_link(t, [&](LinkId link) { loads.add(link, share); });
   }
 }
 
@@ -74,9 +75,9 @@ double scan_bound(const Mesh& mesh, Coord from, Coord snk, double weight,
   double bound = 0.0;
   for (std::int32_t t = 0; t < rest.length(); ++t) {
     double best = std::numeric_limits<double>::infinity();
-    for (const LinkId link : rest.cut_links(t)) {
+    rest.for_each_cut_link(t, [&](LinkId link) {
       best = std::min(best, cost(loads.load(link) + weight));
-    }
+    });
     bound += best;
   }
   return bound;
@@ -97,14 +98,22 @@ double remaining_bound(const Mesh& mesh, Coord from, Coord snk, double weight,
 ///
 /// Layout: slots hold cost(load + δ_i) for every cut link of the full
 /// rectangle, depth-major, cells by ascending row offset, vertical step
-/// before horizontal per cell — exactly CommRect::cut_links order. Per
-/// depth, cell_start_ records each cell's first slot plus one sentinel, so
-/// the sub-rectangle window [a_lo, a_hi] at full depth t is the contiguous
-/// slot range [cell_start(t, a_lo), cell_start(t, a_hi + 1)).
+/// before horizontal per cell — exactly CommRect::for_each_cut_link's
+/// order. Per depth, cell_start_ records each cell's first slot plus one
+/// sentinel, so the sub-rectangle window [a_lo, a_hi] at full depth t is
+/// the contiguous slot range [cell_start(t, a_lo), cell_start(t, a_hi + 1)).
+/// The arrays are the workspace's, reused across route calls.
 class CutCache {
  public:
-  explicit CutCache(std::int32_t num_links)
-      : slot_of_link_(static_cast<std::size_t>(num_links), -1) {}
+  CutCache(RouteWorkspace::ImprovedGreedy& buffers, std::int32_t num_links)
+      : costs_(buffers.cut_costs),
+        links_(buffers.cut_links),
+        cell_start_(buffers.cell_start),
+        depth_base_(buffers.depth_base),
+        slot_of_link_(buffers.slot_of_link) {
+    links_.clear();
+    slot_of_link_.assign(static_cast<std::size_t>(num_links), -1);
+  }
 
   /// Rebuilds for one communication; call after its spread was removed.
   void build(const CommRect& rect, double weight, const LinkLoads& loads,
@@ -190,52 +199,60 @@ class CutCache {
  private:
   const CommRect* rect_ = nullptr;
   double weight_ = 0.0;
-  std::vector<double> costs_;
-  std::vector<LinkId> links_;
-  std::vector<std::int32_t> cell_start_;
-  std::vector<std::int32_t> depth_base_;
-  std::vector<std::int32_t> slot_of_link_;
+  std::vector<double>& costs_;
+  std::vector<LinkId>& links_;
+  std::vector<std::int32_t>& cell_start_;
+  std::vector<std::int32_t>& depth_base_;
+  std::vector<std::int32_t>& slot_of_link_;
 };
 
 }  // namespace
 
 RouteResult ImprovedGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                             const PowerModel& model,
-                                             RouteGoal goal) const {
-  return mode_ == Mode::kReference ? route_reference(mesh, comms, model)
-                                   : route_incremental(mesh, comms, model, goal);
+                                             const PowerModel& model, RouteGoal goal,
+                                             RouteWorkspace& workspace) const {
+  return mode_ == Mode::kReference
+             ? route_reference(mesh, comms, model)
+             : route_incremental(mesh, comms, model, goal, workspace);
 }
 
 RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
                                                     const CommSet& comms,
                                                     const PowerModel& model,
-                                                    RouteGoal goal) const {
+                                                    RouteGoal goal,
+                                                    RouteWorkspace& workspace) const {
   const WallTimer timer;
   const LoadCost cost(model, mesh.num_links());
-  LinkLoads loads(mesh);
-  std::vector<Path> paths(comms.size());
+  RouteWorkspace::ImprovedGreedy& ig = workspace.ig;
+  LinkLoads& loads = workspace.loads;
+  loads.reset(mesh.num_links());
+  PathTable& paths = workspace.paths;
+  paths.reset(comms);
   // Committed load per link, tracked for the overload witness only.
   const bool verdict = goal == RouteGoal::kVerdict;
   const double limit = model.limit();
-  std::vector<double> committed(verdict ? static_cast<std::size_t>(mesh.num_links()) : 0);
+  std::vector<double>& committed = ig.committed;
+  committed.assign(verdict ? static_cast<std::size_t>(mesh.num_links()) : 0, 0.0);
 
   // Phase 1: virtual pre-routing of everything.
-  std::vector<CommRect> rects;
-  rects.reserve(comms.size());
+  std::vector<CommRect>& rects = ig.rects;
+  rects.clear();
   for (const Communication& comm : comms) {
     rects.emplace_back(mesh, comm.src, comm.snk);
     apply_virtual_spread(rects.back(), comm.weight, loads);
   }
 
   // Phase 2: commit concrete routes, heaviest first.
-  CutCache cache(mesh.num_links());
-  for (const std::size_t index : order_by_decreasing_weight(comms)) {
+  CutCache cache(ig, mesh.num_links());
+  order_by_decreasing_weight(comms, workspace.order);
+  for (const std::size_t index : workspace.order) {
     const Communication& comm = comms[index];
     const CommRect& rect = rects[index];
     apply_virtual_spread(rect, -comm.weight, loads);
     cache.build(rect, comm.weight, loads, cost);
 
-    std::vector<Coord> cores{comm.src};
+    const std::span<LinkId> path = paths.path(index);
+    std::size_t hop = 0;
     Coord at = comm.src;
     while (at != comm.snk) {
       const auto steps = rect.next_steps(at);
@@ -273,14 +290,12 @@ RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
         load += comm.weight;
         if (PowerModel::proven_overload(load, limit)) return abandon(timer.elapsed_ms());
       }
-      cores.push_back(chosen->to);
+      path[hop++] = chosen->link;
       at = chosen->to;
     }
-    paths[index] = path_from_cores(mesh, cores);
   }
 
-  return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),
-                timer.elapsed_ms());
+  return finish(mesh, comms, model, workspace, timer.elapsed_ms());
 }
 
 RouteResult ImprovedGreedyRouter::route_reference(const Mesh& mesh,

@@ -63,12 +63,11 @@ LoadCost::LoadCost(const PowerModel& model, std::int32_t num_links)
       load_unit_(model.params().load_unit),
       memo_bits_(memo_bits(num_links)) {
   if (!model.discrete()) return;
-  for (const double frequency : model.table()->frequencies()) {
-    level_edges_.push_back(frequency);
-    // Exactly the unmemoized result: any load quantizing to this level gets
-    // link_power(frequency), computed here once through the same code path.
-    level_costs_.push_back(*model.link_power(frequency));
-  }
+  // Exactly the unmemoized result: any load quantizing to a level gets
+  // link_power(frequency), computed once per model through the same code
+  // path.
+  level_edges_ = model.table()->frequencies();
+  level_costs_ = model.level_powers();
 }
 
 double LoadCost::operator()(double load) const noexcept {

@@ -27,6 +27,8 @@ namespace pamr {
 
 class LinkLoads {
  public:
+  /// No links; reset() sizes it.
+  LinkLoads() = default;
   explicit LinkLoads(const Mesh& mesh);
   /// Load vector over any link-id space of the given size — lets the
   /// accounting work for topo::Topology link graphs, whose ids are dense
@@ -62,6 +64,11 @@ class LinkLoads {
 
   void clear() noexcept;
 
+  /// All-zero loads over `num_links` links, reusing the buffer's capacity.
+  void reset(std::int32_t num_links) {
+    loads_.assign(static_cast<std::size_t>(num_links), 0.0);
+  }
+
  private:
   std::vector<double> loads_;
 };
@@ -74,11 +81,13 @@ class LinkLoads {
 /// router does) rather than sharing an instance across threads.
 class LoadCost {
  public:
-  /// For a discrete model, memoizes the exact per-level link power (the
-  /// cost is a step function with one value per frequency level), so the
-  /// heuristics' innermost loops replace a quantize + std::pow per call
-  /// with a scan over a handful of level edges. Values are computed through
-  /// PowerModel::link_power itself — bit-identical to the unmemoized path.
+  /// For a discrete model, reads the exact per-level link power (the cost
+  /// is a step function with one value per frequency level) from the
+  /// model's level_powers(), so the heuristics' innermost loops replace a
+  /// quantize + std::pow per call with a scan over a handful of level
+  /// edges. Those values are computed through PowerModel::link_power
+  /// itself — bit-identical to the unmemoized path. The model must outlive
+  /// the LoadCost.
   /// `num_links` is the link count of the mesh or topology being routed;
   /// it sizes the overload memo (see overload_cost).
   explicit LoadCost(const PowerModel& model, std::int32_t num_links);
@@ -109,8 +118,8 @@ class LoadCost {
   [[nodiscard]] double overload_cost(double load) const noexcept;
 
   const PowerModel* model_;
-  std::vector<double> level_edges_;  ///< discrete: level frequencies (inclusive tops)
-  std::vector<double> level_costs_;  ///< exact link_power at each level
+  std::span<const double> level_edges_;  ///< discrete: level frequencies (inclusive tops)
+  std::span<const double> level_costs_;  ///< exact link_power at each level
   // Penalty-branch constants, copied out of the model at construction so a
   // memo miss costs one std::pow and no cross-TU accessor calls.
   double capacity_ = 0.0;

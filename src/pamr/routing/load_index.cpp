@@ -8,26 +8,52 @@
 
 namespace pamr {
 
-LoadIndex::LoadIndex(const LinkLoads& loads)
-    : pos_(loads.values().size()),
-      low_stamp_(-1),
-      high_stamp_(static_cast<std::int64_t>(loads.values().size())),
-      members_(loads.values().size()) {
+void LoadIndex::reset(const LinkLoads& loads) {
   // The seed's first round: identity order stably sorted by the initial
   // loads, i.e. (load desc, LinkId asc) — so each initial stamp is the
   // link's id and no sort is needed, only a heapify.
   const std::size_t n = loads.values().size();
+  low_stamp_ = -1;
+  high_stamp_ = static_cast<std::int64_t>(n);
+  moved_.clear();
+  heap_.clear();
   heap_.reserve(n);
+  pos_.resize(n);
   for (std::size_t l = 0; l < n; ++l) {
     const auto link = static_cast<LinkId>(l);
     heap_.push_back({loads.load(link), static_cast<std::int64_t>(l), link});
     pos_[l] = static_cast<std::int32_t>(l);
   }
   for (std::size_t at = n / 2; at-- > 0;) sift_down(at, heap_[at]);
+  member_begin_.assign(n, 0);
+  member_size_.assign(n, 0);
+  member_data_.clear();
+  members_sealed_ = false;
+}
+
+void LoadIndex::count_member(LinkId link) {
+  PAMR_DCHECK(!members_sealed_);
+  ++member_size_[static_cast<std::size_t>(link)];
 }
 
 void LoadIndex::add_member(LinkId link, std::uint32_t comm) {
-  members_[static_cast<std::size_t>(link)].push_back(comm);
+  if (!members_sealed_) {
+    // End of pass 1: lay the lists out back to back, then refill them.
+    std::uint32_t next = 0;
+    for (std::size_t l = 0; l < member_size_.size(); ++l) {
+      member_begin_[l] = next;
+      next += member_size_[l];
+      member_size_[l] = 0;
+    }
+    member_data_.resize(next);
+    members_sealed_ = true;
+  }
+  const auto idx = static_cast<std::size_t>(link);
+  const std::uint32_t at = member_begin_[idx] + member_size_[idx]++;
+  PAMR_ASSERT_MSG(at < member_data_.size() &&
+                      (idx + 1 == member_begin_.size() || at < member_begin_[idx + 1]),
+                  "add_member beyond the counted memberships");
+  member_data_[at] = comm;
 }
 
 void LoadIndex::sift_up(std::size_t at, Entry entry) {

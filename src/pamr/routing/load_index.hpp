@@ -54,12 +54,18 @@
 // The index also keeps a membership list per link — the indices of the
 // communications whose path DAG still contains the link, heaviest-first —
 // so PR's "largest communication using this link" scan is O(members)
-// instead of O(nc); lists are compacted lazily by the caller. Links whose
-// scan proves permanently unremovable are retire()d: erased from the heap
-// for good (the caller's monotonicity argument lives in path_remover.cpp).
+// instead of O(nc); lists are compacted lazily by the caller. Lists only
+// ever shrink, so they live in one CSR array built in two passes (count
+// every membership, then add them in order). Links whose scan proves
+// permanently unremovable are retire()d: erased from the heap for good
+// (the caller's monotonicity argument lives in path_remover.cpp).
+//
+// Both classes here reset in place (reset()), keeping their capacity, so
+// a RouteWorkspace can reuse them across route calls.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pamr/mesh/mesh.hpp"
@@ -78,7 +84,15 @@ struct TouchLog {
   std::vector<double> before;
   std::vector<char> seen;  ///< indexed by LinkId
 
+  TouchLog() = default;
   explicit TouchLog(std::size_t num_links) : seen(num_links, 0) {}
+
+  /// Empties the log for a link space of `num_links` links.
+  void reset(std::size_t num_links) {
+    links.clear();
+    before.clear();
+    seen.assign(num_links, 0);
+  }
 
   void record(LinkId link, double load) {
     if (seen[static_cast<std::size_t>(link)] != 0) return;
@@ -103,19 +117,38 @@ struct TouchLog {
 
 class LoadIndex {
  public:
+  /// An empty index; reset() fills it.
+  LoadIndex() = default;
+
   /// Captures the seed's first round: the identity permutation stably
   /// sorted by the initial loads (ties by LinkId). O(L) heapify.
-  explicit LoadIndex(const LinkLoads& loads);
+  explicit LoadIndex(const LinkLoads& loads) { reset(loads); }
+
+  /// Rebuilds the index in place for `loads`, as the constructor does;
+  /// every member list is emptied. Keeps the buffers' capacity.
+  void reset(const LinkLoads& loads);
 
   // ------------------------------------------------------- membership --
-  /// Appends `comm` to the link's member list. Call in heaviest-first
-  /// (order_by_decreasing_weight) order at construction time so the list
-  /// order matches the reference scan order.
+  /// Pass 1 of the membership build: counts one future add_member(link, ·).
+  void count_member(LinkId link);
+
+  /// Pass 2: appends `comm` to the link's member list. Call once per
+  /// counted membership, in heaviest-first (order_by_decreasing_weight)
+  /// order so the list order matches the reference scan order. The first
+  /// call ends pass 1; counting after it is an error.
   void add_member(LinkId link, std::uint32_t comm);
 
-  /// Mutable member list, for the caller's lazy compaction during scans.
-  [[nodiscard]] std::vector<std::uint32_t>& members(LinkId link) {
-    return members_[static_cast<std::size_t>(link)];
+  /// Mutable member list, for the caller's lazy compaction during scans;
+  /// truncate_members() then drops the compacted tail.
+  [[nodiscard]] std::span<std::uint32_t> members(LinkId link) {
+    const auto idx = static_cast<std::size_t>(link);
+    return {member_data_.data() + member_begin_[idx], member_size_[idx]};
+  }
+
+  /// Shortens the link's member list to its first `size` entries.
+  void truncate_members(LinkId link, std::size_t size) {
+    PAMR_DCHECK(size <= member_size_[static_cast<std::size_t>(link)]);
+    member_size_[static_cast<std::size_t>(link)] = static_cast<std::uint32_t>(size);
   }
 
   // ------------------------------------------------------------ order --
@@ -158,6 +191,8 @@ class LoadIndex {
   /// invalidates the walk until restart().
   class Walk {
    public:
+    /// Starts at the first link of `index`; restart() after every
+    /// reorder(), retire() or reset() of the index.
     explicit Walk(const LoadIndex& index) : index_(&index) { restart(); }
 
     /// The next link in order, or kInvalidLink once every live link was
@@ -197,10 +232,15 @@ class LoadIndex {
 
   std::vector<Entry> heap_;        ///< live links, binary heap on precedes()
   std::vector<std::int32_t> pos_;  ///< link -> heap slot, -1 once retired
-  std::int64_t low_stamp_;         ///< next stamp below every stamp in use
-  std::int64_t high_stamp_;        ///< next stamp above every stamp in use
+  std::int64_t low_stamp_ = -1;    ///< next stamp below every stamp in use
+  std::int64_t high_stamp_ = 0;    ///< next stamp above every stamp in use
   std::vector<Entry> moved_;       ///< scratch: old keys of moved links
-  std::vector<std::vector<std::uint32_t>> members_;
+  // Member lists, CSR: link l's list is member_data_[member_begin_[l] ..
+  // + member_size_[l]). While counting (pass 1) member_size_ holds counts.
+  std::vector<std::uint32_t> member_begin_;
+  std::vector<std::uint32_t> member_size_;
+  std::vector<std::uint32_t> member_data_;
+  bool members_sealed_ = false;  ///< pass 2 started
 };
 
 }  // namespace pamr

@@ -31,23 +31,28 @@ std::vector<Coord> cores_of_path(const Mesh& mesh, const Path& path) {
 }
 
 Path xy_path(const Mesh& mesh, Coord src, Coord snk) {
-  Path path;
-  path.src = src;
-  path.snk = snk;
+  Path path{src, snk,
+            std::vector<LinkId>(static_cast<std::size_t>(manhattan_distance(src, snk)))};
+  write_xy_path(mesh, src, snk, path.links);
+  return path;
+}
+
+void write_xy_path(const Mesh& mesh, Coord src, Coord snk, std::span<LinkId> links) {
+  PAMR_ASSERT(links.size() == static_cast<std::size_t>(manhattan_distance(src, snk)));
+  std::size_t k = 0;
   Coord at = src;
   const std::int32_t sv = sign_of(snk.v - src.v);
   while (at.v != snk.v) {
     const Coord to{at.u, at.v + sv};
-    path.links.push_back(mesh.link_between(at, to));
+    links[k++] = mesh.link_between(at, to);
     at = to;
   }
   const std::int32_t su = sign_of(snk.u - src.u);
   while (at.u != snk.u) {
     const Coord to{at.u + su, at.v};
-    path.links.push_back(mesh.link_between(at, to));
+    links[k++] = mesh.link_between(at, to);
     at = to;
   }
-  return path;
 }
 
 Path yx_path(const Mesh& mesh, Coord src, Coord snk) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,10 @@ struct Path {
 
 /// The XY route: horizontal first, then vertical (paper §1). Always exists.
 [[nodiscard]] Path xy_path(const Mesh& mesh, Coord src, Coord snk);
+
+/// xy_path's links written into `links`, which holds exactly
+/// manhattan_distance(src, snk) of them.
+void write_xy_path(const Mesh& mesh, Coord src, Coord snk, std::span<LinkId> links);
 
 /// The YX route: vertical first, then horizontal (used by Lemma 2).
 [[nodiscard]] Path yx_path(const Mesh& mesh, Coord src, Coord snk);

@@ -53,12 +53,14 @@
 // are removed. The reference loop ignores the goal.
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "pamr/mesh/rectangle.hpp"
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/load_index.hpp"
 #include "pamr/routing/routers.hpp"
+#include "pamr/routing/workspace.hpp"
 #include "pamr/util/assert.hpp"
 #include "pamr/util/timer.hpp"
 
@@ -69,15 +71,21 @@ namespace {
 /// Reusable reachability buffers for CommState::prune: cells are marked
 /// with the current epoch instead of re-allocating (and re-zeroing) two
 /// per-core vectors on every removal, as the seed did. `row` is the
-/// windowed prune's per-depth recompute buffer.
+/// windowed prune's per-depth recompute buffer. The vectors are the
+/// workspace's; construction zeroes the epochs for this call.
 struct PruneScratch {
-  std::vector<std::uint64_t> forward;
-  std::vector<std::uint64_t> backward;
-  std::vector<char> row;
+  std::vector<std::uint64_t>& forward;
+  std::vector<std::uint64_t>& backward;
+  std::vector<char>& row;
   std::uint64_t epoch = 0;
 
-  explicit PruneScratch(std::size_t num_cores)
-      : forward(num_cores, 0), backward(num_cores, 0) {}
+  PruneScratch(RouteWorkspace::PathRemover& buffers, std::size_t num_cores)
+      : forward(buffers.sweep_forward),
+        backward(buffers.sweep_backward),
+        row(buffers.row) {
+    forward.assign(num_cores, 0);
+    backward.assign(num_cores, 0);
+  }
 };
 
 /// Per-communication path-DAG state.
@@ -96,44 +104,48 @@ struct PruneScratch {
 /// PR differential suite pins reference (full) against incremental
 /// (windowed) end to end, and the paranoid check below re-verifies every
 /// windowed prune against a fresh sweep.
+///
+/// The state lives in the workspace's flat arrays (see CommStates below);
+/// a CommState is a view of one communication's slice of them. Cut t holds
+/// its allowed links at links[cut_begin[t] .. + cut_size[t]); erasing keeps
+/// the survivors' order, as std::erase on a per-cut vector would.
 struct CommState {
-  CommRect rect;
-  std::vector<char> allowed;             ///< indexed by LinkId, 1 = usable
-  std::vector<std::vector<LinkId>> cuts; ///< allowed links per depth t
-  std::vector<char> forward;             ///< persistent marks, by core index
-  std::vector<char> backward;            ///< (windowed prune only)
+  const CommRect& rect;
+  char* allowed;               ///< indexed by LinkId, 1 = usable
+  LinkId* links;               ///< every comm's cut slots (global array)
+  std::uint32_t* cut_begin;    ///< per depth t: first slot of cut t
+  std::uint32_t* cut_size;     ///< per depth t: live links of cut t
+  char* forward;               ///< persistent marks, by core index
+  char* backward;              ///< (windowed prune only)
 
-  CommState(const Mesh& mesh, const Communication& comm, bool track_reachability)
-      : rect(mesh, comm.src, comm.snk),
-        allowed(static_cast<std::size_t>(mesh.num_links()), 0) {
-    cuts.resize(static_cast<std::size_t>(rect.length()));
-    for (std::int32_t t = 0; t < rect.length(); ++t) {
-      cuts[static_cast<std::size_t>(t)] = rect.cut_links(t);
-      for (const LinkId link : cuts[static_cast<std::size_t>(t)]) {
-        allowed[static_cast<std::size_t>(link)] = 1;
-      }
-    }
-    if (track_reachability) {
-      // Every cell of the full rectangle reaches and is reached — all
-      // marks start true (cells outside the rectangle are never read).
-      forward.assign(static_cast<std::size_t>(mesh.num_cores()), 1);
-      backward.assign(static_cast<std::size_t>(mesh.num_cores()), 1);
-    }
+  [[nodiscard]] std::span<LinkId> cut(std::int32_t t) const noexcept {
+    const auto idx = static_cast<std::size_t>(t);
+    return {links + cut_begin[idx], cut_size[idx]};
+  }
+
+  /// Drops the links of cut t for which `drop(link)` holds, in order,
+  /// calling it once per link (std::erase_if's contract).
+  template <class Pred>
+  void erase_from_cut(std::int32_t t, Pred drop) const {
+    const std::span<LinkId> live = cut(t);
+    LinkId* const end = std::remove_if(live.data(), live.data() + live.size(), drop);
+    cut_size[static_cast<std::size_t>(t)] = static_cast<std::uint32_t>(end - live.data());
   }
 
   [[nodiscard]] bool is_single_path() const noexcept {
-    for (const auto& cut : cuts) {
-      if (cut.size() != 1) return false;
+    for (std::int32_t t = 0; t < rect.length(); ++t) {
+      if (cut_size[static_cast<std::size_t>(t)] != 1) return false;
     }
     return true;
   }
 
   /// Adds (sign × δ/m_t) for every allowed link of every cut.
   void apply_spread(double weight, LinkLoads& loads) const {
-    for (const auto& cut : cuts) {
-      PAMR_ASSERT(!cut.empty());
-      const double share = weight / static_cast<double>(cut.size());
-      for (const LinkId link : cut) loads.add(link, share);
+    for (std::int32_t t = 0; t < rect.length(); ++t) {
+      const std::span<const LinkId> live = cut(t);
+      PAMR_ASSERT(!live.empty());
+      const double share = weight / static_cast<double>(live.size());
+      for (const LinkId link : live) loads.add(link, share);
     }
   }
 
@@ -144,10 +156,11 @@ struct CommState {
   /// cut's -share/+share round trip can perturb a stored load by an ulp,
   /// and the reference's next sort sees the perturbed value).
   void apply_spread_tracked(double weight, LinkLoads& loads, TouchLog& log) const {
-    for (const auto& cut : cuts) {
-      PAMR_ASSERT(!cut.empty());
-      const double share = weight / static_cast<double>(cut.size());
-      for (const LinkId link : cut) {
+    for (std::int32_t t = 0; t < rect.length(); ++t) {
+      const std::span<const LinkId> live = cut(t);
+      PAMR_ASSERT(!live.empty());
+      const double share = weight / static_cast<double>(live.size());
+      for (const LinkId link : live) {
         log.record(link, loads.load(link));
         loads.add(link, share);
       }
@@ -156,7 +169,7 @@ struct CommState {
 
   /// Rebuilds `cuts` from `allowed`, dropping links that are not on any
   /// surviving src→snk path (forward ∩ backward reachability over depths).
-  void prune(const Mesh& mesh, PruneScratch& scratch) {
+  void prune(const Mesh& mesh, PruneScratch& scratch) const {
     const std::int32_t len = rect.length();
     if (len == 0) return;
     const std::uint64_t epoch = ++scratch.epoch;
@@ -166,7 +179,7 @@ struct CommState {
     };
     scratch.forward[cell_key(rect.src())] = epoch;
     for (std::int32_t t = 0; t < len; ++t) {
-      for (const LinkId link : cuts[static_cast<std::size_t>(t)]) {
+      for (const LinkId link : cut(t)) {
         const LinkInfo& info = mesh.link(link);
         if (scratch.forward[cell_key(info.from)] == epoch) {
           scratch.forward[cell_key(info.to)] = epoch;
@@ -175,15 +188,15 @@ struct CommState {
     }
     scratch.backward[cell_key(rect.snk())] = epoch;
     for (std::int32_t t = len - 1; t >= 0; --t) {
-      for (const LinkId link : cuts[static_cast<std::size_t>(t)]) {
+      for (const LinkId link : cut(t)) {
         const LinkInfo& info = mesh.link(link);
         if (scratch.backward[cell_key(info.to)] == epoch) {
           scratch.backward[cell_key(info.from)] = epoch;
         }
       }
     }
-    for (auto& cut : cuts) {
-      std::erase_if(cut, [&](LinkId link) {
+    for (std::int32_t t = 0; t < len; ++t) {
+      erase_from_cut(t, [&](LinkId link) {
         const LinkInfo& info = mesh.link(link);
         const bool alive = allowed[static_cast<std::size_t>(link)] != 0 &&
                            scratch.forward[cell_key(info.from)] == epoch &&
@@ -191,7 +204,7 @@ struct CommState {
         if (!alive) allowed[static_cast<std::size_t>(link)] = 0;
         return !alive;
       });
-      PAMR_ASSERT_MSG(!cut.empty(), "prune emptied a cut — connectivity broken");
+      PAMR_ASSERT_MSG(!cut(t).empty(), "prune emptied a cut — connectivity broken");
     }
   }
 
@@ -201,13 +214,11 @@ struct CommState {
   /// held ≥ 2 links before the erase) and each filtered cut that dropped
   /// from ≥ 2 links to one.
   void prune_after_removal(const Mesh& mesh, std::int32_t t0, PruneScratch& scratch,
-                           std::vector<LinkId>& singled) {
+                           std::vector<LinkId>& singled) const {
     const std::int32_t len = rect.length();
     PAMR_DCHECK(t0 >= 0 && t0 < len);
-    PAMR_DCHECK(!forward.empty());
-    if (cuts[static_cast<std::size_t>(t0)].size() == 1) {
-      singled.push_back(cuts[static_cast<std::size_t>(t0)].front());
-    }
+    PAMR_DCHECK(forward != nullptr);
+    if (cut(t0).size() == 1) singled.push_back(cut(t0).front());
     const std::int32_t du = rect.du();
     const std::int32_t dv = rect.dv();
     auto cell_key = [&](Coord c) {
@@ -222,7 +233,7 @@ struct CommState {
       const std::int32_t a_lo = std::max<std::int32_t>(0, d + 1 - dv);
       const std::int32_t a_hi = std::min(du, d + 1);
       scratch.row.assign(static_cast<std::size_t>(a_hi - a_lo + 1), 0);
-      for (const LinkId link : cuts[static_cast<std::size_t>(d)]) {
+      for (const LinkId link : cut(d)) {
         const LinkInfo& info = mesh.link(link);
         if (forward[cell_key(info.from)] != 0) {
           std::int32_t a = 0;
@@ -252,7 +263,7 @@ struct CommState {
       const std::int32_t a_lo = std::max<std::int32_t>(0, d - dv);
       const std::int32_t a_hi = std::min(du, d);
       scratch.row.assign(static_cast<std::size_t>(a_hi - a_lo + 1), 0);
-      for (const LinkId link : cuts[static_cast<std::size_t>(d)]) {
+      for (const LinkId link : cut(d)) {
         const LinkInfo& info = mesh.link(link);
         if (backward[cell_key(info.to)] != 0) {
           std::int32_t a = 0;
@@ -280,9 +291,8 @@ struct CommState {
     // keeps its alive set — its tails' forward and heads' backward marks
     // sit outside both changed ranges.
     auto filter_cut = [&](std::int32_t d) {
-      auto& cut = cuts[static_cast<std::size_t>(d)];
-      const std::size_t before = cut.size();
-      std::erase_if(cut, [&](LinkId link) {
+      const std::size_t before = cut(d).size();
+      erase_from_cut(d, [&](LinkId link) {
         const LinkInfo& info = mesh.link(link);
         const bool alive = allowed[static_cast<std::size_t>(link)] != 0 &&
                            forward[cell_key(info.from)] != 0 &&
@@ -290,8 +300,9 @@ struct CommState {
         if (!alive) allowed[static_cast<std::size_t>(link)] = 0;
         return !alive;
       });
-      PAMR_ASSERT_MSG(!cut.empty(), "prune emptied a cut — connectivity broken");
-      if (before >= 2 && cut.size() == 1) singled.push_back(cut.front());
+      const std::span<const LinkId> after = cut(d);
+      PAMR_ASSERT_MSG(!after.empty(), "prune emptied a cut — connectivity broken");
+      if (before >= 2 && after.size() == 1) singled.push_back(after.front());
     };
     for (std::int32_t d = std::max<std::int32_t>(0, b_lo - 1); d < t0; ++d) {
       filter_cut(d);
@@ -317,7 +328,7 @@ struct CommState {
     };
     scratch.forward[cell_key(rect.src())] = epoch;
     for (std::int32_t t = 0; t < len; ++t) {
-      for (const LinkId link : cuts[static_cast<std::size_t>(t)]) {
+      for (const LinkId link : cut(t)) {
         const LinkInfo& info = mesh.link(link);
         if (scratch.forward[cell_key(info.from)] == epoch) {
           scratch.forward[cell_key(info.to)] = epoch;
@@ -326,15 +337,15 @@ struct CommState {
     }
     scratch.backward[cell_key(rect.snk())] = epoch;
     for (std::int32_t t = len - 1; t >= 0; --t) {
-      for (const LinkId link : cuts[static_cast<std::size_t>(t)]) {
+      for (const LinkId link : cut(t)) {
         const LinkInfo& info = mesh.link(link);
         if (scratch.backward[cell_key(info.to)] == epoch) {
           scratch.backward[cell_key(info.from)] = epoch;
         }
       }
     }
-    for (const auto& cut : cuts) {
-      for (const LinkId link : cut) {
+    for (std::int32_t t = 0; t < len; ++t) {
+      for (const LinkId link : cut(t)) {
         const LinkInfo& info = mesh.link(link);
         PAMR_INVARIANT_ALWAYS(
             "pr-prune",
@@ -345,75 +356,132 @@ struct CommState {
     }
   }
 
-  /// Extracts the unique remaining path once single-path.
-  [[nodiscard]] Path extract_path(const Mesh& mesh) const {
-    Path path;
-    path.src = rect.src();
-    path.snk = rect.snk();
-    path.links.reserve(cuts.size());
+  /// Writes the unique remaining path's links into `path` once single-path.
+  void extract_path(const Mesh& mesh, std::span<LinkId> path) const {
+    PAMR_ASSERT(path.size() == static_cast<std::size_t>(rect.length()));
     Coord at = rect.src();
-    for (const auto& cut : cuts) {
-      PAMR_ASSERT(cut.size() == 1);
-      const LinkInfo& info = mesh.link(cut.front());
+    for (std::int32_t t = 0; t < rect.length(); ++t) {
+      const std::span<const LinkId> live = cut(t);
+      PAMR_ASSERT(live.size() == 1);
+      const LinkInfo& info = mesh.link(live.front());
       PAMR_ASSERT(info.from == at);
-      path.links.push_back(cut.front());
+      path[static_cast<std::size_t>(t)] = live.front();
       at = info.to;
     }
     PAMR_ASSERT(at == rect.snk());
-    return path;
   }
 };
 
-/// Builds the initial per-communication spread states onto `loads`.
-std::vector<CommState> make_states(const Mesh& mesh, const CommSet& comms,
-                                   LinkLoads& loads, bool track_reachability) {
-  std::vector<CommState> states;
-  states.reserve(comms.size());
-  for (const Communication& comm : comms) {
-    states.emplace_back(mesh, comm, track_reachability);
-    states.back().apply_spread(comm.weight, loads);
+/// Every communication's CommState, laid out flat in the workspace: the
+/// allowed flags and the reachability marks take one mesh-sized slice per
+/// communication, the cuts one slot per rectangle link. Building it also
+/// spreads every communication's weight onto `loads` (the initial state).
+class CommStates {
+ public:
+  CommStates(RouteWorkspace::PathRemover& buffers, const Mesh& mesh,
+             const CommSet& comms, LinkLoads& loads, bool track_reachability)
+      : b_(buffers),
+        num_links_(static_cast<std::size_t>(mesh.num_links())),
+        num_cores_(static_cast<std::size_t>(mesh.num_cores())),
+        track_(track_reachability) {
+    b_.rects.clear();
+    b_.depth_base.clear();
+    b_.cut_begin.clear();
+    b_.cut_size.clear();
+    b_.cut_links.clear();
+    for (const Communication& comm : comms) {
+      const CommRect& rect = b_.rects.emplace_back(mesh, comm.src, comm.snk);
+      b_.depth_base.push_back(static_cast<std::uint32_t>(b_.cut_begin.size()));
+      for (std::int32_t t = 0; t < rect.length(); ++t) {
+        b_.cut_begin.push_back(static_cast<std::uint32_t>(b_.cut_links.size()));
+        b_.cut_size.push_back(static_cast<std::uint32_t>(rect.cut_size(t)));
+        rect.for_each_cut_link(t, [this](LinkId link) { b_.cut_links.push_back(link); });
+      }
+    }
+    b_.allowed.assign(comms.size() * num_links_, 0);
+    if (track_) {
+      // Every cell of the full rectangle reaches and is reached — all
+      // marks start true (cells outside the rectangle are never read).
+      b_.forward.assign(comms.size() * num_cores_, 1);
+      b_.backward.assign(comms.size() * num_cores_, 1);
+    }
+    for (std::size_t idx = 0; idx < comms.size(); ++idx) {
+      const CommState state = (*this)[idx];
+      for (std::int32_t t = 0; t < state.rect.length(); ++t) {
+        for (const LinkId link : state.cut(t)) {
+          state.allowed[static_cast<std::size_t>(link)] = 1;
+        }
+      }
+      state.apply_spread(comms[idx].weight, loads);
+    }
   }
-  return states;
-}
 
-std::size_t count_multi_path(const std::vector<CommState>& states) {
-  std::size_t active = 0;
-  for (const auto& state : states) {
-    if (!state.is_single_path()) ++active;
+  [[nodiscard]] std::size_t size() const noexcept { return b_.rects.size(); }
+
+  [[nodiscard]] CommState operator[](std::size_t idx) const {
+    return CommState{b_.rects[idx],
+                     b_.allowed.data() + idx * num_links_,
+                     b_.cut_links.data(),
+                     b_.cut_begin.data() + b_.depth_base[idx],
+                     b_.cut_size.data() + b_.depth_base[idx],
+                     track_ ? b_.forward.data() + idx * num_cores_ : nullptr,
+                     track_ ? b_.backward.data() + idx * num_cores_ : nullptr};
   }
-  return active;
-}
 
-std::vector<Path> extract_paths(const Mesh& mesh,
-                                const std::vector<CommState>& states) {
-  std::vector<Path> paths;
-  paths.reserve(states.size());
-  for (const auto& state : states) paths.push_back(state.extract_path(mesh));
-  return paths;
-}
+  /// Whether communication idx may still use `link`.
+  [[nodiscard]] bool allowed(std::size_t idx, LinkId link) const {
+    return b_.allowed[idx * num_links_ + static_cast<std::size_t>(link)] != 0;
+  }
+
+  [[nodiscard]] std::size_t count_multi_path() const {
+    std::size_t active = 0;
+    for (std::size_t idx = 0; idx < size(); ++idx) {
+      if (!(*this)[idx].is_single_path()) ++active;
+    }
+    return active;
+  }
+
+  /// Writes every communication's remaining path into `paths`.
+  void extract_paths(const Mesh& mesh, PathTable& paths) const {
+    for (std::size_t idx = 0; idx < size(); ++idx) {
+      (*this)[idx].extract_path(mesh, paths.path(idx));
+    }
+  }
+
+ private:
+  RouteWorkspace::PathRemover& b_;
+  std::size_t num_links_;
+  std::size_t num_cores_;
+  bool track_;
+};
 
 }  // namespace
 
 RouteResult PathRemoverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                          const PowerModel& model, RouteGoal goal) const {
-  return mode_ == Mode::kReference ? route_reference(mesh, comms, model)
-                                   : route_incremental(mesh, comms, model, goal);
+                                          const PowerModel& model, RouteGoal goal,
+                                          RouteWorkspace& workspace) const {
+  return mode_ == Mode::kReference
+             ? route_reference(mesh, comms, model, workspace)
+             : route_incremental(mesh, comms, model, goal, workspace);
 }
 
 RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
                                                  const CommSet& comms,
                                                  const PowerModel& model,
-                                                 RouteGoal goal) const {
+                                                 RouteGoal goal,
+                                                 RouteWorkspace& workspace) const {
   const WallTimer timer;
-  LinkLoads loads(mesh);
-  std::vector<CommState> states =
-      make_states(mesh, comms, loads, /*track_reachability=*/true);
+  RouteWorkspace::PathRemover& pr = workspace.pr;
+  LinkLoads& loads = workspace.loads;
+  loads.reset(mesh.num_links());
+  const CommStates states(pr, mesh, comms, loads, /*track_reachability=*/true);
 
   // Forced load per link, tracked for the overload witness only (see file
   // comment); the full rectangle's singleton cuts are forced from the start.
   const bool verdict = goal == RouteGoal::kVerdict;
   const double limit = model.limit();
-  std::vector<double> forced(verdict ? static_cast<std::size_t>(mesh.num_links()) : 0);
+  std::vector<double>& forced = pr.forced;
+  forced.assign(verdict ? static_cast<std::size_t>(mesh.num_links()) : 0, 0.0);
   auto force = [&](LinkId link, double weight) {
     double& load = forced[static_cast<std::size_t>(link)];
     load += weight;
@@ -421,7 +489,9 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
   };
   if (verdict) {
     for (std::size_t idx = 0; idx < states.size(); ++idx) {
-      for (const auto& cut : states[idx].cuts) {
+      const CommState state = states[idx];
+      for (std::int32_t t = 0; t < state.rect.length(); ++t) {
+        const std::span<const LinkId> cut = state.cut(t);
         if (cut.size() == 1 && force(cut.front(), comms[idx].weight)) {
           obs::sample(obs::Metric::kPrRemovalsPerCall, 0);
           return abandon(timer.elapsed_ms());
@@ -433,22 +503,32 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
   // Heaviest-first candidate order within a link (paper: "the largest
   // communication that uses this link"): member lists are filled in
   // by_weight order, so each list stays heaviest-first under compaction.
-  const std::vector<std::size_t> by_weight = order_by_decreasing_weight(comms);
+  std::vector<std::size_t>& by_weight = workspace.order;
+  order_by_decreasing_weight(comms, by_weight);
 
-  LoadIndex index(loads);
+  LoadIndex& index = pr.index;
+  index.reset(loads);
+  for (std::size_t idx = 0; idx < states.size(); ++idx) {
+    const CommState state = states[idx];
+    for (std::int32_t t = 0; t < state.rect.length(); ++t) {
+      for (const LinkId link : state.cut(t)) index.count_member(link);
+    }
+  }
   for (const std::size_t idx : by_weight) {
-    for (const auto& cut : states[idx].cuts) {
-      for (const LinkId link : cut) {
+    const CommState state = states[idx];
+    for (std::int32_t t = 0; t < state.rect.length(); ++t) {
+      for (const LinkId link : state.cut(t)) {
         index.add_member(link, static_cast<std::uint32_t>(idx));
       }
     }
   }
 
-  std::size_t active = count_multi_path(states);
-  PruneScratch scratch(static_cast<std::size_t>(mesh.num_cores()));
-  TouchLog log(static_cast<std::size_t>(mesh.num_links()));
-  std::vector<LinkId> changed;
-  std::vector<LinkId> singled;
+  std::size_t active = states.count_multi_path();
+  PruneScratch scratch(pr, static_cast<std::size_t>(mesh.num_cores()));
+  TouchLog& log = pr.log;
+  log.reset(static_cast<std::size_t>(mesh.num_links()));
+  std::vector<LinkId>& changed = pr.changed;
+  std::vector<LinkId>& singled = pr.singled;
   std::size_t removals = 0;
 
   const std::size_t none = states.size();
@@ -463,21 +543,21 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
       const LinkId cand = index.top();
       if (loads.load(cand) <= 0.0) break;  // same early break as the reference
       const Coord tail = mesh.link(cand).from;
-      auto& members = index.members(cand);
+      const std::span<std::uint32_t> members = index.members(cand);
       std::size_t keep = 0;
       for (const std::uint32_t idx : members) {
-        CommState& state = states[idx];
-        if (state.allowed[static_cast<std::size_t>(cand)] == 0) continue;  // compact away
+        if (!states.allowed(idx, cand)) continue;  // compact away
         members[keep++] = idx;
         if (chosen != none) continue;  // found earlier; just finish compacting
+        const CommState state = states[idx];
         const std::int32_t t = state.rect.depth(tail);
         PAMR_ASSERT(t >= 0);
-        if (state.cuts[static_cast<std::size_t>(t)].size() >= 2) {
+        if (state.cut(t).size() >= 2) {
           chosen = idx;
           depth = t;
         }
       }
-      members.resize(keep);
+      index.truncate_members(cand, keep);
       if (chosen != none) {
         link = cand;
         break;
@@ -491,11 +571,11 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
     PAMR_ASSERT_MSG(link != kInvalidLink,
                     "no removable link found while communications remain multi-path");
 
-    CommState& state = states[chosen];
+    const CommState state = states[chosen];
     const double weight = comms[chosen].weight;
     state.apply_spread_tracked(-weight, loads, log);
     state.allowed[static_cast<std::size_t>(link)] = 0;
-    std::erase(state.cuts[static_cast<std::size_t>(depth)], link);
+    state.erase_from_cut(depth, [link](LinkId l) { return l == link; });
     singled.clear();
     state.prune_after_removal(mesh, depth, scratch, singled);
     state.apply_spread_tracked(weight, loads, log);
@@ -515,17 +595,17 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
   }
 
   obs::sample(obs::Metric::kPrRemovalsPerCall, removals);
-  return finish(mesh, comms, model,
-                make_single_path_routing(comms, extract_paths(mesh, states)),
-                timer.elapsed_ms());
+  workspace.paths.reset(comms);
+  states.extract_paths(mesh, workspace.paths);
+  return finish(mesh, comms, model, workspace, timer.elapsed_ms());
 }
 
 RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& comms,
-                                               const PowerModel& model) const {
+                                               const PowerModel& model,
+                                               RouteWorkspace& workspace) const {
   const WallTimer timer;
   LinkLoads loads(mesh);
-  std::vector<CommState> states =
-      make_states(mesh, comms, loads, /*track_reachability=*/false);
+  const CommStates states(workspace.pr, mesh, comms, loads, /*track_reachability=*/false);
 
   // Heaviest-first candidate order within a link (paper: "the largest
   // communication that uses this link").
@@ -534,8 +614,8 @@ RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& 
   std::vector<LinkId> order(static_cast<std::size_t>(mesh.num_links()));
   std::iota(order.begin(), order.end(), LinkId{0});
 
-  std::size_t active = count_multi_path(states);
-  PruneScratch scratch(static_cast<std::size_t>(mesh.num_cores()));
+  std::size_t active = states.count_multi_path();
+  PruneScratch scratch(workspace.pr, static_cast<std::size_t>(mesh.num_cores()));
   std::size_t removals = 0;
 
   while (active > 0) {
@@ -547,8 +627,8 @@ RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& 
     for (const LinkId link : order) {
       if (loads.load(link) <= 0.0) break;
       for (const std::size_t index : by_weight) {
-        CommState& state = states[index];
-        if (state.allowed[static_cast<std::size_t>(link)] == 0) continue;
+        if (!states.allowed(index, link)) continue;
+        const CommState state = states[index];
         // Find the cut containing this link; removable iff it keeps ≥ 2
         // links (see file comment: in the monotone DAG this preserves
         // src→snk connectivity).
@@ -557,12 +637,11 @@ RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& 
           return state.rect.depth(info.from);
         }();
         PAMR_ASSERT(t >= 0);
-        auto& cut = state.cuts[static_cast<std::size_t>(t)];
-        if (cut.size() < 2) continue;
+        if (state.cut(t).size() < 2) continue;
 
         state.apply_spread(-comms[index].weight, loads);
         state.allowed[static_cast<std::size_t>(link)] = 0;
-        std::erase(cut, link);
+        state.erase_from_cut(t, [link](LinkId l) { return l == link; });
         state.prune(mesh, scratch);
         state.apply_spread(comms[index].weight, loads);
         ++removals;
@@ -578,9 +657,9 @@ RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& 
   }
 
   obs::sample(obs::Metric::kPrRemovalsPerCall, removals);
-  return finish(mesh, comms, model,
-                make_single_path_routing(comms, extract_paths(mesh, states)),
-                timer.elapsed_ms());
+  workspace.paths.reset(comms);
+  states.extract_paths(mesh, workspace.paths);
+  return finish(mesh, comms, model, workspace, timer.elapsed_ms());
 }
 
 }  // namespace pamr

@@ -14,7 +14,8 @@ namespace pamr {
 
 RouteResult RipUpRerouteRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                            const PowerModel& model,
-                                           RouteGoal /*goal*/) const {
+                                           RouteGoal /*goal*/,
+                                           RouteWorkspace& /*workspace*/) const {
   const WallTimer timer;
   const LoadCost cost(model, mesh.num_links());
   LinkLoads loads(mesh);

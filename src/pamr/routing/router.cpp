@@ -3,6 +3,7 @@
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
+#include "pamr/routing/workspace.hpp"
 #include "pamr/util/assert.hpp"
 
 namespace pamr {
@@ -27,41 +28,71 @@ std::vector<RouterKind> all_base_routers() {
 
 RouteResult Router::route(const Mesh& mesh, const CommSet& comms,
                           const PowerModel& model, RouteGoal goal) const {
+  RouteWorkspace workspace;
+  return route(mesh, comms, model, goal, workspace);
+}
+
+RouteResult Router::route(const Mesh& mesh, const CommSet& comms,
+                          const PowerModel& model, RouteGoal goal,
+                          RouteWorkspace& workspace) const {
   check_comm_set(mesh, comms);
   obs::bump(obs::Metric::kRouteCalls);
   const obs::PhaseScope phase(obs::route_phase(name()));
-  RouteResult result = route_impl(mesh, comms, model, goal);
+  RouteResult result = route_impl(mesh, comms, model, goal, workspace);
 #if PAMR_CHECK_LEVEL >= 2
   if (goal == RouteGoal::kVerdict && !result.routing.has_value()) {
     // The witness must not lie: the full routing is invalid as well. Muted,
     // so the re-run leaves the deterministic counters as they were.
     const obs::MuteScope mute;
-    PAMR_INVARIANT("route-abandon",
-                   !route_impl(mesh, comms, model, RouteGoal::kRouting).valid,
+    RouteResult full = route_impl(mesh, comms, model, RouteGoal::kRouting, workspace);
+    PAMR_INVARIANT("route-abandon", !full.valid,
                    "an abandoned route call's full routing is valid");
+    workspace.recycle(full);
   }
 #endif
   return result;
 }
 
-RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
-                           const PowerModel& model, Routing routing,
-                           double elapsed_ms) {
-  RouteResult result;
-  result.elapsed_ms = elapsed_ms;
+namespace {
+
+/// finish()'s verdict on a structurally checked routing, priced on `loads`.
+void price(const Mesh& mesh, const CommSet& comms, const PowerModel& model,
+           const Routing& routing, LinkLoads& loads, RouteResult& result) {
   // All §5 heuristics are single-path; multi-path callers go through the
   // opt/ layer which validates with its own s. Structure must always hold —
   // a structurally broken routing is a bug, not a "failure".
   const ValidationResult structure = validate_structure(mesh, comms, routing, 1);
   PAMR_ASSERT_MSG(structure.ok, structure.error.c_str());
 
-  const LinkLoads loads = loads_of_routing(mesh, routing);
+  loads.reset(mesh.num_links());
+  loads.add_routing(routing);
   if (const auto breakdown = model.breakdown(loads.values()); breakdown.has_value()) {
     result.valid = true;
     result.power = breakdown->total;
     result.breakdown = *breakdown;
   }
+}
+
+}  // namespace
+
+RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
+                           const PowerModel& model, Routing routing,
+                           double elapsed_ms) {
+  RouteResult result;
+  result.elapsed_ms = elapsed_ms;
+  LinkLoads loads;
+  price(mesh, comms, model, routing, loads, result);
   result.routing = std::move(routing);
+  return result;
+}
+
+RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
+                           const PowerModel& model, RouteWorkspace& workspace,
+                           double elapsed_ms) {
+  RouteResult result;
+  result.elapsed_ms = elapsed_ms;
+  result.routing = workspace.single_path_routing(comms);
+  price(mesh, comms, model, *result.routing, workspace.final_loads, result);
   return result;
 }
 

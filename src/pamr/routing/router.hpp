@@ -75,6 +75,8 @@ struct RouteResult {
   }
 };
 
+class RouteWorkspace;  // routing/workspace.hpp
+
 class Router {
  public:
   virtual ~Router() = default;
@@ -89,20 +91,36 @@ class Router {
   /// their arguments. `goal` is the per-call contract of RouteGoal; at
   /// PAMR_CHECK_LEVEL >= 2 every abandoned call re-runs the full routing
   /// (with telemetry muted) and asserts that it is invalid.
+  ///
+  /// This form builds a call-local RouteWorkspace for the call.
   [[nodiscard]] RouteResult route(const Mesh& mesh, const CommSet& comms,
                                   const PowerModel& model,
                                   RouteGoal goal = RouteGoal::kRouting) const;
 
+  /// The same call on a caller-owned workspace, whose buffers it reuses
+  /// (see routing/workspace.hpp). The result is bit-identical to the form
+  /// above; hand its routing back with RouteWorkspace::recycle when done.
+  [[nodiscard]] RouteResult route(const Mesh& mesh, const CommSet& comms,
+                                  const PowerModel& model, RouteGoal goal,
+                                  RouteWorkspace& workspace) const;
+
  protected:
-  /// Policy body; `comms` has already passed check_comm_set.
+  /// Policy body; `comms` has already passed check_comm_set. Policies
+  /// without per-call scratch ignore `workspace`.
   [[nodiscard]] virtual RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                               const PowerModel& model,
-                                               RouteGoal goal) const = 0;
+                                               const PowerModel& model, RouteGoal goal,
+                                               RouteWorkspace& workspace) const = 0;
 
   /// Shared epilogue: validates, evaluates power and stamps the result.
   [[nodiscard]] static RouteResult finish(const Mesh& mesh, const CommSet& comms,
                                           const PowerModel& model, Routing routing,
                                           double elapsed_ms);
+
+  /// finish() of the single-path routing held in workspace.paths, built in
+  /// recycled storage and priced on workspace.final_loads.
+  [[nodiscard]] static RouteResult finish(const Mesh& mesh, const CommSet& comms,
+                                          const PowerModel& model,
+                                          RouteWorkspace& workspace, double elapsed_ms);
 
   /// The result of an abandoned kVerdict call (invalid, no routing); bumps
   /// route.abandoned.

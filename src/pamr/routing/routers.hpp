@@ -16,8 +16,8 @@ class XYRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model,
-                                       RouteGoal goal) const override;
+                                       const PowerModel& model, RouteGoal goal,
+                                       RouteWorkspace& workspace) const override;
 };
 
 /// SG — simple greedy (§5.1): communications by decreasing weight, path
@@ -29,8 +29,8 @@ class SimpleGreedyRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model,
-                                       RouteGoal goal) const override;
+                                       const PowerModel& model, RouteGoal goal,
+                                       RouteWorkspace& workspace) const override;
 };
 
 /// IG — improved greedy (§5.2): virtual diagonal-spread pre-routing, then
@@ -57,13 +57,13 @@ class ImprovedGreedyRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model,
-                                       RouteGoal goal) const override;
+                                       const PowerModel& model, RouteGoal goal,
+                                       RouteWorkspace& workspace) const override;
 
  private:
   [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model,
-                                              RouteGoal goal) const;
+                                              const PowerModel& model, RouteGoal goal,
+                                              RouteWorkspace& workspace) const;
   [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
                                             const PowerModel& model) const;
 
@@ -78,8 +78,8 @@ class TwoBendRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model,
-                                       RouteGoal goal) const override;
+                                       const PowerModel& model, RouteGoal goal,
+                                       RouteWorkspace& workspace) const override;
 };
 
 /// Test/diagnostic hook for XYImproverRouter: while attached, both modes
@@ -115,12 +115,13 @@ class XYImproverRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model,
-                                       RouteGoal goal) const override;
+                                       const PowerModel& model, RouteGoal goal,
+                                       RouteWorkspace& workspace) const override;
 
  private:
   [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model) const;
+                                              const PowerModel& model,
+                                              RouteWorkspace& workspace) const;
   [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
                                             const PowerModel& model) const;
 
@@ -151,15 +152,16 @@ class PathRemoverRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model,
-                                       RouteGoal goal) const override;
+                                       const PowerModel& model, RouteGoal goal,
+                                       RouteWorkspace& workspace) const override;
 
  private:
   [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model,
-                                              RouteGoal goal) const;
+                                              const PowerModel& model, RouteGoal goal,
+                                              RouteWorkspace& workspace) const;
   [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
-                                            const PowerModel& model) const;
+                                            const PowerModel& model,
+                                            RouteWorkspace& workspace) const;
 
   Mode mode_;
 };
@@ -172,8 +174,8 @@ class BestRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model,
-                                       RouteGoal goal) const override;
+                                       const PowerModel& model, RouteGoal goal,
+                                       RouteWorkspace& workspace) const override;
 };
 
 }  // namespace pamr

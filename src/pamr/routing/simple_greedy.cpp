@@ -19,6 +19,7 @@
 #include "pamr/mesh/rectangle.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
+#include "pamr/routing/workspace.hpp"
 #include "pamr/util/assert.hpp"
 #include "pamr/util/timer.hpp"
 
@@ -41,19 +42,23 @@ std::int64_t diagonal_deviation(Coord src, Coord snk, Coord c) noexcept {
 }  // namespace
 
 RouteResult SimpleGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                           const PowerModel& model,
-                                           RouteGoal goal) const {
+                                           const PowerModel& model, RouteGoal goal,
+                                           RouteWorkspace& workspace) const {
   // SG looks only at loads, not at powers; the model only bounds a witness.
   const WallTimer timer;
   const bool verdict = goal == RouteGoal::kVerdict;
   const double limit = model.limit();
-  LinkLoads loads(mesh);
-  std::vector<Path> paths(comms.size());
+  LinkLoads& loads = workspace.loads;
+  loads.reset(mesh.num_links());
+  PathTable& paths = workspace.paths;
+  paths.reset(comms);
 
-  for (const std::size_t index : order_by_decreasing_weight(comms)) {
+  order_by_decreasing_weight(comms, workspace.order);
+  for (const std::size_t index : workspace.order) {
     const Communication& comm = comms[index];
     const CommRect rect(mesh, comm.src, comm.snk);
-    std::vector<Coord> cores{comm.src};
+    const std::span<LinkId> path = paths.path(index);
+    std::size_t hop = 0;
     Coord at = comm.src;
     while (at != comm.snk) {
       const auto steps = rect.next_steps(at);
@@ -77,14 +82,12 @@ RouteResult SimpleGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comm
       if (verdict && PowerModel::proven_overload(loads.load(chosen->link), limit)) {
         return abandon(timer.elapsed_ms());
       }
-      cores.push_back(chosen->to);
+      path[hop++] = chosen->link;
       at = chosen->to;
     }
-    paths[index] = path_from_cores(mesh, cores);
   }
 
-  return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),
-                timer.elapsed_ms());
+  return finish(mesh, comms, model, workspace, timer.elapsed_ms());
 }
 
 }  // namespace pamr

@@ -20,6 +20,7 @@
 #include "pamr/mesh/rectangle.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
+#include "pamr/routing/workspace.hpp"
 #include "pamr/util/assert.hpp"
 #include "pamr/util/timer.hpp"
 
@@ -27,24 +28,27 @@ namespace pamr {
 
 namespace {
 
-Path staircase_path(const Mesh& mesh, Coord src, Coord snk, bool horizontal_first,
-                    std::int32_t turn) {
-  // horizontal_first: H to column `turn`, V to snk.u, H to snk.v.
-  // !horizontal_first: V to row `turn`, H to snk.v, V to snk.u.
-  std::vector<Coord> cores{src};
+/// Calls f(link) for each link of a ≤2-bend staircase from src to snk, in
+/// path order. horizontal_first: H to column `turn`, V to snk.u, H to
+/// snk.v. !horizontal_first: V to row `turn`, H to snk.v, V to snk.u.
+template <class F>
+void for_each_staircase_link(const Mesh& mesh, Coord src, Coord snk,
+                             bool horizontal_first, std::int32_t turn, F&& f) {
   Coord at = src;
   auto advance_v = [&](std::int32_t target) {
     const std::int32_t s = sign_of(target - at.v);
     while (at.v != target) {
-      at.v += s;
-      cores.push_back(at);
+      const Coord to{at.u, at.v + s};
+      f(mesh.link_between(at, to));
+      at = to;
     }
   };
   auto advance_u = [&](std::int32_t target) {
     const std::int32_t s = sign_of(target - at.u);
     while (at.u != target) {
-      at.u += s;
-      cores.push_back(at);
+      const Coord to{at.u + s, at.v};
+      f(mesh.link_between(at, to));
+      at = to;
     }
   };
   if (horizontal_first) {
@@ -56,74 +60,80 @@ Path staircase_path(const Mesh& mesh, Coord src, Coord snk, bool horizontal_firs
     advance_v(snk.v);
     advance_u(snk.u);
   }
-  return path_from_cores(mesh, cores);
 }
 
-/// All distinct ≤2-bend Manhattan paths, XY first (deterministic tie winner).
-std::vector<Path> two_bend_paths(const Mesh& mesh, Coord src, Coord snk) {
-  std::vector<Path> paths;
-  if (src == snk) {
-    paths.push_back(Path{src, snk, {}});
-    return paths;
-  }
+/// Calls f(horizontal_first, turn) for every distinct ≤2-bend Manhattan
+/// path, XY first (the deterministic tie winner). A straight line has one:
+/// the XY path, which is the horizontal-first staircase turning at snk.v.
+template <class F>
+void for_each_two_bend_path(Coord src, Coord snk, F&& f) {
   if (src.u == snk.u || src.v == snk.v) {
-    paths.push_back(xy_path(mesh, src, snk));  // straight line
-    return paths;
+    f(true, snk.v);
+    return;
   }
   const std::int32_t sv = sign_of(snk.v - src.v);
   // H-V-H family: turning column from v_snk (XY) back to v_src (VH).
-  for (std::int32_t m = snk.v; m != src.v - sv; m -= sv) {
-    paths.push_back(staircase_path(mesh, src, snk, /*horizontal_first=*/true, m));
-  }
+  for (std::int32_t m = snk.v; m != src.v - sv; m -= sv) f(true, m);
   // V-H-V family, interior turning rows only (endpoints duplicate XY / VH).
   const std::int32_t su = sign_of(snk.u - src.u);
-  for (std::int32_t r = src.u + su; r != snk.u; r += su) {
-    paths.push_back(staircase_path(mesh, src, snk, /*horizontal_first=*/false, r));
-  }
-  return paths;
+  for (std::int32_t r = src.u + su; r != snk.u; r += su) f(false, r);
 }
 
 }  // namespace
 
 RouteResult TwoBendRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                      const PowerModel& model, RouteGoal goal) const {
+                                      const PowerModel& model, RouteGoal goal,
+                                      RouteWorkspace& workspace) const {
   const WallTimer timer;
   const LoadCost cost(model, mesh.num_links());
   const bool verdict = goal == RouteGoal::kVerdict;
   const double limit = model.limit();
-  LinkLoads loads(mesh);
-  std::vector<Path> paths(comms.size());
+  LinkLoads& loads = workspace.loads;
+  loads.reset(mesh.num_links());
+  PathTable& paths = workspace.paths;
+  paths.reset(comms);
 
-  for (const std::size_t index : order_by_decreasing_weight(comms)) {
+  order_by_decreasing_weight(comms, workspace.order);
+  for (const std::size_t index : workspace.order) {
     const Communication& comm = comms[index];
-    const auto candidates = two_bend_paths(mesh, comm.src, comm.snk);
-    PAMR_ASSERT(!candidates.empty());
-    const Path* best = nullptr;
+    // Every candidate is costed by walking its links in path order, the
+    // order the delta sum accumulates in; strict < keeps the first best.
+    bool best_horizontal_first = true;
+    std::int32_t best_turn = 0;
     double best_delta = std::numeric_limits<double>::infinity();
-    for (const Path& candidate : candidates) {
+    bool found = false;
+    for_each_two_bend_path(comm.src, comm.snk, [&](bool horizontal_first,
+                                                   std::int32_t turn) {
       double delta = 0.0;
-      for (const LinkId link : candidate.links) {
-        delta += cost.delta(loads.load(link), loads.load(link) + comm.weight);
-      }
+      for_each_staircase_link(mesh, comm.src, comm.snk, horizontal_first, turn,
+                              [&](LinkId link) {
+                                delta += cost.delta(loads.load(link),
+                                                    loads.load(link) + comm.weight);
+                              });
       if (delta < best_delta) {
         best_delta = delta;
-        best = &candidate;
+        best_horizontal_first = horizontal_first;
+        best_turn = turn;
+        found = true;
       }
-    }
-    PAMR_ASSERT(best != nullptr);
-    loads.add_path(*best, comm.weight);
+    });
+    PAMR_ASSERT(found);
+    const std::span<LinkId> path = paths.path(index);
+    std::size_t hop = 0;
+    for_each_staircase_link(mesh, comm.src, comm.snk, best_horizontal_first, best_turn,
+                            [&](LinkId link) { path[hop++] = link; });
+    PAMR_ASSERT(hop == path.size());
+    for (const LinkId link : path) loads.add(link, comm.weight);
     if (verdict) {
-      for (const LinkId link : best->links) {
+      for (const LinkId link : path) {
         if (PowerModel::proven_overload(loads.load(link), limit)) {
           return abandon(timer.elapsed_ms());
         }
       }
     }
-    paths[index] = *best;
   }
 
-  return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),
-                timer.elapsed_ms());
+  return finish(mesh, comms, model, workspace, timer.elapsed_ms());
 }
 
 }  // namespace pamr

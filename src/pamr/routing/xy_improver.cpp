@@ -38,10 +38,10 @@
 namespace pamr {
 
 RouteResult XYImproverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                         const PowerModel& model,
-                                         RouteGoal /*goal*/) const {
+                                         const PowerModel& model, RouteGoal /*goal*/,
+                                         RouteWorkspace& workspace) const {
   return mode_ == Mode::kReference ? route_reference(mesh, comms, model)
-                                   : route_incremental(mesh, comms, model);
+                                   : route_incremental(mesh, comms, model, workspace);
 }
 
 RouteResult XYImproverRouter::route_reference(const Mesh& mesh, const CommSet& comms,

@@ -46,6 +46,7 @@
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/load_index.hpp"
 #include "pamr/routing/routers.hpp"
+#include "pamr/routing/workspace.hpp"
 #include "pamr/routing/xy_moves.hpp"
 #include "pamr/util/assert.hpp"
 #include "pamr/util/timer.hpp"
@@ -66,46 +67,70 @@ bool same_candidate(const xyi::Candidate& a, const xyi::Candidate& b) {
 #endif
 
 RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet& comms,
-                                                const PowerModel& model) const {
+                                                const PowerModel& model,
+                                                RouteWorkspace& workspace) const {
   const WallTimer timer;
   const LoadCost cost(model, mesh.num_links());
+  RouteWorkspace::XyImprover& ws = workspace.xyi;
 
-  std::vector<std::vector<Coord>> paths;
-  paths.reserve(comms.size());
-  // Per-comm link ids parallel to paths (path_links[ci][k] joins
-  // paths[ci][k] and paths[ci][k+1]), maintained under applied moves so the
-  // window walks read the removed-side link id instead of resolving it.
-  std::vector<std::vector<LinkId>> path_links;
-  path_links.reserve(comms.size());
-  LinkLoads loads(mesh);
-  for (const Communication& comm : comms) {
-    Path path = xy_path(mesh, comm.src, comm.snk);
-    paths.push_back(cores_of_path(mesh, path));
-    loads.add_path(path, comm.weight);
-    path_links.push_back(std::move(path.links));
+  // Path ci as visited cores, and its link ids (path_links(ci)[k] joins
+  // cores k and k+1), maintained under applied moves so the window walks
+  // read the removed-side link id instead of resolving it. Both are flat:
+  // rotations preserve a path's length, so every path keeps its slot.
+  PathTable& link_table = workspace.paths;
+  link_table.reset(comms);
+  std::vector<Coord>& core_table = ws.cores;
+  core_table.resize(link_table.offset(comms.size()) + comms.size());
+  const auto cores_of = [&](std::size_t ci) {
+    const std::size_t begin = link_table.offset(ci) + ci;
+    return std::span<Coord>(core_table.data() + begin, link_table.path(ci).size() + 1);
+  };
+  const auto path_links = [&](std::size_t ci) { return link_table.path(ci); };
+  LinkLoads& loads = workspace.loads;
+  loads.reset(mesh.num_links());
+  for (std::size_t ci = 0; ci < comms.size(); ++ci) {
+    const Communication& comm = comms[ci];
+    const std::span<LinkId> links = path_links(ci);
+    write_xy_path(mesh, comm.src, comm.snk, links);
+    const std::span<Coord> cores = cores_of(ci);
+    cores[0] = comm.src;
+    for (std::size_t k = 0; k < links.size(); ++k) {
+      const LinkInfo& info = mesh.link(links[k]);
+      PAMR_CHECK(info.from == cores[k], "disconnected link chain");
+      cores[k + 1] = info.to;
+      loads.add(links[k], comm.weight);
+    }
   }
 
   // == the reference's first resort(): identity order stably sorted by the
   // initial loads.
-  LoadIndex index(loads);
-  LoadIndex::Walk walk(index);
-  CrossingIndex crossings(mesh, comms.size());
+  LoadIndex& index = ws.index;
+  index.reset(loads);
+  LoadIndex::Walk& walk = ws.walk;
+  walk.restart();
+  CrossingIndex& crossings = ws.crossings;
+  crossings.reset(mesh, comms.size());
   for (std::size_t ci = 0; ci < comms.size(); ++ci) {
-    crossings.add_initial_path(static_cast<std::uint32_t>(ci), paths[ci]);
+    crossings.count_initial_path(cores_of(ci));
+  }
+  for (std::size_t ci = 0; ci < comms.size(); ++ci) {
+    crossings.add_initial_path(static_cast<std::uint32_t>(ci), cores_of(ci));
   }
 
   // cost(load) of every link at its current load — the unrotated side of
   // every delta term in the windowed evaluation (see xy_moves.hpp).
-  std::vector<double> cost_now(static_cast<std::size_t>(mesh.num_links()));
+  std::vector<double>& cost_now = ws.cost_now;
+  cost_now.resize(static_cast<std::size_t>(mesh.num_links()));
   for (std::size_t l = 0; l < cost_now.size(); ++l) {
     cost_now[l] = cost(loads.load(static_cast<LinkId>(l)));
   }
 
   const std::size_t cap = xyi::move_cap(mesh, comms.size());
   std::size_t moves = 0;
-  TouchLog log(static_cast<std::size_t>(mesh.num_links()));
-  std::vector<LinkId> changed;
-  std::vector<Coord> old_cores;
+  TouchLog& log = ws.log;
+  log.reset(static_cast<std::size_t>(mesh.num_links()));
+  std::vector<LinkId>& changed = ws.changed;
+  std::vector<Coord>& old_cores = ws.old_cores;
 
   // Counter totals, bumped in bulk after the descent: three obs calls per
   // route instead of one per member-scan iteration (tens of millions on an
@@ -118,8 +143,8 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   // Recomputes one member's candidate from scratch, bypassing every cache.
   const auto fresh_candidate = [&](LinkId link, std::uint32_t ci) {
     const LinkInfo& info = mesh.link(link);
-    return xyi::best_candidate(mesh, paths[ci], path_links[ci],
-                               xyi::known_crossing_position(paths[ci], info),
+    return xyi::best_candidate(mesh, cores_of(ci), path_links(ci),
+                               xyi::known_crossing_position(cores_of(ci), info),
                                !info.horizontal(), comms[ci].weight, loads, cost,
                                cost_now);
   };
@@ -164,9 +189,8 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
       // Ascending-member scan with strict < — the reference's order and
       // tie-break — folding cached candidate deltas for fresh members and
       // recomputing only the genuinely dirty ones.
-      const auto& member_list = crossings.members(hot);
-      auto& hots = crossings.hot_slots(hot);
-      auto& colds = crossings.cold_slots(hot);
+      const std::span<const std::uint32_t> member_list = crossings.members(hot);
+      const std::span<CrossingIndex::SlotHot> hots = crossings.hot_slots(hot);
       for (std::size_t m = 0; m < member_list.size(); ++m) {
         const std::uint32_t ci = member_list[m];
         CrossingIndex::SlotHot& slot = hots[m];
@@ -174,18 +198,18 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
           ++n_hits;
         } else {
           const std::uint64_t epoch = crossings.epoch();
-          CrossingIndex::SlotCold& cold = colds[m];
+          const std::size_t pos = xyi::known_crossing_position(cores_of(ci), hot_info);
+          CrossingIndex::SlotCold& cold = crossings.cold_slot(ci, pos);
           bool recomputed = false;
           if (cold.spec_stamp == 0 || crossings.path_epoch(ci) > cold.spec_stamp) {
             // Path rewritten (or first sight): rotations themselves may have
             // changed — recompute the whole slot.
-            const xyi::CandidateSpecs specs = xyi::candidate_specs(
-                paths[ci], xyi::known_crossing_position(paths[ci], hot_info),
-                hot_vertical);
+            const xyi::CandidateSpecs specs =
+                xyi::candidate_specs(cores_of(ci), pos, hot_vertical);
             cold.count = specs.count;
             for (std::uint8_t c = 0; c < specs.count; ++c) {
               cold.cand[c] = xyi::eval_candidate(
-                  mesh, paths[ci], path_links[ci], specs.j[c], specs.i[c],
+                  mesh, cores_of(ci), path_links(ci), specs.j[c], specs.i[c],
                   specs.forward[c], comms[ci].weight, loads, cost, cost_now);
               cold.cstamp[c] = epoch;
             }
@@ -199,7 +223,7 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
               if (cold.cstamp[c] >= dirty) continue;  // this side untouched
               const xyi::Candidate& cached = cold.cand[c];
               cold.cand[c] = xyi::eval_candidate(
-                  mesh, paths[ci], path_links[ci], cached.j, cached.i,
+                  mesh, cores_of(ci), path_links(ci), cached.j, cached.i,
                   cached.forward, comms[ci].weight, loads, cost, cost_now);
               cold.cstamp[c] = epoch;
               recomputed = true;
@@ -216,16 +240,15 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
           // Paranoid: every cached candidate — reused or recomputed — must
           // match a from-scratch evaluation bit for bit.
           {
-            const xyi::CandidateSpecs specs = xyi::candidate_specs(
-                paths[ci], xyi::known_crossing_position(paths[ci], hot_info),
-                hot_vertical);
+            const xyi::CandidateSpecs specs =
+                xyi::candidate_specs(cores_of(ci), pos, hot_vertical);
             PAMR_INVARIANT("xyi-slot-cache", specs.count == cold.count,
                            "cached candidate count diverged from the path shape");
             for (std::uint8_t c = 0; c < specs.count; ++c) {
               PAMR_INVARIANT(
                   "xyi-slot-cache",
                   same_candidate(
-                      xyi::eval_candidate(mesh, paths[ci], path_links[ci], specs.j[c],
+                      xyi::eval_candidate(mesh, cores_of(ci), path_links(ci), specs.j[c],
                                           specs.i[c], specs.forward[c],
                                           comms[ci].weight, loads, cost, cost_now),
                       cold.cand[c]),
@@ -246,9 +269,10 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
     }
 
     if (best.delta < -xyi::kImproveEps) {
-      old_cores = std::move(paths[best_comm]);
-      paths[best_comm] = xyi::materialize(old_cores, best);
-      const auto& cores = paths[best_comm];
+      const std::span<Coord> cores = cores_of(best_comm);
+      old_cores.assign(cores.begin(), cores.end());
+      xyi::materialize(old_cores, best, cores);
+      const std::span<LinkId> links = path_links(best_comm);
       const double weight = comms[best_comm].weight;
       for (std::size_t k = 0; k + 1 < old_cores.size(); ++k) {
         const LinkId link = mesh.link_between(old_cores[k], old_cores[k + 1]);
@@ -257,7 +281,7 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
       }
       for (std::size_t k = 0; k + 1 < cores.size(); ++k) {
         const LinkId link = mesh.link_between(cores[k], cores[k + 1]);
-        path_links[best_comm][k] = link;  // rotations preserve path length
+        links[k] = link;  // rotations preserve path length
         log.record(link, loads.load(link));
         loads.add(link, weight);
       }
@@ -280,13 +304,10 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   obs::bump(obs::Metric::kXyiEvalHits, n_hits);
   obs::bump(obs::Metric::kXyiEvalMisses, n_misses);
   obs::bump(obs::Metric::kXyiVerdictSkips, n_fold_skips);
-  std::vector<Path> final_paths;
-  final_paths.reserve(comms.size());
-  for (const auto& cores : paths) final_paths.push_back(path_from_cores(mesh, cores));
+  // The final paths are path_links: every entry is link_between of its
+  // two cores, set when the path was built or last rewritten.
   obs::sample(obs::Metric::kXyiMovesPerCall, moves);
-  RouteResult result = finish(mesh, comms, model,
-                              make_single_path_routing(comms, std::move(final_paths)),
-                              timer.elapsed_ms());
+  RouteResult result = finish(mesh, comms, model, workspace, timer.elapsed_ms());
   xyi::finish_search_stats(result, mesh, comms.size(), moves, cap);
   return result;
 }

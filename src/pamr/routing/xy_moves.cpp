@@ -11,7 +11,7 @@ namespace pamr::xyi {
 
 namespace {
 
-bool step_is_vertical(const std::vector<Coord>& cores, std::size_t k) {
+bool step_is_vertical(std::span<const Coord> cores, std::size_t k) {
   return cores[k].v == cores[k + 1].v;
 }
 
@@ -24,7 +24,7 @@ struct CandidateBounds {
   std::size_t next = 0;
 };
 
-CandidateBounds candidate_bounds(const std::vector<Coord>& cores, std::size_t i,
+CandidateBounds candidate_bounds(std::span<const Coord> cores, std::size_t i,
                                  bool hot_vertical) {
   CandidateBounds bounds;
   std::size_t prev = i;
@@ -53,7 +53,7 @@ CandidateBounds candidate_bounds(const std::vector<Coord>& cores, std::size_t i,
 /// permutation stays inside the source/sink rectangle, so the full
 /// adjacency checks can never fire. Neither shortcut changes a bit of the
 /// accumulated delta.
-double candidate_delta(const Mesh& mesh, const std::vector<Coord>& cores,
+double candidate_delta(const Mesh& mesh, std::span<const Coord> cores,
                        std::span<const LinkId> links, std::size_t j, std::size_t i,
                        bool forward, double weight, const LinkLoads& loads,
                        const LoadCost& cost, std::span<const double> cost_now) {
@@ -84,7 +84,7 @@ double candidate_delta(const Mesh& mesh, const std::vector<Coord>& cores,
 
 }  // namespace
 
-CandidateSpecs candidate_specs(const std::vector<Coord>& cores, std::size_t pos,
+CandidateSpecs candidate_specs(std::span<const Coord> cores, std::size_t pos,
                                bool hot_vertical) {
   const CandidateBounds bounds = candidate_bounds(cores, pos, hot_vertical);
   CandidateSpecs specs;
@@ -105,7 +105,7 @@ CandidateSpecs candidate_specs(const std::vector<Coord>& cores, std::size_t pos,
   return specs;
 }
 
-Candidate eval_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
+Candidate eval_candidate(const Mesh& mesh, std::span<const Coord> cores,
                          std::span<const LinkId> links, std::uint32_t j,
                          std::uint32_t i, bool forward, double weight,
                          const LinkLoads& loads, const LoadCost& cost,
@@ -115,7 +115,7 @@ Candidate eval_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
   return Candidate{delta, j, i, forward};
 }
 
-std::vector<Coord> rotate_block(const std::vector<Coord>& cores, std::size_t j,
+std::vector<Coord> rotate_block(std::span<const Coord> cores, std::size_t j,
                                 std::size_t i, bool forward) {
   // Steps are cores[k] -> cores[k+1]; rebuild the cores between j and i+1.
   std::vector<Coord> out(cores.begin(), cores.begin() + static_cast<std::ptrdiff_t>(j) + 1);
@@ -135,8 +135,8 @@ std::vector<Coord> rotate_block(const std::vector<Coord>& cores, std::size_t j,
   return out;
 }
 
-double path_swap_delta(const Mesh& mesh, const std::vector<Coord>& before,
-                       const std::vector<Coord>& after, double weight,
+double path_swap_delta(const Mesh& mesh, std::span<const Coord> before,
+                       std::span<const Coord> after, double weight,
                        const LinkLoads& loads, const LoadCost& cost) {
   const std::span<const double> load_values = loads.values();
   double delta = 0.0;
@@ -154,7 +154,7 @@ double path_swap_delta(const Mesh& mesh, const std::vector<Coord>& before,
 }
 
 void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
-                       const std::vector<Coord>& cores, std::size_t ci, double weight,
+                       std::span<const Coord> cores, std::size_t ci, double weight,
                        const LinkLoads& loads, const LoadCost& cost, Move& best) {
   const std::size_t i = crossing_position(cores, hot_info);
   if (i == kNoCrossing) return;
@@ -182,14 +182,14 @@ void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
   }
 }
 
-std::size_t crossing_position(const std::vector<Coord>& cores, const LinkInfo& hot_info) {
+std::size_t crossing_position(std::span<const Coord> cores, const LinkInfo& hot_info) {
   for (std::size_t i = 0; i + 1 < cores.size(); ++i) {
     if (cores[i] == hot_info.from && cores[i + 1] == hot_info.to) return i;
   }
   return kNoCrossing;
 }
 
-Candidate best_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
+Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
                          std::span<const LinkId> links, std::size_t pos,
                          bool hot_vertical, double weight, const LinkLoads& loads,
                          const LoadCost& cost, std::span<const double> cost_now) {
@@ -205,9 +205,31 @@ Candidate best_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
   return best;
 }
 
-std::vector<Coord> materialize(const std::vector<Coord>& cores, const Candidate& cand) {
+void materialize(std::span<const Coord> cores, const Candidate& cand,
+                 std::span<Coord> out) {
   PAMR_ASSERT(cand.delta < std::numeric_limits<double>::infinity());
-  return rotate_block(cores, cand.j, cand.i, cand.forward);
+  PAMR_ASSERT(out.size() == cores.size());
+  // rotate_block's construction, written in place: the prefix through
+  // core j, the rotated block's steps, then the suffix.
+  const std::size_t j = cand.j;
+  const std::size_t i = cand.i;
+  std::copy(cores.begin(), cores.begin() + static_cast<std::ptrdiff_t>(j) + 1,
+            out.begin());
+  std::size_t at = j;
+  auto apply_step = [&](std::size_t k) {
+    const Coord delta{cores[k + 1].u - cores[k].u, cores[k + 1].v - cores[k].v};
+    out[at + 1] = Coord{out[at].u + delta.u, out[at].v + delta.v};
+    ++at;
+  };
+  if (cand.forward) {
+    apply_step(i);
+    for (std::size_t k = j; k < i; ++k) apply_step(k);
+  } else {
+    for (std::size_t k = j + 1; k <= i; ++k) apply_step(k);
+    apply_step(j);
+  }
+  std::copy(cores.begin() + static_cast<std::ptrdiff_t>(i) + 2, cores.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(i) + 2);
 }
 
 std::size_t move_cap(const Mesh& mesh, std::size_t num_comms) {

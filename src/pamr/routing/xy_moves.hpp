@@ -60,14 +60,14 @@ struct Move {
 /// moves to the other end (shifting the perpendicular run by one lane).
 /// `forward` = false: step j moves after steps j+1..i (swap with earlier
 /// perpendicular); `forward` = true: step i moves before steps j..i-1.
-[[nodiscard]] std::vector<Coord> rotate_block(const std::vector<Coord>& cores,
+[[nodiscard]] std::vector<Coord> rotate_block(std::span<const Coord> cores,
                                               std::size_t j, std::size_t i, bool forward);
 
 /// Cost delta of replacing the links of `before` with those of `after`
 /// (identical prefixes/suffixes cancel exactly because their loads are
 /// untouched; changed links of a monotone rewrite are disjoint).
-[[nodiscard]] double path_swap_delta(const Mesh& mesh, const std::vector<Coord>& before,
-                                     const std::vector<Coord>& after, double weight,
+[[nodiscard]] double path_swap_delta(const Mesh& mesh, std::span<const Coord> before,
+                                     std::span<const Coord> after, double weight,
                                      const LinkLoads& loads, const LoadCost& cost);
 
 /// If the path `cores` of communication `ci` crosses the hot link described
@@ -78,12 +78,12 @@ struct Move {
 /// candidate is materialized via rotate_block and costed via
 /// path_swap_delta, exactly as the seed did.
 void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
-                       const std::vector<Coord>& cores, std::size_t ci, double weight,
+                       std::span<const Coord> cores, std::size_t ci, double weight,
                        const LinkLoads& loads, const LoadCost& cost, Move& best);
 
 /// Index of the step of `cores` traversing the hot link, or kNoCrossing —
 /// a monotone path crosses a given link at most once.
-[[nodiscard]] std::size_t crossing_position(const std::vector<Coord>& cores,
+[[nodiscard]] std::size_t crossing_position(std::span<const Coord> cores,
                                             const LinkInfo& hot_info);
 
 /// crossing_position for a path *known* to cross the hot link (e.g. taken
@@ -93,7 +93,7 @@ void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
 /// sits at that core's Manhattan depth from the source. The always-on
 /// assert rejects a caller whose membership claim is stale.
 [[nodiscard]] inline std::size_t known_crossing_position(
-    const std::vector<Coord>& cores, const LinkInfo& hot_info) {
+    std::span<const Coord> cores, const LinkInfo& hot_info) {
   const std::size_t pos =
       static_cast<std::size_t>(std::abs(hot_info.from.u - cores.front().u) +
                                std::abs(hot_info.from.v - cores.front().v));
@@ -115,7 +115,7 @@ void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
 /// ids (links[k] joins cores[k] and cores[k+1], also caller-maintained) so
 /// the removed side of each step is an array read instead of an adjacency
 /// lookup.
-[[nodiscard]] Candidate best_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
+[[nodiscard]] Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
                                        std::span<const LinkId> links, std::size_t pos,
                                        bool hot_vertical, double weight,
                                        const LinkLoads& loads, const LoadCost& cost,
@@ -131,7 +131,7 @@ struct CandidateSpecs {
   std::uint32_t i[2] = {0, 0};
   bool forward[2] = {false, false};
 };
-[[nodiscard]] CandidateSpecs candidate_specs(const std::vector<Coord>& cores,
+[[nodiscard]] CandidateSpecs candidate_specs(std::span<const Coord> cores,
                                              std::size_t pos, bool hot_vertical);
 
 /// Evaluates ONE candidate rotation (a CandidateSpecs entry) under the
@@ -139,15 +139,16 @@ struct CandidateSpecs {
 /// that cache per-candidate results recompute each rotation independently
 /// — a load change near one side of the crossing leaves the other side's
 /// cached delta exact.
-[[nodiscard]] Candidate eval_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
+[[nodiscard]] Candidate eval_candidate(const Mesh& mesh, std::span<const Coord> cores,
                                        std::span<const LinkId> links, std::uint32_t j,
                                        std::uint32_t i, bool forward, double weight,
                                        const LinkLoads& loads, const LoadCost& cost,
                                        std::span<const double> cost_now);
 
-/// Materializes a finite candidate into the rewritten core sequence.
-[[nodiscard]] std::vector<Coord> materialize(const std::vector<Coord>& cores,
-                                             const Candidate& cand);
+/// Writes the rewritten core sequence of a finite candidate into `out`
+/// (same length as `cores`, no overlap).
+void materialize(std::span<const Coord> cores, const Candidate& cand,
+                 std::span<Coord> out);
 
 /// Safety cap on applied moves, scaled with problem size (links × nc) and
 /// floored at the seed's fixed 100000 so small instances keep the old

@@ -197,7 +197,7 @@ Table failure_ratio_table(const ScenarioResult& result) {
 
 bool has_sim_stats(const ScenarioResult& result) {
   for (const ScenarioPointResult& point : result.points) {
-    if (point.aggregate.sim_delivery.count() > 0) return true;
+    if (point.aggregate.sim_delivery().count() > 0) return true;
   }
   return false;
 }
@@ -208,9 +208,9 @@ Table sim_table(const ScenarioResult& result) {
   for (const ScenarioPointResult& point : result.points) {
     const exp::PointAggregate& aggregate = point.aggregate;
     table.add_row({point.x,
-                   static_cast<std::int64_t>(aggregate.sim_delivery.count()),
-                   aggregate.sim_latency.mean(), aggregate.sim_delivery.mean(),
-                   aggregate.sim_throughput.mean()});
+                   static_cast<std::int64_t>(aggregate.sim_delivery().count()),
+                   aggregate.sim_latency().mean(), aggregate.sim_delivery().mean(),
+                   aggregate.sim_throughput().mean()});
   }
   return table;
 }

@@ -74,6 +74,9 @@ exp::PointAggregate run_unit_instances(const Mesh& mesh, const PowerModel& model
   if (spec.topo != topo::TopoKind::kRect) {
     topology = topo::make_topology(spec.topo, spec.mesh_p, spec.mesh_q);
   }
+  // One routing workspace per thread, alive as long as the thread: every
+  // unit the thread runs reuses its buffers (routing/workspace.hpp).
+  thread_local RouteWorkspace workspace;
   exp::PointAggregate aggregate;
   for (std::size_t instance = begin; instance < end; ++instance) {
     Rng rng(derive_seed(seed, point_id, instance));
@@ -91,9 +94,9 @@ exp::PointAggregate run_unit_instances(const Mesh& mesh, const PowerModel& model
       sim_config.cycles = spec.sim_cycles;
       sim_config.warmup = spec.sim_warmup;
       sim_config.seed = rng();
-      aggregate.add(exp::run_instance(mesh, comms, model, &sim_config));
+      aggregate.add(exp::run_instance(mesh, comms, model, &sim_config, workspace));
     } else {
-      aggregate.add(exp::run_instance(mesh, comms, model));
+      aggregate.add(exp::run_instance(mesh, comms, model, nullptr, workspace));
     }
   }
   return aggregate;

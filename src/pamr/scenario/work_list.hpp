@@ -55,7 +55,9 @@ struct SuiteUnit {
 /// folds them into one aggregate. Instance `i` draws from
 /// Rng(derive_seed(seed, point_id, i)) at envelope position (i + 0.5) /
 /// instances — exactly the SuiteRunner's parallel body, exported so the
-/// distributed worker computes bit-identical chunk aggregates.
+/// distributed worker computes bit-identical chunk aggregates. Routing runs
+/// on the calling thread's RouteWorkspace, which lives as long as the
+/// thread and leaves no trace in any result.
 [[nodiscard]] exp::PointAggregate run_unit_instances(
     const Mesh& mesh, const PowerModel& model, const ScenarioSpec& spec,
     std::size_t begin, std::size_t end, std::size_t instances, std::uint64_t seed,

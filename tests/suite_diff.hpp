@@ -51,9 +51,9 @@ inline void expect_aggregate_identical(const exp::PointAggregate& a,
     EXPECT_EQ(a.failures[s], b.failures[s]);
   }
   expect_stats_identical(a.static_fraction, b.static_fraction);
-  expect_stats_identical(a.sim_latency, b.sim_latency);
-  expect_stats_identical(a.sim_delivery, b.sim_delivery);
-  expect_stats_identical(a.sim_throughput, b.sim_throughput);
+  expect_stats_identical(a.sim_latency(), b.sim_latency());
+  expect_stats_identical(a.sim_delivery(), b.sim_delivery());
+  expect_stats_identical(a.sim_throughput(), b.sim_throughput());
 }
 
 // -- Small file/plumbing helpers ---------------------------------------------

@@ -85,6 +85,130 @@ TEST(Metrics, MergeMatchesSequentialAggregation) {
   }
 }
 
+// -- Aggregate wire: contradictory counts -----------------------------------
+//
+// parse_point_aggregate is the journal's integrity gate, so a line whose
+// counts add() and merge() could never produce must not merge. Each case
+// below hand-edits one token of a valid 8-instance line.
+
+/// Eight instances, every one probed by the simulator, some failures.
+PointAggregate eight_probed_instances() {
+  PointAggregate aggregate;
+  for (int i = 0; i < 8; ++i) {
+    std::array<HeuristicSample, kNumBaseRouters> base{};
+    for (std::size_t h = 0; h < kNumBaseRouters; ++h) {
+      const bool valid = (i + static_cast<int>(h)) % 3 != 0;
+      base[h] = {valid, 100.0 + 10.0 * static_cast<double>(h), 12.0,
+                 0.25 * static_cast<double>(i + 1)};
+    }
+    InstanceSample sample = make_instance_sample(base);
+    sample.sim = {true, 20.0 + i, 0.99, 1500.0};
+    aggregate.add(sample);
+  }
+  return aggregate;
+}
+
+/// `wire` with the value of `key` replaced by `value`.
+std::string with_token(const std::string& wire, const std::string& key,
+                       const std::string& value) {
+  const std::size_t at = wire.find(" " + key + "=");
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + key.size() + 2;
+  const std::size_t end = wire.find(' ', begin);
+  const std::string rest = end == std::string::npos ? "" : wire.substr(end);
+  return wire.substr(0, begin) + value + rest;
+}
+
+/// `wire` with the sample count of the stats token `key` replaced by `count`.
+std::string with_count(const std::string& wire, const std::string& key, int count) {
+  const std::size_t at = wire.find(" " + key + "=");
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + key.size() + 2;
+  const std::size_t colon = wire.find(':', begin);
+  return wire.substr(0, begin) + std::to_string(count) + wire.substr(colon);
+}
+
+/// Parses `line`, expecting a rejection whose message contains `needle`.
+void expect_rejected(const std::string& line, const std::string& needle) {
+  PointAggregate out;
+  out.instances = 77;  // must stay untouched
+  std::string error;
+  EXPECT_FALSE(parse_point_aggregate(line, out, error)) << line;
+  EXPECT_NE(error.find(needle), std::string::npos) << error;
+  EXPECT_EQ(out.instances, 77u);
+}
+
+TEST(AggregateWireCounts, TheUneditedLineParses) {
+  const std::string wire = serialize_point_aggregate(eight_probed_instances());
+  EXPECT_EQ(wire.rfind("aggv=3 n=8 ", 0), 0u) << wire;
+  PointAggregate parsed;
+  std::string error;
+  ASSERT_TRUE(parse_point_aggregate(wire, parsed, error)) << error;
+  EXPECT_EQ(serialize_point_aggregate(parsed), wire);
+}
+
+TEST(AggregateWireCounts, MoreFailuresThanInstancesAreRejected) {
+  const std::string wire = serialize_point_aggregate(eight_probed_instances());
+  expect_rejected(with_token(wire, "f3", "9"), "f3=9 exceeds");
+  // A count past 32 bits must not wrap into range.
+  expect_rejected(with_token(wire, "f3", "4294967297"), "bad value for aggregate key 'f3'");
+}
+
+TEST(AggregateWireCounts, PerInstanceSeriesMustHoldExactlyNSamples) {
+  const std::string wire = serialize_point_aggregate(eight_probed_instances());
+  expect_rejected(with_count(wire, "ni2", 7), "ni2 holds 7 samples");
+  expect_rejected(with_count(wire, "ni6", 9), "ni6 holds 9 samples");
+  expect_rejected(with_count(wire, "ip0", 9), "ip0 holds 9 samples");
+  expect_rejected(with_count(wire, "ip5", 0), "ip5 holds 0 samples");
+}
+
+TEST(AggregateWireCounts, OptionalStatsMayNotOutnumberInstances) {
+  const std::string wire = serialize_point_aggregate(eight_probed_instances());
+  expect_rejected(with_count(wire, "sf", 9), "sf holds 9 samples");
+  expect_rejected(with_count(wire, "sl", 9), "sl holds 9 samples");
+  expect_rejected(with_count(wire, "sd", 9), "sd holds 9 samples");
+  expect_rejected(with_count(wire, "st", 9), "st holds 9 samples");
+}
+
+TEST(AggregateWireCounts, SimStatsMustAgreeOnTheProbeCount) {
+  const std::string wire = serialize_point_aggregate(eight_probed_instances());
+  expect_rejected(with_count(wire, "sd", 7), "disagree on the probe count");
+  expect_rejected(with_count(wire, "st", 3), "disagree on the probe count");
+  expect_rejected(with_count(wire, "sl", 0), "disagree on the probe count");
+}
+
+TEST(AggregateWireCounts, OlderVersionsAreRejectedByName) {
+  const std::string wire = serialize_point_aggregate(eight_probed_instances());
+  expect_rejected(with_token(" " + wire, "aggv", "2").substr(1), "aggv=2");
+}
+
+TEST(AggregateWireCounts, CopiesCarryTheirOwnProbeStats) {
+  const PointAggregate probed = eight_probed_instances();
+  PointAggregate copy = probed;
+  copy.merge(probed);
+  EXPECT_EQ(probed.sim_latency().count(), 8u);
+  EXPECT_EQ(copy.sim_latency().count(), 16u);
+  PointAggregate assigned;
+  assigned = copy;
+  EXPECT_EQ(assigned.sim_delivery().count(), 16u);
+  assigned = PointAggregate{};
+  EXPECT_EQ(assigned.sim_throughput().count(), 0u);
+  // Merging a probed aggregate into an unprobed one is the probed one.
+  PointAggregate merged;
+  merged.merge(probed);
+  EXPECT_EQ(serialize_point_aggregate(merged), serialize_point_aggregate(probed));
+}
+
+TEST(AggregateWireCounts, WallTimeIsOneSummedDoublePerSeries) {
+  const PointAggregate aggregate = eight_probed_instances();
+  // Instance i spends 0.25·(i+1) ms in every base series: 0.25·36 = 9 ms.
+  EXPECT_DOUBLE_EQ(aggregate.elapsed_ms[0], 9.0);
+  EXPECT_DOUBLE_EQ(aggregate.elapsed_ms[kBestSeries], 6 * 9.0);
+  PointAggregate merged = aggregate;
+  merged.merge(aggregate);
+  EXPECT_DOUBLE_EQ(merged.elapsed_ms[3], 18.0);
+}
+
 /// A single uniform layer on the paper's platform (8×8, discrete links).
 scenario::ScenarioSpec uniform_spec(std::int32_t n, double lo, double hi) {
   scenario::ScenarioSpec spec;

@@ -245,15 +245,32 @@ TEST(LoadIndex, RetireErasesTheLinkImmediately) {
   EXPECT_EQ(drained, order);
 }
 
+/// A member list as a vector, for comparisons.
+std::vector<std::uint32_t> member_list(LoadIndex& index, LinkId link) {
+  const std::span<std::uint32_t> members = index.members(link);
+  return {members.begin(), members.end()};
+}
+
 TEST(LoadIndex, MemberListsKeepInsertionOrder) {
   const Mesh mesh(2, 2);
   LinkLoads loads(mesh);
   LoadIndex index(loads);
+  // Pass 1 counts the memberships, pass 2 adds them in order.
+  for (int k = 0; k < 3; ++k) index.count_member(LinkId{1});
+  index.count_member(LinkId{3});
   index.add_member(LinkId{1}, 4);
+  index.add_member(LinkId{3}, 7);
   index.add_member(LinkId{1}, 0);
   index.add_member(LinkId{1}, 2);
-  EXPECT_EQ(index.members(LinkId{1}), (std::vector<std::uint32_t>{4, 0, 2}));
+  EXPECT_EQ(member_list(index, LinkId{1}), (std::vector<std::uint32_t>{4, 0, 2}));
+  EXPECT_EQ(member_list(index, LinkId{3}), (std::vector<std::uint32_t>{7}));
   EXPECT_TRUE(index.members(LinkId{0}).empty());
+  // Compaction keeps a prefix; a reset empties every list.
+  index.truncate_members(LinkId{1}, 1);
+  EXPECT_EQ(member_list(index, LinkId{1}), (std::vector<std::uint32_t>{4}));
+  index.reset(loads);
+  EXPECT_TRUE(index.members(LinkId{1}).empty());
+  EXPECT_TRUE(index.members(LinkId{3}).empty());
 }
 
 TEST(TouchLog, TakeChangedKeepsOnlyMovedLinksAndClears) {

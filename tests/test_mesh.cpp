@@ -2,6 +2,7 @@
 // (paper §3.3) and the monotone communication rectangles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <thread>
 #include <vector>
@@ -241,14 +242,34 @@ TEST(CommRect, DepthLevelsPartitionTheRectangle) {
 TEST(CommRect, CutSizesAndAllLinks) {
   const Mesh mesh(6, 6);
   const CommRect rect(mesh, {0, 0}, {2, 3});
-  std::size_t total = 0;
+  std::vector<LinkId> all;
   for (std::int32_t t = 0; t < rect.length(); ++t) {
-    EXPECT_EQ(static_cast<std::int32_t>(rect.cut_links(t).size()), rect.cut_size(t));
-    total += rect.cut_links(t).size();
+    std::int32_t in_cut = 0;
+    rect.for_each_cut_link(t, [&](LinkId link) {
+      // Every cut link steps from depth t to depth t+1 inside the rectangle.
+      EXPECT_EQ(rect.depth(mesh.link(link).from), t);
+      EXPECT_EQ(rect.depth(mesh.link(link).to), t + 1);
+      all.push_back(link);
+      ++in_cut;
+    });
+    EXPECT_EQ(in_cut, rect.cut_size(t));
   }
-  EXPECT_EQ(rect.all_links().size(), total);
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
   // Rectangle link count: du*(dv+1) vertical + dv*(du+1) horizontal.
-  EXPECT_EQ(total, static_cast<std::size_t>(2 * 4 + 3 * 3));
+  EXPECT_EQ(all.size(), static_cast<std::size_t>(2 * 4 + 3 * 3));
+}
+
+TEST(CommRect, CutLinksListVerticalBeforeHorizontalByRowOffset) {
+  const Mesh mesh(6, 6);
+  const CommRect rect(mesh, {1, 1}, {3, 3});  // SE, du = dv = 2
+  std::vector<LinkId> cut;
+  rect.for_each_cut_link(1, [&](LinkId link) { cut.push_back(link); });
+  // Depth 1 holds (1,2) then (2,1): each cell's south step, then its east.
+  const std::vector<LinkId> expected = {
+      mesh.link_between({1, 2}, {2, 2}), mesh.link_between({1, 2}, {1, 3}),
+      mesh.link_between({2, 1}, {3, 1}), mesh.link_between({2, 1}, {2, 2})};
+  EXPECT_EQ(cut, expected);
 }
 
 TEST(CommRect, DegenerateLine) {
@@ -267,7 +288,8 @@ TEST(CommRect, SingleCell) {
   const CommRect rect(mesh, {1, 1}, {1, 1});
   EXPECT_EQ(rect.length(), 0);
   EXPECT_TRUE(rect.next_steps({1, 1}).empty());
-  EXPECT_TRUE(rect.all_links().empty());
+  EXPECT_EQ(rect.cut_size(0), 0);
+  rect.for_each_cut_link(0, [](LinkId) { ADD_FAILURE() << "a single cell has no cut"; });
 }
 
 TEST(CommRect, NextStepsStayInRectangleAndAdvanceDepth) {

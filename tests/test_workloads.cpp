@@ -342,15 +342,16 @@ TEST(InjectionProbe, SimStatsAggregateNextToPower) {
   EXPECT_EQ(aggregate.instances, 8u);
   // A U[100,900) 6-flow load on 4x4 is comfortably feasible: every
   // instance must have been probed, delivering ~all offered traffic.
-  EXPECT_EQ(aggregate.sim_delivery.count(), 8u);
-  EXPECT_GT(aggregate.sim_delivery.mean(), 0.9);
+  EXPECT_EQ(aggregate.sim_delivery().count(), 8u);
+  EXPECT_GT(aggregate.sim_delivery().mean(), 0.9);
   // Delivery can top 1 slightly: packets generated during warmup drain into
   // the measured window, while `offered` counts post-warmup only.
-  EXPECT_LE(aggregate.sim_delivery.max(), 1.1);
-  EXPECT_GT(aggregate.sim_latency.mean(), 0.0);
-  EXPECT_GT(aggregate.sim_throughput.mean(), 0.0);
+  EXPECT_LE(aggregate.sim_delivery().max(), 1.1);
+  EXPECT_GT(aggregate.sim_latency().mean(), 0.0);
+  EXPECT_GT(aggregate.sim_throughput().mean(), 0.0);
 
-  // The wire form carries the sim stats bit-exactly (aggv=2).
+  // The wire form carries the sim stats bit-exactly (since aggv=2; the
+  // current aggv=3 keeps them and sums the wall-clock field instead).
   const std::string wire = exp::serialize_point_aggregate(aggregate);
   exp::PointAggregate parsed;
   std::string error;
@@ -364,8 +365,8 @@ TEST(InjectionProbe, DisabledSpecKeepsSimStatsEmpty) {
       parse_spec("mesh=4x4 model=discrete ; kind=uniform n=6 lo=100 hi=900");
   const exp::PointAggregate aggregate =
       run_unit_instances(spec.make_mesh(), spec.make_model(), spec, 0, 4, 4, 21, 0);
-  EXPECT_EQ(aggregate.sim_delivery.count(), 0u);
-  EXPECT_EQ(aggregate.sim_latency.count(), 0u);
+  EXPECT_EQ(aggregate.sim_delivery().count(), 0u);
+  EXPECT_EQ(aggregate.sim_latency().count(), 0u);
 }
 
 TEST(InjectionProbe, SimTableAndJsonAppearOnlyWithSimStats) {
