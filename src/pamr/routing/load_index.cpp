@@ -8,13 +8,27 @@
 
 namespace pamr {
 
+void StampRule::restamp(std::vector<LoadKey>& moved, const LinkLoads& loads) {
+  std::sort(moved.begin(), moved.end(),
+            [](const LoadKey& a, const LoadKey& b) { return precedes(a, b); });
+  // Fallen links take fresh low stamps in reverse old order, risen links
+  // fresh high stamps in old order, so each group keeps its old relative
+  // order (see load_index.hpp).
+  for (std::size_t k = moved.size(); k-- > 0;) {
+    if (loads.load(moved[k].link) < moved[k].load) moved[k].stamp = low_--;
+  }
+  for (LoadKey& key : moved) {
+    if (loads.load(key.link) > key.load) key.stamp = high_++;
+  }
+  for (LoadKey& key : moved) key.load = loads.load(key.link);
+}
+
 void LoadIndex::reset(const LinkLoads& loads) {
   // The seed's first round: identity order stably sorted by the initial
   // loads, i.e. (load desc, LinkId asc) — so each initial stamp is the
   // link's id and no sort is needed, only a heapify.
   const std::size_t n = loads.values().size();
-  low_stamp_ = -1;
-  high_stamp_ = static_cast<std::int64_t>(n);
+  stamps_.reset(n);
   moved_.clear();
   heap_.clear();
   heap_.reserve(n);
@@ -56,38 +70,38 @@ void LoadIndex::add_member(LinkId link, std::uint32_t comm) {
   member_data_[at] = comm;
 }
 
-void LoadIndex::sift_up(std::size_t at, Entry entry) {
+void LoadIndex::sift_up(std::size_t at, LoadKey key) {
   while (at > 0) {
     const std::size_t parent = (at - 1) / 2;
-    if (!precedes(entry, heap_[parent])) break;
+    if (!precedes(key, heap_[parent])) break;
     heap_[at] = heap_[parent];
     pos_[static_cast<std::size_t>(heap_[at].link)] = static_cast<std::int32_t>(at);
     at = parent;
   }
-  heap_[at] = entry;
-  pos_[static_cast<std::size_t>(entry.link)] = static_cast<std::int32_t>(at);
+  heap_[at] = key;
+  pos_[static_cast<std::size_t>(key.link)] = static_cast<std::int32_t>(at);
 }
 
-void LoadIndex::sift_down(std::size_t at, Entry entry) {
+void LoadIndex::sift_down(std::size_t at, LoadKey key) {
   const std::size_t n = heap_.size();
   for (;;) {
     std::size_t child = 2 * at + 1;
     if (child >= n) break;
     if (child + 1 < n && precedes(heap_[child + 1], heap_[child])) ++child;
-    if (!precedes(heap_[child], entry)) break;
+    if (!precedes(heap_[child], key)) break;
     heap_[at] = heap_[child];
     pos_[static_cast<std::size_t>(heap_[at].link)] = static_cast<std::int32_t>(at);
     at = child;
   }
-  heap_[at] = entry;
-  pos_[static_cast<std::size_t>(entry.link)] = static_cast<std::int32_t>(at);
+  heap_[at] = key;
+  pos_[static_cast<std::size_t>(key.link)] = static_cast<std::int32_t>(at);
 }
 
-void LoadIndex::update(std::size_t at, const Entry& entry) {
-  if (at > 0 && precedes(entry, heap_[(at - 1) / 2])) {
-    sift_up(at, entry);
+void LoadIndex::update(std::size_t at, const LoadKey& key) {
+  if (at > 0 && precedes(key, heap_[(at - 1) / 2])) {
+    sift_up(at, key);
   } else {
-    sift_down(at, entry);
+    sift_down(at, key);
   }
 }
 
@@ -96,7 +110,7 @@ void LoadIndex::retire(LinkId link) {
   const std::int32_t at = pos_[static_cast<std::size_t>(link)];
   PAMR_DCHECK(at >= 0);
   pos_[static_cast<std::size_t>(link)] = -1;
-  const Entry last = heap_.back();
+  const LoadKey last = heap_.back();
   heap_.pop_back();
   if (static_cast<std::size_t>(at) < heap_.size()) {
     update(static_cast<std::size_t>(at), last);
@@ -105,30 +119,17 @@ void LoadIndex::retire(LinkId link) {
 
 void LoadIndex::reorder(const std::vector<LinkId>& changed, const LinkLoads& loads) {
   obs::bump(obs::Metric::kLoadIndexReorders);
-  // The moved links with their old keys, ranked in the old order.
   moved_.clear();
   for (const LinkId link : changed) {
     const std::int32_t at = pos_[static_cast<std::size_t>(link)];
     if (at < 0) continue;  // retired
-    const Entry& entry = heap_[static_cast<std::size_t>(at)];
-    if (entry.load == loads.load(link)) continue;  // did not move
-    moved_.push_back(entry);
+    const LoadKey& key = heap_[static_cast<std::size_t>(at)];
+    if (key.load == loads.load(link)) continue;  // did not move
+    moved_.push_back(key);
   }
-  std::sort(moved_.begin(), moved_.end(),
-            [](const Entry& a, const Entry& b) { return precedes(a, b); });
-
-  // The stamp rule (see load_index.hpp): fallen links take fresh low
-  // stamps in reverse old order, risen links fresh high stamps in old
-  // order, so each group keeps its old relative order.
-  for (std::size_t k = moved_.size(); k-- > 0;) {
-    if (loads.load(moved_[k].link) < moved_[k].load) moved_[k].stamp = low_stamp_--;
-  }
-  for (Entry& entry : moved_) {
-    if (loads.load(entry.link) > entry.load) entry.stamp = high_stamp_++;
-  }
-  for (Entry& entry : moved_) {
-    entry.load = loads.load(entry.link);
-    update(static_cast<std::size_t>(pos_[static_cast<std::size_t>(entry.link)]), entry);
+  stamps_.restamp(moved_, loads);
+  for (const LoadKey& key : moved_) {
+    update(static_cast<std::size_t>(pos_[static_cast<std::size_t>(key.link)]), key);
   }
 #if PAMR_CHECK_LEVEL >= 2
   check_invariants(loads);
@@ -145,77 +146,121 @@ void LoadIndex::check_invariants(const LinkLoads& loads) const {
                             " live links but the heap holds " +
                             std::to_string(heap_.size()));
   for (std::size_t at = 0; at < heap_.size(); ++at) {
-    const Entry& entry = heap_[at];
-    const auto link = static_cast<std::size_t>(entry.link);
+    const LoadKey& key = heap_[at];
+    const auto link = static_cast<std::size_t>(key.link);
     PAMR_INVARIANT_ALWAYS("load-index", link < pos_.size(),
                           "heap holds an out-of-range link id");
     PAMR_INVARIANT_ALWAYS(
         "load-index", pos_[link] == static_cast<std::int32_t>(at),
         "pos_ disagrees with the heap for link " + std::to_string(link));
     PAMR_INVARIANT_ALWAYS(
-        "load-index", at == 0 || precedes(heap_[(at - 1) / 2], entry),
+        "load-index", at == 0 || precedes(heap_[(at - 1) / 2], key),
         "heap property violated at slot " + std::to_string(at));
     PAMR_INVARIANT_ALWAYS(
-        "load-index", entry.load == loads.load(entry.link),
+        "load-index", key.load == loads.load(key.link),
         "stored load of link " + std::to_string(link) +
             " differs from its current load — a load change was never "
             "reported to reorder()");
   }
 }
 
-LinkId LoadIndex::Walk::next() {
-  if (frontier_.empty()) return kInvalidLink;
-  const std::size_t size = index_->heap_.size();
-  const std::uint32_t slot = frontier_.front();
-  // The yielded slot's children are the only new candidates: the first
-  // takes its place on top of the frontier, the second is pushed.
-  const std::size_t left = 2 * static_cast<std::size_t>(slot) + 1;
-  if (left < size) {
-    replace_first(static_cast<std::uint32_t>(left));
-    if (left + 1 < size) push(static_cast<std::uint32_t>(left + 1));
-  } else {
-    const std::uint32_t last = frontier_.back();
-    frontier_.pop_back();
-    if (!frontier_.empty()) replace_first(last);
+void LoadOrder::reset(const LinkLoads& loads) {
+  // The seed's first round: (load desc, LinkId asc), stamp = LinkId.
+  const std::size_t n = loads.values().size();
+  stamps_.reset(n);
+  moved_.clear();
+  keys_.resize(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    const auto link = static_cast<LinkId>(l);
+    keys_[l] = {loads.load(link), static_cast<std::int64_t>(l), link};
   }
-  return index_->heap_[slot].link;
+  std::sort(keys_.begin(), keys_.end(),
+            [](const LoadKey& a, const LoadKey& b) { return precedes(a, b); });
+  pos_.resize(n);
+  for (std::size_t at = 0; at < n; ++at) {
+    pos_[static_cast<std::size_t>(keys_[at].link)] = static_cast<std::uint32_t>(at);
+  }
 }
 
-void LoadIndex::Walk::replace_first(std::uint32_t slot) {
-  const std::vector<Entry>& heap = index_->heap_;
-  const Entry& entry = heap[slot];
-  const std::size_t n = frontier_.size();
-  std::size_t at = 0;
-  for (;;) {
-    std::size_t child = 2 * at + 1;
-    if (child >= n) break;
-    if (child + 1 < n && precedes(heap[frontier_[child + 1]], heap[frontier_[child]])) {
-      ++child;
+void LoadOrder::reorder(const std::vector<LinkId>& changed, const LinkLoads& loads) {
+  obs::bump(obs::Metric::kLoadIndexReorders);
+  const auto before = [](const LoadKey& a, const LoadKey& b) { return precedes(a, b); };
+  // [lo, hi) covers every moved link's old position and the lower_bound of
+  // its new key in the old array. A kept link before lo precedes every new
+  // key (it sits below each lower_bound) and every moved link followed it,
+  // so nothing before lo moves; symmetrically for a kept link at or after
+  // hi. So the new order is the old one with [lo, hi) replaced by the merge
+  // of its kept links (in order) and the moved links (by new key).
+  moved_.clear();
+  std::size_t lo = keys_.size();
+  std::size_t hi = 0;
+  for (const LinkId link : changed) {
+    const std::size_t at = pos_[static_cast<std::size_t>(link)];
+    if (keys_[at].load == loads.load(link)) continue;  // did not move
+    moved_.push_back(keys_[at]);
+    lo = std::min(lo, at);
+    hi = std::max(hi, at + 1);
+  }
+  if (!moved_.empty()) {
+    stamps_.restamp(moved_, loads);
+    for (const LoadKey& key : moved_) {
+      const auto bound = static_cast<std::size_t>(
+          std::lower_bound(keys_.begin(), keys_.end(), key, before) - keys_.begin());
+      lo = std::min(lo, bound);
+      hi = std::max(hi, bound);
     }
-    if (!precedes(heap[frontier_[child]], entry)) break;
-    frontier_[at] = frontier_[child];
-    at = child;
+    for (const LoadKey& key : moved_) {
+      keys_[pos_[static_cast<std::size_t>(key.link)]].link = kInvalidLink;
+    }
+    std::sort(moved_.begin(), moved_.end(), before);
+    // Slide the kept links to the end of the range, in order, then merge
+    // them with the moved links from its front: the write position never
+    // passes the next kept link.
+    std::size_t kept = hi;
+    for (std::size_t at = hi; at-- > lo;) {
+      if (keys_[at].link != kInvalidLink) keys_[--kept] = keys_[at];
+    }
+    std::size_t out = lo;
+    for (const LoadKey& key : moved_) {
+      while (kept < hi && precedes(keys_[kept], key)) {
+        keys_[out] = keys_[kept++];
+        pos_[static_cast<std::size_t>(keys_[out].link)] = static_cast<std::uint32_t>(out);
+        ++out;
+      }
+      keys_[out] = key;
+      pos_[static_cast<std::size_t>(key.link)] = static_cast<std::uint32_t>(out);
+      ++out;
+    }
+    for (; out < hi; ++out) {
+      pos_[static_cast<std::size_t>(keys_[out].link)] = static_cast<std::uint32_t>(out);
+    }
   }
-  frontier_[at] = slot;
+#if PAMR_CHECK_LEVEL >= 2
+  check_invariants(loads);
+#endif
 }
 
-void LoadIndex::Walk::push(std::uint32_t slot) {
-  const std::vector<Entry>& heap = index_->heap_;
-  const Entry& entry = heap[slot];
-  std::size_t at = frontier_.size();
-  frontier_.push_back(slot);
-  while (at > 0) {
-    const std::size_t parent = (at - 1) / 2;
-    if (!precedes(entry, heap[frontier_[parent]])) break;
-    frontier_[at] = frontier_[parent];
-    at = parent;
+void LoadOrder::check_invariants(const LinkLoads& loads) const {
+  PAMR_INVARIANT_ALWAYS("load-order", pos_.size() == keys_.size(),
+                        "pos_ holds " + std::to_string(pos_.size()) +
+                            " links but the order holds " +
+                            std::to_string(keys_.size()));
+  for (std::size_t at = 0; at < keys_.size(); ++at) {
+    const LoadKey& key = keys_[at];
+    const auto link = static_cast<std::size_t>(key.link);
+    PAMR_INVARIANT_ALWAYS("load-order", link < pos_.size(),
+                          "the order holds an out-of-range link id");
+    PAMR_INVARIANT_ALWAYS(
+        "load-order", pos_[link] == at,
+        "pos_ disagrees with the order for link " + std::to_string(link));
+    PAMR_INVARIANT_ALWAYS("load-order", at == 0 || precedes(keys_[at - 1], key),
+                          "order not sorted at position " + std::to_string(at));
+    PAMR_INVARIANT_ALWAYS(
+        "load-order", key.load == loads.load(key.link),
+        "stored load of link " + std::to_string(link) +
+            " differs from its current load — a load change was never "
+            "reported to reorder()");
   }
-  frontier_[at] = slot;
-}
-
-void LoadIndex::Walk::restart() {
-  frontier_.clear();
-  if (!index_->heap_.empty()) frontier_.push_back(0);
 }
 
 }  // namespace pamr

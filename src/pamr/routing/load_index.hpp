@@ -1,4 +1,4 @@
-// Incremental hot-link index for the PR path remover (paper §5.5) and the
+// Incremental hot-link orders for the PR path remover (paper §5.5) and the
 // XY improver (§5.4).
 //
 // Both heuristics repeatedly ask one question — "which is the most loaded
@@ -11,9 +11,9 @@
 // whole load history. Exact equal loads are common — every link of a PR
 // cut carries the same δ/m share — so this history is observable in the
 // final routing, and a plain (load, LinkId) priority queue does NOT
-// reproduce it. LoadIndex instead gives every live link a *stamp* chosen so
-// that the seed's order is exactly (load desc, stamp asc), and keeps the
-// live links in an indexed binary heap on that key.
+// reproduce it. Instead every live link gets a *stamp* chosen so that the
+// seed's order is exactly (load desc, stamp asc), and the live links are
+// kept in order on that key.
 //
 // The stamp rule. One round of the seed computes
 //
@@ -43,13 +43,20 @@
 // desc, new stamp asc) is exactly the seed's next order, and by induction
 // every round's. A link reported as changed whose stored load equals its
 // current load did not move and keeps its stamp. Retired links leave the
-// heap; dropping a link from a stable sort never changes the relative order
-// of the others, so the live order is unaffected.
+// order; dropping a link from a stable sort never changes the relative
+// order of the others, so the live order is unaffected.
 //
-// Each round therefore costs O(|M| log |M|) to rank the moved links by
-// their old key plus O(|M| log L) to sift them, instead of O(L) for a
-// rebuild: PR reads only top(), and XYI reads a short prefix through a
-// Walk.
+// Both orders below apply this rule through one StampRule, so the proof
+// covers both. They differ in how they keep the live links in that order:
+//
+//   * LoadIndex (PR) keeps them in an indexed binary heap. A round costs
+//     O(|M| log |M|) to rank the moved links by their old key plus
+//     O(|M| log L) to sift them, instead of O(L) for a rebuild; PR reads
+//     only top().
+//   * LoadOrder (XYI) keeps them in one flat array, sorted. XYI reads it
+//     from the front through a cursor and starts over after every applied
+//     move, so it wants every prefix step O(1). A round merges the moved
+//     links back into the affected range only (see LoadOrder::reorder).
 //
 // The index also keeps a membership list per link — the indices of the
 // communications whose path DAG still contains the link, heaviest-first —
@@ -60,8 +67,8 @@
 // permanently unremovable are retire()d: erased from the heap for good
 // (the caller's monotonicity argument lives in path_remover.cpp).
 //
-// Both classes here reset in place (reset()), keeping their capacity, so
-// a RouteWorkspace can reuse them across route calls.
+// Every class here resets in place (reset()), keeping its capacity, so a
+// RouteWorkspace can reuse them across route calls.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +80,8 @@
 
 namespace pamr {
 
-/// First-touch snapshots of stored link loads across one incremental update
-/// (a PR removal, an XYI move), so the caller can hand LoadIndex::reorder
+/// First-touch snapshots of stored link loads across one XYI move, so the
+/// caller can hand LoadOrder::reorder
 /// exactly the links whose stored double actually changed — including the
 /// ulp-sized perturbations a -w/+w round trip can leave on a link both the
 /// old and new state touch (IEEE addition is not associative, and the
@@ -113,6 +120,39 @@ struct TouchLog {
     links.clear();
     before.clear();
   }
+};
+
+/// One live link's key in the seed's order: (load desc, stamp asc). Stamps
+/// are unique, so the order is strict.
+struct LoadKey {
+  double load;
+  std::int64_t stamp;
+  LinkId link;
+};
+
+[[nodiscard]] inline bool precedes(const LoadKey& a, const LoadKey& b) {
+  return a.load > b.load || (a.load == b.load && a.stamp < b.stamp);
+}
+
+/// The stamp rule of the file comment, shared by LoadIndex and LoadOrder.
+class StampRule {
+ public:
+  /// Initial stamps are the LinkIds 0 .. num_links-1.
+  void reset(std::size_t num_links) {
+    low_ = -1;
+    high_ = static_cast<std::int64_t>(num_links);
+  }
+
+  /// Takes the old keys of one round's moved links (each link's load in
+  /// `loads` differs from its key's) and turns them into their new keys:
+  /// ranks them by old key, gives the fallen links fresh low stamps in
+  /// reverse old order and the risen links fresh high stamps in old order,
+  /// and stores each link's new load. `moved` ends in old order.
+  void restamp(std::vector<LoadKey>& moved, const LinkLoads& loads);
+
+ private:
+  std::int64_t low_ = -1;  ///< next stamp below every stamp in use
+  std::int64_t high_ = 0;  ///< next stamp above every stamp in use
 };
 
 class LoadIndex {
@@ -185,62 +225,63 @@ class LoadIndex {
   /// (tests do).
   void check_invariants(const LinkLoads& loads) const;
 
-  /// In-order walk over the live links (the seed's full sorted order),
-  /// O(log k) per step after k steps: a small frontier heap holds the heap
-  /// slots whose parents were already yielded. Any reorder() or retire()
-  /// invalidates the walk until restart().
-  class Walk {
-   public:
-    /// Starts at the first link of `index`; restart() after every
-    /// reorder(), retire() or reset() of the index.
-    explicit Walk(const LoadIndex& index) : index_(&index) { restart(); }
-
-    /// The next link in order, or kInvalidLink once every live link was
-    /// yielded.
-    [[nodiscard]] LinkId next();
-
-    /// Starts over from the first link of the index's current order.
-    void restart();
-
-   private:
-    /// Frontier heap operations, ordered by the index's keys of the slots.
-    void replace_first(std::uint32_t slot);
-    void push(std::uint32_t slot);
-
-    const LoadIndex* index_;
-    std::vector<std::uint32_t> frontier_;  ///< heap slots, first-in-order on top
-  };
-
  private:
-  /// One live link's key: order is (load desc, stamp asc); stamps are
-  /// unique, so the order is strict.
-  struct Entry {
-    double load;
-    std::int64_t stamp;
-    LinkId link;
-  };
-  static bool precedes(const Entry& a, const Entry& b) {
-    return a.load > b.load || (a.load == b.load && a.stamp < b.stamp);
-  }
-
-  /// Writes `entry` into slot `at` (whose previous key is being replaced)
-  /// and sifts it to its place. The sifts take the entry by value: it may
+  /// Writes `key` into slot `at` (whose previous key is being replaced)
+  /// and sifts it to its place. The sifts take the key by value: it may
   /// alias a heap slot they overwrite.
-  void update(std::size_t at, const Entry& entry);
-  void sift_up(std::size_t at, Entry entry);
-  void sift_down(std::size_t at, Entry entry);
+  void update(std::size_t at, const LoadKey& key);
+  void sift_up(std::size_t at, LoadKey key);
+  void sift_down(std::size_t at, LoadKey key);
 
-  std::vector<Entry> heap_;        ///< live links, binary heap on precedes()
+  std::vector<LoadKey> heap_;      ///< live links, binary heap on precedes()
   std::vector<std::int32_t> pos_;  ///< link -> heap slot, -1 once retired
-  std::int64_t low_stamp_ = -1;    ///< next stamp below every stamp in use
-  std::int64_t high_stamp_ = 0;    ///< next stamp above every stamp in use
-  std::vector<Entry> moved_;       ///< scratch: old keys of moved links
+  StampRule stamps_;
+  std::vector<LoadKey> moved_;     ///< scratch: keys of the moved links
   // Member lists, CSR: link l's list is member_data_[member_begin_[l] ..
   // + member_size_[l]). While counting (pass 1) member_size_ holds counts.
   std::vector<std::uint32_t> member_begin_;
   std::vector<std::uint32_t> member_size_;
   std::vector<std::uint32_t> member_data_;
   bool members_sealed_ = false;  ///< pass 2 started
+};
+
+/// The live links of the seed's order in one flat array, for XYI: at(k) is
+/// the k-th link, so a reader walks any prefix in O(1) per step and starts
+/// over for free after an update. XYI never retires a link, so every link
+/// stays live.
+class LoadOrder {
+ public:
+  /// Rebuilds the order for `loads`: the seed's first round, (load desc,
+  /// LinkId asc). Keeps the buffers' capacity.
+  void reset(const LinkLoads& loads);
+
+  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
+
+  /// The link at position k of the order.
+  [[nodiscard]] LinkId at(std::size_t k) const { return keys_[k].link; }
+
+  /// Re-establishes the seed's order after one update changed the stored
+  /// loads of `changed` (no duplicates; links whose load did not move are
+  /// skipped), exactly as LoadIndex::reorder does. The moved links take
+  /// their new keys by the stamp rule and are merged back into [lo, hi):
+  /// lo and hi are the min and max, over the moved links, of the old
+  /// position and of the lower_bound of the new key in the old array.
+  /// Outside that range no link changes position (see load_index.cpp).
+  /// Costs O(moved · log L + hi − lo). At PAMR_CHECK_LEVEL >= 2 every call
+  /// re-verifies check_invariants (O(L) per call).
+  void reorder(const std::vector<LinkId>& changed, const LinkLoads& loads);
+
+  /// Verifies the order against the current loads: it is strictly sorted,
+  /// pos_ agrees with the array, every link appears once and its stored
+  /// load equals loads.load(link). Throws pamr::InvariantError (category
+  /// "load-order") on the first violation.
+  void check_invariants(const LinkLoads& loads) const;
+
+ private:
+  std::vector<LoadKey> keys_;       ///< every link, sorted by precedes()
+  std::vector<std::uint32_t> pos_;  ///< link -> position in keys_
+  StampRule stamps_;
+  std::vector<LoadKey> moved_;      ///< scratch: keys of the moved links
 };
 
 }  // namespace pamr

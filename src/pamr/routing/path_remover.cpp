@@ -36,8 +36,24 @@
 // Both order removals identically — most-loaded link first with the
 // seed's stable-history tie-break (see load_index.hpp), heaviest
 // communication first with ties by original index — and keep the load
-// array bit-identical at every decision point (see apply_spread_tracked),
-// so the routings they produce are bit-identical.
+// array bit-identical at every decision point, so the routings they
+// produce are bit-identical.
+//
+// Re-spread in one pass (route_incremental). The reference subtracts the
+// removal's old spread from every cut, prunes, and adds the new spread.
+// Each link lies in exactly one cut of a communication, so its arithmetic
+// is its own: a link of cut t with m_t links before and m'_t after the
+// removal goes x → (x − δ/m_t) + δ/m'_t if it survives and x → x − δ/m_t
+// if it is erased. route_incremental does exactly that per link, in one
+// pass and without copying the old cuts: each cut that may lose links (cut
+// t0 and every cut the windowed prune filters) records its old size just
+// before erasing and retracts the old share from each link it erases; the
+// pass then gives every surviving link its (x − δ/m_t) + δ/m'_t, a cut the
+// removal left alone included (m'_t = m_t: that round trip can move a
+// stored double by an ulp, and the reference's next sort sees it). Both
+// adds go through LinkLoads::add, so even its clamp at zero is the
+// reference's, and −(δ/m) is bitwise the reference's (−δ)/m. A link is
+// reported to the LoadIndex only when its stored double moved.
 //
 // Overload witness (route_incremental under RouteGoal::kVerdict). A link
 // that is the only one left in some cut of communication i stays on i's
@@ -85,6 +101,31 @@ struct PruneScratch {
         row(buffers.row) {
     forward.assign(num_cores, 0);
     backward.assign(num_cores, 0);
+  }
+};
+
+/// One removal's re-spread of the chosen communication's weight (see the
+/// file comment): `old_size[t]` is cut t's size before this removal erased
+/// from it, 0 for a cut it did not touch, and every link whose stored load
+/// moved is appended to `changed`. CommState::finish_respread zeroes
+/// `old_size` again.
+struct Respread {
+  double weight;
+  LinkLoads& loads;
+  std::vector<std::uint32_t>& old_size;  ///< per depth
+  std::vector<LinkId>& changed;
+
+  /// Records cut t's size before links are erased from it.
+  void retract(std::int32_t t, std::size_t size) const {
+    PAMR_DCHECK(old_size[static_cast<std::size_t>(t)] == 0);
+    old_size[static_cast<std::size_t>(t)] = static_cast<std::uint32_t>(size);
+  }
+
+  /// Takes cut t's old share off a link being erased from it.
+  void drop(std::int32_t t, LinkId link) const {
+    const double before = loads.load(link);
+    loads.add(link, -(weight / static_cast<double>(old_size[static_cast<std::size_t>(t)])));
+    if (loads.load(link) != before) changed.push_back(link);
   }
 };
 
@@ -149,20 +190,37 @@ struct CommState {
     }
   }
 
-  /// apply_spread plus first-touch snapshots into `log`. The arithmetic —
-  /// cut iteration order, shares, signs — is exactly apply_spread's: the
-  /// incremental mode must reproduce the reference's floating-point state
-  /// bit for bit (IEEE addition is not associative, so even an unchanged
-  /// cut's -share/+share round trip can perturb a stored load by an ulp,
-  /// and the reference's next sort sees the perturbed value).
-  void apply_spread_tracked(double weight, LinkLoads& loads, TouchLog& log) const {
+  /// erase_from_cut for route_incremental: retracts cut t's old share from
+  /// every link it erases (see Respread).
+  template <class Pred>
+  void erase_retracting(std::int32_t t, Pred drop, const Respread& respread) const {
+    respread.retract(t, cut_size[static_cast<std::size_t>(t)]);
+    erase_from_cut(t, [&](LinkId link) {
+      if (!drop(link)) return false;
+      respread.drop(t, link);
+      return true;
+    });
+  }
+
+  /// The re-spread's one pass, after the removal's erasures: every
+  /// surviving link of cut t takes (x − δ/m_t) + δ/m'_t, with m_t the size
+  /// the cut had before the removal. Clears the recorded old sizes.
+  void finish_respread(const Respread& respread) const {
+    const double weight = respread.weight;
+    LinkLoads& loads = respread.loads;
     for (std::int32_t t = 0; t < rect.length(); ++t) {
       const std::span<const LinkId> live = cut(t);
       PAMR_ASSERT(!live.empty());
+      std::uint32_t& old_size = respread.old_size[static_cast<std::size_t>(t)];
       const double share = weight / static_cast<double>(live.size());
+      const double retracted =
+          old_size != 0 ? weight / static_cast<double>(old_size) : share;
+      old_size = 0;
       for (const LinkId link : live) {
-        log.record(link, loads.load(link));
+        const double before = loads.load(link);
+        loads.add(link, -retracted);
         loads.add(link, share);
+        if (loads.load(link) != before) respread.changed.push_back(link);
       }
     }
   }
@@ -209,11 +267,13 @@ struct CommState {
   }
 
   /// Windowed prune after the caller erased a link from cut t0 (see struct
-  /// comment). Requires the persistent marks (track_reachability). Appends
-  /// to `singled` the link of every cut the removal left single: cut t0 (it
-  /// held ≥ 2 links before the erase) and each filtered cut that dropped
-  /// from ≥ 2 links to one.
+  /// comment). Requires the persistent marks (track_reachability). Each
+  /// filtered cut erases through erase_retracting. Appends to `singled` the
+  /// link of every cut the removal left single: cut t0 (it held ≥ 2 links
+  /// before the erase) and each filtered cut that dropped from ≥ 2 links to
+  /// one.
   void prune_after_removal(const Mesh& mesh, std::int32_t t0, PruneScratch& scratch,
+                           const Respread& respread,
                            std::vector<LinkId>& singled) const {
     const std::int32_t len = rect.length();
     PAMR_DCHECK(t0 >= 0 && t0 < len);
@@ -292,14 +352,14 @@ struct CommState {
     // sit outside both changed ranges.
     auto filter_cut = [&](std::int32_t d) {
       const std::size_t before = cut(d).size();
-      erase_from_cut(d, [&](LinkId link) {
+      erase_retracting(d, [&](LinkId link) {
         const LinkInfo& info = mesh.link(link);
         const bool alive = allowed[static_cast<std::size_t>(link)] != 0 &&
                            forward[cell_key(info.from)] != 0 &&
                            backward[cell_key(info.to)] != 0;
         if (!alive) allowed[static_cast<std::size_t>(link)] = 0;
         return !alive;
-      });
+      }, respread);
       const std::span<const LinkId> after = cut(d);
       PAMR_ASSERT_MSG(!after.empty(), "prune emptied a cut — connectivity broken");
       if (before >= 2 && after.size() == 1) singled.push_back(after.front());
@@ -354,6 +414,16 @@ struct CommState {
             "windowed prune kept a link the full sweep would erase");
       }
     }
+  }
+
+  /// Appends one removal's PrTrace record.
+  void trace(PrTrace& trace, std::size_t comm, std::int32_t depth,
+             const LinkLoads& loads) const {
+    PrTrace::Removal& removal = trace.removals.emplace_back();
+    removal.comm = comm;
+    removal.depth = depth;
+    removal.cut_sizes.assign(cut_size, cut_size + rect.length());
+    removal.loads.assign(loads.values().begin(), loads.values().end());
   }
 
   /// Writes the unique remaining path's links into `path` once single-path.
@@ -525,8 +595,7 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
 
   std::size_t active = states.count_multi_path();
   PruneScratch scratch(pr, static_cast<std::size_t>(mesh.num_cores()));
-  TouchLog& log = pr.log;
-  log.reset(static_cast<std::size_t>(mesh.num_links()));
+  pr.old_size.assign(static_cast<std::size_t>(mesh.p() + mesh.q()), 0);
   std::vector<LinkId>& changed = pr.changed;
   std::vector<LinkId>& singled = pr.singled;
   std::size_t removals = 0;
@@ -573,13 +642,14 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
 
     const CommState state = states[chosen];
     const double weight = comms[chosen].weight;
-    state.apply_spread_tracked(-weight, loads, log);
+    const Respread respread{weight, loads, pr.old_size, changed};
+    changed.clear();
     state.allowed[static_cast<std::size_t>(link)] = 0;
-    state.erase_from_cut(depth, [link](LinkId l) { return l == link; });
+    state.erase_retracting(depth, [link](LinkId l) { return l == link; }, respread);
     singled.clear();
-    state.prune_after_removal(mesh, depth, scratch, singled);
-    state.apply_spread_tracked(weight, loads, log);
-    log.take_changed(loads, changed);
+    state.prune_after_removal(mesh, depth, scratch, respread, singled);
+    state.finish_respread(respread);
+    if (trace_ != nullptr) state.trace(*trace_, chosen, depth, loads);
     index.reorder(changed, loads);
     ++removals;
     obs::bump(obs::Metric::kPrRemovals);
@@ -644,6 +714,7 @@ RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& 
         state.erase_from_cut(t, [link](LinkId l) { return l == link; });
         state.prune(mesh, scratch);
         state.apply_spread(comms[index].weight, loads);
+        if (trace_ != nullptr) state.trace(*trace_, index, t, loads);
         ++removals;
         obs::bump(obs::Metric::kPrRemovals);
         if (state.is_single_path()) --active;

@@ -97,8 +97,8 @@ class XYImproverRouter final : public Router {
   /// Implementation selector, mirroring PathRemoverRouter. kIncremental
   /// (default) drives the descent through a CrossingIndex (link→crossing
   /// communications, per-core dirty stamping, no-improving-move
-  /// memoization) plus a LoadIndex (hot-link heap re-keyed per move, read
-  /// in order through a LoadIndex::Walk);
+  /// memoization) plus a LoadOrder (the links in one sorted array, re-keyed
+  /// and merged per move, read from the top through a cursor);
   /// kReference is the seed's loop — a full stable_sort of every mesh link
   /// and an every-communication rescan per move — kept for differential
   /// testing. Both produce bit-identical routings, including the
@@ -129,6 +129,21 @@ class XYImproverRouter final : public Router {
   XyiTrace* trace_ = nullptr;
 };
 
+/// Test/diagnostic hook for PathRemoverRouter: while attached, both modes
+/// append one record per removal, taken after its re-spread, so tests can
+/// pin the incremental one-pass re-spread against the reference's two
+/// passes at every step. The record copies every link's load — leave it
+/// unset outside tests.
+struct PrTrace {
+  struct Removal {
+    std::size_t comm;                      ///< the communication that lost a link
+    std::int32_t depth;                    ///< the removed link's cut
+    std::vector<std::uint32_t> cut_sizes;  ///< that communication's cuts, after
+    std::vector<double> loads;             ///< every link's virtual load, after
+  };
+  std::vector<Removal> removals;
+};
+
 /// PR — path remover (§5.5): starts from the all-paths virtual spread and
 /// deletes links from the most-loaded ones until each communication keeps a
 /// single path.
@@ -136,7 +151,8 @@ class PathRemoverRouter final : public Router {
  public:
   /// Implementation selector. kIncremental drives the removal loop through
   /// the LoadIndex (hot-link heap re-keyed per removal + per-link
-  /// membership lists) and is the default; kReference is the seed's loop — a full
+  /// membership lists) and re-spreads each removal in one pass; it is the
+  /// default. kReference is the seed's loop — a full
   /// stable_sort of every mesh link and a rescan of every communication
   /// per removal — kept for differential testing. Both produce
   /// bit-identical routings: most-loaded link first with the seed's
@@ -149,6 +165,8 @@ class PathRemoverRouter final : public Router {
 
   [[nodiscard]] const char* name() const noexcept override { return "PR"; }
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
+
+  void set_trace(PrTrace* trace) noexcept { trace_ = trace; }
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
@@ -164,6 +182,7 @@ class PathRemoverRouter final : public Router {
                                             RouteWorkspace& workspace) const;
 
   Mode mode_;
+  PrTrace* trace_ = nullptr;
 };
 
 /// BEST (§6): runs all six base policies and returns the valid result with

@@ -2,10 +2,11 @@
 //
 // A route call of SG, IG, TB, XYI or PR needs per-call scratch: working
 // loads, per-communication rectangles and cuts, member lists, the
-// LoadIndex heap, the finished paths. A RouteWorkspace owns all of it, so
-// a caller that routes many instances — the campaign runs six policies on
-// every instance — allocates only while the buffers grow to the largest
-// instance seen, and nothing once they have.
+// LoadIndex heap, the LoadOrder array, the finished paths. A
+// RouteWorkspace owns all of it, so a caller that routes many instances —
+// the campaign runs six policies on every instance — allocates only while
+// the buffers grow to the largest instance seen, and nothing once they
+// have.
 //
 // Ownership. One workspace serves one route call at a time.
 // scenario::run_unit_instances keeps one per thread (thread_local) for
@@ -63,7 +64,8 @@ class PathTable {
 class RouteWorkspace {
  public:
   RouteWorkspace() = default;
-  // xyi.walk points at xyi.index, so a workspace stays where it was built.
+  // Scratch of one thread's route calls: copying it would only duplicate
+  // buffers, so no copy is made by accident.
   RouteWorkspace(const RouteWorkspace&) = delete;
   RouteWorkspace& operator=(const RouteWorkspace&) = delete;
 
@@ -102,8 +104,7 @@ class RouteWorkspace {
     std::vector<Coord> cores;
     std::vector<Coord> old_cores;  ///< the rewritten path's previous cores
     std::vector<double> cost_now;  ///< cost(load) per link
-    LoadIndex index;
-    LoadIndex::Walk walk{index};
+    LoadOrder order;
     CrossingIndex crossings;
     TouchLog log;
     std::vector<LinkId> changed;
@@ -123,8 +124,8 @@ class RouteWorkspace {
     std::vector<std::uint64_t> sweep_backward;  ///< full-sweep epochs per core
     std::vector<char> row;                 ///< windowed prune's depth buffer
     std::vector<double> forced;            ///< forced load per link (witness)
+    std::vector<std::uint32_t> old_size;   ///< per depth: re-spread's old cut sizes
     LoadIndex index;
-    TouchLog log;
     std::vector<LinkId> changed;
     std::vector<LinkId> singled;
   } pr;

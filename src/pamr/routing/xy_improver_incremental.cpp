@@ -7,10 +7,11 @@
 // hot-prefix link that was already known to have no improving move. This
 // file removes all three without changing a single decision:
 //
-//   * hot-link order: a LoadIndex (the PR remover's heap keyed on load and
-//     a history stamp) re-keyed only for the links whose stored load
-//     actually changed under a move, and read through a LoadIndex::Walk
-//     that restarts from the hottest link after every applied move. The
+//   * hot-link order: a LoadOrder, the links in one flat array sorted on
+//     load and a history stamp, re-keyed only for the links whose stored
+//     load actually changed under a move and merged back into the range
+//     those links span. A cursor reads it from the hottest link and goes
+//     back to 0 after every applied move, as the reference's does. The
 //     seed's stable_sort of a persistent order vector makes the tie-break
 //     history-dependent; the stamps reproduce it bit for bit (see
 //     load_index.hpp).
@@ -104,10 +105,8 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
 
   // == the reference's first resort(): identity order stably sorted by the
   // initial loads.
-  LoadIndex& index = ws.index;
-  index.reset(loads);
-  LoadIndex::Walk& walk = ws.walk;
-  walk.restart();
+  LoadOrder& order = ws.order;
+  order.reset(loads);
   CrossingIndex& crossings = ws.crossings;
   crossings.reset(mesh, comms.size());
   for (std::size_t ci = 0; ci < comms.size(); ++ci) {
@@ -150,9 +149,9 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   };
 #endif
 
-  while (moves < cap) {
-    const LinkId hot = walk.next();
-    if (hot == kInvalidLink) break;
+  std::size_t cursor = 0;
+  while (moves < cap && cursor < order.size()) {
+    const LinkId hot = order.at(cursor++);
     if (loads.load(hot) <= 0.0) break;  // remaining links are idle
 
     xyi::Candidate best;
@@ -293,11 +292,11 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
         crossings.note_load_change(link);
         cost_now[static_cast<std::size_t>(link)] = cost(loads.load(link));
       }
-      index.reorder(changed, loads);
+      order.reorder(changed, loads);
       if (trace_ != nullptr) {
         trace_->penalized_totals.push_back(cost.total(loads.values()));
       }
-      walk.restart();
+      cursor = 0;
     }
   }
 

@@ -378,9 +378,9 @@ TEST(ParanoidCsvStream, AppendUnderMismatchedHeaderIsCaughtWhenParanoid) {
     // Paranoid library builds verify the on-disk header before appending:
     // the shard journal guarantees a resumed campaign reopens the stream
     // with the same columns, so a mismatch means the resume path regressed.
-    EXPECT_THROW(
-        resumed.open(path.string(), {"name", "latency"}, /*append=*/true),
-        InvariantError);
+    EXPECT_THROW(static_cast<void>(resumed.open(path.string(), {"name", "latency"},
+                                                /*append=*/true)),
+                 InvariantError);
     CsvStreamWriter matching;
     EXPECT_TRUE(matching.open(path.string(), {"name", "power"}, /*append=*/true));
     EXPECT_TRUE(matching.append_row({std::string("pr"), 2.5}));

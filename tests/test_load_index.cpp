@@ -1,34 +1,48 @@
-// LoadIndex unit tests plus the PR differential suite. The index is checked
-// against the seed's own model — a persistent order vector stably re-sorted
-// by load every round — on its full Walk order and its top() after every
-// call. The incremental removal loop must reproduce the reference
-// implementation bit for bit — same paths, same power — across mesh shapes,
-// seeds and comm counts, including exact-tie workloads (equal weights make
-// whole cuts carry exactly equal loads, which is where the seed's
-// stable-history tie-break is observable).
+// LoadIndex and LoadOrder unit tests plus the PR differential suite. Both
+// orders are checked against the seed's own model — a persistent order
+// vector stably re-sorted by load every round — after every call: LoadOrder
+// by its full array, LoadIndex by top() and by draining a copy through
+// top()/retire(). The incremental removal loop must reproduce the reference
+// implementation bit for bit — same paths, same power, and the same virtual
+// loads after every removal — across mesh shapes, seeds and comm counts,
+// including exact-tie workloads (equal weights make whole cuts carry
+// exactly equal loads, which is where the seed's stable-history tie-break
+// is observable).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "pamr/comm/generator.hpp"
+#include "pamr/mesh/rectangle.hpp"
 #include "pamr/routing/load_index.hpp"
 #include "pamr/routing/routers.hpp"
 
 namespace pamr {
 namespace {
 
-// ------------------------------------------------------------ LoadIndex --
+// ------------------------------------------------- LoadIndex, LoadOrder --
 
-std::vector<LinkId> walk_order(const LoadIndex& index) {
+/// The live order of `index`, read by draining a copy through top() and
+/// retire().
+std::vector<LinkId> drained_order(const LoadIndex& index) {
+  LoadIndex copy = index;
   std::vector<LinkId> order;
-  LoadIndex::Walk walk(index);
-  for (LinkId link = walk.next(); link != kInvalidLink; link = walk.next()) {
-    order.push_back(link);
+  while (!copy.empty()) {
+    order.push_back(copy.top());
+    copy.retire(copy.top());
   }
   return order;
+}
+
+/// The full array of `order`.
+std::vector<LinkId> array_of(const LoadOrder& order) {
+  std::vector<LinkId> links;
+  for (std::size_t at = 0; at < order.size(); ++at) links.push_back(order.at(at));
+  return links;
 }
 
 /// The seed's order: every link in a persistent vector, stably re-sorted by
@@ -53,6 +67,9 @@ class StableSortOracle {
     return retired_[static_cast<std::size_t>(link)] != 0;
   }
 
+  /// Every link, retired ones included.
+  [[nodiscard]] const std::vector<LinkId>& all() const { return order_; }
+
   [[nodiscard]] std::vector<LinkId> live() const {
     std::vector<LinkId> out;
     for (const LinkId link : order_) {
@@ -66,12 +83,19 @@ class StableSortOracle {
   std::vector<char> retired_;
 };
 
-void expect_matches(const LoadIndex& index, const StableSortOracle& oracle,
-                    const LinkLoads& loads, const std::string& label) {
+/// LoadOrder never retires, so it follows the oracle's full order; LoadIndex
+/// its live order.
+void expect_matches(const LoadIndex& index, const LoadOrder& order,
+                    const StableSortOracle& oracle, const LinkLoads& loads,
+                    const std::string& label) {
+  ASSERT_EQ(array_of(order), oracle.all()) << label;
+  order.check_invariants(loads);
   const std::vector<LinkId> live = oracle.live();
-  ASSERT_EQ(walk_order(index), live) << label;
   ASSERT_EQ(index.empty(), live.empty()) << label;
-  if (!live.empty()) ASSERT_EQ(index.top(), live.front()) << label;
+  if (!live.empty()) {
+    ASSERT_EQ(index.top(), live.front()) << label;
+  }
+  ASSERT_EQ(drained_order(index), live) << label;
   index.check_invariants(loads);
 }
 
@@ -82,16 +106,19 @@ TEST(LoadIndex, InitialOrderIsLoadDescendingWithLinkIdTies) {
   loads.add(LinkId{7}, 10.0);
   loads.add(LinkId{1}, 25.0);
   const LoadIndex index(loads);
+  LoadOrder load_order;
+  load_order.reset(loads);
 
-  const std::vector<LinkId> order = walk_order(index);
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(mesh.num_links()));
+  for (const std::vector<LinkId>& order : {drained_order(index), array_of(load_order)}) {
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(mesh.num_links()));
+    EXPECT_EQ(order[0], LinkId{1});
+    EXPECT_EQ(order[1], LinkId{3});  // tie with 7 → lower LinkId first
+    EXPECT_EQ(order[2], LinkId{7});
+    // Idle links follow in LinkId order.
+    EXPECT_EQ(order[3], LinkId{0});
+    EXPECT_EQ(order[4], LinkId{2});
+  }
   EXPECT_EQ(index.top(), LinkId{1});
-  EXPECT_EQ(order[0], LinkId{1});
-  EXPECT_EQ(order[1], LinkId{3});  // tie with 7 → lower LinkId first
-  EXPECT_EQ(order[2], LinkId{7});
-  // Idle links follow in LinkId order.
-  EXPECT_EQ(order[3], LinkId{0});
-  EXPECT_EQ(order[4], LinkId{2});
 }
 
 /// Random update rounds against the oracle. Every round reports a set of
@@ -99,7 +126,8 @@ TEST(LoadIndex, InitialOrderIsLoadDescendingWithLinkIdTies) {
 /// loads; a small value grid (so whole tie blocks form); a pair that rises
 /// and falls into the same tie block; links reported without moving; and,
 /// with `retire` set, retired links (reported or not) and retire() calls
-/// between reorders.
+/// between reorders. The LoadOrder takes the same reports (it ignores no
+/// link: XYI retires none).
 void run_oracle_rounds(const Mesh& mesh, std::uint64_t seed, int rounds, bool retire) {
   const auto num_links = static_cast<std::size_t>(mesh.num_links());
   LinkLoads loads(mesh);
@@ -112,13 +140,14 @@ void run_oracle_rounds(const Mesh& mesh, std::uint64_t seed, int rounds, bool re
     loads.add(static_cast<LinkId>(l), value);
   }
   LoadIndex index(loads);
+  LoadOrder order;
+  order.reset(loads);
   StableSortOracle oracle(loads);
-  LoadIndex::Walk walk(index);
   const auto label = [&](int round) {
     return std::to_string(mesh.p()) + "x" + std::to_string(mesh.q()) +
            " seed " + std::to_string(seed) + " round " + std::to_string(round);
   };
-  expect_matches(index, oracle, loads, label(-1));
+  expect_matches(index, order, oracle, loads, label(-1));
 
   const auto set_load = [&](LinkId link, double value) {
     loads.add(link, value - loads.load(link));
@@ -165,6 +194,7 @@ void run_oracle_rounds(const Mesh& mesh, std::uint64_t seed, int rounds, bool re
     }
 
     index.reorder(changed, loads);
+    order.reorder(changed, loads);
     oracle.resort(loads);
 
     if (retire && rng.below(4) == 0 && !index.empty()) {
@@ -178,24 +208,7 @@ void run_oracle_rounds(const Mesh& mesh, std::uint64_t seed, int rounds, bool re
       oracle.retire(victim);
     }
 
-    // The long-lived walk was abandoned midway last round, before this
-    // round's reorder and retire: restarted, it yields the full new order.
-    walk.restart();
-    const std::vector<LinkId> live = oracle.live();
-    std::vector<LinkId> walked;
-    for (LinkId link = walk.next(); link != kInvalidLink; link = walk.next()) {
-      walked.push_back(link);
-    }
-    ASSERT_EQ(walked, live) << label(round);
-    expect_matches(index, oracle, loads, label(round));
-
-    // Abandon it midway again: restarted on an unchanged index, it repeats
-    // the same prefix.
-    walk.restart();
-    const std::size_t partial = live.empty() ? 0 : rng.below(live.size());
-    for (std::size_t k = 0; k < partial; ++k) {
-      ASSERT_EQ(walk.next(), live[k]) << label(round) << " step " << k;
-    }
+    expect_matches(index, order, oracle, loads, label(round));
   }
 }
 
@@ -213,6 +226,45 @@ TEST(LoadIndex, ReorderMatchesRepeatedStableSortWithRetirement) {
   }
 }
 
+TEST(LoadOrder, SingleMovesAcrossTheWholeArrayMatchStableSort) {
+  // One link per round jumps to the top, to the bottom, or into a tie
+  // block far from its old slot: the affected range must reach from its
+  // old position to its new one in either direction.
+  const Mesh mesh(3, 3);  // 24 links
+  LinkLoads loads(mesh);
+  for (LinkId l = 0; l < mesh.num_links(); ++l) {
+    loads.add(l, 10.0 * static_cast<double>(l % 5));
+  }
+  LoadOrder order;
+  order.reset(loads);
+  StableSortOracle oracle(loads);
+  const std::vector<double> targets{1000.0, 0.0, 20.0, 40.0, 0.0, 30.0, 1000.0, 10.0};
+  for (std::size_t round = 0; round < 3 * targets.size(); ++round) {
+    const auto link = static_cast<LinkId>((7 * round + 3) % 24);
+    loads.add(link, targets[round % targets.size()] - loads.load(link));
+    order.reorder({link}, loads);
+    oracle.resort(loads);
+    ASSERT_EQ(array_of(order), oracle.all()) << "round " << round;
+    order.check_invariants(loads);
+  }
+}
+
+TEST(LoadOrder, CheckInvariantsCatchesUnreportedLoadChange) {
+  LinkLoads loads(4);
+  loads.add(0, 4.0);
+  loads.add(1, 3.0);
+  LoadOrder order;
+  order.reset(loads);
+  EXPECT_NO_THROW(order.check_invariants(loads));
+  loads.add(3, 10.0);  // never reported to reorder()
+  try {
+    order.check_invariants(loads);
+    FAIL() << "stale order passed its invariant sweep";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(e.category(), "load-order");
+  }
+}
+
 TEST(LoadIndex, RetireErasesTheLinkImmediately) {
   const Mesh mesh(2, 2);
   LinkLoads loads(mesh);
@@ -222,7 +274,7 @@ TEST(LoadIndex, RetireErasesTheLinkImmediately) {
 
   index.retire(LinkId{2});
   // Gone from the order at once, without waiting for a reorder…
-  std::vector<LinkId> order = walk_order(index);
+  std::vector<LinkId> order = drained_order(index);
   EXPECT_EQ(order.size(), num_links - 1);
   EXPECT_EQ(std::count(order.begin(), order.end(), LinkId{2}), 0);
   EXPECT_NO_THROW(index.check_invariants(loads));
@@ -230,7 +282,7 @@ TEST(LoadIndex, RetireErasesTheLinkImmediately) {
   // …and for good, even if its load later changes and is reported.
   loads.add(LinkId{2}, 100.0);
   index.reorder({LinkId{2}}, loads);
-  order = walk_order(index);
+  order = drained_order(index);
   EXPECT_EQ(order.size(), num_links - 1);
   EXPECT_EQ(std::count(order.begin(), order.end(), LinkId{2}), 0);
   EXPECT_NE(index.top(), LinkId{2});
@@ -401,6 +453,118 @@ TEST(PathRemoverDifferential, SustainedOverloadAtScaleIsBitIdentical) {
   spec.weight_hi = 3400.0;
   const CommSet comms = generate_uniform(mesh, spec, rng);
   expect_identical(mesh, comms, "sustained overload 10x10");
+}
+
+// -------------------------------------------------- one-pass re-spread --
+
+/// Bitwise equality of two load vectors (a -0.0 vs 0.0 or an ulp counts).
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+           return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+         });
+}
+
+/// What a re-spread trace exercised.
+struct RespreadCoverage {
+  /// Removals whose prune shrank cuts on both sides of the removed link's.
+  int both_sides = 0;
+  /// Links whose stored load moved, by an ulp-sized round trip, in a cut
+  /// outside the span of the cuts the removal shrank: (x − s) + s ≠ x.
+  int round_trips = 0;
+};
+
+/// Routes `comms` with both PR modes under a PrTrace and demands the same
+/// removal sequence with, after every removal, the same cut sizes and
+/// bit-identical virtual loads: the incremental one-pass re-spread against
+/// the reference's two full passes. Returns what the trace covered.
+RespreadCoverage expect_identical_respread(const Mesh& mesh, const CommSet& comms,
+                                           const std::string& label) {
+  const PowerModel model = PowerModel::paper_discrete();
+  PrTrace ref;
+  PrTrace inc;
+  PathRemoverRouter reference(PathRemoverRouter::Mode::kReference);
+  PathRemoverRouter incremental;
+  reference.set_trace(&ref);
+  incremental.set_trace(&inc);
+  static_cast<void>(reference.route(mesh, comms, model));
+  static_cast<void>(incremental.route(mesh, comms, model));
+
+  RespreadCoverage coverage;
+  EXPECT_EQ(ref.removals.size(), inc.removals.size()) << label;
+  std::vector<std::vector<std::uint32_t>> sizes;  // per comm, before the removal
+  for (const Communication& comm : comms) {
+    const CommRect rect(mesh, comm.src, comm.snk);
+    std::vector<std::uint32_t>& cut_sizes = sizes.emplace_back();
+    for (std::int32_t t = 0; t < rect.length(); ++t) {
+      cut_sizes.push_back(static_cast<std::uint32_t>(rect.cut_size(t)));
+    }
+  }
+  for (std::size_t r = 0; r < std::min(ref.removals.size(), inc.removals.size()); ++r) {
+    const PrTrace::Removal& a = ref.removals[r];
+    const PrTrace::Removal& b = inc.removals[r];
+    EXPECT_EQ(a.comm, b.comm) << label << " removal " << r;
+    EXPECT_EQ(a.depth, b.depth) << label << " removal " << r;
+    EXPECT_EQ(a.cut_sizes, b.cut_sizes) << label << " removal " << r;
+    EXPECT_TRUE(same_bits(a.loads, b.loads)) << label << " removal " << r;
+    if (testing::Test::HasFailure()) return coverage;
+
+    // The span of the cuts this removal shrank (the removed link's included).
+    std::vector<std::uint32_t>& before = sizes[a.comm];
+    std::int32_t lo = a.depth;
+    std::int32_t hi = a.depth;
+    for (std::size_t t = 0; t < before.size(); ++t) {
+      if (before[t] == a.cut_sizes[t]) continue;
+      lo = std::min(lo, static_cast<std::int32_t>(t));
+      hi = std::max(hi, static_cast<std::int32_t>(t));
+    }
+    if (lo < a.depth && hi > a.depth) ++coverage.both_sides;
+    before = a.cut_sizes;
+    if (r == 0) continue;
+    const CommRect rect(mesh, comms[a.comm].src, comms[a.comm].snk);
+    const std::vector<double>& previous = ref.removals[r - 1].loads;
+    for (std::size_t l = 0; l < previous.size(); ++l) {
+      if (std::bit_cast<std::uint64_t>(previous[l]) ==
+          std::bit_cast<std::uint64_t>(a.loads[l])) {
+        continue;
+      }
+      // Only this communication's links move in its removal.
+      const std::int32_t t = rect.depth(mesh.link(static_cast<LinkId>(l)).from);
+      EXPECT_GE(t, 0) << label << " removal " << r << " moved a foreign link";
+      if (t < lo || t > hi) ++coverage.round_trips;
+    }
+  }
+  return coverage;
+}
+
+TEST(PathRemoverRespread, OnePassMatchesTwoPassesAfterEveryRemoval) {
+  // Uniform weights make (x − s) + s ≠ x common; equal weights make whole
+  // tie blocks, where such an ulp decides the next removal.
+  RespreadCoverage total;
+  const Mesh mesh(8, 8);
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    Rng rng(seed);
+    UniformWorkload spec;
+    spec.num_comms = 40;
+    const RespreadCoverage covered = expect_identical_respread(
+        mesh, generate_uniform(mesh, spec, rng), "uniform seed " + std::to_string(seed));
+    total.both_sides += covered.both_sides;
+    total.round_trips += covered.round_trips;
+  }
+  Rng rng(0xE0A1);
+  CommSet equal;
+  for (int i = 0; i < 60; ++i) {
+    const auto src = static_cast<std::int32_t>(rng.below(64));
+    auto snk = src;
+    while (snk == src) snk = static_cast<std::int32_t>(rng.below(64));
+    equal.push_back(Communication{mesh.core_coord(src), mesh.core_coord(snk), 10.0});
+  }
+  const RespreadCoverage covered = expect_identical_respread(mesh, equal, "equal weights");
+  total.both_sides += covered.both_sides;
+  total.round_trips += covered.round_trips;
+  // The workloads must exercise both cases the one pass has to get right.
+  EXPECT_GT(total.both_sides, 0);
+  EXPECT_GT(total.round_trips, 0);
 }
 
 }  // namespace
