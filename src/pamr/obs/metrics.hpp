@@ -37,15 +37,15 @@ enum class Metric : std::uint32_t {
   kRouteCalls,            ///< Router::route / topo::route_on invocations
   kRouteCertifiedInfeasible,  ///< instances run_instance certified infeasible (not routed)
   kRouteAbandoned,        ///< RouteGoal::kVerdict calls stopped at an overload witness
-  kXyiMoves,              ///< accepted moves across both XYI loops
+  kXyiMoves,              ///< accepted XYI moves
   kXyiEvalHits,           ///< XYI evaluation slots reused (no side re-evaluated)
   kXyiEvalMisses,         ///< XYI evaluation slot misses (a side re-evaluated)
   kXyiVerdictSkips,       ///< whole links folded in O(1) via the band-checked fold cache
   kXyiIndexRewrites,      ///< CrossingIndex::apply_rewrite calls
-  kPrRemovals,            ///< PR removals applied (both loops)
+  kPrRemovals,            ///< PR removals applied
   kPrLinksRetired,        ///< LoadIndex::retire calls
   kLoadIndexReorders,     ///< LoadIndex::reorder calls
-  kIgCutBounds,           ///< IG remaining_bound evaluations
+  kIgCutBounds,           ///< IG cut bounds evaluated (candidates short of the sink)
   kSimProbes,             ///< simulator probes of a finished routing
   kSuiteUnits,            ///< work units executed (run_unit_instances calls)
   kSuiteInstances,        ///< Monte-Carlo instances executed

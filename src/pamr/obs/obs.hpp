@@ -1,6 +1,5 @@
 // Umbrella header for the telemetry subsystem. Instrumented code includes
-// this one header; everything in it degrades to inline no-op stubs when
-// built with PAMR_OBS=0 (see CMakeLists' PAMR_OBS option).
+// this one header; recording is gated at run time (obs::enabled()).
 #pragma once
 
 #include "pamr/obs/metrics.hpp"

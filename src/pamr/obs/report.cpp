@@ -1,7 +1,5 @@
 #include "pamr/obs/report.hpp"
 
-#if PAMR_OBS
-
 #include <fstream>
 
 #include "pamr/obs/registry.hpp"
@@ -100,5 +98,3 @@ bool write_report(const std::string& path, std::string_view driver,
 }
 
 }  // namespace pamr::obs
-
-#endif  // PAMR_OBS

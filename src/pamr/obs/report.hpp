@@ -5,16 +5,10 @@
 // registry state.
 #pragma once
 
-#ifndef PAMR_OBS
-#define PAMR_OBS 1
-#endif
-
 #include <string>
 #include <string_view>
 
 namespace pamr::obs {
-
-#if PAMR_OBS
 
 /// Writes the current registry snapshot. `driver` names the producing
 /// binary ("pamr_scenarios", "pamr_dist"); `fingerprint` is the campaign
@@ -22,15 +16,5 @@ namespace pamr::obs {
 /// ad-hoc runs.
 [[nodiscard]] bool write_report(const std::string& path, std::string_view driver,
                                 std::string_view fingerprint, std::string& error);
-
-#else
-
-[[nodiscard]] inline bool write_report(const std::string&, std::string_view,
-                                       std::string_view, std::string& error) {
-  error = "telemetry compiled out (PAMR_OBS=0)";
-  return false;
-}
-
-#endif  // PAMR_OBS
 
 }  // namespace pamr::obs

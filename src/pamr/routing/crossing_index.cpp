@@ -240,7 +240,7 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
   }
 #if PAMR_CHECK_LEVEL >= 2
   // Paranoid: the rewritten window's member lists must still be strictly
-  // ascending — the ascending walk is what reproduces the reference
+  // ascending — the ascending walk is what reproduces the seed's
   // candidate scan's tie-breaks bit for bit.
   for (std::size_t k = 0; k + 1 < after.size(); ++k) {
     const std::span<const std::uint32_t> list =

@@ -11,7 +11,7 @@
 //
 //   * per-link member lists — the communications whose *current* path
 //     crosses the link, kept sorted by communication index so a walk
-//     reproduces the reference's ascending-ci candidate scan (and its
+//     reproduces the seed's ascending-ci candidate scan (and its
 //     first-candidate tie-break) exactly;
 //   * per-core visitor lists — the communications whose path visits the
 //     core, which is the reverse mapping needed for dirty stamping (below);

@@ -16,31 +16,27 @@
 // on the links as their virtual spread, which is exactly what makes this
 // "improved" over SG: the greedy choice anticipates future traffic.)
 //
-// Two implementations share the spread/bound machinery below:
+// The bound comes from a per-communication CutCache: after the
+// communication's own spread is removed, every cut link's cost at
+// (load + δ_i) is computed exactly once, and each bound becomes a sum of
+// windowed minima over those cached doubles. The cache stays exact through
+// the whole descent because the only load mutations are the commits of
+// links at depths the walk has already passed — and even those slots are
+// reloaded defensively. A sub-rectangle's cut at full depth t is a
+// contiguous row-offset window of the full rectangle's cut (same cells,
+// same step predicates, same vertical-then-horizontal order), so the
+// windowed min chain and the ascending-depth summation replay the seed's
+// full rescan per candidate per hop double for double. That seed loop is
+// the test oracle in tests/seed_routers.hpp, and the differential suite
+// (tests/test_improved_greedy.cpp) holds the two equal.
 //
-//   * route_reference — the seed loop: every candidate rescans every cut of
-//     its sub-rectangle, O(rectangle) cost() calls per candidate per hop.
-//     Kept (selectable via Mode::kReference) as the ground truth for the
-//     differential suite.
-//   * route_incremental (default) — a per-communication CutCache: after the
-//     communication's own spread is removed, every cut link's cost at
-//     (load + δ_i) is computed exactly once, and each bound becomes a sum
-//     of windowed minima over those cached doubles. The cache stays exact
-//     through the whole descent because the only load mutations are the
-//     commits of links at depths the walk has already passed — and even
-//     those slots are reloaded defensively. A sub-rectangle's cut at full
-//     depth t is a contiguous row-offset window of the full rectangle's
-//     cut (same cells, same step predicates, same vertical-then-horizontal
-//     order), so the windowed min chain and the ascending-depth summation
-//     replay the reference's arithmetic double for double.
-//
-// Overload witness (route_incremental under RouteGoal::kVerdict): `loads`
+// Overload witness (under RouteGoal::kVerdict): `loads`
 // mixes committed hops with the virtual spread of communications not yet
 // processed, and that spread leaves again, so `loads` proves nothing. A
 // separate `committed` array holds only the weights of committed hops.
 // Those stay on their links in the final routing and only grow, so a
 // committed load that passes PowerModel::proven_overload proves the routing
-// invalid and the call stops. The reference loop ignores the goal.
+// invalid and the call stops.
 #include <limits>
 
 #include "pamr/mesh/rectangle.hpp"
@@ -66,9 +62,12 @@ void apply_virtual_spread(const CommRect& rect, double weight, LinkLoads& loads)
   }
 }
 
-/// The bound scan itself, counter-free so the paranoid cross-check can
-/// rerun it without inflating the work counters: per cut of [from → snk],
-/// the cheapest link after adding the communication.
+#if PAMR_CHECK_LEVEL >= 2
+/// Lower bound on the cost of routing `weight` from `from` to `snk`, given
+/// current loads — the paper's "for each k … keep the least loaded possible
+/// link between D_k and D_{k+1}" as a full rescan: per cut of [from → snk],
+/// the cheapest link after adding the communication. The paranoid
+/// cross-check holds every cached bound equal to it.
 double scan_bound(const Mesh& mesh, Coord from, Coord snk, double weight,
                   const LinkLoads& loads, const LoadCost& cost) {
   const CommRect rest(mesh, from, snk);
@@ -82,19 +81,9 @@ double scan_bound(const Mesh& mesh, Coord from, Coord snk, double weight,
   }
   return bound;
 }
+#endif
 
-/// Lower bound on the cost of routing `weight` from `from` to `snk`, given
-/// current loads. Matches the paper's "for each k … keep the least loaded
-/// possible link between D_k and D_{k+1}". The counter is bumped after the
-/// arrival early-out so it reports actual bound computations.
-double remaining_bound(const Mesh& mesh, Coord from, Coord snk, double weight,
-                       const LinkLoads& loads, const LoadCost& cost) {
-  if (from == snk) return 0.0;
-  obs::bump(obs::Metric::kIgCutBounds);
-  return scan_bound(mesh, from, snk, weight, loads, cost);
-}
-
-/// Per-communication cut-min cache (Mode::kIncremental; see file comment).
+/// Per-communication cut-min cache (see file comment).
 ///
 /// Layout: slots hold cost(load + δ_i) for every cut link of the full
 /// rectangle, depth-major, cells by ascending row offset, vertical step
@@ -151,8 +140,8 @@ class CutCache {
     }
   }
 
-  /// remaining_bound from the cache: same min chains over the same values
-  /// in the same order, summed across depths in the same ascending order.
+  /// scan_bound from the cache: same min chains over the same values in
+  /// the same order, summed across depths in the same ascending order.
   [[nodiscard]] double bound_from(Coord from) const {
     std::int32_t a0 = 0;
     std::int32_t b0 = 0;
@@ -211,16 +200,6 @@ class CutCache {
 RouteResult ImprovedGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                              const PowerModel& model, RouteGoal goal,
                                              RouteWorkspace& workspace) const {
-  return mode_ == Mode::kReference
-             ? route_reference(mesh, comms, model)
-             : route_incremental(mesh, comms, model, goal, workspace);
-}
-
-RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
-                                                    const CommSet& comms,
-                                                    const PowerModel& model,
-                                                    RouteGoal goal,
-                                                    RouteWorkspace& workspace) const {
   const WallTimer timer;
   const LoadCost cost(model, mesh.num_links());
   RouteWorkspace::ImprovedGreedy& ig = workspace.ig;
@@ -296,58 +275,6 @@ RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
   }
 
   return finish(mesh, comms, model, workspace, timer.elapsed_ms());
-}
-
-RouteResult ImprovedGreedyRouter::route_reference(const Mesh& mesh,
-                                                  const CommSet& comms,
-                                                  const PowerModel& model) const {
-  const WallTimer timer;
-  const LoadCost cost(model, mesh.num_links());
-  LinkLoads loads(mesh);
-  std::vector<Path> paths(comms.size());
-
-  // Phase 1: virtual pre-routing of everything.
-  std::vector<CommRect> rects;
-  rects.reserve(comms.size());
-  for (const Communication& comm : comms) {
-    rects.emplace_back(mesh, comm.src, comm.snk);
-    apply_virtual_spread(rects.back(), comm.weight, loads);
-  }
-
-  // Phase 2: commit concrete routes, heaviest first.
-  for (const std::size_t index : order_by_decreasing_weight(comms)) {
-    const Communication& comm = comms[index];
-    const CommRect& rect = rects[index];
-    apply_virtual_spread(rect, -comm.weight, loads);
-
-    std::vector<Coord> cores{comm.src};
-    Coord at = comm.src;
-    while (at != comm.snk) {
-      const auto steps = rect.next_steps(at);
-      PAMR_ASSERT(!steps.empty());
-      const CommRect::Step* chosen = &steps.front();
-      if (steps.size() == 2) {
-        double best_bound = std::numeric_limits<double>::infinity();
-        for (const auto& step : steps) {
-          const double bound =
-              cost(loads.load(step.link) + comm.weight) +
-              remaining_bound(mesh, step.to, comm.snk, comm.weight, loads, cost);
-          // Strict '<' keeps the vertical-first preference on exact ties.
-          if (bound < best_bound) {
-            best_bound = bound;
-            chosen = &step;
-          }
-        }
-      }
-      loads.add(chosen->link, comm.weight);
-      cores.push_back(chosen->to);
-      at = chosen->to;
-    }
-    paths[index] = path_from_cores(mesh, cores);
-  }
-
-  return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),
-                timer.elapsed_ms());
 }
 
 }  // namespace pamr

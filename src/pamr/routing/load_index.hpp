@@ -85,7 +85,7 @@ namespace pamr {
 /// exactly the links whose stored double actually changed — including the
 /// ulp-sized perturbations a -w/+w round trip can leave on a link both the
 /// old and new state touch (IEEE addition is not associative, and the
-/// reference loops' next sort sees the perturbed bits).
+/// seed loops' next sort sees the perturbed bits).
 struct TouchLog {
   std::vector<LinkId> links;
   std::vector<double> before;
@@ -174,7 +174,7 @@ class LoadIndex {
 
   /// Pass 2: appends `comm` to the link's member list. Call once per
   /// counted membership, in heaviest-first (order_by_decreasing_weight)
-  /// order so the list order matches the reference scan order. The first
+  /// order so the list order matches the seed's scan order. The first
   /// call ends pass 1; counting after it is an error.
   void add_member(LinkId link, std::uint32_t comm);
 

@@ -18,46 +18,42 @@
 // removal strictly shrinks the union of allowed links, so termination is
 // structural.
 //
-// Two implementations share the CommState machinery below:
+// "Most loaded link, heaviest communication using it" comes from a
+// LoadIndex: the top of a heap keyed on (load, history stamp), re-keyed
+// only for the links whose stored load actually changed, plus per-link
+// heaviest-first membership lists. Links whose scan finds no removable
+// member are retired permanently: every surviving member holds them in a
+// singleton cut, cuts only shrink, and membership only dies, so such a link
+// can never yield a removal again.
 //
-//   * route_reference — the seed loop: every removal re-sorts all mesh
-//     links by load and rescans every communication, O(L log L + nc) per
-//     removal. Kept (selectable via Mode::kReference) as the ground truth
-//     for differential tests.
-//   * route_incremental (default) — answers "most loaded link, heaviest
-//     communication using it" from a LoadIndex: the top of a heap keyed on
-//     (load, history stamp), re-keyed only for the links whose stored load
-//     actually changed, plus per-link heaviest-first membership lists.
-//     Links whose scan finds no removable member are retired permanently:
-//     every surviving member holds them in a singleton cut, cuts only
-//     shrink, and membership only dies, so such a link can never yield a
-//     removal again.
+// The seed re-sorted all mesh links by load and rescanned every
+// communication per removal, O(L log L + nc) each; its loop is the test
+// oracle in tests/seed_routers.hpp. This file orders removals identically —
+// most-loaded link first with the seed's stable-history tie-break (see
+// load_index.hpp), heaviest communication first with ties by original
+// index — and keeps the load array bit-identical at every decision point,
+// so the routings are bit-identical; the differential suite
+// (tests/test_load_index.cpp) holds the two equal, removal by removal.
 //
-// Both order removals identically — most-loaded link first with the
-// seed's stable-history tie-break (see load_index.hpp), heaviest
-// communication first with ties by original index — and keep the load
-// array bit-identical at every decision point, so the routings they
-// produce are bit-identical.
+// Re-spread in one pass. The seed subtracts the removal's old spread from
+// every cut, prunes, and adds the new spread. Each link lies in exactly one
+// cut of a communication, so its arithmetic is its own: a link of cut t
+// with m_t links before and m'_t after the removal goes
+// x → (x − δ/m_t) + δ/m'_t if it survives and x → x − δ/m_t if it is
+// erased. This file does exactly that per link, in one pass and without
+// copying the old cuts: each cut that may lose links (cut t0 and every cut
+// the windowed prune filters) records its old size just before erasing and
+// retracts the old share from each link it erases; the pass then gives
+// every surviving link its (x − δ/m_t) + δ/m'_t, a cut the removal left
+// alone included (m'_t = m_t: that round trip can move a stored double by
+// an ulp, and the seed's next sort sees it). Both adds go through
+// LinkLoads::add, so even its clamp at zero is the seed's, and −(δ/m) is
+// bitwise the seed's (−δ)/m. A link is reported to the LoadIndex only when
+// its stored double moved.
 //
-// Re-spread in one pass (route_incremental). The reference subtracts the
-// removal's old spread from every cut, prunes, and adds the new spread.
-// Each link lies in exactly one cut of a communication, so its arithmetic
-// is its own: a link of cut t with m_t links before and m'_t after the
-// removal goes x → (x − δ/m_t) + δ/m'_t if it survives and x → x − δ/m_t
-// if it is erased. route_incremental does exactly that per link, in one
-// pass and without copying the old cuts: each cut that may lose links (cut
-// t0 and every cut the windowed prune filters) records its old size just
-// before erasing and retracts the old share from each link it erases; the
-// pass then gives every surviving link its (x − δ/m_t) + δ/m'_t, a cut the
-// removal left alone included (m'_t = m_t: that round trip can move a
-// stored double by an ulp, and the reference's next sort sees it). Both
-// adds go through LinkLoads::add, so even its clamp at zero is the
-// reference's, and −(δ/m) is bitwise the reference's (−δ)/m. A link is
-// reported to the LoadIndex only when its stored double moved.
-//
-// Overload witness (route_incremental under RouteGoal::kVerdict). A link
-// that is the only one left in some cut of communication i stays on i's
-// final path: cuts only shrink and never empty. Its *forced* load is
+// Overload witness (under RouteGoal::kVerdict). A link that is the only
+// one left in some cut of communication i stays on i's final path: cuts
+// only shrink and never empty. Its *forced* load is
 // Σ δ_i over the communications that hold it as such a singleton cut, and
 // it only grows as cuts shrink. So a forced load that passes
 // PowerModel::proven_overload proves the final routing invalid, and the
@@ -66,9 +62,8 @@
 // prune_after_removal already visits; the forced loads cost no extra scan.
 // A two-link cut forces nothing: either link may be removed later. The
 // virtual spread (`loads`) proves nothing either, since it moves as paths
-// are removed. The reference loop ignores the goal.
+// are removed.
 #include <algorithm>
-#include <numeric>
 #include <span>
 
 #include "pamr/mesh/rectangle.hpp"
@@ -84,11 +79,12 @@ namespace pamr {
 
 namespace {
 
-/// Reusable reachability buffers for CommState::prune: cells are marked
-/// with the current epoch instead of re-allocating (and re-zeroing) two
-/// per-core vectors on every removal, as the seed did. `row` is the
-/// windowed prune's per-depth recompute buffer. The vectors are the
-/// workspace's; construction zeroes the epochs for this call.
+/// Reusable buffers of the windowed prune: `row` is its per-depth
+/// recompute buffer, and `forward`/`backward` hold the paranoid
+/// cross-check's full reachability sweep, whose cells are marked with the
+/// current epoch instead of re-zeroing two per-core vectors per sweep. The
+/// vectors are the workspace's; construction zeroes the epochs for this
+/// call.
 struct PruneScratch {
   std::vector<std::uint64_t>& forward;
   std::vector<std::uint64_t>& backward;
@@ -131,20 +127,17 @@ struct Respread {
 
 /// Per-communication path-DAG state.
 ///
-/// Two prune implementations operate on it. prune() is the seed's full
-/// forward/backward reachability sweep over every depth, used by
-/// route_reference. prune_after_removal() — route_incremental's — keeps
-/// persistent per-cell marks and recomputes only the depth window a
-/// removal at cut t0 can have changed: forward marks at depths > t0 until
-/// a depth stops changing, backward marks at depths ≤ t0 likewise, then
-/// re-filters exactly the cuts whose links read a changed mark. Marks only
-/// ever drop, and a cell whose mark goes stale (its support was erased in
-/// a cut outside the recompute window) is provably shadowed by the other
-/// direction's zero on every surviving link that could read it, so the
-/// windowed filter erases exactly the links the full sweep would — the
-/// PR differential suite pins reference (full) against incremental
-/// (windowed) end to end, and the paranoid check below re-verifies every
-/// windowed prune against a fresh sweep.
+/// prune_after_removal() keeps persistent per-cell reachability marks and
+/// recomputes only the depth window a removal at cut t0 can have changed:
+/// forward marks at depths > t0 until a depth stops changing, backward
+/// marks at depths ≤ t0 likewise, then re-filters exactly the cuts whose
+/// links read a changed mark. Marks only ever drop, and a cell whose mark
+/// goes stale (its support was erased in a cut outside the recompute
+/// window) is provably shadowed by the other direction's zero on every
+/// surviving link that could read it, so the windowed filter erases exactly
+/// the links the seed's full forward/backward sweep over every depth would
+/// — the PR differential suite pins the two end to end, and the paranoid
+/// check below re-verifies every windowed prune against a fresh sweep.
 ///
 /// The state lives in the workspace's flat arrays (see CommStates below);
 /// a CommState is a view of one communication's slice of them. Cut t holds
@@ -156,8 +149,8 @@ struct CommState {
   LinkId* links;               ///< every comm's cut slots (global array)
   std::uint32_t* cut_begin;    ///< per depth t: first slot of cut t
   std::uint32_t* cut_size;     ///< per depth t: live links of cut t
-  char* forward;               ///< persistent marks, by core index
-  char* backward;              ///< (windowed prune only)
+  char* forward;               ///< persistent reachability marks,
+  char* backward;              ///< by core index
 
   [[nodiscard]] std::span<LinkId> cut(std::int32_t t) const noexcept {
     const auto idx = static_cast<std::size_t>(t);
@@ -180,7 +173,7 @@ struct CommState {
     return true;
   }
 
-  /// Adds (sign × δ/m_t) for every allowed link of every cut.
+  /// Adds δ/m_t to every allowed link of every cut: the initial spread.
   void apply_spread(double weight, LinkLoads& loads) const {
     for (std::int32_t t = 0; t < rect.length(); ++t) {
       const std::span<const LinkId> live = cut(t);
@@ -190,8 +183,8 @@ struct CommState {
     }
   }
 
-  /// erase_from_cut for route_incremental: retracts cut t's old share from
-  /// every link it erases (see Respread).
+  /// erase_from_cut that retracts cut t's old share from every link it
+  /// erases (see Respread).
   template <class Pred>
   void erase_retracting(std::int32_t t, Pred drop, const Respread& respread) const {
     respread.retract(t, cut_size[static_cast<std::size_t>(t)]);
@@ -225,59 +218,16 @@ struct CommState {
     }
   }
 
-  /// Rebuilds `cuts` from `allowed`, dropping links that are not on any
-  /// surviving src→snk path (forward ∩ backward reachability over depths).
-  void prune(const Mesh& mesh, PruneScratch& scratch) const {
-    const std::int32_t len = rect.length();
-    if (len == 0) return;
-    const std::uint64_t epoch = ++scratch.epoch;
-    // Reachability per cell, keyed by depth-local enumeration.
-    auto cell_key = [&](Coord c) {
-      return static_cast<std::size_t>(mesh.core_index(c));
-    };
-    scratch.forward[cell_key(rect.src())] = epoch;
-    for (std::int32_t t = 0; t < len; ++t) {
-      for (const LinkId link : cut(t)) {
-        const LinkInfo& info = mesh.link(link);
-        if (scratch.forward[cell_key(info.from)] == epoch) {
-          scratch.forward[cell_key(info.to)] = epoch;
-        }
-      }
-    }
-    scratch.backward[cell_key(rect.snk())] = epoch;
-    for (std::int32_t t = len - 1; t >= 0; --t) {
-      for (const LinkId link : cut(t)) {
-        const LinkInfo& info = mesh.link(link);
-        if (scratch.backward[cell_key(info.to)] == epoch) {
-          scratch.backward[cell_key(info.from)] = epoch;
-        }
-      }
-    }
-    for (std::int32_t t = 0; t < len; ++t) {
-      erase_from_cut(t, [&](LinkId link) {
-        const LinkInfo& info = mesh.link(link);
-        const bool alive = allowed[static_cast<std::size_t>(link)] != 0 &&
-                           scratch.forward[cell_key(info.from)] == epoch &&
-                           scratch.backward[cell_key(info.to)] == epoch;
-        if (!alive) allowed[static_cast<std::size_t>(link)] = 0;
-        return !alive;
-      });
-      PAMR_ASSERT_MSG(!cut(t).empty(), "prune emptied a cut — connectivity broken");
-    }
-  }
-
   /// Windowed prune after the caller erased a link from cut t0 (see struct
-  /// comment). Requires the persistent marks (track_reachability). Each
-  /// filtered cut erases through erase_retracting. Appends to `singled` the
-  /// link of every cut the removal left single: cut t0 (it held ≥ 2 links
-  /// before the erase) and each filtered cut that dropped from ≥ 2 links to
-  /// one.
+  /// comment). Each filtered cut erases through erase_retracting. Appends
+  /// to `singled` the link of every cut the removal left single: cut t0 (it
+  /// held ≥ 2 links before the erase) and each filtered cut that dropped
+  /// from ≥ 2 links to one.
   void prune_after_removal(const Mesh& mesh, std::int32_t t0, PruneScratch& scratch,
                            const Respread& respread,
                            std::vector<LinkId>& singled) const {
     const std::int32_t len = rect.length();
     PAMR_DCHECK(t0 >= 0 && t0 < len);
-    PAMR_DCHECK(forward != nullptr);
     if (cut(t0).size() == 1) singled.push_back(cut(t0).front());
     const std::int32_t du = rect.du();
     const std::int32_t dv = rect.dv();
@@ -449,11 +399,10 @@ struct CommState {
 class CommStates {
  public:
   CommStates(RouteWorkspace::PathRemover& buffers, const Mesh& mesh,
-             const CommSet& comms, LinkLoads& loads, bool track_reachability)
+             const CommSet& comms, LinkLoads& loads)
       : b_(buffers),
         num_links_(static_cast<std::size_t>(mesh.num_links())),
-        num_cores_(static_cast<std::size_t>(mesh.num_cores())),
-        track_(track_reachability) {
+        num_cores_(static_cast<std::size_t>(mesh.num_cores())) {
     b_.rects.clear();
     b_.depth_base.clear();
     b_.cut_begin.clear();
@@ -469,12 +418,10 @@ class CommStates {
       }
     }
     b_.allowed.assign(comms.size() * num_links_, 0);
-    if (track_) {
-      // Every cell of the full rectangle reaches and is reached — all
-      // marks start true (cells outside the rectangle are never read).
-      b_.forward.assign(comms.size() * num_cores_, 1);
-      b_.backward.assign(comms.size() * num_cores_, 1);
-    }
+    // Every cell of the full rectangle reaches and is reached — all marks
+    // start true (cells outside the rectangle are never read).
+    b_.forward.assign(comms.size() * num_cores_, 1);
+    b_.backward.assign(comms.size() * num_cores_, 1);
     for (std::size_t idx = 0; idx < comms.size(); ++idx) {
       const CommState state = (*this)[idx];
       for (std::int32_t t = 0; t < state.rect.length(); ++t) {
@@ -494,8 +441,8 @@ class CommStates {
                      b_.cut_links.data(),
                      b_.cut_begin.data() + b_.depth_base[idx],
                      b_.cut_size.data() + b_.depth_base[idx],
-                     track_ ? b_.forward.data() + idx * num_cores_ : nullptr,
-                     track_ ? b_.backward.data() + idx * num_cores_ : nullptr};
+                     b_.forward.data() + idx * num_cores_,
+                     b_.backward.data() + idx * num_cores_};
   }
 
   /// Whether communication idx may still use `link`.
@@ -522,7 +469,6 @@ class CommStates {
   RouteWorkspace::PathRemover& b_;
   std::size_t num_links_;
   std::size_t num_cores_;
-  bool track_;
 };
 
 }  // namespace
@@ -530,21 +476,11 @@ class CommStates {
 RouteResult PathRemoverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                           const PowerModel& model, RouteGoal goal,
                                           RouteWorkspace& workspace) const {
-  return mode_ == Mode::kReference
-             ? route_reference(mesh, comms, model, workspace)
-             : route_incremental(mesh, comms, model, goal, workspace);
-}
-
-RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
-                                                 const CommSet& comms,
-                                                 const PowerModel& model,
-                                                 RouteGoal goal,
-                                                 RouteWorkspace& workspace) const {
   const WallTimer timer;
   RouteWorkspace::PathRemover& pr = workspace.pr;
   LinkLoads& loads = workspace.loads;
   loads.reset(mesh.num_links());
-  const CommStates states(pr, mesh, comms, loads, /*track_reachability=*/true);
+  const CommStates states(pr, mesh, comms, loads);
 
   // Forced load per link, tracked for the overload witness only (see file
   // comment); the full rectangle's singleton cuts are forced from the start.
@@ -602,15 +538,15 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
 
   const std::size_t none = states.size();
   while (active > 0) {
-    // Selection: the index's top is the reference's first candidate in
+    // Selection: the index's top is the seed's first candidate in
     // (load desc, stable history) order; the first link with a member whose
-    // cut keeps ≥ 2 links is exactly the reference's choice.
+    // cut keeps ≥ 2 links is exactly the seed's choice.
     LinkId link = kInvalidLink;
     std::size_t chosen = none;
     std::int32_t depth = -1;
     while (!index.empty()) {
       const LinkId cand = index.top();
-      if (loads.load(cand) <= 0.0) break;  // same early break as the reference
+      if (loads.load(cand) <= 0.0) break;  // same early break as the seed's loop
       const Coord tail = mesh.link(cand).from;
       const std::span<std::uint32_t> members = index.members(cand);
       std::size_t keep = 0;
@@ -633,7 +569,7 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
       }
       // Every surviving member holds this link in a singleton cut, so it
       // can never be removed from anyone again: retire it instead of
-      // rescanning it every round as the reference does (its position in
+      // rescanning it every round as the seed did (its position in
       // the order can no longer influence any decision).
       index.retire(cand);
     }
@@ -662,69 +598,6 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
         }
       }
     }
-  }
-
-  obs::sample(obs::Metric::kPrRemovalsPerCall, removals);
-  workspace.paths.reset(comms);
-  states.extract_paths(mesh, workspace.paths);
-  return finish(mesh, comms, model, workspace, timer.elapsed_ms());
-}
-
-RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& comms,
-                                               const PowerModel& model,
-                                               RouteWorkspace& workspace) const {
-  const WallTimer timer;
-  LinkLoads loads(mesh);
-  const CommStates states(workspace.pr, mesh, comms, loads, /*track_reachability=*/false);
-
-  // Heaviest-first candidate order within a link (paper: "the largest
-  // communication that uses this link").
-  const std::vector<std::size_t> by_weight = order_by_decreasing_weight(comms);
-
-  std::vector<LinkId> order(static_cast<std::size_t>(mesh.num_links()));
-  std::iota(order.begin(), order.end(), LinkId{0});
-
-  std::size_t active = states.count_multi_path();
-  PruneScratch scratch(workspace.pr, static_cast<std::size_t>(mesh.num_cores()));
-  std::size_t removals = 0;
-
-  while (active > 0) {
-    std::stable_sort(order.begin(), order.end(), [&loads](LinkId a, LinkId b) {
-      return loads.load(a) > loads.load(b);
-    });
-
-    bool removed = false;
-    for (const LinkId link : order) {
-      if (loads.load(link) <= 0.0) break;
-      for (const std::size_t index : by_weight) {
-        if (!states.allowed(index, link)) continue;
-        const CommState state = states[index];
-        // Find the cut containing this link; removable iff it keeps ≥ 2
-        // links (see file comment: in the monotone DAG this preserves
-        // src→snk connectivity).
-        const std::int32_t t = [&] {
-          const LinkInfo& info = mesh.link(link);
-          return state.rect.depth(info.from);
-        }();
-        PAMR_ASSERT(t >= 0);
-        if (state.cut(t).size() < 2) continue;
-
-        state.apply_spread(-comms[index].weight, loads);
-        state.allowed[static_cast<std::size_t>(link)] = 0;
-        state.erase_from_cut(t, [link](LinkId l) { return l == link; });
-        state.prune(mesh, scratch);
-        state.apply_spread(comms[index].weight, loads);
-        if (trace_ != nullptr) state.trace(*trace_, index, t, loads);
-        ++removals;
-        obs::bump(obs::Metric::kPrRemovals);
-        if (state.is_single_path()) --active;
-        removed = true;
-        break;
-      }
-      if (removed) break;
-    }
-    PAMR_ASSERT_MSG(removed,
-                    "no removable link found while communications remain multi-path");
   }
 
   obs::sample(obs::Metric::kPrRemovalsPerCall, removals);

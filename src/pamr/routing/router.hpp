@@ -48,9 +48,9 @@ struct LocalSearchStats {
 ///             that read an overloaded routing — map::placement's penalized
 ///             score, the examples, the differential suites — need this.
 ///   kVerdict  only valid, power and breakdown (exp::run_instance). SG, TB,
-///             IG and PR (Mode::kIncremental) then stop as soon as they hold
-///             an *overload witness*: a link whose load is bound to reach
-///             the final routing and already passes
+///             IG and PR then stop as soon as they hold an *overload
+///             witness*: a link whose load is bound to reach the final
+///             routing and already passes
 ///             PowerModel::proven_overload(load, model.limit()). Such a call
 ///             is *abandoned*: it returns valid=false with no routing and
 ///             bumps route.abandoned. The witness load only grows and

@@ -34,40 +34,17 @@ class SimpleGreedyRouter final : public Router {
 };
 
 /// IG — improved greedy (§5.2): virtual diagonal-spread pre-routing, then
-/// per-communication commitment guided by a per-cut lower bound.
+/// per-communication commitment guided by a per-cut lower bound, evaluated
+/// from a per-communication cut cache (see improved_greedy.cpp). The seed's
+/// full-rescan loop is the test oracle in tests/seed_routers.hpp.
 class ImprovedGreedyRouter final : public Router {
  public:
-  /// Implementation selector, mirroring PathRemoverRouter. kIncremental
-  /// (default) evaluates the per-cut lower bound from a per-communication
-  /// cut cache: every cut link's cost at (load + δ_i) is computed once
-  /// after the communication's virtual spread is removed, and each bound is
-  /// a sum of windowed minima over those cached values — loads at depths
-  /// not yet committed never change during the descent, so a hit is exact.
-  /// kReference is the seed's loop — a full rescan of every sub-rectangle
-  /// cut per candidate per hop — kept for differential testing. Both
-  /// produce bit-identical routings (same min chains, same ascending-depth
-  /// summation order, same strict-< vertical-first tie-break).
-  enum class Mode : std::uint8_t { kIncremental, kReference };
-
-  explicit ImprovedGreedyRouter(Mode mode = Mode::kIncremental) noexcept
-      : mode_(mode) {}
-
   [[nodiscard]] const char* name() const noexcept override { return "IG"; }
-  [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
                                        const PowerModel& model, RouteGoal goal,
                                        RouteWorkspace& workspace) const override;
-
- private:
-  [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model, RouteGoal goal,
-                                              RouteWorkspace& workspace) const;
-  [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
-                                            const PowerModel& model) const;
-
-  Mode mode_;
 };
 
 /// TB — two-bend (§5.3): evaluates every Manhattan path with at most two
@@ -82,8 +59,8 @@ class TwoBendRouter final : public Router {
                                        RouteWorkspace& workspace) const override;
 };
 
-/// Test/diagnostic hook for XYImproverRouter: while attached, both modes
-/// append the penalized LoadCost total after every applied move, so tests
+/// Test/diagnostic hook for XYImproverRouter: while attached, the router
+/// appends the penalized LoadCost total after every applied move, so tests
 /// can assert the descent is strictly decreasing. The measurement is
 /// O(links) per move — leave unset outside tests.
 struct XyiTrace {
@@ -91,25 +68,12 @@ struct XyiTrace {
 };
 
 /// XYI — XY improver (§5.4): local search from the XY routing, unloading
-/// the most-loaded links via elementary staircase detours.
+/// the most-loaded links via elementary staircase detours. The descent runs
+/// on a CrossingIndex and a LoadOrder (see xy_improver.cpp); the seed's
+/// sort-and-rescan loop is the test oracle in tests/seed_routers.hpp.
 class XYImproverRouter final : public Router {
  public:
-  /// Implementation selector, mirroring PathRemoverRouter. kIncremental
-  /// (default) drives the descent through a CrossingIndex (link→crossing
-  /// communications, per-core dirty stamping, no-improving-move
-  /// memoization) plus a LoadOrder (the links in one sorted array, re-keyed
-  /// and merged per move, read from the top through a cursor);
-  /// kReference is the seed's loop — a full stable_sort of every mesh link
-  /// and an every-communication rescan per move — kept for differential
-  /// testing. Both produce bit-identical routings, including the
-  /// stable-sort tie-break order and the paper's preferred-side-first move
-  /// priority (see xy_moves.hpp and crossing_index.hpp).
-  enum class Mode : std::uint8_t { kIncremental, kReference };
-
-  explicit XYImproverRouter(Mode mode = Mode::kIncremental) noexcept : mode_(mode) {}
-
   [[nodiscard]] const char* name() const noexcept override { return "XYI"; }
-  [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
   void set_trace(XyiTrace* trace) noexcept { trace_ = trace; }
 
@@ -119,21 +83,13 @@ class XYImproverRouter final : public Router {
                                        RouteWorkspace& workspace) const override;
 
  private:
-  [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model,
-                                              RouteWorkspace& workspace) const;
-  [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
-                                            const PowerModel& model) const;
-
-  Mode mode_;
   XyiTrace* trace_ = nullptr;
 };
 
-/// Test/diagnostic hook for PathRemoverRouter: while attached, both modes
-/// append one record per removal, taken after its re-spread, so tests can
-/// pin the incremental one-pass re-spread against the reference's two
-/// passes at every step. The record copies every link's load — leave it
-/// unset outside tests.
+/// Test/diagnostic hook for PathRemoverRouter: while attached, the router
+/// appends one record per removal, taken after its re-spread, so tests can
+/// pin the one-pass re-spread against the seed's two passes at every step.
+/// The record copies every link's load — leave it unset outside tests.
 struct PrTrace {
   struct Removal {
     std::size_t comm;                      ///< the communication that lost a link
@@ -146,25 +102,12 @@ struct PrTrace {
 
 /// PR — path remover (§5.5): starts from the all-paths virtual spread and
 /// deletes links from the most-loaded ones until each communication keeps a
-/// single path.
+/// single path. The removal loop runs on a LoadIndex (see path_remover.cpp);
+/// the seed's sort-and-rescan loop is the test oracle in
+/// tests/seed_routers.hpp.
 class PathRemoverRouter final : public Router {
  public:
-  /// Implementation selector. kIncremental drives the removal loop through
-  /// the LoadIndex (hot-link heap re-keyed per removal + per-link
-  /// membership lists) and re-spreads each removal in one pass; it is the
-  /// default. kReference is the seed's loop — a full
-  /// stable_sort of every mesh link and a rescan of every communication
-  /// per removal — kept for differential testing. Both produce
-  /// bit-identical routings: most-loaded link first with the seed's
-  /// stable-history tie-break (see load_index.hpp), heaviest communication
-  /// first with ties by original index.
-  enum class Mode : std::uint8_t { kIncremental, kReference };
-
-  explicit PathRemoverRouter(Mode mode = Mode::kIncremental) noexcept
-      : mode_(mode) {}
-
   [[nodiscard]] const char* name() const noexcept override { return "PR"; }
-  [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
   void set_trace(PrTrace* trace) noexcept { trace_ = trace; }
 
@@ -174,14 +117,6 @@ class PathRemoverRouter final : public Router {
                                        RouteWorkspace& workspace) const override;
 
  private:
-  [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model, RouteGoal goal,
-                                              RouteWorkspace& workspace) const;
-  [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
-                                            const PowerModel& model,
-                                            RouteWorkspace& workspace) const;
-
-  Mode mode_;
   PrTrace* trace_ = nullptr;
 };
 

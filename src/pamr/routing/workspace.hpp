@@ -97,7 +97,7 @@ class RouteWorkspace {
     std::vector<std::int32_t> slot_of_link;
   } ig;
 
-  // -- XYI (xy_improver_incremental.cpp) ---------------------------------
+  // -- XYI (xy_improver.cpp) ---------------------------------------------
   struct XyImprover {
     /// Visited cores per communication, flat: communication i's cores sit
     /// at [paths.offset(i) + i, paths.offset(i + 1) + i + 1).

@@ -45,7 +45,7 @@ CandidateBounds candidate_bounds(std::span<const Coord> cores, std::size_t i,
 /// old run shifted by one unit step, so after[k] = before[k-1] + Δi
 /// (forward) or before[k+1] - Δj (backward) for k in (j, i+1) — every
 /// changed link is produced without materializing the candidate, and the
-/// load terms accumulate in path_swap_delta's exact ascending-k order.
+/// load terms accumulate in the seed's exact ascending-k order.
 ///
 /// Per term, cost(load) of the *unrotated* side comes from `cost_now`
 /// (maintained by the caller as exactly that value), and the links resolve
@@ -94,7 +94,12 @@ CandidateSpecs candidate_specs(std::span<const Coord> cores, std::size_t pos,
     specs.forward[specs.count] = forward;
     ++specs.count;
   };
-  // Same candidate set and order as consider_crossing: preferred side first.
+  // Swapping with a preceding perpendicular step moves it to the end of the
+  // block (forward=false) so the whole run shifts one lane toward the
+  // source; a following step moves to the front (forward=true). The other
+  // direction would recreate the hot link. Paper's preferred side first:
+  // source side for vertical hot links, sink side for horizontal ones
+  // (ties keep the first candidate).
   if (hot_vertical) {
     if (bounds.has_prev) push(bounds.prev - 1, pos, /*forward=*/false);
     if (bounds.has_next) push(pos, bounds.next + 1, /*forward=*/true);
@@ -115,85 +120,10 @@ Candidate eval_candidate(const Mesh& mesh, std::span<const Coord> cores,
   return Candidate{delta, j, i, forward};
 }
 
-std::vector<Coord> rotate_block(std::span<const Coord> cores, std::size_t j,
-                                std::size_t i, bool forward) {
-  // Steps are cores[k] -> cores[k+1]; rebuild the cores between j and i+1.
-  std::vector<Coord> out(cores.begin(), cores.begin() + static_cast<std::ptrdiff_t>(j) + 1);
-  auto apply_step = [&](std::size_t k) {
-    const Coord delta{cores[k + 1].u - cores[k].u, cores[k + 1].v - cores[k].v};
-    out.push_back({out.back().u + delta.u, out.back().v + delta.v});
-  };
-  if (forward) {
-    apply_step(i);
-    for (std::size_t k = j; k < i; ++k) apply_step(k);
-  } else {
-    for (std::size_t k = j + 1; k <= i; ++k) apply_step(k);
-    apply_step(j);
-  }
-  out.insert(out.end(), cores.begin() + static_cast<std::ptrdiff_t>(i) + 2, cores.end());
-  PAMR_ASSERT(out.size() == cores.size());
-  return out;
-}
-
-double path_swap_delta(const Mesh& mesh, std::span<const Coord> before,
-                       std::span<const Coord> after, double weight,
-                       const LinkLoads& loads, const LoadCost& cost) {
-  const std::span<const double> load_values = loads.values();
-  double delta = 0.0;
-  for (std::size_t k = 0; k + 1 < before.size(); ++k) {
-    if (before[k] == after[k] && before[k + 1] == after[k + 1]) continue;
-    const LinkId removed = mesh.link_between(before[k], before[k + 1]);
-    const LinkId added = mesh.link_between(after[k], after[k + 1]);
-    if (removed == added) continue;
-    const double removed_load = load_values[static_cast<std::size_t>(removed)];
-    const double added_load = load_values[static_cast<std::size_t>(added)];
-    delta += cost.delta(removed_load, removed_load - weight);
-    delta += cost.delta(added_load, added_load + weight);
-  }
-  return delta;
-}
-
-void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
-                       std::span<const Coord> cores, std::size_t ci, double weight,
-                       const LinkLoads& loads, const LoadCost& cost, Move& best) {
-  const std::size_t i = crossing_position(cores, hot_info);
-  if (i == kNoCrossing) return;
-  const bool hot_vertical = !hot_info.horizontal();
-
-  auto consider = [&](std::vector<Coord> candidate) {
-    const double delta = path_swap_delta(mesh, cores, candidate, weight, loads, cost);
-    if (delta < best.delta) {
-      best = Move{ci, std::move(candidate), delta};
-    }
-  };
-  const CandidateBounds bounds = candidate_bounds(cores, i, hot_vertical);
-  // Swapping with a preceding perpendicular step moves it to the end of the
-  // block (forward=false) so the whole run shifts one lane toward the
-  // source; a following step moves to the front (forward=true). The other
-  // direction would recreate the hot link. Paper's preferred side first:
-  // source side for vertical hot links, sink side for horizontal ones
-  // (ties keep the first candidate).
-  if (hot_vertical) {
-    if (bounds.has_prev) consider(rotate_block(cores, bounds.prev - 1, i, /*forward=*/false));
-    if (bounds.has_next) consider(rotate_block(cores, i, bounds.next + 1, /*forward=*/true));
-  } else {
-    if (bounds.has_next) consider(rotate_block(cores, i, bounds.next + 1, /*forward=*/true));
-    if (bounds.has_prev) consider(rotate_block(cores, bounds.prev - 1, i, /*forward=*/false));
-  }
-}
-
-std::size_t crossing_position(std::span<const Coord> cores, const LinkInfo& hot_info) {
-  for (std::size_t i = 0; i + 1 < cores.size(); ++i) {
-    if (cores[i] == hot_info.from && cores[i + 1] == hot_info.to) return i;
-  }
-  return kNoCrossing;
-}
-
 Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
                          std::span<const LinkId> links, std::size_t pos,
                          bool hot_vertical, double weight, const LinkLoads& loads,
                          const LoadCost& cost, std::span<const double> cost_now) {
-  // Same candidate set, order and strict-< tie-break as consider_crossing.
   const CandidateSpecs specs = candidate_specs(cores, pos, hot_vertical);
   Candidate best;
   for (std::uint8_t c = 0; c < specs.count; ++c) {
@@ -209,8 +139,8 @@ void materialize(std::span<const Coord> cores, const Candidate& cand,
                  std::span<Coord> out) {
   PAMR_ASSERT(cand.delta < std::numeric_limits<double>::infinity());
   PAMR_ASSERT(out.size() == cores.size());
-  // rotate_block's construction, written in place: the prefix through
-  // core j, the rotated block's steps, then the suffix.
+  // The prefix through core j, the rotated block's steps, then the
+  // suffix.
   const std::size_t j = cand.j;
   const std::size_t i = cand.i;
   std::copy(cores.begin(), cores.begin() + static_cast<std::ptrdiff_t>(j) + 1,

@@ -1,20 +1,18 @@
-// Shared move machinery of the XYI local search (paper §5.4), used by both
-// XYImproverRouter implementations — xy_improver.cpp's reference loop and
-// xy_improver_incremental.cpp's index-driven loop. Candidate enumeration
-// order, the block rotation that realizes a move, and the exact cost delta
-// of a rewrite live here once, so the two modes agree bit for bit: same
-// preferred-side-first candidate order, same strict-< tie-breaking (first
-// candidate wins), same floating-point evaluation order.
+// Move machinery of the XYI local search (paper §5.4), driven by
+// xy_improver.cpp: the candidate rotations of a path crossing a hot link,
+// in the paper's preferred-side-first order with strict-< tie-breaking
+// (first candidate wins), their exact cost deltas, and the rewrite that
+// applies one.
 //
-// Two evaluation paths exist on purpose. The reference one (path_swap_delta
-// over a materialized rotate_block) is the seed's literal arithmetic; the
-// incremental one (best_candidate) walks only the rotated window and never
+// The evaluation is windowed: it walks only the rotated block and never
 // allocates — the rotated run is the old run shifted by one unit step, so
-// every changed link and its load term can be produced in the same
-// ascending-k order path_swap_delta uses, term for term. The differential
-// suite (tests/test_xy_improver.cpp) holds the two equal on every instance,
-// which is why the reference must NOT share the windowed shortcut: it is
-// the ground truth the shortcut is checked against.
+// every changed link and its load term is produced in the ascending-step
+// order of the seed's arithmetic, which materialized each rotation and
+// summed cost deltas over every changed link. The differential suite
+// (tests/test_xy_improver.cpp) holds the two equal on every instance
+// against the seed loop in tests/seed_routers.hpp, which therefore must
+// NOT share this code: it is the ground truth the shortcut is checked
+// against.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +20,6 @@
 #include <cstdlib>
 #include <limits>
 #include <span>
-#include <vector>
 
 #include "pamr/mesh/mesh.hpp"
 #include "pamr/routing/link_loads.hpp"
@@ -35,8 +32,6 @@ namespace pamr::xyi {
 /// zero-delta rewrites never cycle and the descent terminates.
 inline constexpr double kImproveEps = 1e-12;
 
-inline constexpr std::size_t kNoCrossing = static_cast<std::size_t>(-1);
-
 /// A candidate block rotation of one path: steps [j, i] rotate so the step
 /// at one end moves to the other (forward: step i to the front; backward:
 /// step j to the back). `delta` is its exact penalized-cost change at the
@@ -48,50 +43,13 @@ struct Candidate {
   bool forward = false;
 };
 
-/// The best candidate across all communications crossing the hot link
-/// (reference loop) — materialized lazily by the caller.
-struct Move {
-  std::size_t comm = 0;
-  std::vector<Coord> new_cores;
-  double delta = std::numeric_limits<double>::infinity();
-};
-
-/// Rotates the step block [j, i] of `cores` so that the step at one end
-/// moves to the other end (shifting the perpendicular run by one lane).
-/// `forward` = false: step j moves after steps j+1..i (swap with earlier
-/// perpendicular); `forward` = true: step i moves before steps j..i-1.
-[[nodiscard]] std::vector<Coord> rotate_block(std::span<const Coord> cores,
-                                              std::size_t j, std::size_t i, bool forward);
-
-/// Cost delta of replacing the links of `before` with those of `after`
-/// (identical prefixes/suffixes cancel exactly because their loads are
-/// untouched; changed links of a monotone rewrite are disjoint).
-[[nodiscard]] double path_swap_delta(const Mesh& mesh, std::span<const Coord> before,
-                                     std::span<const Coord> after, double weight,
-                                     const LinkLoads& loads, const LoadCost& cost);
-
-/// If the path `cores` of communication `ci` crosses the hot link described
-/// by `hot_info`, evaluates its (at most two) candidate rotations — the
-/// paper's preferred side first: source side for a vertical hot link, sink
-/// side for a horizontal one — and lowers `best` on strict improvement
-/// (ties keep the earlier candidate). The reference evaluation: each
-/// candidate is materialized via rotate_block and costed via
-/// path_swap_delta, exactly as the seed did.
-void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
-                       std::span<const Coord> cores, std::size_t ci, double weight,
-                       const LinkLoads& loads, const LoadCost& cost, Move& best);
-
-/// Index of the step of `cores` traversing the hot link, or kNoCrossing —
-/// a monotone path crosses a given link at most once.
-[[nodiscard]] std::size_t crossing_position(std::span<const Coord> cores,
-                                            const LinkInfo& hot_info);
-
-/// crossing_position for a path *known* to cross the hot link (e.g. taken
-/// from a CrossingIndex member list), in O(1) instead of a path scan: every
-/// XYI path is a monotone staircase (the initial XY path is, and
-/// rotate_block only permutes its unit steps), so the step leaving a core
-/// sits at that core's Manhattan depth from the source. The always-on
-/// assert rejects a caller whose membership claim is stale.
+/// Index of the step of `cores` traversing the hot link, for a path *known*
+/// to cross it (e.g. taken from a CrossingIndex member list), in O(1)
+/// instead of a path scan: every XYI path is a monotone staircase (the
+/// initial XY path is, and a rotation only permutes its unit steps), so
+/// the step leaving a core sits at that core's Manhattan depth from the
+/// source. The always-on assert rejects a caller whose membership claim is
+/// stale.
 [[nodiscard]] inline std::size_t known_crossing_position(
     std::span<const Coord> cores, const LinkInfo& hot_info) {
   const std::size_t pos =
@@ -105,8 +63,8 @@ void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
 
 /// Best candidate rotation (preferred-side-first, strict <) for the path
 /// `cores` crossing the hot step at `pos`. Windowed evaluation: walks only
-/// the rotated block, allocation-free, reproducing path_swap_delta's
-/// floating-point accumulation term for term.
+/// the rotated block, allocation-free, reproducing the seed's materialized
+/// evaluation's floating-point accumulation term for term.
 ///
 /// `cost_now` must hold, per link, exactly `cost(loads.load(link))` — the
 /// caller maintains it under applied moves — so the unrotated side of each
@@ -157,8 +115,8 @@ void materialize(std::span<const Coord> cores, const Candidate& cand,
 [[nodiscard]] std::size_t move_cap(const Mesh& mesh, std::size_t num_comms);
 
 /// Stamps RouteResult::local_search with (moves, converged) and logs a
-/// warning when the cap truncated the descent — shared by both modes so a
-/// capped run never returns silently.
+/// warning when the cap truncated the descent, so a capped run never
+/// returns silently.
 void finish_search_stats(RouteResult& result, const Mesh& mesh, std::size_t num_comms,
                          std::size_t moves, std::size_t cap);
 

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <chrono>
-#include <string>
 
 namespace pamr {
 
@@ -22,20 +21,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Logs "<label>: <elapsed>" at info level on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string label) noexcept : label_(std::move(label)) {}
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  std::string label_;
-  WallTimer timer_;
 };
 
 }  // namespace pamr

@@ -1,8 +1,8 @@
-// IG differential suite: the incremental implementation (per-communication
-// cut cache answering the §5.2 lower bound from windowed minima over cached
-// link costs) must reproduce the reference loop — a full sub-rectangle
-// rescan per candidate per hop — bit for bit: same paths, same power,
-// same kIgCutBounds telemetry. Equal-weight workloads make whole cuts
+// IG differential suite: the library's router (per-communication cut
+// cache answering the §5.2 lower bound from windowed minima over cached
+// link costs) must reproduce the seed loop (tests/seed_routers.hpp) — a
+// full sub-rectangle rescan per candidate per hop — bit for bit: same
+// paths, same power, same kIgCutBounds telemetry. Equal-weight workloads make whole cuts
 // carry exactly equal bounds, which is where the strict-< vertical-first
 // tie-break is observable; the overload fixtures drive every bound through
 // the penalty branch of LoadCost.
@@ -15,6 +15,7 @@
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/util/rng.hpp"
+#include "seed_routers.hpp"
 
 namespace pamr {
 namespace {
@@ -22,8 +23,7 @@ namespace {
 void expect_identical(const Mesh& mesh, const CommSet& comms,
                       const std::string& label) {
   const PowerModel model = PowerModel::paper_discrete();
-  const RouteResult ref = ImprovedGreedyRouter(ImprovedGreedyRouter::Mode::kReference)
-                              .route(mesh, comms, model);
+  const RouteResult ref = seed::ImprovedGreedyRouter().route(mesh, comms, model);
   const RouteResult inc = ImprovedGreedyRouter().route(mesh, comms, model);
 
   ASSERT_TRUE(ref.routing.has_value()) << label;
@@ -39,12 +39,6 @@ void expect_identical(const Mesh& mesh, const CommSet& comms,
     EXPECT_EQ(ref_flows[0].path.links, inc_flows[0].path.links)
         << label << " comm " << i;
   }
-}
-
-TEST(ImprovedGreedyDifferential, DefaultModeIsIncremental) {
-  EXPECT_EQ(ImprovedGreedyRouter().mode(), ImprovedGreedyRouter::Mode::kIncremental);
-  EXPECT_EQ(ImprovedGreedyRouter(ImprovedGreedyRouter::Mode::kReference).mode(),
-            ImprovedGreedyRouter::Mode::kReference);
 }
 
 using MeshShape = std::pair<int, int>;
@@ -129,7 +123,7 @@ TEST(ImprovedGreedyDifferential, SustainedOverloadAtScaleIsBitIdentical) {
 TEST(ImprovedGreedyDifferential, CutBoundCounterMatchesBetweenModes) {
   // kIgCutBounds is a unit-scoped counter (pinned by the observability
   // contract): the cache must evaluate the bound exactly as many times as
-  // the reference does, or distributed/sequential metric reports diverge.
+  // the seed loop does, or distributed/sequential metric reports diverge.
   const Mesh mesh(8, 8);
   Rng rng(0x0B5C);
   UniformWorkload spec;
@@ -140,8 +134,7 @@ TEST(ImprovedGreedyDifferential, CutBoundCounterMatchesBetweenModes) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   obs::reset();
-  (void)ImprovedGreedyRouter(ImprovedGreedyRouter::Mode::kReference)
-      .route(mesh, comms, model);
+  (void)seed::ImprovedGreedyRouter().route(mesh, comms, model);
   const std::uint64_t ref_bounds =
       obs::snapshot().counter(obs::Metric::kIgCutBounds);
   obs::reset();

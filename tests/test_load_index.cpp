@@ -2,8 +2,8 @@
 // orders are checked against the seed's own model — a persistent order
 // vector stably re-sorted by load every round — after every call: LoadOrder
 // by its full array, LoadIndex by top() and by draining a copy through
-// top()/retire(). The incremental removal loop must reproduce the reference
-// implementation bit for bit — same paths, same power, and the same virtual
+// top()/retire(). The library's removal loop must reproduce the seed loop
+// (tests/seed_routers.hpp) bit for bit — same paths, same power, and the same virtual
 // loads after every removal — across mesh shapes, seeds and comm counts,
 // including exact-tie workloads (equal weights make whole cuts carry
 // exactly equal loads, which is where the seed's stable-history tie-break
@@ -20,6 +20,7 @@
 #include "pamr/mesh/rectangle.hpp"
 #include "pamr/routing/load_index.hpp"
 #include "pamr/routing/routers.hpp"
+#include "seed_routers.hpp"
 
 namespace pamr {
 namespace {
@@ -349,8 +350,7 @@ TEST(TouchLog, TakeChangedKeepsOnlyMovedLinksAndClears) {
 void expect_identical(const Mesh& mesh, const CommSet& comms,
                       const std::string& label) {
   const PowerModel model = PowerModel::paper_discrete();
-  const RouteResult ref =
-      PathRemoverRouter(PathRemoverRouter::Mode::kReference).route(mesh, comms, model);
+  const RouteResult ref = seed::PathRemoverRouter().route(mesh, comms, model);
   const RouteResult inc = PathRemoverRouter().route(mesh, comms, model);
 
   ASSERT_TRUE(ref.routing.has_value()) << label;
@@ -366,12 +366,6 @@ void expect_identical(const Mesh& mesh, const CommSet& comms,
     EXPECT_EQ(ref_flows[0].path.links, inc_flows[0].path.links)
         << label << " comm " << i;
   }
-}
-
-TEST(PathRemoverDifferential, DefaultModeIsIncremental) {
-  EXPECT_EQ(PathRemoverRouter().mode(), PathRemoverRouter::Mode::kIncremental);
-  EXPECT_EQ(PathRemoverRouter(PathRemoverRouter::Mode::kReference).mode(),
-            PathRemoverRouter::Mode::kReference);
 }
 
 using MeshShape = std::pair<int, int>;
@@ -474,16 +468,16 @@ struct RespreadCoverage {
   int round_trips = 0;
 };
 
-/// Routes `comms` with both PR modes under a PrTrace and demands the same
-/// removal sequence with, after every removal, the same cut sizes and
-/// bit-identical virtual loads: the incremental one-pass re-spread against
-/// the reference's two full passes. Returns what the trace covered.
+/// Routes `comms` with the seed oracle and the library router under a
+/// PrTrace and demands the same removal sequence with, after every removal,
+/// the same cut sizes and bit-identical virtual loads: the library's
+/// one-pass re-spread against the seed's two full passes. Returns what the trace covered.
 RespreadCoverage expect_identical_respread(const Mesh& mesh, const CommSet& comms,
                                            const std::string& label) {
   const PowerModel model = PowerModel::paper_discrete();
   PrTrace ref;
   PrTrace inc;
-  PathRemoverRouter reference(PathRemoverRouter::Mode::kReference);
+  seed::PathRemoverRouter reference;
   PathRemoverRouter incremental;
   reference.set_trace(&ref);
   incremental.set_trace(&inc);

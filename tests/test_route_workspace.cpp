@@ -68,10 +68,6 @@ std::vector<Policy> policies() {
   for (const RouterKind kind : all_base_routers()) {
     out.push_back({to_cstring(kind), make_router(kind)});
   }
-  // The reference PR loop keeps its per-communication state in the
-  // workspace too.
-  out.push_back({"PR-reference", std::make_unique<PathRemoverRouter>(
-                                     PathRemoverRouter::Mode::kReference)});
   out.push_back({"BEST", make_router(RouterKind::kBest)});
   return out;
 }

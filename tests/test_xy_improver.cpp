@@ -1,6 +1,7 @@
-// XYI differential + convergence suite: the incremental implementation
-// (CrossingIndex + LoadIndex + dirty-move memoization) must reproduce the
-// reference loop bit for bit — same paths, same power, same move count —
+// XYI differential + convergence suite: the library's descent
+// (CrossingIndex + LoadOrder + dirty-move memoization) must reproduce the
+// seed loop (tests/seed_routers.hpp) bit for bit — same paths, same power,
+// same move count —
 // across mesh shapes, seeds and comm counts, including exact-tie workloads
 // (equal weights make whole corridors carry exactly equal loads, which is
 // where the stable-sort tie-break history and the paper's preferred-side
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pamr/comm/generator.hpp"
@@ -16,6 +18,7 @@
 #include "pamr/routing/path.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/util/rng.hpp"
+#include "seed_routers.hpp"
 
 namespace pamr {
 namespace {
@@ -27,8 +30,15 @@ struct BothResults {
 
 BothResults route_both(const Mesh& mesh, const CommSet& comms) {
   const PowerModel model = PowerModel::paper_discrete();
-  return {XYImproverRouter(XYImproverRouter::Mode::kReference).route(mesh, comms, model),
+  return {seed::XYImproverRouter().route(mesh, comms, model),
           XYImproverRouter().route(mesh, comms, model)};
+}
+
+/// The seed oracle's result and the library's, for properties both must
+/// hold.
+std::vector<RouteResult> route_each(const Mesh& mesh, const CommSet& comms) {
+  BothResults both = route_both(mesh, comms);
+  return {std::move(both.ref), std::move(both.inc)};
 }
 
 void expect_identical(const Mesh& mesh, const CommSet& comms, const std::string& label) {
@@ -50,12 +60,6 @@ void expect_identical(const Mesh& mesh, const CommSet& comms, const std::string&
     ASSERT_EQ(inc_flows.size(), 1u) << label;
     EXPECT_EQ(ref_flows[0].path.links, inc_flows[0].path.links) << label << " comm " << i;
   }
-}
-
-TEST(XyImproverDifferential, DefaultModeIsIncremental) {
-  EXPECT_EQ(XYImproverRouter().mode(), XYImproverRouter::Mode::kIncremental);
-  EXPECT_EQ(XYImproverRouter(XYImproverRouter::Mode::kReference).mode(),
-            XYImproverRouter::Mode::kReference);
 }
 
 using MeshShape = std::pair<int, int>;
@@ -160,7 +164,6 @@ TEST(XyImproverEdgeCases, AlreadyOptimalInputAppliesZeroMoves) {
   // Disjoint straight flows: every path is the unique shortest path, no
   // perpendicular step exists to swap — the fixed point is the input.
   const Mesh mesh(4, 4);
-  const PowerModel model = PowerModel::paper_discrete();
   const CommSet straight{{{0, 0}, {0, 3}, 800.0},
                          {{1, 0}, {1, 3}, 800.0},
                          {{2, 3}, {2, 0}, 800.0}};
@@ -169,9 +172,7 @@ TEST(XyImproverEdgeCases, AlreadyOptimalInputAppliesZeroMoves) {
   // strictly improving.
   const CommSet l_shaped{{{0, 0}, {3, 3}, 800.0}};
   for (const CommSet& comms : {straight, l_shaped}) {
-    for (const auto mode : {XYImproverRouter::Mode::kReference,
-                            XYImproverRouter::Mode::kIncremental}) {
-      const RouteResult result = XYImproverRouter(mode).route(mesh, comms, model);
+    for (const RouteResult& result : route_each(mesh, comms)) {
       ASSERT_TRUE(result.valid);
       EXPECT_EQ(result.local_search.moves, 0u);
       EXPECT_TRUE(result.local_search.converged);
@@ -181,11 +182,8 @@ TEST(XyImproverEdgeCases, AlreadyOptimalInputAppliesZeroMoves) {
 
 TEST(XyImproverEdgeCases, SingleCommunicationStaysOnXyPath) {
   const Mesh mesh(8, 8);
-  const PowerModel model = PowerModel::paper_discrete();
   const CommSet comms{{{1, 2}, {5, 6}, 900.0}};
-  for (const auto mode : {XYImproverRouter::Mode::kReference,
-                          XYImproverRouter::Mode::kIncremental}) {
-    const RouteResult result = XYImproverRouter(mode).route(mesh, comms, model);
+  for (const RouteResult& result : route_each(mesh, comms)) {
     ASSERT_TRUE(result.valid);
     EXPECT_EQ(result.local_search.moves, 0u);
     const Path& path = result.routing->per_comm[0].flows[0].path;
@@ -198,15 +196,12 @@ TEST(XyImproverEdgeCases, DegenerateMeshesHaveNoMoves) {
   // with zero moves and still produce a structurally valid routing.
   for (const auto& [p, q] : {MeshShape(1, 12), MeshShape(12, 1)}) {
     const Mesh mesh(p, q);
-    const PowerModel model = PowerModel::paper_discrete();
     Rng rng(derive_seed(0xD0, static_cast<std::uint64_t>(p),
                         static_cast<std::uint64_t>(q)));
     UniformWorkload spec;
     spec.num_comms = 10;
     const CommSet comms = generate_uniform(mesh, spec, rng);
-    for (const auto mode : {XYImproverRouter::Mode::kReference,
-                            XYImproverRouter::Mode::kIncremental}) {
-      const RouteResult result = XYImproverRouter(mode).route(mesh, comms, model);
+    for (const RouteResult& result : route_each(mesh, comms)) {
       ASSERT_TRUE(result.routing.has_value());
       EXPECT_EQ(result.local_search.moves, 0u);
       EXPECT_TRUE(result.local_search.converged);
@@ -216,7 +211,8 @@ TEST(XyImproverEdgeCases, DegenerateMeshesHaveNoMoves) {
 
 TEST(XyImproverEdgeCases, EveryMoveStrictlyDecreasesPenalizedPower) {
   // Property: the descent is strictly monotone in the penalized LoadCost
-  // total, in both modes, move by move (observed through the trace hook).
+  // total, for the seed oracle and the library alike, move by move
+  // (observed through the trace hook).
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
   Rng rng(0xACE);
@@ -233,20 +229,20 @@ TEST(XyImproverEdgeCases, EveryMoveStrictlyDecreasesPenalizedPower) {
   const LoadCost cost(model, mesh.num_links());
   const double initial = cost.total(xy_loads.values());
 
-  for (const auto mode : {XYImproverRouter::Mode::kReference,
-                          XYImproverRouter::Mode::kIncremental}) {
+  const auto expect_descent = [&](auto&& router, const char* label) {
     XyiTrace trace;
-    XYImproverRouter router(mode);
     router.set_trace(&trace);
     const RouteResult result = router.route(mesh, comms, model);
-    ASSERT_GT(result.local_search.moves, 0u);  // the workload must force moves
-    ASSERT_EQ(trace.penalized_totals.size(), result.local_search.moves);
+    ASSERT_GT(result.local_search.moves, 0u) << label;  // the workload must force moves
+    ASSERT_EQ(trace.penalized_totals.size(), result.local_search.moves) << label;
     double previous = initial;
     for (std::size_t i = 0; i < trace.penalized_totals.size(); ++i) {
-      EXPECT_LT(trace.penalized_totals[i], previous) << "move " << i;
+      EXPECT_LT(trace.penalized_totals[i], previous) << label << " move " << i;
       previous = trace.penalized_totals[i];
     }
-  }
+  };
+  expect_descent(seed::XYImproverRouter(), "seed");
+  expect_descent(XYImproverRouter(), "library");
 }
 
 }  // namespace

@@ -102,11 +102,6 @@ int main(int argc, char** argv) {
   const std::string& trace_out = parser.get_string("trace-out");
   const std::string& metrics_out = parser.get_string("metrics-out");
   if (!trace_out.empty() || !metrics_out.empty()) {
-    if (!obs::compiled_in()) {
-      std::fprintf(stderr,
-                   "pamr_dist: warning: telemetry compiled out (PAMR_OBS=0); "
-                   "--trace-out/--metrics-out will write nothing\n");
-    }
     obs::set_enabled(true);
     if (!trace_out.empty()) obs::set_trace_enabled(true);
   }
@@ -152,19 +147,17 @@ int main(int argc, char** argv) {
 
     // Written even when interrupted: a partial trace/report is still useful,
     // and the resumed invocation overwrites both with the complete picture.
-    if (obs::compiled_in()) {
-      std::string obs_error;
-      if (!metrics_out.empty() &&
-          !obs::write_report(metrics_out, "pamr_dist", plan.fingerprint, obs_error)) {
-        std::fprintf(stderr, "pamr_dist: --metrics-out %s: %s\n", metrics_out.c_str(),
-                     obs_error.c_str());
-        return 1;
-      }
-      if (!trace_out.empty() && !obs::write_trace(trace_out, obs_error)) {
-        std::fprintf(stderr, "pamr_dist: --trace-out %s: %s\n", trace_out.c_str(),
-                     obs_error.c_str());
-        return 1;
-      }
+    std::string obs_error;
+    if (!metrics_out.empty() &&
+        !obs::write_report(metrics_out, "pamr_dist", plan.fingerprint, obs_error)) {
+      std::fprintf(stderr, "pamr_dist: --metrics-out %s: %s\n", metrics_out.c_str(),
+                   obs_error.c_str());
+      return 1;
+    }
+    if (!trace_out.empty() && !obs::write_trace(trace_out, obs_error)) {
+      std::fprintf(stderr, "pamr_dist: --trace-out %s: %s\n", trace_out.c_str(),
+                   obs_error.c_str());
+      return 1;
     }
 
     std::fprintf(stderr,

@@ -90,11 +90,6 @@ int main(int argc, char** argv) {
   const std::string& trace_out = parser.get_string("trace-out");
   const std::string& metrics_out = parser.get_string("metrics-out");
   if (!trace_out.empty() || !metrics_out.empty()) {
-    if (!obs::compiled_in()) {
-      std::fprintf(stderr,
-                   "pamr_scenarios: warning: telemetry compiled out (PAMR_OBS=0); "
-                   "--trace-out/--metrics-out will write nothing\n");
-    }
     obs::set_enabled(true);
     if (!trace_out.empty()) {
       obs::set_trace_enabled(true);
@@ -105,7 +100,6 @@ int main(int argc, char** argv) {
   // report from either driver names the same (entries, trials, chunk)
   // expansion and the two can be compared by eye.
   auto write_obs_outputs = [&](const std::vector<scenario::SuiteEntry>& batch) {
-    if (!obs::compiled_in()) return true;
     bool ok = true;
     std::string obs_error;
     if (!metrics_out.empty()) {
