@@ -42,7 +42,12 @@ class LinkLoads {
   /// zero load — it throws at *every* check level, not just debug.
   void add(LinkId link, double weight) {
     PAMR_DCHECK(link >= 0 && std::cmp_less(link, loads_.size()));
-    double& slot = loads_[static_cast<std::size_t>(link)];
+    add_to(loads_[static_cast<std::size_t>(link)], weight);
+  }
+
+  /// add()'s arithmetic on one stored load, for a loop over
+  /// mutable_values() that must round and clamp exactly as add() does.
+  static void add_to(double& slot, double weight) {
     slot += weight;
     if (slot < 0.0) {
       // Clamp tiny negative residue from remove-then-readd cancellation.
@@ -60,6 +65,9 @@ class LinkLoads {
     return loads_[static_cast<std::size_t>(link)];
   }
   [[nodiscard]] std::span<const double> values() const noexcept { return loads_; }
+  /// The stored loads, writable, indexed by LinkId: lets a hot loop keep
+  /// the base pointer in a register. Every write goes through add_to().
+  [[nodiscard]] std::span<double> mutable_values() noexcept { return loads_; }
   [[nodiscard]] double max_load() const noexcept;
 
   void clear() noexcept;

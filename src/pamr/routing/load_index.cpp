@@ -1,6 +1,8 @@
 #include "pamr/routing/load_index.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <string>
 
 #include "pamr/obs/obs.hpp"
@@ -8,19 +10,122 @@
 
 namespace pamr {
 
+namespace {
+
+/// The direction bit of a tied-class tag. Stored loads are never negative
+/// (LinkLoads::add clamps), so once -0.0 is folded into +0.0 a load's sign
+/// bit is free to carry it.
+constexpr std::uint64_t kFell = std::uint64_t{1} << 63;
+
+}  // namespace
+
 void StampRule::restamp(std::vector<LoadKey>& moved, const LinkLoads& loads) {
-  std::sort(moved.begin(), moved.end(),
-            [](const LoadKey& a, const LoadKey& b) { return precedes(a, b); });
-  // Fallen links take fresh low stamps in reverse old order, risen links
-  // fresh high stamps in old order, so each group keeps its old relative
-  // order (see load_index.hpp).
-  for (std::size_t k = moved.size(); k-- > 0;) {
-    if (loads.load(moved[k].link) < moved[k].load) moved[k].stamp = low_--;
+  const std::size_t n = moved.size();
+  old_keys_.assign(moved.begin(), moved.end());
+  // The tied-class table: open addressing over at least 2n slots. Slots of
+  // earlier rounds are stale by epoch, so nothing is cleared between rounds.
+  std::size_t size = 16;
+  while (size < 2 * n) size *= 2;
+  if (slots_.size() < size) {
+    slots_.assign(size, Slot{});
+    epoch_ = 0;
   }
-  for (LoadKey& key : moved) {
-    if (loads.load(key.link) > key.load) key.stamp = high_++;
+  if (++epoch_ == 0) {
+    for (Slot& slot : slots_) slot.epoch = 0;
+    epoch_ = 1;
   }
-  for (LoadKey& key : moved) key.load = loads.load(key.link);
+  // One pass: read each new load once, count the key into its tied class
+  // (direction, new load), and give it its new load and the next fresh
+  // stamp on its side — final unless its class turns out to have company.
+  // The loop works on locals: a store through `moved` or the table could
+  // otherwise alias the counters and force a reload per key.
+  const std::uint32_t epoch = epoch_;
+  const std::size_t mask = size - 1;
+  const int shift = 64 - std::countr_zero(size);
+  Slot* const slots = slots_.data();
+  LoadKey* const keys = moved.data();
+  const double* const now_of = loads.values().data();
+  class_of_.resize(n);
+  std::uint32_t* const class_of = class_of_.data();
+  std::int64_t low = low_;
+  std::int64_t high = high_;
+  bool tied = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    // + 0.0 folds -0.0 into +0.0: equal as loads, different as bits.
+    const double now = now_of[static_cast<std::size_t>(keys[i].link)] + 0.0;
+    const bool fell = now < keys[i].load;
+    const std::uint64_t tag = std::bit_cast<std::uint64_t>(now) | (fell ? kFell : 0);
+    std::size_t at = static_cast<std::size_t>((tag * 0x9E3779B97F4A7C15ULL) >> shift);
+    while (slots[at].epoch == epoch && slots[at].tag != tag) at = (at + 1) & mask;
+    if (slots[at].epoch != epoch) {
+      slots[at] = {tag, epoch, 1};
+    } else {
+      ++slots[at].count;
+      tied = true;
+    }
+    class_of[i] = static_cast<std::uint32_t>(at);
+    keys[i].load = now;
+    keys[i].stamp = fell ? low : high;
+    low -= fell ? 1 : 0;
+    high += fell ? 0 : 1;
+  }
+  low_ = low;
+  high_ = high;
+  if (tied) {
+    // A class of two or more keeps the fresh stamps its members drew, all
+    // on its side, and hands them out again in ascending order to its
+    // members ranked by old key: within the class, stamp order is old
+    // order.
+    tied_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (slots[class_of[i]].count > 1) tied_.push_back(static_cast<std::uint32_t>(i));
+    }
+    std::sort(tied_.begin(), tied_.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return class_of[a] != class_of[b] ? class_of[a] < class_of[b]
+                                        : precedes(old_keys_[a], old_keys_[b]);
+    });
+    for (std::size_t begin = 0; begin < tied_.size();) {
+      const std::size_t end = begin + slots[class_of[tied_[begin]]].count;
+      drawn_.clear();
+      for (std::size_t k = begin; k < end; ++k) drawn_.push_back(keys[tied_[k]].stamp);
+      std::sort(drawn_.begin(), drawn_.end());
+      for (std::size_t k = begin; k < end; ++k) keys[tied_[k]].stamp = drawn_[k - begin];
+      begin = end;
+    }
+  }
+#if PAMR_CHECK_LEVEL >= 2
+  check_tied_classes(moved, loads);
+#endif
+}
+
+void StampRule::check_tied_classes(const std::vector<LoadKey>& moved,
+                                   const LinkLoads& loads) {
+  // The old full sort, independent of the table: rank every moved key by
+  // (direction, new load), then by old key. Within each run of one
+  // (direction, new load) the new stamps must rise.
+  const auto fell = [&](std::uint32_t i) { return moved[i].load < old_keys_[i].load; };
+  tied_.resize(moved.size());
+  std::iota(tied_.begin(), tied_.end(), 0U);
+  std::sort(tied_.begin(), tied_.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (fell(a) != fell(b)) return fell(a);
+    if (moved[a].load != moved[b].load) return moved[a].load > moved[b].load;
+    return precedes(old_keys_[a], old_keys_[b]);
+  });
+  for (std::size_t k = 0; k < tied_.size(); ++k) {
+    const LoadKey& key = moved[tied_[k]];
+    PAMR_INVARIANT_ALWAYS(
+        "stamp-rule",
+        key.link == old_keys_[tied_[k]].link && key.load == loads.load(key.link) &&
+            key.load != old_keys_[tied_[k]].load,
+        "restamp gave link " + std::to_string(key.link) + " a wrong new load");
+    if (k == 0) continue;
+    const LoadKey& prev = moved[tied_[k - 1]];
+    if (fell(tied_[k]) != fell(tied_[k - 1]) || prev.load != key.load) continue;
+    PAMR_INVARIANT_ALWAYS("stamp-rule", prev.stamp < key.stamp,
+                          "tied class at load " + std::to_string(key.load) +
+                              " lost its old order: link " + std::to_string(prev.link) +
+                              " preceded link " + std::to_string(key.link));
+  }
 }
 
 void LoadIndex::reset(const LinkLoads& loads) {

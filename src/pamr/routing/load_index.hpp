@@ -19,40 +19,49 @@
 //
 //   stable_sort(order, by new load)  ==  sort by (new load desc, old position asc).
 //
-// Suppose the old order is (old load desc, stamp asc) — true initially with
-// stamp = LinkId, because a stable sort of the identity permutation breaks
-// ties by LinkId. Let M be the links whose load moved this round. Assign:
-//   * links whose load fell: fresh stamps below every stamp in use, in
-//     reverse old order (so among them, stamp order == old order);
-//   * links whose load rose: fresh stamps above every stamp in use, in old
-//     order (so again stamp order == old order);
+// So (load desc, stamp asc) is the seed's order exactly when this
+// invariant holds: for any two live links with equal load, stamp order is
+// the seed's order. It holds initially with stamp = LinkId, because a
+// stable sort of the identity permutation breaks ties by LinkId. Let M be
+// the links whose load moved this round, and group them into *tied
+// classes* by (direction, new load): the links that fell onto one load, or
+// rose onto one. Assign:
+//   * a fallen link alone in its class: a fresh stamp below every stamp in
+//     use; a risen one: a fresh stamp above every stamp in use;
+//   * the links of a class of two or more: fresh stamps in their old order
+//     (ranked by old key) — below every stamp in use if they fell, above
+//     if they rose;
 //   * every other link keeps its stamp.
 // Claim: for any two live links a, b with equal new load L, new stamp(a) <
 // new stamp(b) iff a preceded b in the old order. Case by case:
 //   * neither moved: both had old load L, so the old order between them was
 //     decided by their unchanged stamps;
-//   * a fell, b did not move: a's old load was > L = b's, so a preceded b;
-//     a's stamp is below every stamp in use, in particular below b's;
-//   * a rose, b did not move: symmetrically a followed b, and a's stamp is
-//     above b's;
-//   * a fell, b rose: old load(a) > L > old load(b), so a preceded b, and
-//     a's stamp is below every old stamp while b's is above all of them;
-//   * both fell, or both rose: the fresh stamps were handed out so that
-//     their order is the old order.
+//   * one moved, say a fell and b did not: a's old load was > L = b's, so a
+//     preceded b, and a's stamp is below every stamp in use, b's included;
+//     if a rose, symmetrically a followed b and its stamp is above b's;
+//   * both moved in opposite directions, say a fell and b rose: old load(a)
+//     > L > old load(b), so a preceded b, and a's stamp is below every old
+//     stamp while b's is above all of them;
+//   * both moved in the same direction: they fell (or rose) onto the same
+//     L, so they form one tied class, whose stamps were handed out in old
+//     order.
 // Links of different new load are ordered by load in both. Hence (new load
 // desc, new stamp asc) is exactly the seed's next order, and by induction
-// every round's. A link reported as changed whose stored load equals its
-// current load did not move and keeps its stamp. Retired links leave the
-// order; dropping a link from a stable sort never changes the relative
-// order of the others, so the live order is unaffected.
+// every round's. Only the tied classes need a ranking, and they are rare (on
+// mesh16_routable 2% of the moved keys are in one), so a round costs one
+// pass over M plus a sort of its tied keys. A link reported as changed
+// whose stored load equals its current load did not move and keeps its
+// stamp. Retired links leave the order; dropping a link from a stable sort
+// never changes the relative order of the others, so the live order is
+// unaffected.
 //
 // Both orders below apply this rule through one StampRule, so the proof
 // covers both. They differ in how they keep the live links in that order:
 //
 //   * LoadIndex (PR) keeps them in an indexed binary heap. A round costs
-//     O(|M| log |M|) to rank the moved links by their old key plus
-//     O(|M| log L) to sift them, instead of O(L) for a rebuild; PR reads
-//     only top().
+//     O(|M|) to restamp the moved links (plus the sort of their tied
+//     classes) and O(|M| log L) to sift them, instead of O(L) for a
+//     rebuild; PR reads only top().
 //   * LoadOrder (XYI) keeps them in one flat array, sorted. XYI reads it
 //     from the front through a cursor and starts over after every applied
 //     move, so it wants every prefix step O(1). A round merges the moved
@@ -135,6 +144,8 @@ struct LoadKey {
 }
 
 /// The stamp rule of the file comment, shared by LoadIndex and LoadOrder.
+/// Owns the scratch of its tied-class table, so a reused rule allocates
+/// nothing once the table has grown to the largest moved set seen.
 class StampRule {
  public:
   /// Initial stamps are the LinkIds 0 .. num_links-1.
@@ -145,14 +156,33 @@ class StampRule {
 
   /// Takes the old keys of one round's moved links (each link's load in
   /// `loads` differs from its key's) and turns them into their new keys:
-  /// ranks them by old key, gives the fallen links fresh low stamps in
-  /// reverse old order and the risen links fresh high stamps in old order,
-  /// and stores each link's new load. `moved` ends in old order.
+  /// each link's new load, and a fresh stamp — low if it fell, high if it
+  /// rose — ranked against the other moved links of its tied class (same
+  /// direction, same new load) by old key. `moved` keeps its arrangement.
+  /// O(|moved|) plus a sort of the keys in tied classes. At
+  /// PAMR_CHECK_LEVEL >= 2 every call re-ranks the moved keys with a full
+  /// sort by old key and checks each tied class against it.
   void restamp(std::vector<LoadKey>& moved, const LinkLoads& loads);
 
  private:
+  /// One tied class in the open-addressed table: its (direction, new load)
+  /// tag, live when `epoch` is the current round's, and its size.
+  struct Slot {
+    std::uint64_t tag = 0;
+    std::uint32_t epoch = 0;
+    std::uint32_t count = 0;
+  };
+
+  void check_tied_classes(const std::vector<LoadKey>& moved, const LinkLoads& loads);
+
   std::int64_t low_ = -1;  ///< next stamp below every stamp in use
   std::int64_t high_ = 0;  ///< next stamp above every stamp in use
+  std::vector<Slot> slots_;              ///< tied-class table, power-of-two size
+  std::uint32_t epoch_ = 0;              ///< current round's slot epoch
+  std::vector<std::uint32_t> class_of_;  ///< per moved key: its slot
+  std::vector<std::uint32_t> tied_;      ///< moved keys in classes of two or more
+  std::vector<std::int64_t> drawn_;      ///< one tied class's fresh stamps
+  std::vector<LoadKey> old_keys_;        ///< the moved keys' old keys
 };
 
 class LoadIndex {

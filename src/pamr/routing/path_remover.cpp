@@ -46,10 +46,12 @@
 // retracts the old share from each link it erases; the pass then gives
 // every surviving link its (x − δ/m_t) + δ/m'_t, a cut the removal left
 // alone included (m'_t = m_t: that round trip can move a stored double by
-// an ulp, and the seed's next sort sees it). Both adds go through
-// LinkLoads::add, so even its clamp at zero is the seed's, and −(δ/m) is
-// bitwise the seed's (−δ)/m. A link is reported to the LoadIndex only when
-// its stored double moved.
+// an ulp, and the seed's next sort sees it). That pass visits every link
+// the communication still holds, so it is one tight loop over the raw load
+// array (LinkLoads::mutable_values). Each of its two adds, like every
+// other, is LinkLoads::add_to, add()'s own arithmetic, so even the clamp at
+// zero is the seed's, and −(δ/m) is bitwise the seed's (−δ)/m. A link is
+// reported to the LoadIndex only when its stored double moved.
 //
 // Overload witness (under RouteGoal::kVerdict). A link that is the only
 // one left in some cut of communication i stays on i's final path: cuts
@@ -83,21 +85,18 @@ namespace {
 /// recompute buffer, and `forward`/`backward` hold the paranoid
 /// cross-check's full reachability sweep, whose cells are marked with the
 /// current epoch instead of re-zeroing two per-core vectors per sweep. The
-/// vectors are the workspace's; construction zeroes the epochs for this
-/// call.
+/// vectors are the workspace's; only that cross-check reads them, so its
+/// first sweep of a call (epoch 0) sizes and zeroes them.
 struct PruneScratch {
   std::vector<std::uint64_t>& forward;
   std::vector<std::uint64_t>& backward;
   std::vector<char>& row;
   std::uint64_t epoch = 0;
 
-  PruneScratch(RouteWorkspace::PathRemover& buffers, std::size_t num_cores)
+  explicit PruneScratch(RouteWorkspace::PathRemover& buffers)
       : forward(buffers.sweep_forward),
         backward(buffers.sweep_backward),
-        row(buffers.row) {
-    forward.assign(num_cores, 0);
-    backward.assign(num_cores, 0);
-  }
+        row(buffers.row) {}
 };
 
 /// One removal's re-spread of the chosen communication's weight (see the
@@ -198,10 +197,19 @@ struct CommState {
   /// The re-spread's one pass, after the removal's erasures: every
   /// surviving link of cut t takes (x − δ/m_t) + δ/m'_t, with m_t the size
   /// the cut had before the removal. Clears the recorded old sizes.
+  /// `changed` is sized up front for every surviving link and trimmed
+  /// after, so the loop reloads neither it nor the load array per link.
   void finish_respread(const Respread& respread) const {
     const double weight = respread.weight;
-    LinkLoads& loads = respread.loads;
-    for (std::int32_t t = 0; t < rect.length(); ++t) {
+    const std::int32_t len = rect.length();
+    std::size_t live_links = 0;
+    for (std::int32_t t = 0; t < len; ++t) live_links += cut_size[static_cast<std::size_t>(t)];
+    std::vector<LinkId>& changed = respread.changed;
+    const std::size_t kept = changed.size();
+    changed.resize(kept + live_links);
+    LinkId* out = changed.data() + kept;
+    double* const x = respread.loads.mutable_values().data();
+    for (std::int32_t t = 0; t < len; ++t) {
       const std::span<const LinkId> live = cut(t);
       PAMR_ASSERT(!live.empty());
       std::uint32_t& old_size = respread.old_size[static_cast<std::size_t>(t)];
@@ -210,12 +218,14 @@ struct CommState {
           old_size != 0 ? weight / static_cast<double>(old_size) : share;
       old_size = 0;
       for (const LinkId link : live) {
-        const double before = loads.load(link);
-        loads.add(link, -retracted);
-        loads.add(link, share);
-        if (loads.load(link) != before) respread.changed.push_back(link);
+        double& slot = x[static_cast<std::size_t>(link)];
+        const double before = slot;
+        LinkLoads::add_to(slot, -retracted);
+        LinkLoads::add_to(slot, share);
+        if (slot != before) *out++ = link;
       }
     }
+    changed.resize(static_cast<std::size_t>(out - changed.data()));
   }
 
   /// Windowed prune after the caller erased a link from cut t0 (see struct
@@ -332,6 +342,10 @@ struct CommState {
   /// false-positive.)
   void check_windowed_prune(const Mesh& mesh, PruneScratch& scratch) const {
     const std::int32_t len = rect.length();
+    if (scratch.epoch == 0) {
+      scratch.forward.assign(static_cast<std::size_t>(mesh.num_cores()), 0);
+      scratch.backward.assign(static_cast<std::size_t>(mesh.num_cores()), 0);
+    }
     const std::uint64_t epoch = ++scratch.epoch;
     auto cell_key = [&](Coord c) {
       return static_cast<std::size_t>(mesh.core_index(c));
@@ -530,7 +544,7 @@ RouteResult PathRemoverRouter::route_impl(const Mesh& mesh, const CommSet& comms
   }
 
   std::size_t active = states.count_multi_path();
-  PruneScratch scratch(pr, static_cast<std::size_t>(mesh.num_cores()));
+  PruneScratch scratch(pr);
   pr.old_size.assign(static_cast<std::size_t>(mesh.p() + mesh.q()), 0);
   std::vector<LinkId>& changed = pr.changed;
   std::vector<LinkId>& singled = pr.singled;

@@ -120,8 +120,8 @@ class RouteWorkspace {
     std::vector<std::uint32_t> depth_base; ///< per comm: its depth-0 entry
     std::vector<char> forward;             ///< comm-major, one mark per core
     std::vector<char> backward;            ///< comm-major, one mark per core
-    std::vector<std::uint64_t> sweep_forward;   ///< full-sweep epochs per core
-    std::vector<std::uint64_t> sweep_backward;  ///< full-sweep epochs per core
+    std::vector<std::uint64_t> sweep_forward;   ///< level-2 full-sweep epochs per core
+    std::vector<std::uint64_t> sweep_backward;  ///< level-2 full-sweep epochs per core
     std::vector<char> row;                 ///< windowed prune's depth buffer
     std::vector<double> forced;            ///< forced load per link (witness)
     std::vector<std::uint32_t> old_size;   ///< per depth: re-spread's old cut sizes

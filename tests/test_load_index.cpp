@@ -125,10 +125,12 @@ TEST(LoadIndex, InitialOrderIsLoadDescendingWithLinkIdTies) {
 /// Random update rounds against the oracle. Every round reports a set of
 /// distinct links, mixing: fresh values; exact duplicates of other links'
 /// loads; a small value grid (so whole tie blocks form); a pair that rises
-/// and falls into the same tie block; links reported without moving; and,
-/// with `retire` set, retired links (reported or not) and retire() calls
-/// between reorders. The LoadOrder takes the same reports (it ignores no
-/// link: XYI retires none).
+/// and falls into the same tie block; a block of links that all fall onto
+/// one load and a block that all rise onto another (tied classes of the
+/// stamp rule); links reported without moving; and, with `retire` set,
+/// retired links (reported or not) and retire() calls between reorders.
+/// The LoadOrder takes the same reports (it ignores no link: XYI retires
+/// none).
 void run_oracle_rounds(const Mesh& mesh, std::uint64_t seed, int rounds, bool retire) {
   const auto num_links = static_cast<std::size_t>(mesh.num_links());
   LinkLoads loads(mesh);
@@ -180,6 +182,30 @@ void run_oracle_rounds(const Mesh& mesh, std::uint64_t seed, int rounds, bool re
       for (const LinkId link : {above, below}) {
         if (link != kInvalidLink && report(link)) set_load(link, target);
       }
+    }
+
+    // Tied classes: three to five links fall onto one load and as many
+    // rise onto another, in the same round. A grid target also ties them
+    // with links that do not move; a fresh one ties them only with each
+    // other.
+    if (rng.below(3) == 0) {
+      const auto block = [&](double target, bool fall) {
+        const auto size = 3 + rng.below(3);
+        std::uint64_t added = 0;
+        for (int tries = 0; tries < 256 && added < size; ++tries) {
+          const LinkId link = random_link();
+          if (oracle.retired(link)) continue;
+          const double load = loads.load(link);
+          if ((fall ? load <= target : load >= target) || !report(link)) continue;
+          set_load(link, target);
+          ++added;
+        }
+      };
+      const bool grid = rng.below(2) == 0;
+      block(grid ? 10.0 * static_cast<double>(rng.below(3)) : rng.uniform(0.0, 30.0),
+            /*fall=*/true);
+      block(grid ? 10.0 * static_cast<double>(3 + rng.below(3)) : rng.uniform(30.0, 60.0),
+            /*fall=*/false);
     }
 
     const auto count = 1 + rng.below(num_links > 100 ? 18 : 6);
@@ -399,25 +425,35 @@ INSTANTIATE_TEST_SUITE_P(Shapes, PathRemoverDifferentialSweep,
                          });
 
 TEST(PathRemoverDifferential, EqualWeightTiesAreBitIdentical) {
-  // All-equal weights put exactly equal loads on every link of a cut; the
-  // removal order then hinges entirely on the stable-history tie-break.
+  // A few equal-weight pairs, each listed twice. Every link of a cut
+  // carries the same share, and with few communications the loads rarely
+  // sum to distinct values, so the hot link is one of an exact tie from
+  // the first removal on: the removal order hinges on the stable-history
+  // tie-break, starting from the initial LinkId order, and on the
+  // heaviest-first order between a pair's two copies. (With many more
+  // communications the sums rarely tie at the top.)
   for (const auto& [p, q] : {MeshShape(6, 6), MeshShape(8, 8), MeshShape(4, 9)}) {
     const Mesh mesh(p, q);
-    Rng rng(derive_seed(0x71E5, static_cast<std::uint64_t>(p),
-                        static_cast<std::uint64_t>(q)));
-    CommSet comms;
-    for (int i = 0; i < 150; ++i) {
-      const auto src = static_cast<std::int32_t>(
-          rng.below(static_cast<std::uint64_t>(mesh.num_cores())));
-      auto snk = src;
-      while (snk == src) {
-        snk = static_cast<std::int32_t>(
+    for (const int pairs : {8, 16, 24}) {
+      Rng rng(derive_seed(0x71E5, static_cast<std::uint64_t>(p),
+                          static_cast<std::uint64_t>(q)));
+      CommSet comms;
+      for (int i = 0; i < pairs; ++i) {
+        const auto src = static_cast<std::int32_t>(
             rng.below(static_cast<std::uint64_t>(mesh.num_cores())));
+        auto snk = src;
+        while (snk == src) {
+          snk = static_cast<std::int32_t>(
+              rng.below(static_cast<std::uint64_t>(mesh.num_cores())));
+        }
+        for (int copy = 0; copy < 2; ++copy) {
+          comms.push_back(Communication{mesh.core_coord(src), mesh.core_coord(snk), 10.0});
+        }
       }
-      comms.push_back(Communication{mesh.core_coord(src), mesh.core_coord(snk), 10.0});
+      expect_identical(mesh, comms,
+                       "ties " + std::to_string(p) + "x" + std::to_string(q) +
+                           " pairs=" + std::to_string(pairs));
     }
-    expect_identical(mesh, comms,
-                     "ties " + std::to_string(p) + "x" + std::to_string(q));
   }
 }
 

@@ -108,8 +108,12 @@ TEST(XyImproverDifferential, ScaledMeshIsBitIdentical) {
 }
 
 TEST(XyImproverDifferential, EqualWeightTiesAreBitIdentical) {
-  // All-equal weights put exactly equal loads on parallel corridors; the
-  // move choice then hinges on scan order and the stable-history tie-break.
+  // Every pair is listed twice at one shared weight, heavy enough that the
+  // descent runs for hundreds of moves. A pair's two copies cross the same
+  // hot links with the same candidate moves, so their deltas tie exactly
+  // and the fold over the hot link's members must keep the first; equal
+  // weights also put exactly equal loads on parallel corridors, where the
+  // stable-history tie-break decides.
   for (const auto& [p, q] : {MeshShape(6, 6), MeshShape(8, 8), MeshShape(4, 9)}) {
     const Mesh mesh(p, q);
     Rng rng(derive_seed(0x1F5, static_cast<std::uint64_t>(p),
@@ -123,9 +127,16 @@ TEST(XyImproverDifferential, EqualWeightTiesAreBitIdentical) {
         snk = static_cast<std::int32_t>(
             rng.below(static_cast<std::uint64_t>(mesh.num_cores())));
       }
-      comms.push_back(Communication{mesh.core_coord(src), mesh.core_coord(snk), 10.0});
+      for (int copy = 0; copy < 2; ++copy) {
+        comms.push_back(Communication{mesh.core_coord(src), mesh.core_coord(snk), 600.0});
+      }
     }
-    expect_identical(mesh, comms, "ties " + std::to_string(p) + "x" + std::to_string(q));
+    const std::string label = "ties " + std::to_string(p) + "x" + std::to_string(q);
+    expect_identical(mesh, comms, label);
+    EXPECT_GE(XYImproverRouter().route(mesh, comms, PowerModel::paper_discrete())
+                  .local_search.moves,
+              200u)
+        << label;
   }
 }
 
