@@ -1,15 +1,16 @@
 #include "pamr/exp/instance_runner.hpp"
 
 #include <array>
-#include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/opt/lower_bound.hpp"
-#include "pamr/routing/routers.hpp"
 #include "pamr/sim/sim_stats.hpp"
 #include "pamr/topo/topo_router.hpp"
+#include "pamr/topo/validate.hpp"
+#include "pamr/util/assert.hpp"
 
 namespace pamr {
 namespace exp {
@@ -36,45 +37,30 @@ SimSample probe_with_simulator(const Mesh& mesh, const CommSet& comms,
   return sample;
 }
 
-/// The six base policies, built once: routers are stateless, so one set
-/// serves every thread.
-const std::array<std::unique_ptr<Router>, kNumBaseRouters>& base_routers() {
-  static const auto routers = [] {
-    std::array<std::unique_ptr<Router>, kNumBaseRouters> made;
-    const auto kinds = all_base_routers();
-    for (std::size_t h = 0; h < kinds.size(); ++h) made[h] = make_router(kinds[h]);
-    return made;
-  }();
-  return routers;
-}
-
 }  // namespace
 
-InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
-                            const PowerModel& model, const sim::SimConfig* sim_config) {
-  RouteWorkspace workspace;
-  return run_instance(mesh, comms, model, sim_config, workspace);
-}
-
-InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
+InstanceSample run_instance(const topo::Topology& topology, const CommSet& comms,
                             const PowerModel& model, const sim::SimConfig* sim_config,
                             RouteWorkspace& workspace) {
+  const Mesh* mesh = topology.as_mesh();
+  PAMR_CHECK(mesh != nullptr || sim_config == nullptr, "sim=on needs topo=rect");
   std::array<HeuristicSample, kNumBaseRouters> base;
   // Malformed input throws here exactly as it would in the first route call.
-  check_comm_set(mesh, comms);
-  if (certify_infeasible(mesh, comms, model)) {
+  topo::check_comm_set(topology, comms);
+  if (mesh != nullptr && certify_infeasible(*mesh, comms, model)) {
     // Every policy would fail: six invalid samples, no routing, no probe.
     obs::bump(obs::Metric::kRouteCertifiedInfeasible);
     return make_instance_sample(base);
   }
+  const RouteGoal goal = mesh != nullptr ? RouteGoal::kVerdict : RouteGoal::kRouting;
   // The BEST routing (lowest power among valid policies) doubles as the
   // simulation probe's subject, so keep it while the scalars are folded.
   std::optional<Routing> best_routing;
   double best_power = 0.0;
-  const auto& routers = base_routers();
-  for (std::size_t h = 0; h < routers.size(); ++h) {
+  static const std::vector<RouterKind> kinds = all_base_routers();
+  for (std::size_t h = 0; h < kinds.size(); ++h) {
     RouteResult result =
-        routers[h]->route(mesh, comms, model, RouteGoal::kVerdict, workspace);
+        topo::route_on(topology, kinds[h], comms, model, goal, workspace);
     base[h].valid = result.valid;
     base[h].power = result.power;
     base[h].static_power = result.breakdown.static_part;
@@ -89,25 +75,11 @@ InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
   InstanceSample sample = make_instance_sample(base);
   if (best_routing.has_value()) {
     if (!comms.empty()) {
-      sample.sim = probe_with_simulator(mesh, comms, *best_routing, *sim_config);
+      sample.sim = probe_with_simulator(*mesh, comms, *best_routing, *sim_config);
     }
     workspace.recycle(*std::move(best_routing));
   }
   return sample;
-}
-
-InstanceSample run_instance(const topo::Topology& topology, const CommSet& comms,
-                            const PowerModel& model) {
-  std::array<HeuristicSample, kNumBaseRouters> base;
-  const auto kinds = all_base_routers();
-  for (std::size_t h = 0; h < kinds.size(); ++h) {
-    const RouteResult result = topo::route_on(topology, kinds[h], comms, model);
-    base[h].valid = result.valid;
-    base[h].power = result.power;
-    base[h].static_power = result.breakdown.static_part;
-    base[h].elapsed_ms = result.elapsed_ms;
-  }
-  return make_instance_sample(base);
 }
 
 }  // namespace exp

@@ -1,9 +1,15 @@
 // Runs the six base policies on one instance and folds the outcome into the
-// campaign's scalar samples. The routers are stateless and shared by every
-// thread; per-call scratch lives in a RouteWorkspace, one per thread (the
-// campaign calls the runner from every pool worker).
+// campaign's scalar samples. One runner serves every topology: each policy
+// call goes through topo::route_on, the library's one routing dispatcher.
+// The routers are stateless and shared by every thread; per-call scratch
+// lives in a RouteWorkspace, one per thread (the campaign calls the runner
+// from every pool worker).
 //
-// Certify, then route. The Mesh overload first asks certify_infeasible
+// Three steps apply only on the rectangular mesh (topology.as_mesh()
+// non-null): the certificate, verdict-only routing and the simulation
+// probe. The torus and diag analogues route every instance in full.
+//
+// Certify, then route. On the mesh the runner first asks certify_infeasible
 // (opt/lower_bound.hpp) whether the instance can be routed at all. When a
 // certificate holds, every policy is bound to fail, so no router runs: the
 // six samples are recorded as failures (valid=false, power 0, elapsed 0)
@@ -25,19 +31,18 @@
 //      routing: the sum of forced loads on any link is ≤ cap.
 // A sum counts as a violation only past a relative margin that dominates
 // floating-point summation error, so no certified instance is routable.
-// The topology overload is not gated: a torus wraparound link lets a path
-// go round a cut instead of across it, and a diagonal link crosses a row
-// and a column boundary in one hop, so none of the three counts bounds
-// those routings.
+// Other topologies are not gated: a torus wraparound link lets a path go
+// round a cut instead of across it, and a diagonal link crosses a row and
+// a column boundary in one hop, so none of the three counts bounds those
+// routings.
 //
 // Verdicts only. The campaign keeps a policy's valid flag and powers, never
 // its routing (except BEST's, for the simulation probe, and a valid routing
-// always comes back). So the Mesh overload routes with RouteGoal::kVerdict:
-// SG, TB, IG and PR stop as soon as they hold an overload witness, a link
-// load that proves their final routing invalid, and the sample records the
-// same failure the full routing would have. route.abandoned counts those
-// calls. The topology overload routes through topo::route_on with the
-// default goal.
+// always comes back). So on the mesh the runner routes with
+// RouteGoal::kVerdict: SG, TB, IG and PR stop as soon as they hold an
+// overload witness, a link load that proves their final routing invalid,
+// and the sample records the same failure the full routing would have.
+// route.abandoned counts those calls.
 //
 // With a sim::SimConfig the runner additionally drives the cycle-level NoC
 // simulator on the instance's BEST routing (open-loop injection: the
@@ -49,7 +54,6 @@
 
 #include "pamr/comm/communication.hpp"
 #include "pamr/exp/metrics.hpp"
-#include "pamr/mesh/mesh.hpp"
 #include "pamr/power/power_model.hpp"
 #include "pamr/routing/workspace.hpp"
 #include "pamr/sim/simulator.hpp"
@@ -58,30 +62,18 @@
 namespace pamr {
 namespace exp {
 
-/// `sim_config`, when non-null, requests the simulation probe; it runs iff
-/// some policy produced a valid routing (the probe needs a routing to
-/// program — the per-point sim stats' count() reveals how many instances
-/// qualified). Deterministic in all arguments, including sim_config->seed.
-[[nodiscard]] InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
-                                          const PowerModel& model,
-                                          const sim::SimConfig* sim_config = nullptr);
-
-/// The same on a caller-owned RouteWorkspace, which every policy call
-/// reuses (routing/workspace.hpp); the sample is bit-identical to the
-/// overload above, wall-clock fields aside.
-[[nodiscard]] InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
+/// `sim_config`, when non-null, requests the simulation probe; it needs the
+/// rectangular topology (CHECKed; ScenarioSpec rejects sim=on elsewhere at
+/// parse time) and runs iff some policy produced a valid routing (the probe
+/// needs a routing to program — the per-point sim stats' count() reveals
+/// how many instances qualified). Every policy call reuses `workspace`
+/// (routing/workspace.hpp). Deterministic in all arguments, including
+/// sim_config->seed; the workspace's history changes no bit of the sample.
+[[nodiscard]] InstanceSample run_instance(const topo::Topology& topology,
+                                          const CommSet& comms,
                                           const PowerModel& model,
                                           const sim::SimConfig* sim_config,
                                           RouteWorkspace& workspace);
-
-/// Topology-generic variant: the six policy analogues via topo::route_on.
-/// No simulation probe (the cycle simulator is rect-only; ScenarioSpec
-/// rejects sim=on for other topologies at parse time). On the rectangular
-/// topology this produces the exact samples of the Mesh overload — route_on
-/// delegates to the original routers.
-[[nodiscard]] InstanceSample run_instance(const topo::Topology& topology,
-                                          const CommSet& comms,
-                                          const PowerModel& model);
 
 }  // namespace exp
 }  // namespace pamr

@@ -39,7 +39,7 @@ CommSet comms_of_assignment(const std::vector<const TaskGraph*>& apps,
 /// and take LoadCost over the resulting link loads. Infeasible placements
 /// thus score high but remain comparable (essential while escaping them).
 double routed_cost(const Mesh& mesh, const CommSet& comms, const PowerModel& model,
-                   Router& evaluator) {
+                   const Router& evaluator) {
   const RouteResult result = evaluator.route(mesh, comms, model);
   PAMR_ASSERT(result.routing.has_value());
   const LinkLoads loads = loads_of_routing(mesh, *result.routing);
@@ -58,8 +58,7 @@ double placement_score(const Mesh& mesh, const std::vector<const TaskGraph*>& ap
     mapped.push_back(MappedApplication{apps[a], mappings[a]});
   }
   const CommSet comms = extract_communications(mapped);
-  const auto router = make_router(evaluator);
-  return routed_cost(mesh, comms, model, *router);
+  return routed_cost(mesh, comms, model, shared_router(evaluator));
 }
 
 PlacementResult optimize_placement(const Mesh& mesh,
@@ -88,11 +87,11 @@ PlacementResult optimize_placement(const Mesh& mesh,
   std::vector<std::int32_t> empty_cores(cores.begin() + static_cast<std::ptrdiff_t>(total_tasks),
                                         cores.end());
 
-  const auto router = make_router(options.evaluator);
+  const Router& router = shared_router(options.evaluator);
   auto score_now = [&]() {
     return routed_cost(mesh,
                        comms_of_assignment(apps, mesh, core_of_flat, app_offset),
-                       model, *router);
+                       model, router);
   };
 
   PlacementResult result;
@@ -140,7 +139,7 @@ PlacementResult optimize_placement(const Mesh& mesh,
   }
   // Final verdict under the full model.
   const CommSet comms = comms_of_assignment(apps, mesh, core_of_flat, app_offset);
-  const RouteResult routed = router->route(mesh, comms, model);
+  const RouteResult routed = router.route(mesh, comms, model);
   result.valid = routed.valid;
   result.power = routed.valid ? routed.power : 0.0;
   return result;

@@ -65,7 +65,7 @@ enum class Metric : std::uint32_t {
   kPhaseRouteXyi,
   kPhaseRoutePr,
   kPhaseRouteBest,        ///< BEST dispatcher; nests the six base timers
-  kPhaseRouteOther,       ///< non-rect topo routing (no per-kind split)
+  kPhaseRouteOther,       ///< routers outside the seven (the RR and SA extensions)
   kPhaseSim,              ///< simulator probe
   kPhaseUnit,             ///< one run_unit_instances call
   kPhaseSuite,            ///< one SuiteRunner::run_all

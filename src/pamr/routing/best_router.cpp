@@ -18,7 +18,7 @@ RouteResult BestRouter::route_impl(const Mesh& mesh, const CommSet& comms,
   RouteResult best;
   for (const RouterKind kind : all_base_routers()) {
     RouteResult result =
-        make_router(kind)->route(mesh, comms, model, RouteGoal::kRouting, workspace);
+        shared_router(kind).route(mesh, comms, model, RouteGoal::kRouting, workspace);
     if (!result.valid) {
       workspace.recycle(result);
       continue;

@@ -80,25 +80,4 @@ bool has_deadlock_risk(const Mesh& mesh, const Routing& routing) {
   return find_dependency_cycle(channel_dependency_graph(mesh, routing)).has_value();
 }
 
-std::int32_t quadrant_vc(const Communication& comm) noexcept {
-  return static_cast<std::int32_t>(quadrant_of(comm.src, comm.snk));
-}
-
-bool verify_vc_acyclic(const Mesh& mesh, const CommSet& comms,
-                       const Routing& routing) {
-  PAMR_CHECK(routing.per_comm.size() == comms.size(),
-             "routing does not match the communication set");
-  for (std::int32_t vc = 0; vc < kNumQuadrants; ++vc) {
-    ChannelDependencyGraph graph(static_cast<std::size_t>(mesh.num_links()));
-    for (std::size_t i = 0; i < comms.size(); ++i) {
-      if (quadrant_vc(comms[i]) != vc) continue;
-      for (const RoutedFlow& flow : routing.per_comm[i].flows) {
-        add_path_dependencies(flow.path, graph);
-      }
-    }
-    if (find_dependency_cycle(graph).has_value()) return false;
-  }
-  return true;
-}
-
 }  // namespace pamr

@@ -11,21 +11,22 @@
 //    by the turn argument; general Manhattan routings are NOT — four
 //    staircase paths, one per quadrant, can close a cycle.
 //
-//  * quadrant_vc_assignment — the resource-ordering fix: give every flow
-//    the virtual channel of its quadrant. Within one quadrant all paths are
-//    monotone in the same two directions, so every hop strictly increases
-//    the quadrant's diagonal index and no cyclic wait can form; across
-//    quadrants the channels are disjoint. Hence ANY Manhattan routing is
-//    deadlock-free with 4 virtual channels (per physical link), and
-//    verify_vc_acyclic() machine-checks it per instance by running the CDG
-//    test per virtual channel.
+//  * the quadrant virtual channels — the resource-ordering fix: give every
+//    flow the virtual channel of its quadrant. Within one quadrant all
+//    paths are monotone in the same two directions, so every hop strictly
+//    increases the quadrant's diagonal index and no cyclic wait can form;
+//    across quadrants the channels are disjoint. Hence ANY Manhattan
+//    routing is deadlock-free with 4 virtual channels (per physical link).
+//    RectTopology::vc_classes assigns these classes, and
+//    topo::verify_vc_acyclic (topo/validate.hpp) machine-checks the
+//    theorem per instance on the CDG over (link, class) pairs.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "pamr/mesh/diagonal.hpp"
+#include "pamr/mesh/mesh.hpp"
 #include "pamr/routing/routing.hpp"
 
 namespace pamr {
@@ -46,15 +47,5 @@ using ChannelDependencyGraph = std::vector<std::vector<LinkId>>;
 
 /// Convenience wrapper: true iff the routing can deadlock without VCs.
 [[nodiscard]] bool has_deadlock_risk(const Mesh& mesh, const Routing& routing);
-
-/// Virtual-channel id per flow under the quadrant scheme (= the flow's
-/// quadrant index, 0..3).
-[[nodiscard]] std::int32_t quadrant_vc(const Communication& comm) noexcept;
-
-/// Machine-checks the quadrant-VC theorem on a concrete routing: builds one
-/// CDG per virtual channel (flows restricted to their VC) and verifies each
-/// is acyclic. Returns true iff all four are.
-[[nodiscard]] bool verify_vc_acyclic(const Mesh& mesh, const CommSet& comms,
-                                     const Routing& routing);
 
 }  // namespace pamr

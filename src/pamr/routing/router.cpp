@@ -1,5 +1,7 @@
 #include "pamr/routing/router.hpp"
 
+#include <array>
+
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
@@ -115,6 +117,19 @@ std::unique_ptr<Router> make_router(RouterKind kind) {
   }
   PAMR_CHECK(false, "unknown router kind");
   return nullptr;  // unreachable
+}
+
+const Router& shared_router(RouterKind kind) {
+  static const auto routers = [] {
+    std::array<std::unique_ptr<Router>, kNumBaseRouters + 1> made;
+    for (std::size_t k = 0; k < made.size(); ++k) {
+      made[k] = make_router(static_cast<RouterKind>(k));
+    }
+    return made;
+  }();
+  const auto index = static_cast<std::size_t>(kind);
+  PAMR_CHECK(index < routers.size(), "unknown router kind");
+  return *routers[index];
 }
 
 }  // namespace pamr

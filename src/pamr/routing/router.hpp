@@ -129,4 +129,10 @@ class Router {
 
 [[nodiscard]] std::unique_ptr<Router> make_router(RouterKind kind);
 
+/// The process-wide instance of `kind`'s policy, BEST included. Routers are
+/// stateless, so one set, built on first use, serves every caller and
+/// thread; this is how the library itself dispatches (topo::route_on,
+/// BestRouter).
+[[nodiscard]] const Router& shared_router(RouterKind kind);
+
 }  // namespace pamr

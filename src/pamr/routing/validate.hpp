@@ -7,8 +7,14 @@
 //   * every flow's path is a Manhattan path from the communication's source
 //     to its sink,
 //   * no link's accumulated load exceeds the model capacity.
+//
+// Each check has one body, over a RoutingNetwork: the Mesh overloads below
+// test paths with is_manhattan, and topo/validate.hpp's Topology overloads
+// with the topology's own shortest-path test.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 
 #include "pamr/comm/communication.hpp"
@@ -24,6 +30,28 @@ struct ValidationResult {
 
   explicit operator bool() const noexcept { return ok; }
 };
+
+/// What the checks read from the network a routing lives on. The callables
+/// borrow the network, which must outlive the view.
+struct RoutingNetwork {
+  const char* name = "";  ///< "mesh", "torus", ... in error messages
+  std::int32_t num_links = 0;
+  std::function<bool(Coord)> contains;
+  /// True iff the path is a connected shortest path from its src to its snk.
+  std::function<bool(const Path&)> is_shortest;
+  std::function<std::string(LinkId)> describe_link;
+};
+
+[[nodiscard]] ValidationResult validate_structure(const RoutingNetwork& network,
+                                                  const CommSet& comms,
+                                                  const Routing& routing,
+                                                  std::size_t max_paths);
+[[nodiscard]] ValidationResult validate_routing(const RoutingNetwork& network,
+                                                const CommSet& comms,
+                                                const Routing& routing,
+                                                const PowerModel& model,
+                                                std::size_t max_paths);
+void check_comm_set(const RoutingNetwork& network, const CommSet& comms);
 
 /// `max_paths` is the routing rule's s (1 for XY/1-MP); pass 0 for
 /// unbounded (max-MP).

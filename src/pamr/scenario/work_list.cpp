@@ -62,18 +62,14 @@ exp::PointAggregate run_unit_instances(const Mesh& mesh, const PowerModel& model
                                        std::size_t end, std::size_t instances,
                                        std::uint64_t seed, std::uint64_t point_id) {
   PAMR_CHECK(begin <= end && end <= instances, "unit range out of bounds");
-  PAMR_CHECK(!(spec.sim && spec.topo != topo::TopoKind::kRect),
-             "sim=on needs topo=rect");
   obs::bump(obs::Metric::kSuiteUnits);
   obs::bump(obs::Metric::kSuiteInstances, end - begin);
   const obs::PhaseScope unit_phase(obs::Metric::kPhaseUnit);
-  // Non-rect units route through the topology analogues. The topology is
-  // built once per unit; workloads still draw on the mesh grid, so the
-  // communication sets are identical across the topo= axis.
-  std::unique_ptr<const topo::Topology> topology;
-  if (spec.topo != topo::TopoKind::kRect) {
-    topology = topo::make_topology(spec.topo, spec.mesh_p, spec.mesh_q);
-  }
+  // The unit's topology (rect included) is built once per unit on the
+  // mesh's grid. Workloads draw on that grid, so the communication sets are
+  // identical across the topo= axis.
+  const std::unique_ptr<const topo::Topology> topology =
+      topo::make_topology(spec.topo, mesh.p(), mesh.q());
   // One routing workspace per thread, alive as long as the thread: every
   // unit the thread runs reuses its buffers (routing/workspace.hpp).
   thread_local RouteWorkspace workspace;
@@ -84,20 +80,17 @@ exp::PointAggregate run_unit_instances(const Mesh& mesh, const PowerModel& model
     const double t =
         (static_cast<double>(instance) + 0.5) / static_cast<double>(instances);
     const CommSet comms = spec.generate(mesh, model, t, rng);
-    if (topology != nullptr) {
-      aggregate.add(exp::run_instance(*topology, comms, model));
-    } else if (spec.sim) {
-      // The probe's seed is the next draw of the instance stream — a pure
-      // function of (seed, point, instance), like everything else here, so
-      // sim aggregates stay bit-identical across threads and workers.
-      sim::SimConfig sim_config;
+    // The probe's seed is the next draw of the instance stream — a pure
+    // function of (seed, point, instance), like everything else here, so
+    // sim aggregates stay bit-identical across threads and workers.
+    sim::SimConfig sim_config;
+    if (spec.sim) {
       sim_config.cycles = spec.sim_cycles;
       sim_config.warmup = spec.sim_warmup;
       sim_config.seed = rng();
-      aggregate.add(exp::run_instance(mesh, comms, model, &sim_config, workspace));
-    } else {
-      aggregate.add(exp::run_instance(mesh, comms, model, nullptr, workspace));
     }
+    aggregate.add(exp::run_instance(*topology, comms, model,
+                                    spec.sim ? &sim_config : nullptr, workspace));
   }
   return aggregate;
 }

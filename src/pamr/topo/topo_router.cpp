@@ -1,9 +1,11 @@
 #include "pamr/topo/topo_router.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
+#include "pamr/routing/workspace.hpp"
 #include "pamr/topo/validate.hpp"
 #include "pamr/util/assert.hpp"
 #include "pamr/util/timer.hpp"
@@ -72,9 +74,11 @@ Routing route_xy(const Topology& topology, const CommSet& comms) {
   return routing;
 }
 
-/// SG analogue: communications by decreasing weight, path built hop by hop
-/// onto the least-loaded next step; ties keep the pinned next_steps order.
-Routing route_sg(const Topology& topology, const CommSet& comms) {
+/// SG and IG analogues: communications by decreasing weight, each path
+/// built hop by hop onto the next step whose link has the smallest
+/// key(loads, link, weight); ties keep the pinned next_steps order.
+template <typename Key>
+Routing route_greedy(const Topology& topology, const CommSet& comms, const Key& key) {
   Routing routing;
   routing.per_comm.resize(comms.size());
   LinkLoads loads(topology.num_links());
@@ -88,45 +92,9 @@ Routing route_sg(const Topology& topology, const CommSet& comms) {
       const std::vector<TopoStep> steps = topology.next_steps(at, comm.snk);
       PAMR_ASSERT(!steps.empty());
       const TopoStep* best = &steps.front();
+      auto best_key = key(loads, best->link, comm.weight);
       for (const TopoStep& step : steps) {
-        if (loads.load(step.link) < loads.load(best->link)) best = &step;
-      }
-      path.links.push_back(best->link);
-      at = best->to;
-    }
-    loads.add_path(path, comm.weight);
-    routing.per_comm[idx].flows.push_back(RoutedFlow{std::move(path), comm.weight});
-  }
-  return routing;
-}
-
-/// IG analogue: like SG but each hop minimizes the penalized LoadCost delta
-/// of carrying the communication; ties go to the least-loaded link, then to
-/// the pinned next_steps order.
-Routing route_ig(const Topology& topology, const CommSet& comms,
-                 const PowerModel& model) {
-  const LoadCost cost(model, topology.num_links());
-  Routing routing;
-  routing.per_comm.resize(comms.size());
-  LinkLoads loads(topology.num_links());
-  for (const std::size_t idx : order_by_decreasing_weight(comms)) {
-    const Communication& comm = comms[idx];
-    Path path;
-    path.src = comm.src;
-    path.snk = comm.snk;
-    Coord at = comm.src;
-    while (at != comm.snk) {
-      const std::vector<TopoStep> steps = topology.next_steps(at, comm.snk);
-      PAMR_ASSERT(!steps.empty());
-      const auto key = [&](const TopoStep& step) {
-        const double before = loads.load(step.link);
-        return std::pair<double, double>(cost.delta(before, before + comm.weight),
-                                         before);
-      };
-      const TopoStep* best = &steps.front();
-      std::pair<double, double> best_key = key(*best);
-      for (const TopoStep& step : steps) {
-        const std::pair<double, double> candidate = key(step);
+        const auto candidate = key(loads, step.link, comm.weight);
         if (candidate < best_key) {
           best = &step;
           best_key = candidate;
@@ -139,6 +107,25 @@ Routing route_ig(const Topology& topology, const CommSet& comms,
     routing.per_comm[idx].flows.push_back(RoutedFlow{std::move(path), comm.weight});
   }
   return routing;
+}
+
+/// SG analogue: the least-loaded next step.
+Routing route_sg(const Topology& topology, const CommSet& comms) {
+  return route_greedy(topology, comms, [](const LinkLoads& loads, LinkId link, double) {
+    return loads.load(link);
+  });
+}
+
+/// IG analogue: the next step of cheapest penalized LoadCost delta; ties go
+/// to the least-loaded link.
+Routing route_ig(const Topology& topology, const CommSet& comms,
+                 const PowerModel& model) {
+  const LoadCost cost(model, topology.num_links());
+  return route_greedy(
+      topology, comms, [&cost](const LinkLoads& loads, LinkId link, double weight) {
+        const double before = loads.load(link);
+        return std::pair<double, double>(cost.delta(before, before + weight), before);
+      });
 }
 
 /// TB analogue: communications by decreasing weight; the cheapest (LoadCost
@@ -175,6 +162,37 @@ Routing route_tb(const Topology& topology, const CommSet& comms,
 /// report `converged = false` when it truncates.
 std::size_t move_cap(const CommSet& comms) { return 8 * comms.size() + 64; }
 
+/// The local-search move of XYI and PR: the ≤2-change path of `comm` that
+/// avoids `avoid` and costs strictly less on `loads` (which must not hold
+/// comm's own flow) than `current`; ties to the earliest enumerated. None
+/// when no candidate improves.
+std::optional<Path> cheaper_path(const Topology& topology, const LoadCost& cost,
+                                 const LinkLoads& loads, const Communication& comm,
+                                 const Path& current, LinkId avoid) {
+  double best_cost = path_cost(cost, loads, current, comm.weight);
+  std::vector<Path> candidates = two_change_paths(topology, comm.src, comm.snk);
+  Path* best = nullptr;
+  for (Path& candidate : candidates) {
+    if (path_uses(candidate, avoid)) continue;
+    const double candidate_cost = path_cost(cost, loads, candidate, comm.weight);
+    if (candidate_cost < best_cost) {
+      best = &candidate;
+      best_cost = candidate_cost;
+    }
+  }
+  if (best == nullptr) return std::nullopt;
+  // Paranoid: a PR move exists to unload the avoided link — a replacement
+  // that still crosses it means the filter broke and PR's retirement
+  // argument with it. And a move must stay inside the shortest-path family:
+  // two_change_paths enumerates only distance-reducing chains, and a longer
+  // path would silently change the load accounting every later move reads.
+  PAMR_INVARIANT("topo-router", !path_uses(*best, avoid),
+                 "local-search move still crosses the link it must avoid");
+  PAMR_INVARIANT("topo-router", best->length() == topology.distance(comm.src, comm.snk),
+                 "local-search move left the shortest-path family");
+  return std::move(*best);
+}
+
 /// XYI analogue: start from the canonical routing, then sweep the
 /// communications in index order re-picking each one's cheapest ≤2-change
 /// path, applying strict improvements only, until a full sweep changes
@@ -193,28 +211,9 @@ Routing route_xyi(const Topology& topology, const CommSet& comms,
       const Communication& comm = comms[i];
       RoutedFlow& flow = routing.per_comm[i].flows.front();
       remove_path(loads, flow.path, comm.weight);
-      const double current_cost = path_cost(cost, loads, flow.path, comm.weight);
-      const std::vector<Path> candidates =
-          two_change_paths(topology, comm.src, comm.snk);
-      const Path* best = nullptr;
-      double best_cost = current_cost;
-      for (const Path& candidate : candidates) {
-        const double candidate_cost =
-            path_cost(cost, loads, candidate, comm.weight);
-        if (candidate_cost < best_cost) {
-          best = &candidate;
-          best_cost = candidate_cost;
-        }
-      }
-      if (best != nullptr) {
-        // Paranoid: an applied move must stay inside the shortest-path
-        // family — two_change_paths enumerates only distance-reducing
-        // chains, and a longer path would silently change the load
-        // accounting every later move reads.
-        PAMR_INVARIANT("topo-router",
-                       best->length() == topology.distance(comm.src, comm.snk),
-                       "XYI move left the shortest-path family");
-        flow.path = *best;
+      if (std::optional<Path> better =
+              cheaper_path(topology, cost, loads, comm, flow.path, kInvalidLink)) {
+        flow.path = *std::move(better);
         ++stats.moves;
         improved = true;
       }
@@ -252,30 +251,9 @@ Routing route_pr(const Topology& topology, const CommSet& comms,
       RoutedFlow& flow = routing.per_comm[idx].flows.front();
       if (!path_uses(flow.path, hot)) continue;
       remove_path(loads, flow.path, comm.weight);
-      const double current_cost = path_cost(cost, loads, flow.path, comm.weight);
-      const Path* best = nullptr;
-      double best_cost = current_cost;
-      const std::vector<Path> candidates =
-          two_change_paths(topology, comm.src, comm.snk);
-      for (const Path& candidate : candidates) {
-        if (path_uses(candidate, hot)) continue;
-        const double candidate_cost =
-            path_cost(cost, loads, candidate, comm.weight);
-        if (candidate_cost < best_cost) {
-          best = &candidate;
-          best_cost = candidate_cost;
-        }
-      }
-      if (best != nullptr) {
-        // Paranoid: a PR move exists to unload the hot link — a replacement
-        // path that still crosses it (or leaves the shortest family) means
-        // the candidate filter broke and the retirement argument with it.
-        PAMR_INVARIANT("topo-router", !path_uses(*best, hot),
-                       "PR move still crosses the hot link it was evicted from");
-        PAMR_INVARIANT("topo-router",
-                       best->length() == topology.distance(comm.src, comm.snk),
-                       "PR move left the shortest-path family");
-        flow.path = *best;
+      if (std::optional<Path> better =
+              cheaper_path(topology, cost, loads, comm, flow.path, hot)) {
+        flow.path = *std::move(better);
         ++stats.moves;
         moved = true;
       }
@@ -318,29 +296,32 @@ std::vector<Path> two_change_paths(const Topology& topology, Coord src, Coord sn
   return out;
 }
 
-RouteResult route_on(const Topology& topology, RouterKind kind,
-                     const CommSet& comms, const PowerModel& model) {
+RouteResult route_on(const Topology& topology, RouterKind kind, const CommSet& comms,
+                     const PowerModel& model, RouteGoal goal) {
+  RouteWorkspace workspace;
+  return route_on(topology, kind, comms, model, goal, workspace);
+}
+
+RouteResult route_on(const Topology& topology, RouterKind kind, const CommSet& comms,
+                     const PowerModel& model, RouteGoal goal, RouteWorkspace& workspace) {
   if (const Mesh* mesh = topology.as_mesh()) {
     // Rect: the original policies, bit-identical (LinkIds coincide).
-    return make_router(kind)->route(*mesh, comms, model);
+    return shared_router(kind).route(*mesh, comms, model, goal, workspace);
   }
   check_comm_set(topology, comms);
+  obs::bump(obs::Metric::kRouteCalls);
+  const obs::PhaseScope phase(obs::route_phase(to_cstring(kind)));
+  const WallTimer timer;
   if (kind == RouterKind::kBest) {
-    obs::bump(obs::Metric::kRouteCalls);
-    const obs::PhaseScope phase(obs::Metric::kPhaseRouteBest);
-    const WallTimer timer;
     RouteResult best;
     for (const RouterKind base : all_base_routers()) {
-      RouteResult result = route_on(topology, base, comms, model);
+      RouteResult result = route_on(topology, base, comms, model, goal, workspace);
       if (!result.valid) continue;
       if (!best.valid || result.power < best.power) best = std::move(result);
     }
     best.elapsed_ms = timer.elapsed_ms();
     return best;
   }
-  obs::bump(obs::Metric::kRouteCalls);
-  const obs::PhaseScope phase(obs::Metric::kPhaseRouteOther);
-  const WallTimer timer;
   Routing routing;
   LocalSearchStats stats;
   switch (kind) {

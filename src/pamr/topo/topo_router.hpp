@@ -1,12 +1,15 @@
-// Routing policies over an arbitrary Topology.
+// Routing policies over an arbitrary Topology. route_on is the library's one
+// routing dispatcher: exp::run_instance routes every instance through it,
+// whatever the topology.
 //
 // The §5 heuristics were written against the rectangular mesh and its
 // Manhattan-rectangle geometry; this layer gives every RouterKind a meaning
 // on any Topology:
 //
-//  * rect — delegated wholesale to the original routers through
-//    Topology::as_mesh(), so rectangular results stay bit-identical to the
-//    pre-topology code paths (same LinkIds, same routings, same power).
+//  * rect — forwarded, goal and workspace included, to the shared original
+//    routers (shared_router) on Topology::as_mesh(), so rectangular results
+//    stay bit-identical to routing the Mesh directly (same LinkIds, same
+//    routings, same power).
 //  * torus/diag — deterministic topology-generic analogues built from the
 //    Topology primitives (next_steps / canonical_path / distance), with
 //    every tie-break pinned: XY routes canonically; SG walks hop-by-hop onto
@@ -15,7 +18,9 @@
 //    XYI starts from the canonical routing and re-picks strictly improving
 //    ≤2-change paths per communication; PR unloads the most-loaded link by
 //    rerouting its heaviest crossing communication; BEST keeps the valid
-//    minimum-power result of the six.
+//    minimum-power result of the six. They ignore the goal (they always
+//    return the full routing) and the workspace, and each call is timed in
+//    its policy's phase.route.<policy> timer, like the rect routers.
 #pragma once
 
 #include <vector>
@@ -40,10 +45,17 @@ namespace topo {
 /// Routes `comms` on `topology` with the policy analogue of `kind`.
 /// Validates the communication set first (throws std::logic_error on
 /// malformed input); a deterministic function of its arguments. For the
-/// rectangular topology this is exactly make_router(kind)->route on the
-/// wrapped mesh.
+/// rectangular topology this is exactly shared_router(kind).route on the
+/// wrapped mesh. This form builds a call-local RouteWorkspace.
 [[nodiscard]] RouteResult route_on(const Topology& topology, RouterKind kind,
-                                   const CommSet& comms, const PowerModel& model);
+                                   const CommSet& comms, const PowerModel& model,
+                                   RouteGoal goal = RouteGoal::kRouting);
+
+/// The same on a caller-owned workspace (routing/workspace.hpp), which the
+/// rect routers reuse; the result is bit-identical to the form above.
+[[nodiscard]] RouteResult route_on(const Topology& topology, RouterKind kind,
+                                   const CommSet& comms, const PowerModel& model,
+                                   RouteGoal goal, RouteWorkspace& workspace);
 
 }  // namespace topo
 }  // namespace pamr

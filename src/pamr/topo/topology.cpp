@@ -34,9 +34,10 @@ Topology::Topology(TopoKind kind, std::int32_t p, std::int32_t q,
     : kind_(kind), p_(p), q_(q), num_dirs_(num_dirs) {
   PAMR_CHECK(p >= 1 && q >= 1, "topology dimensions must be positive");
   PAMR_CHECK(num_dirs >= 1, "topology needs a direction table");
-  link_of_core_dir_.assign(
-      static_cast<std::size_t>(num_cores()) * static_cast<std::size_t>(num_dirs),
-      kInvalidLink);
+  const std::size_t slots =
+      static_cast<std::size_t>(num_cores()) * static_cast<std::size_t>(num_dirs);
+  link_of_core_dir_.assign(slots, kInvalidLink);
+  links_.reserve(slots);  // at most one link per (core, direction)
 }
 
 void Topology::add_link(Coord from, std::int32_t dir, Coord to) {

@@ -1,7 +1,8 @@
 // Tests for the deadlock-analysis substrate (§1's "we assume that a
 // deadlock avoidance technique is used"): channel dependency graphs, cycle
 // detection, XY's turn-model freedom, a hand-built Manhattan deadlock, and
-// the quadrant virtual-channel theorem.
+// the quadrant virtual-channel theorem, machine-checked by
+// topo::verify_vc_acyclic on the rectangular topology.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,8 @@
 #include "pamr/comm/generator.hpp"
 #include "pamr/routing/deadlock.hpp"
 #include "pamr/routing/routers.hpp"
+#include "pamr/topo/topologies.hpp"
+#include "pamr/topo/validate.hpp"
 
 namespace pamr {
 namespace {
@@ -89,8 +92,10 @@ TEST(Deadlock, FourQuadrantRingCanDeadlock) {
 
 TEST(Deadlock, QuadrantVcMakesTheRingSafe) {
   // The same four flows sit in four different quadrants, so the quadrant-VC
-  // assignment separates the ring onto four channels.
-  const Mesh mesh(3, 3);
+  // classes of the rectangular topology separate the ring onto four
+  // channels.
+  const topo::RectTopology topology(3, 3);
+  const Mesh& mesh = *topology.as_mesh();
   const CommSet comms{
       {{0, 0}, {1, 1}, 1.0},
       {{0, 1}, {1, 0}, 1.0},
@@ -103,19 +108,21 @@ TEST(Deadlock, QuadrantVcMakesTheRingSafe) {
       path_from_cores(mesh, {{1, 1}, {1, 0}, {0, 0}}),
       path_from_cores(mesh, {{1, 0}, {0, 0}, {0, 1}}),
   };
+  for (std::int32_t quadrant = 0; quadrant < 4; ++quadrant) {
+    const Path& path = paths[static_cast<std::size_t>(quadrant)];
+    EXPECT_EQ(topology.vc_classes(path),
+              std::vector<std::int32_t>(path.links.size(), quadrant));
+  }
   const Routing routing = make_single_path_routing(comms, std::move(paths));
-  EXPECT_EQ(quadrant_vc(comms[0]), 0);
-  EXPECT_EQ(quadrant_vc(comms[1]), 1);
-  EXPECT_EQ(quadrant_vc(comms[2]), 2);
-  EXPECT_EQ(quadrant_vc(comms[3]), 3);
-  EXPECT_TRUE(verify_vc_acyclic(mesh, comms, routing));
+  EXPECT_TRUE(topo::verify_vc_acyclic(topology, routing));
 }
 
 TEST(Deadlock, QuadrantVcHoldsForEveryHeuristicRouting) {
   // The theorem: within one quadrant every hop strictly increases the
   // diagonal index, so per-VC CDGs are acyclic for ANY Manhattan routing.
   // Machine-check it on the §5 heuristics over random workloads.
-  const Mesh mesh(8, 8);
+  const topo::RectTopology topology(8, 8);
+  const Mesh& mesh = *topology.as_mesh();
   const PowerModel model = PowerModel::paper_discrete();
   Rng rng(808);
   for (int round = 0; round < 8; ++round) {
@@ -127,7 +134,7 @@ TEST(Deadlock, QuadrantVcHoldsForEveryHeuristicRouting) {
     for (const RouterKind kind : all_base_routers()) {
       const RouteResult result = make_router(kind)->route(mesh, comms, model);
       ASSERT_TRUE(result.routing.has_value());
-      EXPECT_TRUE(verify_vc_acyclic(mesh, comms, *result.routing))
+      EXPECT_TRUE(topo::verify_vc_acyclic(topology, *result.routing))
           << to_cstring(kind);
     }
   }

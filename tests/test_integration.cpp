@@ -13,6 +13,7 @@
 #include "pamr/routing/routers.hpp"
 #include "pamr/sim/simulator.hpp"
 #include "pamr/theory/np_reduction.hpp"
+#include "pamr/topo/topologies.hpp"
 
 namespace pamr {
 namespace {
@@ -128,7 +129,9 @@ TEST(EndToEnd, InstanceRunnerAgreesWithDirectRouterCalls) {
     comms.push_back(Communication{mesh.core_coord(src), mesh.core_coord(snk),
                                   rng.uniform(100.0, 2000.0)});
   }
-  const exp::InstanceSample sample = exp::run_instance(mesh, comms, model);
+  RouteWorkspace workspace;
+  const exp::InstanceSample sample =
+      exp::run_instance(topo::RectTopology(8, 8), comms, model, nullptr, workspace);
   const auto kinds = all_base_routers();
   for (std::size_t h = 0; h < kinds.size(); ++h) {
     const RouteResult direct = make_router(kinds[h])->route(mesh, comms, model);

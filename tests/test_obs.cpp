@@ -25,6 +25,7 @@
 #include "pamr/dist/protocol.hpp"
 #include "pamr/obs/obs.hpp"
 #include "pamr/scenario/suite_runner.hpp"
+#include "pamr/topo/topo_router.hpp"
 #include "suite_diff.hpp"
 
 namespace pamr {
@@ -193,6 +194,28 @@ TEST_F(ObsTest, DisabledRegistryRecordsNothing) {
   const Snapshot snap = snapshot();
   for (std::size_t c = 0; c < kTotalCells; ++c) {
     EXPECT_EQ(snap.cells[c], 0u) << info(cell_metric(c)).name;
+  }
+}
+
+TEST_F(ObsTest, TopologyRoutingIsTimedPerPolicy) {
+  // Torus and diag calls go to their policy's phase.route.<policy> timer,
+  // as rect calls do; phase.route.other is left to the extension routers.
+  const PowerModel model = PowerModel::paper_discrete();
+  const CommSet comms{{{0, 0}, {2, 3}, 500.0}, {{3, 1}, {0, 2}, 700.0},
+                      {{1, 3}, {3, 0}, 300.0}};
+  for (const topo::TopoKind kind : {topo::TopoKind::kTorus, topo::TopoKind::kDiag}) {
+    const auto topology = topo::make_topology(kind, 4, 4);
+    for (const RouterKind router : all_base_routers()) {
+      reset();
+      (void)topo::route_on(*topology, router, comms, model);
+      const Snapshot snap = snapshot();
+      const Metric phase = route_phase(to_cstring(router));
+      const std::string call = std::string(topology->name()) + "/" + to_cstring(router);
+      EXPECT_EQ(snap.timer_calls(phase), 1u) << call;
+      EXPECT_GT(snap.timer_ns(phase), 0u) << call;
+      EXPECT_EQ(snap.timer_calls(Metric::kPhaseRouteOther), 0u) << topology->name();
+      EXPECT_EQ(snap.timer_ns(Metric::kPhaseRouteOther), 0u) << topology->name();
+    }
   }
 }
 

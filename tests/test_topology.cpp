@@ -18,6 +18,7 @@
 #include "pamr/routing/deadlock.hpp"
 #include "pamr/routing/path.hpp"
 #include "pamr/routing/router.hpp"
+#include "pamr/routing/workspace.hpp"
 #include "pamr/scenario/registry.hpp"
 #include "pamr/topo/topo_router.hpp"
 #include "pamr/topo/topologies.hpp"
@@ -325,6 +326,40 @@ TEST(TopoRouter, RectDelegationIsBitIdentical) {
           << to_cstring(kind) << " comm " << i;
     }
   }
+
+  // The goal and the workspace reach the rect routers: on an overloaded
+  // workload, kVerdict calls on one reused workspace return what the
+  // routers return for them, abandoned calls (no routing) included.
+  CommSet heavy = comms;
+  for (Communication& comm : heavy) comm.weight *= 4.0;
+  RouteWorkspace ours_workspace;
+  RouteWorkspace theirs_workspace;
+  std::size_t abandoned = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const RouterKind kind : all_base_routers()) {
+      RouteResult ours =
+          route_on(*topology, kind, heavy, model, RouteGoal::kVerdict, ours_workspace);
+      RouteResult theirs = make_router(kind)->route(mesh, heavy, model,
+                                                    RouteGoal::kVerdict, theirs_workspace);
+      EXPECT_EQ(ours.valid, theirs.valid) << to_cstring(kind);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ours.power),
+                std::bit_cast<std::uint64_t>(theirs.power))
+          << to_cstring(kind);
+      ASSERT_EQ(ours.routing.has_value(), theirs.routing.has_value()) << to_cstring(kind);
+      if (theirs.routing.has_value()) {
+        for (std::size_t i = 0; i < heavy.size(); ++i) {
+          EXPECT_EQ(ours.routing->per_comm[i].flows.front().path,
+                    theirs.routing->per_comm[i].flows.front().path)
+              << to_cstring(kind) << " comm " << i;
+        }
+      } else {
+        ++abandoned;
+      }
+      ours_workspace.recycle(ours);
+      theirs_workspace.recycle(theirs);
+    }
+  }
+  EXPECT_GT(abandoned, 0u) << "no call was abandoned, so the goal went untested";
 }
 
 TEST(TopoRouter, TwoChangePathsEnumerateShortestOnly) {
