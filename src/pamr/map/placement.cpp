@@ -43,7 +43,7 @@ double routed_cost(const Mesh& mesh, const CommSet& comms, const PowerModel& mod
   const RouteResult result = evaluator.route(mesh, comms, model);
   PAMR_ASSERT(result.routing.has_value());
   const LinkLoads loads = loads_of_routing(mesh, *result.routing);
-  return LoadCost(model, mesh.num_links()).total(loads.values());
+  return LoadCost(model).total(loads.values());
 }
 
 }  // namespace

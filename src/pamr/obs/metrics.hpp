@@ -38,8 +38,8 @@ enum class Metric : std::uint32_t {
   kRouteCertifiedInfeasible,  ///< instances run_instance certified infeasible (not routed)
   kRouteAbandoned,        ///< RouteGoal::kVerdict calls stopped at an overload witness
   kXyiMoves,              ///< accepted XYI moves
-  kXyiEvalHits,           ///< XYI evaluation slots reused (no side re-evaluated)
-  kXyiEvalMisses,         ///< XYI evaluation slot misses (a side re-evaluated)
+  kXyiEvalHits,           ///< XYI evaluation slots reused as cached
+  kXyiEvalMisses,         ///< XYI evaluation slots re-evaluated whole (both rotations)
   kXyiVerdictSkips,       ///< whole links folded in O(1) via the band-checked fold cache
   kXyiIndexRewrites,      ///< CrossingIndex::apply_rewrite calls
   kPrRemovals,            ///< PR removals applied

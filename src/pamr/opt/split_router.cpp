@@ -14,7 +14,7 @@ SplitRouteResult route_split(const Mesh& mesh, const CommSet& comms,
                              const PowerModel& model, std::int32_t max_paths) {
   PAMR_CHECK(max_paths >= 1, "s must be at least 1");
   const WallTimer timer;
-  const LoadCost cost(model, mesh.num_links());
+  const LoadCost cost(model);
   LinkLoads loads(mesh);
 
   SplitRouteResult result;

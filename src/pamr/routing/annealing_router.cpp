@@ -53,7 +53,7 @@ RouteResult AnnealingRouter::route_impl(const Mesh& mesh, const CommSet& comms,
   if (comms.empty()) {
     return finish(mesh, comms, model, Routing{}, timer.elapsed_ms());
   }
-  const LoadCost cost(model, mesh.num_links());
+  const LoadCost cost(model);
   Rng rng(options_.seed);
 
   std::vector<CommRect> rects;

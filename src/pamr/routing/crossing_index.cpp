@@ -28,13 +28,10 @@ void CrossingIndex::reset(const Mesh& mesh, std::size_t num_comms) {
   const auto cores = static_cast<std::size_t>(mesh.num_cores());
   member_seg_.assign(links, Segment{});
   member_data_.clear();
-  hot_data_.clear();
-  cold_.clear();
-  cold_begin_.assign(num_comms, 0);
+  slot_data_.clear();
   visitor_seg_.assign(cores, Segment{});
   visitor_data_.clear();
   comm_stamp_.assign(num_comms, 1);  // ≥ 1, so never-computed slots (stamp 0) are stale
-  path_epoch_.assign(num_comms, 0);
   core_mark_.assign(cores, 0);
   fold_best_.assign(links, xyi::Candidate{});
   fold_comm_.assign(links, 0);
@@ -94,7 +91,7 @@ void CrossingIndex::seal() {
     next += seg.cap;
   }
   member_data_.resize(next);
-  hot_data_.resize(next);
+  slot_data_.resize(next);
   next = 0;
   for (Segment& seg : visitor_seg_) {
     seg.begin = next;
@@ -107,9 +104,6 @@ void CrossingIndex::seal() {
 
 void CrossingIndex::add_initial_path(std::uint32_t comm, std::span<const Coord> cores) {
   if (!sealed_) seal();
-  // Fresh cold slots, one per step: resize value-initializes them.
-  cold_begin_[comm] = static_cast<std::uint32_t>(cold_.size());
-  cold_.resize(cold_.size() + cores.size() - 1);
   for (std::size_t k = 0; k + 1 < cores.size(); ++k) {
     const LinkId link = mesh_->link_between(cores[k], cores[k + 1]);
     // Registration order: comm is the largest member so far.
@@ -129,9 +123,9 @@ void CrossingIndex::reserve_member(LinkId link) {
   const std::uint32_t cap = std::max(kMinMovedCap, 2 * seg.cap);
   const auto begin = static_cast<std::uint32_t>(member_data_.size());
   member_data_.resize(begin + cap);
-  hot_data_.resize(begin + cap);
+  slot_data_.resize(begin + cap);
   std::copy_n(member_data_.begin() + seg.begin, seg.size, member_data_.begin() + begin);
-  std::copy_n(hot_data_.begin() + seg.begin, seg.size, hot_data_.begin() + begin);
+  std::copy_n(slot_data_.begin() + seg.begin, seg.size, slot_data_.begin() + begin);
   seg.begin = begin;
   seg.cap = cap;
 }
@@ -147,7 +141,7 @@ void CrossingIndex::reserve_visitor(std::size_t idx) {
   seg.cap = cap;
 }
 
-// Member and hot-slot lists stay parallel and sorted by communication:
+// Member and slot lists stay parallel and sorted by communication:
 // shifts over short contiguous lists beat node containers here.
 void CrossingIndex::insert_member(LinkId link, std::uint32_t comm) {
   reserve_member(link);
@@ -159,10 +153,10 @@ void CrossingIndex::insert_member(LinkId link, std::uint32_t comm) {
   const std::size_t end = seg.begin + seg.size;
   std::copy_backward(member_data_.begin() + pos, member_data_.begin() + end,
                      member_data_.begin() + end + 1);
-  std::copy_backward(hot_data_.begin() + pos, hot_data_.begin() + end,
-                     hot_data_.begin() + end + 1);
+  std::copy_backward(slot_data_.begin() + pos, slot_data_.begin() + end,
+                     slot_data_.begin() + end + 1);
   member_data_[pos] = comm;
-  hot_data_[pos] = SlotHot{};
+  slot_data_[pos] = Slot{};
   ++seg.size;
 }
 
@@ -175,8 +169,8 @@ void CrossingIndex::erase_member(LinkId link, std::uint32_t comm) {
   const std::size_t end = seg.begin + seg.size;
   std::copy(member_data_.begin() + pos + 1, member_data_.begin() + end,
             member_data_.begin() + pos);
-  std::copy(hot_data_.begin() + pos + 1, hot_data_.begin() + end,
-            hot_data_.begin() + pos);
+  std::copy(slot_data_.begin() + pos + 1, slot_data_.begin() + end,
+            slot_data_.begin() + pos);
   --seg.size;
 }
 
@@ -217,7 +211,6 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
   obs::bump(obs::Metric::kXyiIndexRewrites);
   ++epoch_;
   comm_stamp_[comm] = epoch_;
-  path_epoch_[comm] = epoch_;
   for (std::size_t k = 0; k + 1 < before.size(); ++k) {
     if (before[k] == after[k] && before[k + 1] == after[k + 1]) continue;
     const LinkId removed = mesh_->link_between(before[k], before[k + 1]);
@@ -225,7 +218,6 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
     if (removed == added) continue;
     erase_member(removed, comm);
     insert_member(added, comm);
-    cold_slot(comm, k) = SlotCold{};  // the new link's slot starts empty
     // Unconditional geometric bump: membership and window shape changed
     // here even if the later load accounting cancels bit-exactly (e.g. a
     // zero-weight communication), so fold caches in this neighbourhood

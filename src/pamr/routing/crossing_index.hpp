@@ -15,12 +15,12 @@
 //     first-candidate tie-break) exactly;
 //   * per-core visitor lists — the communications whose path visits the
 //     core, which is the reverse mapping needed for dirty stamping (below);
-//   * per-(link, member) evaluation slots — each member's cached candidate
-//     rotations, revalidated by the comm-level stamp below;
+//   * per-(link, member) evaluation slots — each member's cached best
+//     candidate rotation, revalidated by the comm-level stamp below;
 //   * a per-link fold cache — the whole link's best (candidate, member)
 //     pair, reusable in O(1) while the link's three-lane band is untouched.
 //
-// The per-link member/hot-slot lists and the per-core visitor lists live in
+// The per-link member/slot lists and the per-core visitor lists live in
 // flat CSR arrays, built in two passes over the initial paths (count, then
 // add) with a little slack per list. A list that outgrows its slack moves
 // to the end of its array with doubled capacity, so a rewrite never
@@ -41,7 +41,7 @@
 //    two endpoint cores (covers i and iii) plus the members of ℓ's two
 //    lane-parallel links (covers ii). A slot whose communication is older
 //    than every relevant stamp is therefore still exact; a stamp-dirtied
-//    one is re-evaluated.
+//    one is re-evaluated whole (both rotations).
 //
 // 2. Lane-band epochs (per link). Every member's window around a
 //    horizontal link L in row u is a horizontal run in row u shifted to
@@ -67,49 +67,13 @@ namespace pamr {
 
 class CrossingIndex {
  public:
-  /// Memoized per-(link, member) evaluation, split hot/cold (SoA): the fold
-  /// scans every member's SlotHot each time a link is re-folded — tens of
-  /// millions of sequential reads per overloaded descent — while SlotCold
-  /// is touched only for the members the comm stamp dirtied. Keeping the
-  /// scanned half at 32 bytes (two per cache line) is worth the split. The
-  /// hot halves sit in the link's member list; the cold halves are stored
-  /// by (member, path position), which names the same slot: a monotone
-  /// path crosses a link only at the link's Manhattan depth from the
-  /// source. So the cold table is exactly one entry per path step, with no
-  /// list slack.
-  ///
-  /// One SlotCold entry per candidate rotation (at most two, in
-  /// preferred-side-first evaluation order — the order the strict-<
-  /// tie-break of the fold depends on). Each candidate carries its own
-  /// compute stamp, so a recompute touches only the sides computed before
-  /// the comm's dirty stamp; the other side's cached delta stays exact.
-  /// `count` and the rotations' j/i/forward (stored inside cand[]) are pure
-  /// functions of the path shape, derived at `spec_stamp` and valid while
-  /// the path is unrewritten (path_epoch ≤ spec_stamp). Stamp 0 = never
-  /// computed (epochs start at 1).
-  struct SlotHot {
-    /// combined(cold), refreshed by the caller whenever cand[] changes.
+  /// Memoized per-(link, member) evaluation: the member's best candidate
+  /// rotation (xyi::best_candidate) at the loads of epoch `fresh_stamp`.
+  /// Stamp 0 = never computed (epochs start at 1).
+  struct Slot {
     xyi::Candidate best;
-    /// min over the active candidates' cstamps (the epoch of processing
-    /// when there are no candidates); the slot as a whole is fresh while
-    /// this is ≥ the member's dirty stamp.
     std::uint64_t fresh_stamp = 0;
   };
-  struct SlotCold {
-    xyi::Candidate cand[2];
-    std::uint64_t cstamp[2] = {0, 0};
-    std::uint64_t spec_stamp = 0;
-    std::uint8_t count = 0;
-  };
-
-  /// The slot's fold contribution: best of its cached candidates, in
-  /// evaluation order with the strict-< tie-break (+inf when it has none).
-  [[nodiscard]] static xyi::Candidate combined(const SlotCold& slot) {
-    xyi::Candidate best;
-    if (slot.count >= 1) best = slot.cand[0];
-    if (slot.count == 2 && slot.cand[1].delta < best.delta) best = slot.cand[1];
-    return best;
-  }
 
   /// An empty index; reset() prepares it for a mesh.
   CrossingIndex() = default;
@@ -133,39 +97,22 @@ class CrossingIndex {
     return {member_data_.data() + seg.begin, seg.size};
   }
 
-  /// Hot halves of the evaluation slots parallel to members(link) — what
-  /// the fold scans. Writable by the caller, which keeps hot.best and
-  /// fresh_stamp in sync with the cold state they derive from. Like
-  /// members(), valid until the next apply_rewrite.
-  [[nodiscard]] std::span<SlotHot> hot_slots(LinkId link) {
+  /// Evaluation slots parallel to members(link), what the fold scans.
+  /// Writable by the caller, which recomputes a stale slot whole and
+  /// stamps it epoch(). Like members(), valid until the next
+  /// apply_rewrite.
+  [[nodiscard]] std::span<Slot> slots(LinkId link) {
     const Segment& seg = member_seg_[static_cast<std::size_t>(link)];
-    return {hot_data_.data() + seg.begin, seg.size};
-  }
-
-  /// Cold half of `comm`'s slot for the link its path crosses at step
-  /// `pos` (xyi::known_crossing_position), touched only when dirty.
-  [[nodiscard]] SlotCold& cold_slot(std::uint32_t comm, std::size_t pos) {
-    return cold_[cold_begin_[comm] + pos];
+    return {slot_data_.data() + seg.begin, seg.size};
   }
 
   /// True iff the slot (belonging to `comm`) still reflects the current
-  /// state: every candidate's stamp at or past the comm's dirty stamp
-  /// (which also implies the path is unrewritten since, as a rewrite bumps
-  /// the dirty stamp too). fresh_stamp 0 (never computed) is always stale
-  /// because comm stamps start at 1.
-  [[nodiscard]] bool slot_fresh(const SlotHot& slot, std::uint32_t comm) const {
+  /// state: stamped at or past the comm's dirty stamp (which also implies
+  /// the path is unrewritten since, as a rewrite bumps the dirty stamp
+  /// too). fresh_stamp 0 (never computed) is always stale because comm
+  /// stamps start at 1.
+  [[nodiscard]] bool slot_fresh(const Slot& slot, std::uint32_t comm) const {
     return slot.fresh_stamp >= comm_stamp_[comm];
-  }
-
-  /// Epoch of the last rewrite of `comm`'s own path (0 = never).
-  [[nodiscard]] std::uint64_t path_epoch(std::uint32_t comm) const {
-    return path_epoch_[comm];
-  }
-
-  /// Epoch `comm` was last stamped dirty — per-candidate freshness is
-  /// cstamp ≥ dirty_stamp(comm).
-  [[nodiscard]] std::uint64_t dirty_stamp(std::uint32_t comm) const {
-    return comm_stamp_[comm];
   }
 
   /// The stamp for slots recomputed now.
@@ -259,13 +206,10 @@ class CrossingIndex {
   bool sealed_ = false;                                ///< pass 2 started
   std::vector<Segment> member_seg_;                    ///< link → its member list
   std::vector<std::uint32_t> member_data_;             ///< crossing comms, sorted
-  std::vector<SlotHot> hot_data_;                      ///< parallel to member_data_
-  std::vector<SlotCold> cold_;                         ///< by (comm, path position)
-  std::vector<std::uint32_t> cold_begin_;              ///< comm → its first cold slot
+  std::vector<Slot> slot_data_;                        ///< parallel to member_data_
   std::vector<Segment> visitor_seg_;                   ///< core → its visitor list
   std::vector<std::uint32_t> visitor_data_;            ///< visiting comms, unordered
   std::vector<std::uint64_t> comm_stamp_;              ///< comm → epoch last dirtied
-  std::vector<std::uint64_t> path_epoch_;              ///< comm → epoch last rewritten
   std::vector<std::uint64_t> core_mark_;               ///< scratch: core stamped this epoch
   // Per-link fold cache (see file comment).
   std::vector<xyi::Candidate> fold_best_;

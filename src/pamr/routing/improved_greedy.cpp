@@ -201,7 +201,7 @@ RouteResult ImprovedGreedyRouter::route_impl(const Mesh& mesh, const CommSet& co
                                              const PowerModel& model, RouteGoal goal,
                                              RouteWorkspace& workspace) const {
   const WallTimer timer;
-  const LoadCost cost(model, mesh.num_links());
+  const LoadCost cost(model);
   RouteWorkspace::ImprovedGreedy& ig = workspace.ig;
   LinkLoads& loads = workspace.loads;
   loads.reset(mesh.num_links());

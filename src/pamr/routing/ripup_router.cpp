@@ -17,7 +17,7 @@ RouteResult RipUpRerouteRouter::route_impl(const Mesh& mesh, const CommSet& comm
                                            RouteGoal /*goal*/,
                                            RouteWorkspace& /*workspace*/) const {
   const WallTimer timer;
-  const LoadCost cost(model, mesh.num_links());
+  const LoadCost cost(model);
   LinkLoads loads(mesh);
   std::vector<Path> paths(comms.size());
   std::vector<CommRect> rects;

@@ -85,7 +85,7 @@ RouteResult TwoBendRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                       const PowerModel& model, RouteGoal goal,
                                       RouteWorkspace& workspace) const {
   const WallTimer timer;
-  const LoadCost cost(model, mesh.num_links());
+  const LoadCost cost(model);
   const bool verdict = goal == RouteGoal::kVerdict;
   const double limit = model.limit();
   LinkLoads& loads = workspace.loads;

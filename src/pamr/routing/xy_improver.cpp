@@ -46,9 +46,9 @@
 //     (best candidate over every crossing member) is cached and whose
 //     three-lane band is untouched reuses the cached result in O(1) —
 //     whether it found an improving move or not; when a link's band IS
-//     dirty and it is re-folded, each member's candidate rotations are
-//     cached per (link, member) slot and re-evaluated only once the
-//     member's comm-level stamp marks them dirty. The stamp and band rules
+//     dirty and it is re-folded, each member's best candidate is cached
+//     per (link, member) slot and re-evaluated whole only once the
+//     member's comm-level stamp marks it dirty. The stamp and band rules
 //     make both caches exact, not heuristic — see crossing_index.hpp for
 //     the argument. The windowed allocation-free evaluation itself is
 //     xy_moves.hpp's best_candidate.
@@ -58,10 +58,8 @@
 // links take the same -w/+w round trip (which can shift a stored double by
 // an ulp) and the next reorder sees the same bits as the seed's sort.
 // The per-link `cost_now` table (exactly cost(load(link)), refreshed for
-// the links a move changed) and the overload memo inside LoadCost are
-// transparent for the same reason: both return the very double a cold
-// evaluation computes.
-#include <algorithm>
+// the links a move changed) is transparent for the same reason: it holds
+// the very double a cold evaluation computes.
 #include <bit>
 #include <limits>
 
@@ -94,7 +92,7 @@ RouteResult XYImproverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                          const PowerModel& model, RouteGoal /*goal*/,
                                          RouteWorkspace& workspace) const {
   const WallTimer timer;
-  const LoadCost cost(model, mesh.num_links());
+  const LoadCost cost(model);
   RouteWorkspace::XyImprover& ws = workspace.xyi;
 
   // Path ci as visited cores, and its link ids (path_links(ci)[k] joins
@@ -208,80 +206,31 @@ RouteResult XYImproverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
       const LinkInfo& hot_info = mesh.link(hot);
       const bool hot_vertical = !hot_info.horizontal();
 
-      // Ascending-member scan with strict < — the seed's order and
-      // tie-break — folding cached candidate deltas for fresh members and
-      // recomputing only the genuinely dirty ones.
+      // Ascending-member scan with strict < (the seed's order and
+      // tie-break), folding cached slots for fresh members and recomputing
+      // only the dirty ones.
       const std::span<const std::uint32_t> member_list = crossings.members(hot);
-      const std::span<CrossingIndex::SlotHot> hots = crossings.hot_slots(hot);
+      const std::span<CrossingIndex::Slot> slots = crossings.slots(hot);
       for (std::size_t m = 0; m < member_list.size(); ++m) {
         const std::uint32_t ci = member_list[m];
-        CrossingIndex::SlotHot& slot = hots[m];
+        CrossingIndex::Slot& slot = slots[m];
         if (crossings.slot_fresh(slot, ci)) {
           ++n_hits;
         } else {
-          const std::uint64_t epoch = crossings.epoch();
-          const std::size_t pos = xyi::known_crossing_position(cores_of(ci), hot_info);
-          CrossingIndex::SlotCold& cold = crossings.cold_slot(ci, pos);
-          bool recomputed = false;
-          if (cold.spec_stamp == 0 || crossings.path_epoch(ci) > cold.spec_stamp) {
-            // Path rewritten (or first sight): rotations themselves may have
-            // changed — recompute the whole slot.
-            const xyi::CandidateSpecs specs =
-                xyi::candidate_specs(cores_of(ci), pos, hot_vertical);
-            cold.count = specs.count;
-            for (std::uint8_t c = 0; c < specs.count; ++c) {
-              cold.cand[c] = xyi::eval_candidate(
-                  mesh, cores_of(ci), path_links(ci), specs.j[c], specs.i[c],
-                  specs.forward[c], comms[ci].weight, loads, cost, cost_now);
-              cold.cstamp[c] = epoch;
-            }
-            cold.spec_stamp = epoch;
-            recomputed = true;
-          } else {
-            // Path unchanged: the cached rotations are current; recompute
-            // only the sides computed before the comm's dirty stamp.
-            const std::uint64_t dirty = crossings.dirty_stamp(ci);
-            for (std::uint8_t c = 0; c < cold.count; ++c) {
-              if (cold.cstamp[c] >= dirty) continue;  // this side untouched
-              const xyi::Candidate& cached = cold.cand[c];
-              cold.cand[c] = xyi::eval_candidate(
-                  mesh, cores_of(ci), path_links(ci), cached.j, cached.i,
-                  cached.forward, comms[ci].weight, loads, cost, cost_now);
-              cold.cstamp[c] = epoch;
-              recomputed = true;
-            }
-          }
-          if (recomputed) slot.best = CrossingIndex::combined(cold);
-          std::uint64_t fresh = epoch;
-          for (std::uint8_t c = 0; c < cold.count; ++c) {
-            fresh = std::min(fresh, cold.cstamp[c]);
-          }
-          slot.fresh_stamp = fresh;
-          recomputed ? ++n_misses : ++n_hits;
-#if PAMR_CHECK_LEVEL >= 2
-          // Paranoid: every cached candidate — reused or recomputed — must
-          // match a from-scratch evaluation bit for bit.
-          {
-            const xyi::CandidateSpecs specs =
-                xyi::candidate_specs(cores_of(ci), pos, hot_vertical);
-            PAMR_INVARIANT("xyi-slot-cache", specs.count == cold.count,
-                           "cached candidate count diverged from the path shape");
-            for (std::uint8_t c = 0; c < specs.count; ++c) {
-              PAMR_INVARIANT(
-                  "xyi-slot-cache",
-                  same_candidate(
-                      xyi::eval_candidate(mesh, cores_of(ci), path_links(ci), specs.j[c],
-                                          specs.i[c], specs.forward[c],
-                                          comms[ci].weight, loads, cost, cost_now),
-                      cold.cand[c]),
-                  "cached candidate diverged from a fresh evaluation");
-            }
-            PAMR_INVARIANT("xyi-slot-cache",
-                           same_candidate(slot.best, CrossingIndex::combined(cold)),
-                           "hot slot best diverged from its cold candidates");
-          }
-#endif
+          ++n_misses;
+          slot.best = xyi::best_candidate(
+              mesh, cores_of(ci), path_links(ci),
+              xyi::known_crossing_position(cores_of(ci), hot_info), hot_vertical,
+              comms[ci].weight, loads, cost, cost_now);
+          slot.fresh_stamp = crossings.epoch();
         }
+#if PAMR_CHECK_LEVEL >= 2
+        // Paranoid: every slot the fold reads, reused or recomputed, must
+        // match a from-scratch evaluation bit for bit.
+        PAMR_INVARIANT("xyi-slot-cache",
+                       same_candidate(fresh_candidate(hot, ci), slot.best),
+                       "cached slot diverged from a fresh evaluation");
+#endif
         if (slot.best.delta < best.delta) {
           best = slot.best;
           best_comm = ci;

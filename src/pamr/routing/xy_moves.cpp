@@ -84,15 +84,19 @@ double candidate_delta(const Mesh& mesh, std::span<const Coord> cores,
 
 }  // namespace
 
-CandidateSpecs candidate_specs(std::span<const Coord> cores, std::size_t pos,
-                               bool hot_vertical) {
+Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
+                         std::span<const LinkId> links, std::size_t pos,
+                         bool hot_vertical, double weight, const LinkLoads& loads,
+                         const LoadCost& cost, std::span<const double> cost_now) {
   const CandidateBounds bounds = candidate_bounds(cores, pos, hot_vertical);
-  CandidateSpecs specs;
-  const auto push = [&specs](std::size_t j, std::size_t i, bool forward) {
-    specs.j[specs.count] = static_cast<std::uint32_t>(j);
-    specs.i[specs.count] = static_cast<std::uint32_t>(i);
-    specs.forward[specs.count] = forward;
-    ++specs.count;
+  Candidate best;
+  const auto consider = [&](std::size_t j, std::size_t i, bool forward) {
+    const double delta =
+        candidate_delta(mesh, cores, links, j, i, forward, weight, loads, cost, cost_now);
+    if (delta < best.delta) {
+      best = Candidate{delta, static_cast<std::uint32_t>(j), static_cast<std::uint32_t>(i),
+                       forward};
+    }
   };
   // Swapping with a preceding perpendicular step moves it to the end of the
   // block (forward=false) so the whole run shifts one lane toward the
@@ -101,36 +105,11 @@ CandidateSpecs candidate_specs(std::span<const Coord> cores, std::size_t pos,
   // source side for vertical hot links, sink side for horizontal ones
   // (ties keep the first candidate).
   if (hot_vertical) {
-    if (bounds.has_prev) push(bounds.prev - 1, pos, /*forward=*/false);
-    if (bounds.has_next) push(pos, bounds.next + 1, /*forward=*/true);
+    if (bounds.has_prev) consider(bounds.prev - 1, pos, /*forward=*/false);
+    if (bounds.has_next) consider(pos, bounds.next + 1, /*forward=*/true);
   } else {
-    if (bounds.has_next) push(pos, bounds.next + 1, /*forward=*/true);
-    if (bounds.has_prev) push(bounds.prev - 1, pos, /*forward=*/false);
-  }
-  return specs;
-}
-
-Candidate eval_candidate(const Mesh& mesh, std::span<const Coord> cores,
-                         std::span<const LinkId> links, std::uint32_t j,
-                         std::uint32_t i, bool forward, double weight,
-                         const LinkLoads& loads, const LoadCost& cost,
-                         std::span<const double> cost_now) {
-  const double delta =
-      candidate_delta(mesh, cores, links, j, i, forward, weight, loads, cost, cost_now);
-  return Candidate{delta, j, i, forward};
-}
-
-Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
-                         std::span<const LinkId> links, std::size_t pos,
-                         bool hot_vertical, double weight, const LinkLoads& loads,
-                         const LoadCost& cost, std::span<const double> cost_now) {
-  const CandidateSpecs specs = candidate_specs(cores, pos, hot_vertical);
-  Candidate best;
-  for (std::uint8_t c = 0; c < specs.count; ++c) {
-    const Candidate cand = eval_candidate(mesh, cores, links, specs.j[c], specs.i[c],
-                                          specs.forward[c], weight, loads, cost,
-                                          cost_now);
-    if (cand.delta < best.delta) best = cand;
+    if (bounds.has_next) consider(pos, bounds.next + 1, /*forward=*/true);
+    if (bounds.has_prev) consider(bounds.prev - 1, pos, /*forward=*/false);
   }
   return best;
 }

@@ -79,30 +79,6 @@ struct Candidate {
                                        const LinkLoads& loads, const LoadCost& cost,
                                        std::span<const double> cost_now);
 
-/// The (at most two) candidate rotations of a path crossing the hot step
-/// at `pos`, in evaluation order — the paper's preferred side first, which
-/// is the order the strict-< tie-break depends on. A pure function of the
-/// path shape: cached specs stay valid while the path is unrewritten.
-struct CandidateSpecs {
-  std::uint8_t count = 0;
-  std::uint32_t j[2] = {0, 0};
-  std::uint32_t i[2] = {0, 0};
-  bool forward[2] = {false, false};
-};
-[[nodiscard]] CandidateSpecs candidate_specs(std::span<const Coord> cores,
-                                             std::size_t pos, bool hot_vertical);
-
-/// Evaluates ONE candidate rotation (a CandidateSpecs entry) under the
-/// contracts of best_candidate; returns it with its exact delta. Callers
-/// that cache per-candidate results recompute each rotation independently
-/// — a load change near one side of the crossing leaves the other side's
-/// cached delta exact.
-[[nodiscard]] Candidate eval_candidate(const Mesh& mesh, std::span<const Coord> cores,
-                                       std::span<const LinkId> links, std::uint32_t j,
-                                       std::uint32_t i, bool forward, double weight,
-                                       const LinkLoads& loads, const LoadCost& cost,
-                                       std::span<const double> cost_now);
-
 /// Writes the rewritten core sequence of a finite candidate into `out`
 /// (same length as `cores`, no overlap).
 void materialize(std::span<const Coord> cores, const Candidate& cand,

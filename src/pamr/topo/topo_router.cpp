@@ -120,7 +120,7 @@ Routing route_sg(const Topology& topology, const CommSet& comms) {
 /// to the least-loaded link.
 Routing route_ig(const Topology& topology, const CommSet& comms,
                  const PowerModel& model) {
-  const LoadCost cost(model, topology.num_links());
+  const LoadCost cost(model);
   return route_greedy(
       topology, comms, [&cost](const LinkLoads& loads, LinkId link, double weight) {
         const double before = loads.load(link);
@@ -133,7 +133,7 @@ Routing route_ig(const Topology& topology, const CommSet& comms,
 /// enumerated (the canonical path first).
 Routing route_tb(const Topology& topology, const CommSet& comms,
                  const PowerModel& model) {
-  const LoadCost cost(model, topology.num_links());
+  const LoadCost cost(model);
   Routing routing;
   routing.per_comm.resize(comms.size());
   LinkLoads loads(topology.num_links());
@@ -199,7 +199,7 @@ std::optional<Path> cheaper_path(const Topology& topology, const LoadCost& cost,
 /// nothing (or the move cap trips).
 Routing route_xyi(const Topology& topology, const CommSet& comms,
                   const PowerModel& model, LocalSearchStats& stats) {
-  const LoadCost cost(model, topology.num_links());
+  const LoadCost cost(model);
   Routing routing = route_xy(topology, comms);
   LinkLoads loads(topology.num_links());
   loads.add_routing(routing);
@@ -231,7 +231,7 @@ Routing route_xyi(const Topology& topology, const CommSet& comms,
 /// link.
 Routing route_pr(const Topology& topology, const CommSet& comms,
                  const PowerModel& model, LocalSearchStats& stats) {
-  const LoadCost cost(model, topology.num_links());
+  const LoadCost cost(model);
   Routing routing = route_xy(topology, comms);
   LinkLoads loads(topology.num_links());
   loads.add_routing(routing);

@@ -56,7 +56,7 @@ class ImprovedGreedyRouter final : public Router {
                                        const PowerModel& model, RouteGoal /*goal*/,
                                        RouteWorkspace& /*workspace*/) const override {
     const WallTimer timer;
-    const LoadCost cost(model, mesh.num_links());
+    const LoadCost cost(model);
     LinkLoads loads(mesh);
     std::vector<Path> paths(comms.size());
 
@@ -150,7 +150,7 @@ class XYImproverRouter final : public Router {
                                        const PowerModel& model, RouteGoal /*goal*/,
                                        RouteWorkspace& /*workspace*/) const override {
     const WallTimer timer;
-    const LoadCost cost(model, mesh.num_links());
+    const LoadCost cost(model);
 
     std::vector<std::vector<Coord>> paths;
     paths.reserve(comms.size());

@@ -100,7 +100,7 @@ TEST(RipUpReroute, NeverWorseThanOneShotDpGreedy) {
   // improvements of the penalized cost, so the final penalized cost is ≤.
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model, mesh.num_links());
+  const LoadCost cost(model);
   for (int round = 0; round < 10; ++round) {
     Rng rng(derive_seed(0xE1, 0, static_cast<std::uint64_t>(round)));
     UniformWorkload spec;
@@ -124,7 +124,7 @@ TEST(RipUpReroute, NeverWorseThanOneShotDpGreedy) {
 TEST(Annealing, ImprovesOnItsXyStart) {
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model, mesh.num_links());
+  const LoadCost cost(model);
   Rng rng(0xE2);
   UniformWorkload spec;
   spec.num_comms = 30;

@@ -1,4 +1,4 @@
-// LinkLoads accounting contracts and the LoadCost boundary/memo suite.
+// LinkLoads accounting contracts and the LoadCost boundary suite.
 //
 // The negative-load clamp in LinkLoads::add used to be silent: any
 // incremental-index accounting bug that drove a load negative was rounded
@@ -6,19 +6,22 @@
 // anything beyond float-cancellation noise; these tests pin both halves of
 // that contract. The LoadCost tests pin the cost function exactly at the
 // feasibility boundary — the last discrete level, one ULP above it, the
-// capacity — and prove the overload memo is invisible: a warm hit returns
-// bit for bit what a cold evaluation computes.
+// capacity — and the penalty branch to its documented formula, term by
+// term and in evaluation order. LoadCost holds no mutable state, so one
+// instance read from several threads returns what a serial pass does.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "pamr/mesh/mesh.hpp"
 #include "pamr/power/power_model.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/util/assert.hpp"
 #include "pamr/util/rng.hpp"
+#include "pamr/util/thread_pool.hpp"
 
 namespace pamr {
 namespace {
@@ -56,7 +59,7 @@ TEST(LinkLoadsAdd, ExactCancellationStaysZeroWithoutThrowing) {
 
 TEST(LoadCostBoundary, ExactlyAtEachDiscreteLevelCostsThatLevel) {
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model, Mesh(16, 16).num_links());
+  const LoadCost cost(model);
   for (const double frequency : model.table()->frequencies()) {
     EXPECT_EQ(cost(frequency), *model.link_power(frequency))
         << "at level " << frequency;
@@ -65,7 +68,7 @@ TEST(LoadCostBoundary, ExactlyAtEachDiscreteLevelCostsThatLevel) {
 
 TEST(LoadCostBoundary, OneUlpAboveAnInnerLevelQuantizesToTheNextLevel) {
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model, Mesh(16, 16).num_links());
+  const LoadCost cost(model);
   const auto& frequencies = model.table()->frequencies();
   ASSERT_GE(frequencies.size(), 2u);
   for (std::size_t level = 0; level + 1 < frequencies.size(); ++level) {
@@ -78,7 +81,7 @@ TEST(LoadCostBoundary, OneUlpAboveAnInnerLevelQuantizesToTheNextLevel) {
 
 TEST(LoadCostBoundary, AtCapacityIsFeasibleOneUlpAboveIsPenalized) {
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model, Mesh(16, 16).num_links());
+  const LoadCost cost(model);
   const double capacity = model.capacity();
   ASSERT_EQ(capacity, model.table()->frequencies().back())
       << "discrete capacity is the top table frequency";
@@ -95,7 +98,7 @@ TEST(LoadCostBoundary, PenaltyBranchIsContinuousAtCapacity) {
   // meets the top-level cost at load → capacity⁺: the descent never sees a
   // cliff it could exploit, only the steep linear slope.
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model, Mesh(16, 16).num_links());
+  const LoadCost cost(model);
   const double capacity = model.capacity();
   const double just_above =
       std::nextafter(capacity, std::numeric_limits<double>::infinity());
@@ -109,7 +112,7 @@ TEST(LoadCostBoundary, PenaltyBranchIsContinuousAtCapacity) {
 
 TEST(LoadCostBoundary, FeasibleLoadsMatchPowerModelExactly) {
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model, Mesh(16, 16).num_links());
+  const LoadCost cost(model);
   Rng rng(0xC057);
   for (int i = 0; i < 500; ++i) {
     const double load = rng.uniform(1e-3, model.capacity());
@@ -121,7 +124,7 @@ TEST(LoadCostBoundary, FeasibleLoadsMatchPowerModelExactly) {
 
 TEST(LoadCostBoundary, ContinuousModelMatchesPowerModelExactly) {
   const PowerModel model = PowerModel::theory();
-  const LoadCost cost(model, Mesh(16, 16).num_links());
+  const LoadCost cost(model);
   Rng rng(0xC058);
   for (int i = 0; i < 200; ++i) {
     const double load = rng.uniform(1e-3, 1e6);
@@ -129,63 +132,54 @@ TEST(LoadCostBoundary, ContinuousModelMatchesPowerModelExactly) {
   }
 }
 
-// ----------------------------------------------------------- overload memo --
-
-TEST(LoadCostMemo, WarmHitIsBitIdenticalToColdEvaluation) {
-  const PowerModel model = PowerModel::paper_discrete();
-  const double capacity = model.capacity();
-  Rng rng(0x3E30);
-  std::vector<double> overloads;
-  // Far more distinct values than the memo has slots, so collisions and
-  // overwrites are exercised, not just clean hits.
-  for (int i = 0; i < 20000; ++i) {
-    overloads.push_back(capacity + rng.uniform(1e-6, 50000.0));
-  }
-  const LoadCost warm(model, Mesh(16, 16).num_links());
-  std::vector<double> first;
-  first.reserve(overloads.size());
-  for (const double load : overloads) first.push_back(warm(load));
-  for (std::size_t i = 0; i < overloads.size(); ++i) {
-    // Second pass over the warm instance: mixture of hits and recomputes.
-    EXPECT_EQ(warm(overloads[i]), first[i]) << "load " << overloads[i];
-    // Fresh instance: guaranteed cold path.
-    const LoadCost cold(model, Mesh(16, 16).num_links());
-    if (i % 97 == 0) {
-      EXPECT_EQ(cold(overloads[i]), first[i]) << "load " << overloads[i];
+TEST(LoadCostBoundary, OverloadCostMatchesThePenaltyFormula) {
+  // Past the feasibility limit the cost is p_leak + p0·(load·unit)^α plus
+  // 1e4 per Mb/s of overload, summed left to right. EXPECT_EQ, not NEAR:
+  // XYI's differential suite compares deltas of these values bit for bit,
+  // so a reassociated or fused sum is a decision change.
+  PowerParams finite;
+  finite.bandwidth = 2500.0;
+  for (const PowerModel& model : {PowerModel::paper_discrete(), PowerModel(finite)}) {
+    ASSERT_TRUE(std::isfinite(model.capacity()));
+    const LoadCost cost(model);
+    const PowerParams& params = model.params();
+    Rng rng(0x0E1D);
+    for (int i = 0; i < 1000; ++i) {
+      const double load = model.limit() + rng.uniform(1e-6, 50000.0);
+      const double expected = params.p_leak +
+                              params.p0 * std::pow(load * params.load_unit, params.alpha) +
+                              1e4 * (load - model.capacity());
+      EXPECT_EQ(cost(load), expected)
+          << "load " << load << (model.discrete() ? " (discrete)" : " (continuous)");
     }
   }
 }
 
-TEST(LoadCostMemo, MeshSizedMemoReturnsTheSameValues) {
-  // An 8×8 mesh gets a quarter of a 16×16 mesh's table and a linkless 1×1
-  // mesh the smallest one, so 20000 distinct overloads collide constantly;
-  // every value must still equal the full-size memo's.
+TEST(LoadCostShared, ConcurrentReadersMatchASerialPass) {
+  // One const LoadCost read by four pool workers at once. Under TSan any
+  // mutable state inside the cost (a memo, a lazily built table) shows up
+  // as a race; without it, every value must still equal a serial pass.
   const PowerModel model = PowerModel::paper_discrete();
-  Rng rng(0x3E31);
-  const LoadCost full(model, Mesh(16, 16).num_links());
-  const LoadCost small(model, Mesh(8, 8).num_links());
-  const LoadCost linkless(model, Mesh(1, 1).num_links());
-  for (int i = 0; i < 20000; ++i) {
-    const double load = model.capacity() + rng.uniform(1e-6, 50000.0);
-    EXPECT_EQ(small(load), full(load)) << "load " << load;
-    EXPECT_EQ(small(load), full(load)) << "load " << load << " (second probe)";
-    EXPECT_EQ(linkless(load), full(load)) << "load " << load;
+  const LoadCost cost(model);
+  Rng rng(0x5A4E);
+  std::vector<double> loads(10000);
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    // Alternate feasible loads and overloads so both branches run.
+    loads[i] = i % 2 == 0 ? rng.uniform(1e-3, model.capacity())
+                          : model.capacity() + rng.uniform(1e-6, 50000.0);
   }
-}
+  std::vector<double> serial(loads.size());
+  for (std::size_t i = 0; i < loads.size(); ++i) serial[i] = cost(loads[i]);
 
-TEST(LoadCostMemo, DeltaIsUnchangedByEvaluationOrder) {
-  // delta(before, after) must not depend on which operand was cached first.
-  const PowerModel model = PowerModel::paper_discrete();
-  const double capacity = model.capacity();
-  const double a = capacity + 123.456;
-  const double b = capacity + 789.012;
-  const LoadCost ab(model, Mesh(16, 16).num_links());
-  (void)ab(a);
-  const LoadCost ba(model, Mesh(16, 16).num_links());
-  (void)ba(b);
-  const LoadCost fresh(model, Mesh(16, 16).num_links());
-  EXPECT_EQ(ab.delta(a, b), fresh.delta(a, b));
-  EXPECT_EQ(ba.delta(a, b), fresh.delta(a, b));
+  std::vector<double> parallel(loads.size());
+  ThreadPool pool(4);
+  pool.parallel_for(
+      loads.size(), [&](std::size_t i) { parallel[i] = cost(loads[i]); }, 64);
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel[i]),
+              std::bit_cast<std::uint64_t>(serial[i]))
+        << "load " << loads[i];
+  }
 }
 
 }  // namespace

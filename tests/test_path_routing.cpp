@@ -100,7 +100,7 @@ TEST(LinkLoads, RoutingAggregation) {
 
 TEST(LoadCost, MatchesModelWhenFeasible) {
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model, Mesh(16, 16).num_links());
+  const LoadCost cost(model);
   for (const double load : {0.0, 500.0, 1000.0, 2750.0, 3500.0}) {
     EXPECT_DOUBLE_EQ(cost(load), model.link_power(load).value()) << load;
   }
@@ -108,7 +108,7 @@ TEST(LoadCost, MatchesModelWhenFeasible) {
 
 TEST(LoadCost, PenalizesOverloadSteeply) {
   const PowerModel model = PowerModel::paper_discrete();
-  const LoadCost cost(model, Mesh(16, 16).num_links());
+  const LoadCost cost(model);
   const double at_capacity = cost(3500.0);
   const double overloaded = cost(3600.0);
   EXPECT_GT(overloaded, at_capacity + 1e5);  // penalty dominates
@@ -117,7 +117,7 @@ TEST(LoadCost, PenalizesOverloadSteeply) {
 
 TEST(LoadCost, DeltaAndTotal) {
   const PowerModel model = PowerModel::theory(3.0, 100.0);
-  const LoadCost cost(model, Mesh(16, 16).num_links());
+  const LoadCost cost(model);
   EXPECT_DOUBLE_EQ(cost.delta(2.0, 3.0), 27.0 - 8.0);
   const std::vector<double> loads{1.0, 2.0};
   EXPECT_DOUBLE_EQ(cost.total(loads), 9.0);

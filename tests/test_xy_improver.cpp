@@ -157,8 +157,8 @@ TEST(XyImproverDifferential, HeavyOverloadIsBitIdentical) {
 TEST(XyImproverDifferential, SustainedOverloadAtScaleIsBitIdentical) {
   // The 32×32/nc=2000 benchmark shape scaled for CI: enough communications
   // per corridor that hot links stay far past capacity for most of the
-  // descent, so candidate_delta runs through LoadCost's penalty branch (and
-  // its overload memo) rather than the discrete fast path.
+  // descent, so candidate_delta runs through LoadCost's penalty branch
+  // rather than the discrete fast path.
   const Mesh mesh(10, 10);
   Rng rng(0x5CA1E);
   UniformWorkload spec;
@@ -237,7 +237,7 @@ TEST(XyImproverEdgeCases, EveryMoveStrictlyDecreasesPenalizedPower) {
   for (const Communication& comm : comms) {
     xy_loads.add_path(xy_path(mesh, comm.src, comm.snk), comm.weight);
   }
-  const LoadCost cost(model, mesh.num_links());
+  const LoadCost cost(model);
   const double initial = cost.total(xy_loads.values());
 
   const auto expect_descent = [&](auto&& router, const char* label) {
