@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Mutation gate: every edit in tools/mutants.txt must make its ctest fail.
 
-    run_mutants.py [--work DIR] [--list FILE] [--jobs N]
+    run_mutants.py [--work DIR]
 
 Copies the working tree (tracked and untracked, ignored files excluded) to
 DIR (default: a temporary directory), configures it once, and checks that
 the named tests pass unmutated. Then, per mutant: applies the edit, rebuilds
 only the library and the named test, runs that test through ctest, and
-restores the file. A mutant survives when its test still passes.
+restores the file. A mutant survives when its test still passes. Builds use
+one job per CPU.
 
 Exit 0 when every mutant is killed; 1 when one survives, an edit does not
 apply, a mutant does not compile, or a named test fails unmutated.
@@ -72,11 +73,10 @@ def run(command, cwd, timeout=None):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--work", help="scratch directory for the copy and its build")
-    parser.add_argument("--list", default=os.path.join(REPO, "tools", "mutants.txt"))
-    parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args()
 
-    mutants = parse_mutants(args.list)
+    mutants = parse_mutants(os.path.join(REPO, "tools", "mutants.txt"))
+    jobs = str(os.cpu_count() or 1)
     work = args.work or tempfile.mkdtemp(prefix="pamr-mutants-")
     tree = os.path.join(work, "tree")
     build = os.path.join(work, "build")
@@ -90,7 +90,7 @@ def main():
         fail("configure failed")
 
     def build_and_test(test):
-        if run(["cmake", "--build", build, "-j", str(args.jobs), "--target", test],
+        if run(["cmake", "--build", build, "-j", jobs, "--target", test],
                cwd=work) != 0:
             return "build-error"
         status = run(["ctest", "-R", f"^{test}$", "--timeout", str(TEST_TIMEOUT_S)],
