@@ -12,7 +12,6 @@
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/sim/simulator.hpp"
-#include "pamr/topo/topologies.hpp"
 #include "pamr/topo/validate.hpp"
 #include "pamr/util/args.hpp"
 #include "pamr/util/csv.hpp"
@@ -26,8 +25,7 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   if (!parser.parse(argc, argv, exit_code)) return exit_code;
 
-  const topo::RectTopology topology(8, 8);
-  const Mesh& mesh = *topology.as_mesh();
+  const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
   Rng rng(static_cast<std::uint64_t>(parser.get_int("seed")));
   UniformWorkload spec;
@@ -57,7 +55,7 @@ int main(int argc, char** argv) {
     }
     const LinkLoads loads = loads_of_routing(mesh, *result.routing);
     const bool risky = has_deadlock_risk(mesh, *result.routing);
-    const bool vc_safe = topo::verify_vc_acyclic(topology, *result.routing);
+    const bool vc_safe = topo::verify_vc_acyclic(mesh, *result.routing);
     const sim::SimStats stats = sim::simulate(mesh, comms, *result.routing, config);
     double latency_sum = 0.0;
     std::int64_t delivered = 0;

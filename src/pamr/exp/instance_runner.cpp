@@ -7,9 +7,9 @@
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/opt/lower_bound.hpp"
+#include "pamr/routing/validate.hpp"
 #include "pamr/sim/sim_stats.hpp"
 #include "pamr/topo/topo_router.hpp"
-#include "pamr/topo/validate.hpp"
 #include "pamr/util/assert.hpp"
 
 namespace pamr {
@@ -46,7 +46,7 @@ InstanceSample run_instance(const topo::Topology& topology, const CommSet& comms
   PAMR_CHECK(mesh != nullptr || sim_config == nullptr, "sim=on needs topo=rect");
   std::array<HeuristicSample, kNumBaseRouters> base;
   // Malformed input throws here exactly as it would in the first route call.
-  topo::check_comm_set(topology, comms);
+  check_comm_set(topology, comms);
   if (mesh != nullptr && certify_infeasible(*mesh, comms, model)) {
     // Every policy would fail: six invalid samples, no routing, no probe.
     obs::bump(obs::Metric::kRouteCertifiedInfeasible);

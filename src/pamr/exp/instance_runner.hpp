@@ -5,9 +5,10 @@
 // lives in a RouteWorkspace, one per thread (the campaign calls the runner
 // from every pool worker).
 //
-// Three steps apply only on the rectangular mesh (topology.as_mesh()
-// non-null): the certificate, verdict-only routing and the simulation
-// probe. The torus and diag analogues route every instance in full.
+// Three steps apply only on the rectangular topology, the Mesh
+// (topology.as_mesh() non-null): the certificate, verdict-only routing and
+// the simulation probe. The torus and diag analogues route every instance
+// in full.
 //
 // Certify, then route. On the mesh the runner first asks certify_infeasible
 // (opt/lower_bound.hpp) whether the instance can be routed at all. When a

@@ -17,7 +17,7 @@
 //    increases the quadrant's diagonal index and no cyclic wait can form;
 //    across quadrants the channels are disjoint. Hence ANY Manhattan
 //    routing is deadlock-free with 4 virtual channels (per physical link).
-//    RectTopology::vc_classes assigns these classes, and
+//    Mesh::vc_classes assigns these classes, and
 //    topo::verify_vc_acyclic (topo/validate.hpp) machine-checks the
 //    theorem per instance on the CDG over (link, class) pairs.
 #pragma once

@@ -1,6 +1,5 @@
 #include "pamr/routing/path.hpp"
 
-#include "pamr/mesh/diagonal.hpp"
 #include "pamr/util/assert.hpp"
 
 namespace pamr {
@@ -75,32 +74,12 @@ Path yx_path(const Mesh& mesh, Coord src, Coord snk) {
   return path;
 }
 
-bool is_manhattan(const Mesh& mesh, const Path& path) {
-  if (path.length() != manhattan_distance(path.src, path.snk)) return false;
-  // Shortest length plus connectedness implies monotonicity, but verify the
-  // steps explicitly anyway: each hop must use one of the quadrant's two
-  // directions and the chain must be connected.
-  const QuadrantSteps steps = quadrant_steps(quadrant_of(path.src, path.snk));
-  Coord at = path.src;
-  for (const LinkId id : path.links) {
-    if (id < 0 || id >= mesh.num_links()) return false;
-    const LinkInfo& info = mesh.link(id);
-    if (info.from != at) return false;
-    if (info.dir != steps.vertical && info.dir != steps.horizontal) return false;
-    at = info.to;
-  }
-  return at == path.snk;
-}
-
 std::string to_string(const Mesh& mesh, const Path& path) {
   std::string out = to_string(path.src);
-  Coord at = path.src;
   for (const LinkId id : path.links) {
     const LinkInfo& info = mesh.link(id);
     out += std::string(" ") + to_cstring(info.dir) + " " + to_string(info.to);
-    at = info.to;
   }
-  (void)at;
   return out;
 }
 

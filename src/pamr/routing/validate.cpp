@@ -18,15 +18,9 @@ ValidationResult fail(std::string message) {
   return ValidationResult{false, std::move(message)};
 }
 
-RoutingNetwork network_of(const Mesh& mesh) {
-  return {"mesh", mesh.num_links(), [&mesh](Coord c) { return mesh.contains(c); },
-          [&mesh](const Path& path) { return is_manhattan(mesh, path); },
-          [&mesh](LinkId link) { return mesh.describe_link(link); }};
-}
-
 }  // namespace
 
-ValidationResult validate_structure(const RoutingNetwork& network, const CommSet& comms,
+ValidationResult validate_structure(const topo::Topology& topology, const CommSet& comms,
                                     const Routing& routing, std::size_t max_paths) {
   if (routing.per_comm.size() != comms.size()) {
     return fail("routing covers " + std::to_string(routing.per_comm.size()) +
@@ -50,8 +44,8 @@ ValidationResult validate_structure(const RoutingNetwork& network, const CommSet
       if (flow.path.src != comm.src || flow.path.snk != comm.snk) {
         return fail(tag() + ": flow endpoints differ from the communication's");
       }
-      if (!network.is_shortest(flow.path)) {
-        return fail(tag() + ": flow path is not a shortest " + network.name + " path");
+      if (!topology.is_shortest(flow.path)) {
+        return fail(tag() + ": flow path is not a shortest " + topology.name() + " path");
       }
       sum += flow.weight;
     }
@@ -64,18 +58,18 @@ ValidationResult validate_structure(const RoutingNetwork& network, const CommSet
   return ValidationResult{true, {}};
 }
 
-ValidationResult validate_routing(const RoutingNetwork& network, const CommSet& comms,
+ValidationResult validate_routing(const topo::Topology& topology, const CommSet& comms,
                                   const Routing& routing, const PowerModel& model,
                                   std::size_t max_paths) {
-  ValidationResult structure = validate_structure(network, comms, routing, max_paths);
+  ValidationResult structure = validate_structure(topology, comms, routing, max_paths);
   if (!structure.ok) return structure;
 
-  LinkLoads loads(network.num_links);
+  LinkLoads loads(topology.num_links());
   loads.add_routing(routing);
-  for (LinkId link = 0; link < network.num_links; ++link) {
+  for (LinkId link = 0; link < topology.num_links(); ++link) {
     const double load = loads.load(link);
     if (!model.feasible(load)) {
-      return fail("link " + network.describe_link(link) + " overloaded: " +
+      return fail("link " + topology.describe_link(link) + " overloaded: " +
                   std::to_string(load) + " > capacity " +
                   std::to_string(model.capacity()));
     }
@@ -83,7 +77,7 @@ ValidationResult validate_routing(const RoutingNetwork& network, const CommSet& 
   return ValidationResult{true, {}};
 }
 
-void check_comm_set(const RoutingNetwork& network, const CommSet& comms) {
+void check_comm_set(const topo::Topology& topology, const CommSet& comms) {
   for (std::size_t i = 0; i < comms.size(); ++i) {
     const Communication& comm = comms[i];
     // The message expressions below are only evaluated on failure, so the
@@ -91,28 +85,14 @@ void check_comm_set(const RoutingNetwork& network, const CommSet& comms) {
     const auto tag = [&] {
       return "communication #" + std::to_string(i) + " " + to_string(comm);
     };
-    PAMR_CHECK(network.contains(comm.src),
-               tag() + ": source outside the " + network.name);
-    PAMR_CHECK(network.contains(comm.snk), tag() + ": sink outside the " + network.name);
+    PAMR_CHECK(topology.contains(comm.src),
+               tag() + ": source outside the " + topology.name() + " topology");
+    PAMR_CHECK(topology.contains(comm.snk),
+               tag() + ": sink outside the " + topology.name() + " topology");
     PAMR_CHECK(comm.src != comm.snk, tag() + ": self-communication (src == snk)");
     PAMR_CHECK(std::isfinite(comm.weight) && comm.weight > 0.0,
                tag() + ": weight must be finite and strictly positive");
   }
-}
-
-ValidationResult validate_structure(const Mesh& mesh, const CommSet& comms,
-                                    const Routing& routing, std::size_t max_paths) {
-  return validate_structure(network_of(mesh), comms, routing, max_paths);
-}
-
-ValidationResult validate_routing(const Mesh& mesh, const CommSet& comms,
-                                  const Routing& routing, const PowerModel& model,
-                                  std::size_t max_paths) {
-  return validate_routing(network_of(mesh), comms, routing, model, max_paths);
-}
-
-void check_comm_set(const Mesh& mesh, const CommSet& comms) {
-  check_comm_set(network_of(mesh), comms);
 }
 
 }  // namespace pamr

@@ -65,11 +65,14 @@ exp::PointAggregate run_unit_instances(const Mesh& mesh, const PowerModel& model
   obs::bump(obs::Metric::kSuiteUnits);
   obs::bump(obs::Metric::kSuiteInstances, end - begin);
   const obs::PhaseScope unit_phase(obs::Metric::kPhaseUnit);
-  // The unit's topology (rect included) is built once per unit on the
-  // mesh's grid. Workloads draw on that grid, so the communication sets are
-  // identical across the topo= axis.
-  const std::unique_ptr<const topo::Topology> topology =
-      topo::make_topology(spec.topo, mesh.p(), mesh.q());
+  // A rect unit routes on the caller's mesh; any other topology is built
+  // once per unit on the mesh's grid. Workloads draw on that grid, so the
+  // communication sets are identical across the topo= axis.
+  std::unique_ptr<const topo::Topology> built;
+  if (spec.topo != topo::TopoKind::kRect) {
+    built = topo::make_topology(spec.topo, mesh.p(), mesh.q());
+  }
+  const topo::Topology& topology = built != nullptr ? *built : mesh;
   // One routing workspace per thread, alive as long as the thread: every
   // unit the thread runs reuses its buffers (routing/workspace.hpp).
   thread_local RouteWorkspace workspace;
@@ -89,7 +92,7 @@ exp::PointAggregate run_unit_instances(const Mesh& mesh, const PowerModel& model
       sim_config.warmup = spec.sim_warmup;
       sim_config.seed = rng();
     }
-    aggregate.add(exp::run_instance(*topology, comms, model,
+    aggregate.add(exp::run_instance(topology, comms, model,
                                     spec.sim ? &sim_config : nullptr, workspace));
   }
   return aggregate;

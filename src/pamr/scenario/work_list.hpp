@@ -56,10 +56,10 @@ struct SuiteUnit {
 /// Rng(derive_seed(seed, point_id, i)) at envelope position (i + 0.5) /
 /// instances — exactly the SuiteRunner's parallel body, exported so the
 /// distributed worker computes bit-identical chunk aggregates. The
-/// instances are drawn on `mesh` and routed on the spec's topo= topology
-/// over the same grid, through exp::run_instance. Routing runs on the
-/// calling thread's RouteWorkspace, which lives as long as the thread and
-/// leaves no trace in any result.
+/// instances are drawn on `mesh` and routed, through exp::run_instance, on
+/// `mesh` itself for topo=rect and on the spec's topology over the same grid
+/// otherwise. Routing runs on the calling thread's RouteWorkspace, which
+/// lives as long as the thread and leaves no trace in any result.
 [[nodiscard]] exp::PointAggregate run_unit_instances(
     const Mesh& mesh, const PowerModel& model, const ScenarioSpec& spec,
     std::size_t begin, std::size_t end, std::size_t instances, std::uint64_t seed,

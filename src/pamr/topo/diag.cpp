@@ -28,23 +28,27 @@ std::int32_t chebyshev_distance(Coord a, Coord b) noexcept {
   return du > dv ? du : dv;
 }
 
-}  // namespace
-
-DiagTopology::DiagTopology(std::int32_t p, std::int32_t q)
-    : Topology(TopoKind::kDiag, p, q, 8) {
-  // Per core (row-major), per direction E, W, S, N, SE, SW, NW, NE —
-  // the four LinkDir families first, then the four diagonal families in
-  // quadrant order, skipping the mesh boundary.
-  for (std::int32_t u = 0; u < p; ++u) {
-    for (std::int32_t v = 0; v < q; ++v) {
+/// Per core (row-major), per direction E, W, S, N, SE, SW, NW, NE — the
+/// four LinkDir families first, then the four diagonal families in quadrant
+/// order, skipping the mesh boundary.
+void build_diag_links(LinkTable& table) {
+  for (std::int32_t u = 0; u < table.p; ++u) {
+    for (std::int32_t v = 0; v < table.q; ++v) {
       const Coord from{u, v};
       for (std::int32_t d = 0; d < 8; ++d) {
         const Coord to = diag_step(from, d);
-        if (contains(to)) add_link(from, d, to);
+        if (to.u >= 0 && to.u < table.p && to.v >= 0 && to.v < table.q) {
+          table.add(from, d, to);
+        }
       }
     }
   }
 }
+
+}  // namespace
+
+DiagTopology::DiagTopology(std::int32_t p, std::int32_t q)
+    : Topology(TopoKind::kDiag, p, q, 8, build_diag_links) {}
 
 std::int32_t DiagTopology::distance(Coord a, Coord b) const {
   PAMR_CHECK(contains(a) && contains(b), "core outside topology");

@@ -5,8 +5,8 @@
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
+#include "pamr/routing/validate.hpp"
 #include "pamr/routing/workspace.hpp"
-#include "pamr/topo/validate.hpp"
 #include "pamr/util/assert.hpp"
 #include "pamr/util/timer.hpp"
 
@@ -30,7 +30,7 @@ void enumerate_two_change(const Topology& topology, Coord at, Coord snk,
     return;
   }
   for (const TopoStep& step : topology.next_steps(at, snk)) {
-    const std::int32_t dir = topology.link(step.link).dir;
+    const auto dir = static_cast<std::int32_t>(topology.link(step.link).dir);
     const int next_changes = changes + (last_dir >= 0 && dir != last_dir ? 1 : 0);
     if (next_changes > 2) continue;
     prefix.links.push_back(step.link);
@@ -305,7 +305,7 @@ RouteResult route_on(const Topology& topology, RouterKind kind, const CommSet& c
 RouteResult route_on(const Topology& topology, RouterKind kind, const CommSet& comms,
                      const PowerModel& model, RouteGoal goal, RouteWorkspace& workspace) {
   if (const Mesh* mesh = topology.as_mesh()) {
-    // Rect: the original policies, bit-identical (LinkIds coincide).
+    // Rect: the original §5 policies on the mesh itself.
     return shared_router(kind).route(*mesh, comms, model, goal, workspace);
   }
   check_comm_set(topology, comms);

@@ -7,9 +7,8 @@
 // on any Topology:
 //
 //  * rect — forwarded, goal and workspace included, to the shared original
-//    routers (shared_router) on Topology::as_mesh(), so rectangular results
-//    stay bit-identical to routing the Mesh directly (same LinkIds, same
-//    routings, same power).
+//    routers (shared_router) on Topology::as_mesh(), the Mesh itself, so
+//    rectangular results are those of routing the Mesh directly.
 //  * torus/diag — deterministic topology-generic analogues built from the
 //    Topology primitives (next_steps / canonical_path / distance), with
 //    every tie-break pinned: XY routes canonically; SG walks hop-by-hop onto
@@ -46,7 +45,7 @@ namespace topo {
 /// Validates the communication set first (throws std::logic_error on
 /// malformed input); a deterministic function of its arguments. For the
 /// rectangular topology this is exactly shared_router(kind).route on the
-/// wrapped mesh. This form builds a call-local RouteWorkspace.
+/// Mesh. This form builds a call-local RouteWorkspace.
 [[nodiscard]] RouteResult route_on(const Topology& topology, RouterKind kind,
                                    const CommSet& comms, const PowerModel& model,
                                    RouteGoal goal = RouteGoal::kRouting);

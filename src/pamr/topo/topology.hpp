@@ -1,16 +1,15 @@
-// Topology abstraction over the paper's p×q rectangular mesh.
-//
-// The routing stack was built against `Mesh` (two unidirectional links per
-// neighbouring pair, row-major link numbering). A `Topology` generalises the
-// parts the suite machinery actually needs — node/link enumeration, neighbor
-// and link lookup, shortest-path membership, canonical (XY-analogue) paths,
-// and the per-hop virtual-channel classes that make the deadlock-freedom
-// argument go through — so the same scenario/exp/dist pipeline can sweep a
+// The network a routing lives on. The routing stack was built against the
+// paper's p×q rectangular mesh (two unidirectional links per neighbouring
+// pair, row-major link numbering). A `Topology` generalises the parts the
+// suite machinery actually needs — node/link enumeration, neighbor and link
+// lookup, shortest-path membership, canonical (XY-analogue) paths, and the
+// per-hop virtual-channel classes that make the deadlock-freedom argument
+// go through — so the same scenario/exp/dist pipeline can sweep a
 // `topo=rect|torus|diag` axis:
 //
-//  * rect  — the paper's mesh, wrapping `Mesh` with the *identical* link
-//            numbering (LinkIds coincide), so rectangular behavior stays
-//            bit-identical to the pre-topology code by construction.
+//  * rect  — `Mesh` itself (mesh/mesh.hpp): the paper's mesh is the
+//            rectangular topology, so rectangular behavior is the original
+//            code's by construction.
 //  * torus — the mesh plus wraparound links on both axes; distances are ring
 //            distances, shortest paths take the minimal direction per axis
 //            with pinned tie-breaks (East/South at exactly half an even
@@ -21,22 +20,27 @@
 //            unidirectional diagonal link families on top of the rectangular
 //            ones, Chebyshev distances, canonical paths diagonal-first.
 //
-// Link enumeration order is part of the determinism contract, exactly as for
-// `Mesh`: per core (row-major), per direction in the topology's direction
-// table. Every query with more than one legal answer returns candidates in a
-// pinned order and documents the tie-break.
+// Link enumeration order is part of the determinism contract: per core
+// (row-major), per direction in the topology's direction table. Every query
+// with more than one legal answer returns candidates in a pinned order and
+// documents the tie-break. The link table depends on (kind, p, q) alone, so
+// every topology of one shape views the same copy (LinkTable).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "pamr/mesh/mesh.hpp"
-#include "pamr/routing/path.hpp"
+#include "pamr/topo/link.hpp"
+#include "pamr/util/assert.hpp"
 
 namespace pamr {
+
+class Mesh;
+
 namespace topo {
 
 enum class TopoKind : std::uint8_t { kRect = 0, kTorus, kDiag };
@@ -50,20 +54,26 @@ inline constexpr int kNumTopoKinds = 3;
 /// untouched).
 [[nodiscard]] bool parse_topo_kind(std::string_view text, TopoKind& out) noexcept;
 
-/// One unidirectional link. `dir` indexes the topology's direction table:
-/// E, W, S, N (the LinkDir values) for rect and torus; those four followed
-/// by SE, SW, NW, NE for the diagonal mesh.
-struct TopoLink {
-  Coord from;
-  Coord to;
-  std::int32_t dir = 0;
-};
-
 /// One legal continuation of a shortest path: the link to take and the core
 /// it reaches.
 struct TopoStep {
   LinkId link = kInvalidLink;
   Coord to;
+};
+
+/// The links of one topology shape: the records in LinkId order and, per
+/// (core, direction) slot, the link leaving there. Each kind fills its table
+/// with one builder; Topology's constructor builds a shape's table once and
+/// keeps it for the life of the process.
+struct LinkTable {
+  std::int32_t p = 0;
+  std::int32_t q = 0;
+  std::int32_t num_dirs = 0;
+  std::vector<LinkInfo> links;
+  std::vector<LinkId> link_of_core_dir;  ///< p·q × num_dirs, kInvalidLink where none
+
+  /// Registers the next link (ids are dense, in call order) under (from, dir).
+  void add(Coord from, std::int32_t dir, Coord to);
 };
 
 class Topology {
@@ -78,7 +88,6 @@ class Topology {
   [[nodiscard]] std::int32_t num_links() const noexcept {
     return static_cast<std::int32_t>(links_.size());
   }
-  [[nodiscard]] std::int32_t num_dirs() const noexcept { return num_dirs_; }
 
   [[nodiscard]] bool contains(Coord c) const noexcept {
     return c.u >= 0 && c.u < p_ && c.v >= 0 && c.v < q_;
@@ -90,8 +99,13 @@ class Topology {
     return {index / q_, index % q_};
   }
 
-  [[nodiscard]] const TopoLink& link(LinkId id) const;
-  [[nodiscard]] const std::vector<TopoLink>& links() const noexcept { return links_; }
+  /// Defined inline: every prune and cut-cache loop of the rect routers
+  /// resolves each cut link to its endpoints through here.
+  [[nodiscard]] const LinkInfo& link(LinkId id) const {
+    PAMR_CHECK(id >= 0 && id < num_links(), "link id out of range");
+    return links_[static_cast<std::size_t>(id)];
+  }
+  [[nodiscard]] std::span<const LinkInfo> links() const noexcept { return links_; }
 
   /// The link leaving `from` in direction `dir`, or kInvalidLink where the
   /// topology has none (mesh boundary; torus self-links on a dimension-1
@@ -122,10 +136,11 @@ class Topology {
   /// diagonal steps first, then the straight remainder.
   [[nodiscard]] Path canonical_path(Coord src, Coord snk) const;
 
-  /// True iff `c` lies on some shortest src→snk path.
-  [[nodiscard]] bool on_shortest(Coord src, Coord c, Coord snk) const {
-    return distance(src, c) + distance(c, snk) == distance(src, snk);
-  }
+  /// True iff `path` is a connected chain of valid links from path.src to
+  /// path.snk and a shortest path (the validator's path test). This
+  /// default checks that every hop reduces distance() to the sink by
+  /// exactly one.
+  [[nodiscard]] virtual bool is_shortest(const Path& path) const;
 
   /// Virtual-channel classes for deadlock freedom. Any shortest-path routing
   /// is deadlock-free when hop h of a path runs on VC class vc_classes(path)[h]:
@@ -137,25 +152,34 @@ class Topology {
   [[nodiscard]] virtual std::int32_t num_vc_classes() const noexcept = 0;
   [[nodiscard]] virtual std::vector<std::int32_t> vc_classes(const Path& path) const = 0;
 
-  /// The wrapped Mesh when this topology is the rectangular one — the hook
-  /// the router layer uses to delegate to the original (bit-identical)
-  /// policies. Null for every other topology.
+  /// This topology as the Mesh when it is the rectangular one — the hook
+  /// the router layer uses to run the original §5 policies. Null for every
+  /// other topology.
   [[nodiscard]] virtual const Mesh* as_mesh() const noexcept { return nullptr; }
 
  protected:
-  Topology(TopoKind kind, std::int32_t p, std::int32_t q, std::int32_t num_dirs);
+  Topology(const Topology&) = default;
+  Topology(Topology&&) = default;
+  Topology& operator=(const Topology&) = default;
+  Topology& operator=(Topology&&) = default;
 
-  /// Registers the next link (ids are dense, in call order) and indexes it
-  /// under (from, dir).
-  void add_link(Coord from, std::int32_t dir, Coord to);
+  /// Fills a shape's table, calling table.add once per link in LinkId order.
+  using BuildLinks = void (*)(LinkTable& table);
+
+  /// Views the table of (kind, p, q), which `build` fills on first use.
+  Topology(TopoKind kind, std::int32_t p, std::int32_t q, std::int32_t num_dirs,
+           BuildLinks build);
+
+  /// The link leaving each (core, direction) slot, num_cores × num_dirs
+  /// row-major — protected so the Mesh's inline lookups index it directly.
+  const LinkId* link_of_core_dir_ = nullptr;
 
  private:
   TopoKind kind_;
   std::int32_t p_;
   std::int32_t q_;
   std::int32_t num_dirs_;
-  std::vector<TopoLink> links_;
-  std::vector<LinkId> link_of_core_dir_;  // num_cores × num_dirs
+  std::span<const LinkInfo> links_;
 };
 
 /// Builds the named topology; CHECKs positive dimensions.

@@ -27,25 +27,27 @@ std::int32_t ring_distance(std::int32_t a, std::int32_t b, std::int32_t n) noexc
   return forward < n - forward ? forward : n - forward;
 }
 
-}  // namespace
-
-TorusTopology::TorusTopology(std::int32_t p, std::int32_t q)
-    : Topology(TopoKind::kTorus, p, q, kNumLinkDirs) {
-  // Same enumeration discipline as Mesh: per core (row-major), per direction
-  // (E, W, S, N). Unlike the mesh every direction exists at every core —
-  // except along a dimension-1 axis, where stepping returns to the same
-  // core and the link is omitted (no self-links).
-  for (std::int32_t u = 0; u < p; ++u) {
-    for (std::int32_t v = 0; v < q; ++v) {
+/// Same enumeration discipline as Mesh: per core (row-major), per direction
+/// (E, W, S, N). Unlike the mesh every direction exists at every core —
+/// except along a dimension-1 axis, where stepping returns to the same core
+/// and the link is omitted (no self-links).
+void build_torus_links(LinkTable& table) {
+  for (std::int32_t u = 0; u < table.p; ++u) {
+    for (std::int32_t v = 0; v < table.q; ++v) {
       const Coord from{u, v};
       for (int d = 0; d < kNumLinkDirs; ++d) {
         const auto dir = static_cast<LinkDir>(d);
-        if (is_horizontal(dir) ? q == 1 : p == 1) continue;
-        add_link(from, d, torus_step(from, dir, p, q));
+        if (is_horizontal(dir) ? table.q == 1 : table.p == 1) continue;
+        table.add(from, d, torus_step(from, dir, table.p, table.q));
       }
     }
   }
 }
+
+}  // namespace
+
+TorusTopology::TorusTopology(std::int32_t p, std::int32_t q)
+    : Topology(TopoKind::kTorus, p, q, kNumLinkDirs, build_torus_links) {}
 
 std::int32_t TorusTopology::distance(Coord a, Coord b) const {
   PAMR_CHECK(contains(a) && contains(b), "core outside topology");
@@ -77,8 +79,8 @@ std::vector<TopoStep> TorusTopology::next_steps(Coord at, Coord snk) const {
   return steps;
 }
 
-bool TorusTopology::wraps(const TopoLink& link) const noexcept {
-  switch (static_cast<LinkDir>(link.dir)) {
+bool TorusTopology::wraps(const LinkInfo& link) const noexcept {
+  switch (link.dir) {
     case LinkDir::kEast: return link.from.v == q() - 1;
     case LinkDir::kWest: return link.from.v == 0;
     case LinkDir::kSouth: return link.from.u == p() - 1;
@@ -93,9 +95,9 @@ std::vector<std::int32_t> TorusTopology::vc_classes(const Path& path) const {
   // axis leave its bit at the default.
   std::int32_t dir_class = 0;
   for (const LinkId id : path.links) {
-    const TopoLink& info = link(id);
-    if (static_cast<LinkDir>(info.dir) == LinkDir::kWest) dir_class |= 1;
-    if (static_cast<LinkDir>(info.dir) == LinkDir::kNorth) dir_class |= 2;
+    const LinkInfo& info = link(id);
+    if (info.dir == LinkDir::kWest) dir_class |= 1;
+    if (info.dir == LinkDir::kNorth) dir_class |= 2;
   }
   std::vector<std::int32_t> classes;
   classes.reserve(path.links.size());
@@ -105,9 +107,9 @@ std::vector<std::int32_t> TorusTopology::vc_classes(const Path& path) const {
     // The wrap hop keeps the pre-wrap class (it completes that monotone
     // segment); the bumped class starts at the next hop.
     classes.push_back(dir_class + 4 * (wrapped_u + 2 * wrapped_v));
-    const TopoLink& info = link(id);
+    const LinkInfo& info = link(id);
     if (wraps(info)) {
-      if (is_horizontal(static_cast<LinkDir>(info.dir))) {
+      if (info.horizontal()) {
         wrapped_v = 1;
       } else {
         wrapped_u = 1;

@@ -8,43 +8,6 @@
 namespace pamr {
 namespace topo {
 
-namespace {
-
-/// True iff the path is link-connected src→snk and every hop reduces the
-/// distance to the sink by exactly one (hence a shortest path).
-bool is_shortest_path(const Topology& topology, const Path& path) {
-  Coord at = path.src;
-  std::int32_t remaining = topology.distance(path.src, path.snk);
-  if (static_cast<std::int32_t>(path.links.size()) != remaining) return false;
-  for (const LinkId id : path.links) {
-    if (id < 0 || id >= topology.num_links()) return false;
-    const TopoLink& info = topology.link(id);
-    if (info.from != at) return false;
-    if (topology.distance(info.to, path.snk) != remaining - 1) return false;
-    at = info.to;
-    --remaining;
-  }
-  return at == path.snk;
-}
-
-RoutingNetwork network_of(const Topology& topology) {
-  return {topology.name(), topology.num_links(),
-          [&topology](Coord c) { return topology.contains(c); },
-          [&topology](const Path& path) { return is_shortest_path(topology, path); },
-          [&topology](LinkId link) { return topology.describe_link(link); }};
-}
-
-}  // namespace
-
-ValidationResult validate_structure(const Topology& topology, const CommSet& comms,
-                                    const Routing& routing, std::size_t max_paths) {
-  return pamr::validate_structure(network_of(topology), comms, routing, max_paths);
-}
-
-void check_comm_set(const Topology& topology, const CommSet& comms) {
-  pamr::check_comm_set(network_of(topology), comms);
-}
-
 bool verify_vc_acyclic(const Topology& topology, const Routing& routing) {
   // Vertices are (link, class) pairs, flattened as link * num_classes +
   // class; hop h of a flow occupies vc_classes(path)[h], and the packet can

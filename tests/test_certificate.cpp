@@ -22,7 +22,6 @@
 #include "pamr/routing/workspace.hpp"
 #include "pamr/scenario/registry.hpp"
 #include "pamr/scenario/work_list.hpp"
-#include "pamr/topo/topologies.hpp"
 #include "pamr/util/rng.hpp"
 
 namespace pamr {
@@ -187,14 +186,14 @@ TEST(CertificateBoundary, EmptyAndUnboundedModelsAreNeverCertified) {
 // -- Gate in the campaign path ------------------------------------------------
 
 TEST(CertificateGate, MalformedInputStillThrows) {
-  const topo::RectTopology topology(4, 4);
+  const Mesh mesh(4, 4);
   const PowerModel model = PowerModel::paper_discrete();
   RouteWorkspace workspace;
   // Certifiable weight, but the set is malformed: the input check comes first.
-  EXPECT_THROW((void)exp::run_instance(topology, {{{0, 0}, {0, 0}, 1e9}}, model, nullptr,
+  EXPECT_THROW((void)exp::run_instance(mesh, {{{0, 0}, {0, 0}, 1e9}}, model, nullptr,
                                        workspace),
                std::logic_error);
-  EXPECT_THROW((void)exp::run_instance(topology, {{{0, 0}, {0, 9}, 1e9}}, model, nullptr,
+  EXPECT_THROW((void)exp::run_instance(mesh, {{{0, 0}, {0, 9}, 1e9}}, model, nullptr,
                                        workspace),
                std::logic_error);
 }

@@ -10,7 +10,6 @@
 #include "pamr/comm/generator.hpp"
 #include "pamr/routing/deadlock.hpp"
 #include "pamr/routing/routers.hpp"
-#include "pamr/topo/topologies.hpp"
 #include "pamr/topo/validate.hpp"
 
 namespace pamr {
@@ -94,8 +93,7 @@ TEST(Deadlock, QuadrantVcMakesTheRingSafe) {
   // The same four flows sit in four different quadrants, so the quadrant-VC
   // classes of the rectangular topology separate the ring onto four
   // channels.
-  const topo::RectTopology topology(3, 3);
-  const Mesh& mesh = *topology.as_mesh();
+  const Mesh mesh(3, 3);
   const CommSet comms{
       {{0, 0}, {1, 1}, 1.0},
       {{0, 1}, {1, 0}, 1.0},
@@ -110,19 +108,18 @@ TEST(Deadlock, QuadrantVcMakesTheRingSafe) {
   };
   for (std::int32_t quadrant = 0; quadrant < 4; ++quadrant) {
     const Path& path = paths[static_cast<std::size_t>(quadrant)];
-    EXPECT_EQ(topology.vc_classes(path),
+    EXPECT_EQ(mesh.vc_classes(path),
               std::vector<std::int32_t>(path.links.size(), quadrant));
   }
   const Routing routing = make_single_path_routing(comms, std::move(paths));
-  EXPECT_TRUE(topo::verify_vc_acyclic(topology, routing));
+  EXPECT_TRUE(topo::verify_vc_acyclic(mesh, routing));
 }
 
 TEST(Deadlock, QuadrantVcHoldsForEveryHeuristicRouting) {
   // The theorem: within one quadrant every hop strictly increases the
   // diagonal index, so per-VC CDGs are acyclic for ANY Manhattan routing.
   // Machine-check it on the §5 heuristics over random workloads.
-  const topo::RectTopology topology(8, 8);
-  const Mesh& mesh = *topology.as_mesh();
+  const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
   Rng rng(808);
   for (int round = 0; round < 8; ++round) {
@@ -134,7 +131,7 @@ TEST(Deadlock, QuadrantVcHoldsForEveryHeuristicRouting) {
     for (const RouterKind kind : all_base_routers()) {
       const RouteResult result = make_router(kind)->route(mesh, comms, model);
       ASSERT_TRUE(result.routing.has_value());
-      EXPECT_TRUE(topo::verify_vc_acyclic(topology, *result.routing))
+      EXPECT_TRUE(topo::verify_vc_acyclic(mesh, *result.routing))
           << to_cstring(kind);
     }
   }

@@ -134,7 +134,7 @@ TEST(Heuristics, TbConsidersAllTwoBendOptions) {
   // its load on the first row-0 link would be 12 > BW.
   const LinkLoads loads = loads_of_routing(mesh, *result.routing);
   EXPECT_LE(loads.max_load(), 10.0);
-  EXPECT_TRUE(is_manhattan(mesh, flow.path));
+  EXPECT_TRUE(mesh.is_shortest(flow.path));
 }
 
 TEST(Heuristics, DeterministicAcrossRuns) {

@@ -13,7 +13,6 @@
 #include "pamr/routing/routers.hpp"
 #include "pamr/sim/simulator.hpp"
 #include "pamr/theory/np_reduction.hpp"
-#include "pamr/topo/topologies.hpp"
 
 namespace pamr {
 namespace {
@@ -131,7 +130,7 @@ TEST(EndToEnd, InstanceRunnerAgreesWithDirectRouterCalls) {
   }
   RouteWorkspace workspace;
   const exp::InstanceSample sample =
-      exp::run_instance(topo::RectTopology(8, 8), comms, model, nullptr, workspace);
+      exp::run_instance(mesh, comms, model, nullptr, workspace);
   const auto kinds = all_base_routers();
   for (std::size_t h = 0; h < kinds.size(); ++h) {
     const RouteResult direct = make_router(kinds[h])->route(mesh, comms, model);

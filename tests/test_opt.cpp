@@ -39,7 +39,7 @@ TEST(PathEnum, MatchesCountAndIsDistinct) {
   EXPECT_EQ(paths.size(), 10u);
   std::set<std::vector<LinkId>> unique;
   for (const Path& path : paths) {
-    EXPECT_TRUE(is_manhattan(mesh, path));
+    EXPECT_TRUE(mesh.is_shortest(path));
     EXPECT_TRUE(unique.insert(path.links).second) << "duplicate path";
   }
 }
@@ -70,7 +70,7 @@ TEST(MinCostPath, FindsTheCheapPath) {
     if (info.from.v == 0 && info.to.v == 0) return 100.0;  // column 0 vertical
     return 1.0;
   });
-  EXPECT_TRUE(is_manhattan(mesh, path));
+  EXPECT_TRUE(mesh.is_shortest(path));
   // Any path must take one expensive first hop; the best total is 103.
   double cost = 0.0;
   for (const LinkId link : path.links) {
@@ -192,7 +192,7 @@ TEST(FrankWolfe, FlowConservationPerCommunication) {
   for (std::size_t i = 0; i < comms.size(); ++i) {
     EXPECT_NEAR(result.routing.per_comm[i].total_weight(), comms[i].weight, 1e-9);
     for (const auto& flow : result.routing.per_comm[i].flows) {
-      EXPECT_TRUE(is_manhattan(mesh, flow.path));
+      EXPECT_TRUE(mesh.is_shortest(flow.path));
       EXPECT_GT(flow.weight, 0.0);
     }
   }

@@ -20,7 +20,7 @@ TEST(Path, XyGoesHorizontalThenVertical) {
   EXPECT_EQ(cores[1], (Coord{0, 1}));
   EXPECT_EQ(cores[3], (Coord{0, 3}));
   EXPECT_EQ(cores[4], (Coord{1, 3}));
-  EXPECT_TRUE(is_manhattan(mesh, path));
+  EXPECT_TRUE(mesh.is_shortest(path));
 }
 
 TEST(Path, YxGoesVerticalThenHorizontal) {
@@ -30,7 +30,7 @@ TEST(Path, YxGoesVerticalThenHorizontal) {
   EXPECT_EQ(cores[1], (Coord{1, 0}));
   EXPECT_EQ(cores[2], (Coord{2, 0}));
   EXPECT_EQ(cores[3], (Coord{2, 1}));
-  EXPECT_TRUE(is_manhattan(mesh, path));
+  EXPECT_TRUE(mesh.is_shortest(path));
 }
 
 TEST(Path, AllQuadrants) {
@@ -38,7 +38,7 @@ TEST(Path, AllQuadrants) {
   const Coord center{2, 2};
   for (const Coord snk : {Coord{4, 4}, Coord{4, 0}, Coord{0, 0}, Coord{0, 4}}) {
     for (const Path& path : {xy_path(mesh, center, snk), yx_path(mesh, center, snk)}) {
-      EXPECT_TRUE(is_manhattan(mesh, path));
+      EXPECT_TRUE(mesh.is_shortest(path));
       EXPECT_EQ(path.length(), manhattan_distance(center, snk));
     }
   }
@@ -48,14 +48,14 @@ TEST(Path, ZeroLength) {
   const Mesh mesh(3, 3);
   const Path path = xy_path(mesh, {1, 1}, {1, 1});
   EXPECT_EQ(path.length(), 0);
-  EXPECT_TRUE(is_manhattan(mesh, path));
+  EXPECT_TRUE(mesh.is_shortest(path));
 }
 
 TEST(Path, FromCoresValidatesChaining) {
   const Mesh mesh(3, 3);
   const Path path = path_from_cores(mesh, {{0, 0}, {0, 1}, {1, 1}});
   EXPECT_EQ(path.length(), 2);
-  EXPECT_TRUE(is_manhattan(mesh, path));
+  EXPECT_TRUE(mesh.is_shortest(path));
   EXPECT_THROW((void)path_from_cores(mesh, {{0, 0}, {1, 1}}), std::logic_error);
 }
 
@@ -63,11 +63,11 @@ TEST(Path, NonManhattanDetected) {
   const Mesh mesh(3, 3);
   // A detour: east then west is connected but not shortest.
   const Path detour = path_from_cores(mesh, {{0, 0}, {0, 1}, {0, 0}, {1, 0}});
-  EXPECT_FALSE(is_manhattan(mesh, detour));
+  EXPECT_FALSE(mesh.is_shortest(detour));
   // Wrong endpoints recorded.
   Path lying = xy_path(mesh, {0, 0}, {1, 1});
   lying.snk = {2, 2};
-  EXPECT_FALSE(is_manhattan(mesh, lying));
+  EXPECT_FALSE(mesh.is_shortest(lying));
 }
 
 TEST(LinkLoads, AccumulateAndMax) {

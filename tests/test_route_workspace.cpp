@@ -15,7 +15,6 @@
 #include "pamr/exp/instance_runner.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/routing/workspace.hpp"
-#include "pamr/topo/topologies.hpp"
 
 namespace pamr {
 namespace {
@@ -108,19 +107,18 @@ TEST(RouteWorkspace, RunInstanceIsIndependentOfTheWorkspaceHistory) {
   const PowerModel model = PowerModel::paper_discrete();
   const Instance a = make_instance(10, 10, 80, 100.0, 2500.0, 21);
   const Instance b = make_instance(8, 8, 30, 100.0, 1500.0, 22);
-  const topo::RectTopology topo_a(10, 10);
-  const topo::RectTopology topo_b(8, 8);
   sim::SimConfig sim_config;
   sim_config.cycles = 300;
   sim_config.warmup = 50;
   for (const sim::SimConfig* config : {static_cast<const sim::SimConfig*>(nullptr),
                                        static_cast<const sim::SimConfig*>(&sim_config)}) {
     RouteWorkspace used;
-    (void)exp::run_instance(topo_a, a.comms, model, config, used);
-    const exp::InstanceSample reused = exp::run_instance(topo_b, b.comms, model, config, used);
+    (void)exp::run_instance(a.mesh, a.comms, model, config, used);
+    const exp::InstanceSample reused =
+        exp::run_instance(b.mesh, b.comms, model, config, used);
     RouteWorkspace fresh_workspace;
     const exp::InstanceSample fresh =
-        exp::run_instance(topo_b, b.comms, model, config, fresh_workspace);
+        exp::run_instance(b.mesh, b.comms, model, config, fresh_workspace);
     for (std::size_t s = 0; s < exp::kNumSeries; ++s) {
       EXPECT_EQ(reused.series[s].valid, fresh.series[s].valid) << s;
       EXPECT_EQ(bits(reused.series[s].power), bits(fresh.series[s].power)) << s;

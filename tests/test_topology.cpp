@@ -1,5 +1,6 @@
-// Tests for the topology subsystem (src/pamr/topo): rect's bit-identity
-// with Mesh, the torus analytic cross-checks (exact integer equality of the
+// Tests for the topology subsystem (src/pamr/topo): rect is the Mesh and
+// every shape has one shared link table, the unified validator on all three
+// topologies, the torus analytic cross-checks (exact integer equality of the
 // BFS distance stats against the closed forms), the pinned torus tie-break
 // rules, per-topology deadlock-freedom (the expanded (link, VC) dependency
 // graph must be acyclic for routed instances and for the adversarial
@@ -13,11 +14,13 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pamr/routing/deadlock.hpp"
 #include "pamr/routing/path.hpp"
 #include "pamr/routing/router.hpp"
+#include "pamr/routing/validate.hpp"
 #include "pamr/routing/workspace.hpp"
 #include "pamr/scenario/registry.hpp"
 #include "pamr/topo/topo_router.hpp"
@@ -63,28 +66,27 @@ TEST(TopoKind, NamesRoundTrip) {
   EXPECT_EQ(parsed, TopoKind::kDiag);  // untouched on failure
 }
 
-TEST(RectTopology, LinkIdsCoincideWithMesh) {
-  const RectTopology topology(3, 5);
-  const Mesh mesh(3, 5);
-  ASSERT_EQ(topology.num_links(), mesh.num_links());
-  for (LinkId id = 0; id < mesh.num_links(); ++id) {
-    const TopoLink& ours = topology.link(id);
-    const LinkInfo& theirs = mesh.link(id);
-    EXPECT_EQ(ours.from, theirs.from);
-    EXPECT_EQ(ours.to, theirs.to);
-    EXPECT_EQ(ours.dir, static_cast<std::int32_t>(theirs.dir));
-  }
+TEST(MeshTopology, RectIsTheMeshOnItsSharedTable) {
+  const auto topology = make_topology(TopoKind::kRect, 3, 5);
+  const auto* mesh = dynamic_cast<const Mesh*>(topology.get());
+  ASSERT_NE(mesh, nullptr);
+  EXPECT_EQ(topology->as_mesh(), mesh);
+  // One table per shape: an independently built mesh views the same copy,
+  // and so do two torus or diag topologies of one shape.
+  EXPECT_EQ(topology->links().data(), Mesh(3, 5).links().data());
+  EXPECT_EQ(TorusTopology(3, 5).links().data(), TorusTopology(3, 5).links().data());
+  EXPECT_EQ(DiagTopology(3, 5).links().data(), DiagTopology(3, 5).links().data());
+  EXPECT_NE(TorusTopology(3, 5).links().data(), mesh->links().data());
 }
 
-TEST(RectTopology, CanonicalPathIsTheXyPath) {
-  const RectTopology topology(4, 6);
+TEST(MeshTopology, CanonicalPathIsTheXyPath) {
   const Mesh mesh(4, 6);
   for (std::int32_t a = 0; a < mesh.num_cores(); ++a) {
     for (std::int32_t b = 0; b < mesh.num_cores(); ++b) {
       const Coord src = mesh.core_coord(a);
       const Coord snk = mesh.core_coord(b);
-      EXPECT_EQ(topology.canonical_path(src, snk), xy_path(mesh, src, snk));
-      EXPECT_EQ(topology.distance(src, snk), manhattan_distance(src, snk));
+      EXPECT_EQ(mesh.canonical_path(src, snk), xy_path(mesh, src, snk));
+      EXPECT_EQ(mesh.distance(src, snk), manhattan_distance(src, snk));
     }
   }
 }
@@ -134,11 +136,12 @@ TEST(DiagTopology, DirectionTableAndDistance) {
   // Canonical path: diagonal steps first, then the straight remainder.
   const Path path = topology.canonical_path({0, 0}, {1, 3});
   ASSERT_EQ(path.length(), 3);
-  EXPECT_EQ(topology.link(path.links[0]).dir, DiagTopology::kDirSE);
+  EXPECT_EQ(static_cast<std::int32_t>(topology.link(path.links[0]).dir),
+            DiagTopology::kDirSE);
   EXPECT_EQ(topology.link(path.links[1]).dir,
-            static_cast<std::int32_t>(LinkDir::kEast));
+            LinkDir::kEast);
   EXPECT_EQ(topology.link(path.links[2]).dir,
-            static_cast<std::int32_t>(LinkDir::kEast));
+            LinkDir::kEast);
 }
 
 // -- Torus analytics: BFS must equal the closed forms exactly ----------------
@@ -167,11 +170,11 @@ TEST(TorusTopology, AnalyticDistanceStats) {
   EXPECT_DOUBLE_EQ(stats.average_hops(64), 16384.0 / (64.0 * 63.0));
 }
 
-TEST(RectTopology, DistanceStatsMatchMeshGeometry) {
+TEST(MeshTopology, DistanceStatsMatchMeshGeometry) {
   // Independent sanity anchor: the 8x8 mesh diameter is 14 and the ordered-
   // pair Manhattan total is 2·q·Σ|du|-pairs = p·q·(p²-1)/3·q ... spelled as
   // the literal 21504 = 2 · 64·63/2 · 16/3 · ... — computed once by hand.
-  const DistanceStats stats = distance_stats(RectTopology(8, 8));
+  const DistanceStats stats = distance_stats(Mesh(8, 8));
   EXPECT_EQ(stats.diameter, 14);
   // Σ over ordered pairs of |Δu| is q²·p·(p²-1)/3; both axes by symmetry.
   EXPECT_EQ(stats.total_hops, 2 * (64 * 8 * (64 - 1) / 3));
@@ -186,13 +189,13 @@ TEST(TorusTopology, CanonicalTieBreaksArePinned) {
     const std::vector<TopoStep> steps = topology.next_steps({0, 0}, {0, 4});
     ASSERT_EQ(steps.size(), 2u);
     EXPECT_EQ(topology.link(steps[0].link).dir,
-              static_cast<std::int32_t>(LinkDir::kEast));
+              LinkDir::kEast);
     EXPECT_EQ(topology.link(steps[1].link).dir,
-              static_cast<std::int32_t>(LinkDir::kWest));
+              LinkDir::kWest);
     const Path path = topology.canonical_path({0, 0}, {0, 4});
     ASSERT_EQ(path.length(), 4);
     for (const LinkId id : path.links) {
-      EXPECT_EQ(topology.link(id).dir, static_cast<std::int32_t>(LinkDir::kEast));
+      EXPECT_EQ(topology.link(id).dir, LinkDir::kEast);
     }
   }
   // Same on the vertical axis: South canonical.
@@ -200,14 +203,14 @@ TEST(TorusTopology, CanonicalTieBreaksArePinned) {
     const std::vector<TopoStep> steps = topology.next_steps({0, 0}, {4, 0});
     ASSERT_EQ(steps.size(), 2u);
     EXPECT_EQ(topology.link(steps[0].link).dir,
-              static_cast<std::int32_t>(LinkDir::kSouth));
+              LinkDir::kSouth);
   }
   // Strictly shorter the other way round: wraps West through the dateline.
   {
     const Path path = topology.canonical_path({0, 0}, {0, 5});
     ASSERT_EQ(path.length(), 3);
     EXPECT_EQ(topology.link(path.links[0]).dir,
-              static_cast<std::int32_t>(LinkDir::kWest));
+              LinkDir::kWest);
     EXPECT_EQ(path.links.size(), 3u);
     EXPECT_EQ(topology.link(path.links[0]).to, (Coord{0, 7}));
   }
@@ -216,7 +219,7 @@ TEST(TorusTopology, CanonicalTieBreaksArePinned) {
     const Path path = topology.canonical_path({0, 6}, {0, 2});
     ASSERT_EQ(path.length(), 4);
     for (const LinkId id : path.links) {
-      EXPECT_EQ(topology.link(id).dir, static_cast<std::int32_t>(LinkDir::kEast));
+      EXPECT_EQ(topology.link(id).dir, LinkDir::kEast);
     }
     EXPECT_EQ(topology.link(path.links[1]).from, (Coord{0, 7}));
     EXPECT_EQ(topology.link(path.links[1]).to, (Coord{0, 0}));
@@ -226,9 +229,9 @@ TEST(TorusTopology, CanonicalTieBreaksArePinned) {
     const std::vector<TopoStep> steps = topology.next_steps({1, 1}, {3, 3});
     ASSERT_EQ(steps.size(), 2u);
     EXPECT_EQ(topology.link(steps[0].link).dir,
-              static_cast<std::int32_t>(LinkDir::kEast));
+              LinkDir::kEast);
     EXPECT_EQ(topology.link(steps[1].link).dir,
-              static_cast<std::int32_t>(LinkDir::kSouth));
+              LinkDir::kSouth);
   }
 }
 
@@ -249,6 +252,61 @@ TEST(Topology, NextStepsReduceDistanceByOne) {
               << to_cstring(kind);
         }
       }
+    }
+  }
+}
+
+// -- The one validator --------------------------------------------------------
+
+Routing single_flow(const Path& path, double weight) {
+  Routing routing;
+  routing.per_comm.resize(1);
+  routing.per_comm[0].flows.push_back(RoutedFlow{path, weight});
+  return routing;
+}
+
+TEST(TopoValidate, OneValidatorRejectsTheSameMalformedRoutingsEverywhere) {
+  // One communication on a 5x5 grid, whose canonical path has at least two
+  // links on every topology, and a core `via` off all its shortest paths.
+  const Coord src{1, 1};
+  const Coord snk{2, 3};
+  const Coord via{0, 1};
+  const CommSet comms = {Communication{src, snk, 100.0}};
+  const Mesh mesh(5, 5);
+  const TorusTopology torus(5, 5);
+  const DiagTopology diag(5, 5);
+  for (const Topology* topology : std::vector<const Topology*>{&mesh, &torus, &diag}) {
+    const char* name = topology->name();
+    const Path canonical = topology->canonical_path(src, snk);
+    ASSERT_GE(canonical.length(), 2) << name;
+    EXPECT_TRUE(validate_structure(*topology, comms, single_flow(canonical, 100.0)).ok)
+        << name;
+
+    // The first two links swapped: right length, but the chain leaves src on
+    // a link that starts elsewhere.
+    Path disconnected = canonical;
+    std::swap(disconnected.links[0], disconnected.links[1]);
+    // A shortest path, but to another core than the communication's sink.
+    const Path wrong_endpoints = topology->canonical_path(src, via);
+    // Connected from src to snk, but through `via`: longer than shortest.
+    Path detour = topology->canonical_path(src, via);
+    const Path back = topology->canonical_path(via, snk);
+    detour.snk = snk;
+    detour.links.insert(detour.links.end(), back.links.begin(), back.links.end());
+    ASSERT_GT(detour.length(), topology->distance(src, snk)) << name;
+    Path out_of_range = canonical;
+    out_of_range.links.back() = topology->num_links();
+
+    const std::vector<std::pair<const char*, Path>> malformed = {
+        {"disconnected", disconnected},
+        {"wrong endpoints", wrong_endpoints},
+        {"detour", detour},
+        {"out-of-range link", out_of_range}};
+    for (const auto& [what, path] : malformed) {
+      const ValidationResult result =
+          validate_structure(*topology, comms, single_flow(path, 100.0));
+      EXPECT_FALSE(result.ok) << name << ": " << what << " accepted";
+      EXPECT_FALSE(result.error.empty()) << name << ": " << what;
     }
   }
 }
