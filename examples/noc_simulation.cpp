@@ -12,7 +12,6 @@
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/sim/simulator.hpp"
-#include "pamr/topo/validate.hpp"
 #include "pamr/util/args.hpp"
 #include "pamr/util/csv.hpp"
 
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
     }
     const LinkLoads loads = loads_of_routing(mesh, *result.routing);
     const bool risky = has_deadlock_risk(mesh, *result.routing);
-    const bool vc_safe = topo::verify_vc_acyclic(mesh, *result.routing);
+    const bool vc_safe = verify_vc_acyclic(mesh, *result.routing);
     const sim::SimStats stats = sim::simulate(mesh, comms, *result.routing, config);
     double latency_sum = 0.0;
     std::int64_t delivered = 0;

@@ -9,7 +9,6 @@
 #include "pamr/opt/lower_bound.hpp"
 #include "pamr/routing/validate.hpp"
 #include "pamr/sim/sim_stats.hpp"
-#include "pamr/topo/topo_router.hpp"
 #include "pamr/util/assert.hpp"
 
 namespace pamr {
@@ -52,15 +51,14 @@ InstanceSample run_instance(const topo::Topology& topology, const CommSet& comms
     obs::bump(obs::Metric::kRouteCertifiedInfeasible);
     return make_instance_sample(base);
   }
-  const RouteGoal goal = mesh != nullptr ? RouteGoal::kVerdict : RouteGoal::kRouting;
   // The BEST routing (lowest power among valid policies) doubles as the
   // simulation probe's subject, so keep it while the scalars are folded.
   std::optional<Routing> best_routing;
   double best_power = 0.0;
   static const std::vector<RouterKind> kinds = all_base_routers();
   for (std::size_t h = 0; h < kinds.size(); ++h) {
-    RouteResult result =
-        topo::route_on(topology, kinds[h], comms, model, goal, workspace);
+    RouteResult result = shared_router(kinds[h]).route(topology, comms, model,
+                                                       RouteGoal::kVerdict, workspace);
     base[h].valid = result.valid;
     base[h].power = result.power;
     base[h].static_power = result.breakdown.static_part;

@@ -1,14 +1,15 @@
 // Runs the six base policies on one instance and folds the outcome into the
 // campaign's scalar samples. One runner serves every topology: each policy
-// call goes through topo::route_on, the library's one routing dispatcher.
+// call goes through shared_router(kind).route, the library's one routing
+// entry.
 // The routers are stateless and shared by every thread; per-call scratch
 // lives in a RouteWorkspace, one per thread (the campaign calls the runner
 // from every pool worker).
 //
 // Three steps apply only on the rectangular topology, the Mesh
 // (topology.as_mesh() non-null): the certificate, verdict-only routing and
-// the simulation probe. The torus and diag analogues route every instance
-// in full.
+// the simulation probe. Every call asks for RouteGoal::kVerdict, which the
+// torus and diag analogues ignore: they route every instance in full.
 //
 // Certify, then route. On the mesh the runner first asks certify_infeasible
 // (opt/lower_bound.hpp) whether the instance can be routed at all. When a
@@ -39,11 +40,11 @@
 //
 // Verdicts only. The campaign keeps a policy's valid flag and powers, never
 // its routing (except BEST's, for the simulation probe, and a valid routing
-// always comes back). So on the mesh the runner routes with
-// RouteGoal::kVerdict: SG, TB, IG and PR stop as soon as they hold an
-// overload witness, a link load that proves their final routing invalid,
-// and the sample records the same failure the full routing would have.
-// route.abandoned counts those calls.
+// always comes back). So the runner routes with RouteGoal::kVerdict: on
+// the mesh SG, TB, IG and PR stop as soon as they hold an overload witness,
+// a link load that proves their final routing invalid, and the sample
+// records the same failure the full routing would have. route.abandoned
+// counts those calls.
 //
 // With a sim::SimConfig the runner additionally drives the cycle-level NoC
 // simulator on the instance's BEST routing (open-loop injection: the

@@ -29,17 +29,6 @@ void build_mesh_links(topo::LinkTable& table) {
 Mesh::Mesh(std::int32_t p, std::int32_t q)
     : Topology(topo::TopoKind::kRect, p, q, kNumLinkDirs, build_mesh_links) {}
 
-std::vector<Coord> Mesh::successors(Coord c) const {
-  PAMR_CHECK(contains(c), "core outside mesh");
-  std::vector<Coord> out;
-  out.reserve(4);
-  for (int d = 0; d < kNumLinkDirs; ++d) {
-    const Coord to = step(c, static_cast<LinkDir>(d));
-    if (contains(to)) out.push_back(to);
-  }
-  return out;
-}
-
 std::int32_t Mesh::distance(Coord a, Coord b) const {
   PAMR_CHECK(contains(a) && contains(b), "core outside topology");
   return manhattan_distance(a, b);

@@ -3,7 +3,8 @@
 // neighbours. The Mesh is the rectangular topology (topo/topology.hpp): its
 // link numbering — per core (row-major), per direction E, W, S, N — is the
 // one link loads, routings and power evaluation index everywhere else, and
-// it adds the inline lookups the §5 heuristics run on.
+// it adds the inline lookups the §5 heuristics run on. Router::route runs
+// the §5 policies when its topology is a Mesh (Topology::as_mesh).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,8 @@ class Mesh final : public topo::Topology {
   using Topology::link_from;
 
   /// The link leaving `from` in direction `dir`, or kInvalidLink at the mesh
-  /// boundary or outside it.
+  /// boundary or outside it: the base overload's answer, inline and without
+  /// its direction CHECK (a LinkDir is always in range).
   [[nodiscard]] LinkId link_from(Coord from, LinkDir dir) const noexcept {
     return contains(from) ? slot_link(from, dir) : kInvalidLink;
   }
@@ -61,9 +63,6 @@ class Mesh final : public topo::Topology {
 #endif
     return id;
   }
-
-  /// Outgoing neighbours of a core (the paper's succ(u,v)): 2–4 cores.
-  [[nodiscard]] std::vector<Coord> successors(Coord c) const;
 
   /// Manhattan distance.
   [[nodiscard]] std::int32_t distance(Coord a, Coord b) const override;

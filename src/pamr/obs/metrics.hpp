@@ -34,7 +34,7 @@ namespace pamr::obs {
 
 enum class Metric : std::uint32_t {
   // -------------------------------------------- unit-scoped counters --
-  kRouteCalls,            ///< Router::route / topo::route_on invocations
+  kRouteCalls,            ///< Router::route invocations, every topology
   kRouteCertifiedInfeasible,  ///< instances run_instance certified infeasible (not routed)
   kRouteAbandoned,        ///< RouteGoal::kVerdict calls stopped at an overload witness
   kXyiMoves,              ///< accepted XYI moves

@@ -48,10 +48,10 @@ Path uniform_random_path(const CommRect& rect, Rng& rng) {
 RouteResult AnnealingRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                         const PowerModel& model,
                                         RouteGoal /*goal*/,
-                                        RouteWorkspace& /*workspace*/) const {
+                                        RouteWorkspace& workspace) const {
   const WallTimer timer;
   if (comms.empty()) {
-    return finish(mesh, comms, model, Routing{}, timer.elapsed_ms());
+    return finish(mesh, comms, model, Routing{}, timer.elapsed_ms(), workspace);
   }
   const LoadCost cost(model);
   Rng rng(options_.seed);
@@ -108,7 +108,7 @@ RouteResult AnnealingRouter::route_impl(const Mesh& mesh, const CommSet& comms,
 
   return finish(mesh, comms, model,
                 make_single_path_routing(comms, std::move(best_paths)),
-                timer.elapsed_ms());
+                timer.elapsed_ms(), workspace);
 }
 
 }  // namespace pamr

@@ -11,14 +11,17 @@
 
 namespace pamr {
 
-RouteResult BestRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                   const PowerModel& model, RouteGoal /*goal*/,
-                                   RouteWorkspace& workspace) const {
+namespace {
+
+/// The one BEST loop, on the Mesh and on every other topology alike: each
+/// base policy through its shared router's front door.
+RouteResult best_of(const topo::Topology& topology, const CommSet& comms,
+                    const PowerModel& model, RouteWorkspace& workspace) {
   const WallTimer timer;
   RouteResult best;
   for (const RouterKind kind : all_base_routers()) {
     RouteResult result =
-        shared_router(kind).route(mesh, comms, model, RouteGoal::kRouting, workspace);
+        shared_router(kind).route(topology, comms, model, RouteGoal::kRouting, workspace);
     if (!result.valid) {
       workspace.recycle(result);
       continue;
@@ -28,6 +31,20 @@ RouteResult BestRouter::route_impl(const Mesh& mesh, const CommSet& comms,
   }
   best.elapsed_ms = timer.elapsed_ms();
   return best;
+}
+
+}  // namespace
+
+RouteResult BestRouter::route_impl(const Mesh& mesh, const CommSet& comms,
+                                   const PowerModel& model, RouteGoal /*goal*/,
+                                   RouteWorkspace& workspace) const {
+  return best_of(mesh, comms, model, workspace);
+}
+
+RouteResult BestRouter::route_analogue(const topo::Topology& topology,
+                                       const CommSet& comms, const PowerModel& model,
+                                       RouteWorkspace& workspace) const {
+  return best_of(topology, comms, model, workspace);
 }
 
 }  // namespace pamr

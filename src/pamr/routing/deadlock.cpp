@@ -8,27 +8,46 @@ namespace pamr {
 
 namespace {
 
-void add_path_dependencies(const Path& path, ChannelDependencyGraph& graph) {
-  for (std::size_t hop = 0; hop + 1 < path.links.size(); ++hop) {
-    auto& edges = graph[static_cast<std::size_t>(path.links[hop])];
-    const LinkId next = path.links[hop + 1];
-    if (std::find(edges.begin(), edges.end(), next) == edges.end()) {
-      edges.push_back(next);
+/// The dependency graph over (link, class) vertices, flattened as
+/// link * num_classes + class: hop h of a flow occupies class classes[h]
+/// (all 0 without VC classes), and the packet can hold that channel while
+/// requesting hop h+1's. Each vertex's edges are deduplicated, ascending.
+ChannelDependencyGraph dependency_graph(const topo::Topology& topology,
+                                        const Routing& routing, bool with_vc_classes) {
+  const std::int32_t num_classes = with_vc_classes ? topology.num_vc_classes() : 1;
+  ChannelDependencyGraph graph(static_cast<std::size_t>(topology.num_links()) *
+                               static_cast<std::size_t>(num_classes));
+  std::vector<std::int32_t> classes;
+  for (const CommRouting& routed : routing.per_comm) {
+    for (const RoutedFlow& flow : routed.flows) {
+      const Path& path = flow.path;
+      if (with_vc_classes) {
+        classes = topology.vc_classes(path);
+        PAMR_ASSERT(classes.size() == path.links.size());
+      } else {
+        classes.assign(path.links.size(), 0);
+      }
+      const auto vertex = [&](std::size_t hop) {
+        PAMR_ASSERT(classes[hop] >= 0 && classes[hop] < num_classes);
+        return static_cast<LinkId>(path.links[hop]) * num_classes + classes[hop];
+      };
+      for (std::size_t hop = 0; hop + 1 < path.links.size(); ++hop) {
+        graph[static_cast<std::size_t>(vertex(hop))].push_back(vertex(hop + 1));
+      }
     }
   }
+  for (std::vector<LinkId>& edges : graph) {
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  }
+  return graph;
 }
 
 }  // namespace
 
-ChannelDependencyGraph channel_dependency_graph(const Mesh& mesh,
+ChannelDependencyGraph channel_dependency_graph(const topo::Topology& topology,
                                                 const Routing& routing) {
-  ChannelDependencyGraph graph(static_cast<std::size_t>(mesh.num_links()));
-  for (const CommRouting& comm : routing.per_comm) {
-    for (const RoutedFlow& flow : comm.flows) {
-      add_path_dependencies(flow.path, graph);
-    }
-  }
-  return graph;
+  return dependency_graph(topology, routing, false);
 }
 
 std::optional<std::vector<LinkId>> find_dependency_cycle(
@@ -76,8 +95,14 @@ std::optional<std::vector<LinkId>> find_dependency_cycle(
   return std::nullopt;
 }
 
-bool has_deadlock_risk(const Mesh& mesh, const Routing& routing) {
-  return find_dependency_cycle(channel_dependency_graph(mesh, routing)).has_value();
+bool has_deadlock_risk(const topo::Topology& topology, const Routing& routing) {
+  return find_dependency_cycle(channel_dependency_graph(topology, routing)).has_value();
+}
+
+bool verify_vc_acyclic(const topo::Topology& topology, const Routing& routing) {
+  // Dally & Seitz on the expanded graph covers both within-class cycles and
+  // (for the torus) cross-class dateline transitions in one check.
+  return !find_dependency_cycle(dependency_graph(topology, routing, true)).has_value();
 }
 
 }  // namespace pamr

@@ -5,7 +5,8 @@
 // remaining headroom. They implement the same Router interface but are kept
 // out of the BEST portfolio so the §6 reproduction stays faithful;
 // bench/ablation_extensions compares them against BEST and the exact/FW
-// bounds.
+// bounds. Neither has a topology analogue: Router::route throws for them on
+// any topology other than the Mesh.
 //
 //  * RipUpRerouteRouter — negotiated congestion (PathFinder-style): start
 //    from the DP-greedy routing, then repeatedly rip each communication out
@@ -31,9 +32,7 @@ struct RipUpOptions {
 class RipUpRerouteRouter final : public Router {
  public:
   explicit RipUpRerouteRouter(RipUpOptions options = {}) noexcept
-      : options_(options) {}
-
-  [[nodiscard]] const char* name() const noexcept override { return "RR"; }
+      : Router("RR"), options_(options) {}
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
@@ -54,9 +53,7 @@ struct AnnealingOptions {
 class AnnealingRouter final : public Router {
  public:
   explicit AnnealingRouter(AnnealingOptions options = {}) noexcept
-      : options_(options) {}
-
-  [[nodiscard]] const char* name() const noexcept override { return "SA"; }
+      : Router("SA"), options_(options) {}
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,

@@ -15,7 +15,7 @@ namespace pamr {
 RouteResult RipUpRerouteRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                            const PowerModel& model,
                                            RouteGoal /*goal*/,
-                                           RouteWorkspace& /*workspace*/) const {
+                                           RouteWorkspace& workspace) const {
   const WallTimer timer;
   const LoadCost cost(model);
   LinkLoads loads(mesh);
@@ -63,7 +63,7 @@ RouteResult RipUpRerouteRouter::route_impl(const Mesh& mesh, const CommSet& comm
   }
 
   return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),
-                timer.elapsed_ms());
+                timer.elapsed_ms(), workspace);
 }
 
 }  // namespace pamr

@@ -1,12 +1,16 @@
 #include "pamr/routing/router.hpp"
 
 #include <array>
+#include <string>
+#include <utility>
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/routing/workspace.hpp"
+#include "pamr/topo/topo_router.hpp"
 #include "pamr/util/assert.hpp"
+#include "pamr/util/timer.hpp"
 
 namespace pamr {
 
@@ -28,25 +32,30 @@ std::vector<RouterKind> all_base_routers() {
           RouterKind::kTB, RouterKind::kXYI, RouterKind::kPR};
 }
 
-RouteResult Router::route(const Mesh& mesh, const CommSet& comms,
+RouteResult Router::route(const topo::Topology& topology, const CommSet& comms,
                           const PowerModel& model, RouteGoal goal) const {
   RouteWorkspace workspace;
-  return route(mesh, comms, model, goal, workspace);
+  return route(topology, comms, model, goal, workspace);
 }
 
-RouteResult Router::route(const Mesh& mesh, const CommSet& comms,
+RouteResult Router::route(const topo::Topology& topology, const CommSet& comms,
                           const PowerModel& model, RouteGoal goal,
                           RouteWorkspace& workspace) const {
-  check_comm_set(mesh, comms);
+  const Mesh* mesh = topology.as_mesh();
+  PAMR_CHECK(mesh != nullptr || kind_.has_value(),
+             std::string(name_) + " routes on the rect topology only, not on " +
+                 topology.name());
+  check_comm_set(topology, comms);
   obs::bump(obs::Metric::kRouteCalls);
-  const obs::PhaseScope phase(obs::route_phase(name()));
-  RouteResult result = route_impl(mesh, comms, model, goal, workspace);
+  const obs::PhaseScope phase(obs::route_phase(name_));
+  if (mesh == nullptr) return route_analogue(topology, comms, model, workspace);
+  RouteResult result = route_impl(*mesh, comms, model, goal, workspace);
 #if PAMR_CHECK_LEVEL >= 2
   if (goal == RouteGoal::kVerdict && !result.routing.has_value()) {
     // The witness must not lie: the full routing is invalid as well. Muted,
     // so the re-run leaves the deterministic counters as they were.
     const obs::MuteScope mute;
-    RouteResult full = route_impl(mesh, comms, model, RouteGoal::kRouting, workspace);
+    RouteResult full = route_impl(*mesh, comms, model, RouteGoal::kRouting, workspace);
     PAMR_INVARIANT("route-abandon", !full.valid,
                    "an abandoned route call's full routing is valid");
     workspace.recycle(full);
@@ -55,47 +64,44 @@ RouteResult Router::route(const Mesh& mesh, const CommSet& comms,
   return result;
 }
 
-namespace {
+RouteResult Router::route_analogue(const topo::Topology& topology, const CommSet& comms,
+                                   const PowerModel& model,
+                                   RouteWorkspace& workspace) const {
+  const WallTimer timer;
+  LocalSearchStats stats;
+  Routing routing = topo::analogue_routing(topology, *kind_, comms, model, stats);
+  RouteResult result =
+      finish(topology, comms, model, std::move(routing), timer.elapsed_ms(), workspace);
+  result.local_search = stats;
+  return result;
+}
 
-/// finish()'s verdict on a structurally checked routing, priced on `loads`.
-void price(const Mesh& mesh, const CommSet& comms, const PowerModel& model,
-           const Routing& routing, LinkLoads& loads, RouteResult& result) {
-  // All §5 heuristics are single-path; multi-path callers go through the
-  // opt/ layer which validates with its own s. Structure must always hold —
-  // a structurally broken routing is a bug, not a "failure".
-  const ValidationResult structure = validate_structure(mesh, comms, routing, 1);
+RouteResult Router::finish(const topo::Topology& topology, const CommSet& comms,
+                           const PowerModel& model, Routing routing, double elapsed_ms,
+                           RouteWorkspace& workspace) {
+  // All §5 heuristics and their analogues are single-path; multi-path
+  // callers go through the opt/ layer, which validates with its own s.
+  const ValidationResult structure = validate_structure(topology, comms, routing, 1);
   PAMR_ASSERT_MSG(structure.ok, structure.error.c_str());
-
-  loads.reset(mesh.num_links());
+  RouteResult result;
+  result.elapsed_ms = elapsed_ms;
+  LinkLoads& loads = workspace.final_loads;
+  loads.reset(topology.num_links());
   loads.add_routing(routing);
   if (const auto breakdown = model.breakdown(loads.values()); breakdown.has_value()) {
     result.valid = true;
     result.power = breakdown->total;
     result.breakdown = *breakdown;
   }
-}
-
-}  // namespace
-
-RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
-                           const PowerModel& model, Routing routing,
-                           double elapsed_ms) {
-  RouteResult result;
-  result.elapsed_ms = elapsed_ms;
-  LinkLoads loads;
-  price(mesh, comms, model, routing, loads, result);
   result.routing = std::move(routing);
   return result;
 }
 
-RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
+RouteResult Router::finish(const topo::Topology& topology, const CommSet& comms,
                            const PowerModel& model, RouteWorkspace& workspace,
                            double elapsed_ms) {
-  RouteResult result;
-  result.elapsed_ms = elapsed_ms;
-  result.routing = workspace.single_path_routing(comms);
-  price(mesh, comms, model, *result.routing, workspace.final_loads, result);
-  return result;
+  return finish(topology, comms, model, workspace.single_path_routing(comms), elapsed_ms,
+                workspace);
 }
 
 RouteResult Router::abandon(double elapsed_ms) noexcept {

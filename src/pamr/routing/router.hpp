@@ -81,57 +81,80 @@ class Router {
  public:
   virtual ~Router() = default;
 
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
+  [[nodiscard]] const char* name() const noexcept { return name_; }
 
-  /// Builds a routing for `comms` on `mesh` under `model`. Validates the
-  /// communication set first (check_comm_set): malformed user input —
-  /// non-finite or non-positive weights, out-of-bounds or coincident
-  /// endpoints — throws std::logic_error before any heuristic work, for
-  /// every policy. Implementations must be deterministic functions of
-  /// their arguments. `goal` is the per-call contract of RouteGoal; at
-  /// PAMR_CHECK_LEVEL >= 2 every abandoned call re-runs the full routing
-  /// (with telemetry muted) and asserts that it is invalid.
+  /// Builds a routing for `comms` on `topology` under `model`: the library's
+  /// one routing entry. Validates the communication set first
+  /// (check_comm_set): malformed user input — non-finite or non-positive
+  /// weights, out-of-bounds or coincident endpoints — throws
+  /// std::logic_error before any heuristic work. On the Mesh
+  /// (topology.as_mesh()) the §5/§6 policy runs and `goal` is the per-call
+  /// contract of RouteGoal; at PAMR_CHECK_LEVEL >= 2 every abandoned call
+  /// re-runs the full routing (with telemetry muted) and asserts that it is
+  /// invalid. Elsewhere the policy's analogue runs (topo/topo_router.hpp)
+  /// and ignores the goal; RR and SA have none and throw std::logic_error.
+  /// A deterministic function of its arguments.
   ///
   /// This form builds a call-local RouteWorkspace for the call.
-  [[nodiscard]] RouteResult route(const Mesh& mesh, const CommSet& comms,
+  [[nodiscard]] RouteResult route(const topo::Topology& topology, const CommSet& comms,
                                   const PowerModel& model,
                                   RouteGoal goal = RouteGoal::kRouting) const;
 
   /// The same call on a caller-owned workspace, whose buffers it reuses
   /// (see routing/workspace.hpp). The result is bit-identical to the form
   /// above; hand its routing back with RouteWorkspace::recycle when done.
-  [[nodiscard]] RouteResult route(const Mesh& mesh, const CommSet& comms,
+  [[nodiscard]] RouteResult route(const topo::Topology& topology, const CommSet& comms,
                                   const PowerModel& model, RouteGoal goal,
                                   RouteWorkspace& workspace) const;
 
  protected:
-  /// Policy body; `comms` has already passed check_comm_set. Policies
-  /// without per-call scratch ignore `workspace`.
+  /// A policy of the paper's portfolio, named after `kind`; on a topology
+  /// other than the Mesh it runs `kind`'s analogue.
+  explicit Router(RouterKind kind) noexcept : name_(to_cstring(kind)), kind_(kind) {}
+  /// A policy outside the portfolio, which routes on the Mesh only.
+  explicit Router(const char* name) noexcept : name_(name) {}
+
+  /// Policy body on the Mesh; `comms` has already passed check_comm_set.
+  /// Policies without per-call scratch ignore `workspace`.
   [[nodiscard]] virtual RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
                                                const PowerModel& model, RouteGoal goal,
                                                RouteWorkspace& workspace) const = 0;
 
-  /// Shared epilogue: validates, evaluates power and stamps the result.
-  [[nodiscard]] static RouteResult finish(const Mesh& mesh, const CommSet& comms,
-                                          const PowerModel& model, Routing routing,
-                                          double elapsed_ms);
+  /// Policy body on any other topology: by default the analogue of the
+  /// router's kind, built by topo::analogue_routing and priced by finish().
+  [[nodiscard]] virtual RouteResult route_analogue(const topo::Topology& topology,
+                                                   const CommSet& comms,
+                                                   const PowerModel& model,
+                                                   RouteWorkspace& workspace) const;
+
+  /// Shared epilogue: checks the routing's structure (a broken one is a
+  /// bug, not a failure), prices it on workspace.final_loads and stamps the
+  /// result.
+  [[nodiscard]] static RouteResult finish(const topo::Topology& topology,
+                                          const CommSet& comms, const PowerModel& model,
+                                          Routing routing, double elapsed_ms,
+                                          RouteWorkspace& workspace);
 
   /// finish() of the single-path routing held in workspace.paths, built in
-  /// recycled storage and priced on workspace.final_loads.
-  [[nodiscard]] static RouteResult finish(const Mesh& mesh, const CommSet& comms,
-                                          const PowerModel& model,
+  /// recycled storage.
+  [[nodiscard]] static RouteResult finish(const topo::Topology& topology,
+                                          const CommSet& comms, const PowerModel& model,
                                           RouteWorkspace& workspace, double elapsed_ms);
 
   /// The result of an abandoned kVerdict call (invalid, no routing); bumps
   /// route.abandoned.
   [[nodiscard]] static RouteResult abandon(double elapsed_ms) noexcept;
+
+ private:
+  const char* name_;
+  std::optional<RouterKind> kind_;  ///< empty outside the portfolio
 };
 
 [[nodiscard]] std::unique_ptr<Router> make_router(RouterKind kind);
 
 /// The process-wide instance of `kind`'s policy, BEST included. Routers are
 /// stateless, so one set, built on first use, serves every caller and
-/// thread; this is how the library itself dispatches (topo::route_on,
+/// thread; this is how the library itself dispatches (exp::run_instance,
 /// BestRouter).
 [[nodiscard]] const Router& shared_router(RouterKind kind);
 

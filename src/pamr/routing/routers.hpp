@@ -12,7 +12,7 @@ namespace pamr {
 /// XY routing (§1): horizontal first, then vertical. The baseline.
 class XYRouter final : public Router {
  public:
-  [[nodiscard]] const char* name() const noexcept override { return "XY"; }
+  XYRouter() noexcept : Router(RouterKind::kXY) {}
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
@@ -25,7 +25,7 @@ class XYRouter final : public Router {
 /// toward the source–sink diagonal.
 class SimpleGreedyRouter final : public Router {
  public:
-  [[nodiscard]] const char* name() const noexcept override { return "SG"; }
+  SimpleGreedyRouter() noexcept : Router(RouterKind::kSG) {}
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
@@ -39,7 +39,7 @@ class SimpleGreedyRouter final : public Router {
 /// full-rescan loop is the test oracle in tests/seed_routers.hpp.
 class ImprovedGreedyRouter final : public Router {
  public:
-  [[nodiscard]] const char* name() const noexcept override { return "IG"; }
+  ImprovedGreedyRouter() noexcept : Router(RouterKind::kIG) {}
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
@@ -51,7 +51,7 @@ class ImprovedGreedyRouter final : public Router {
 /// bends (|Δu| + |Δv| of them) and keeps the cheapest.
 class TwoBendRouter final : public Router {
  public:
-  [[nodiscard]] const char* name() const noexcept override { return "TB"; }
+  TwoBendRouter() noexcept : Router(RouterKind::kTB) {}
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
@@ -73,7 +73,7 @@ struct XyiTrace {
 /// sort-and-rescan loop is the test oracle in tests/seed_routers.hpp.
 class XYImproverRouter final : public Router {
  public:
-  [[nodiscard]] const char* name() const noexcept override { return "XYI"; }
+  XYImproverRouter() noexcept : Router(RouterKind::kXYI) {}
 
   void set_trace(XyiTrace* trace) noexcept { trace_ = trace; }
 
@@ -107,7 +107,7 @@ struct PrTrace {
 /// tests/seed_routers.hpp.
 class PathRemoverRouter final : public Router {
  public:
-  [[nodiscard]] const char* name() const noexcept override { return "PR"; }
+  PathRemoverRouter() noexcept : Router(RouterKind::kPR) {}
 
   void set_trace(PrTrace* trace) noexcept { trace_ = trace; }
 
@@ -120,16 +120,20 @@ class PathRemoverRouter final : public Router {
   PrTrace* trace_ = nullptr;
 };
 
-/// BEST (§6): runs all six base policies and returns the valid result with
-/// the lowest power (elapsed time is the sum over all of them).
+/// BEST (§6): runs all six base policies on the same topology and returns
+/// the valid result with the lowest power (elapsed time is the sum over all
+/// of them).
 class BestRouter final : public Router {
  public:
-  [[nodiscard]] const char* name() const noexcept override { return "BEST"; }
+  BestRouter() noexcept : Router(RouterKind::kBest) {}
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
                                        const PowerModel& model, RouteGoal goal,
                                        RouteWorkspace& workspace) const override;
+  [[nodiscard]] RouteResult route_analogue(const topo::Topology& topology,
+                                           const CommSet& comms, const PowerModel& model,
+                                           RouteWorkspace& workspace) const override;
 };
 
 }  // namespace pamr

@@ -46,8 +46,8 @@ struct ValidationResult {
                                                   const Routing& routing,
                                                   std::size_t max_paths = 1);
 
-/// Input validation for the public routing boundary (Router::route,
-/// topo::route_on): every communication must have in-bounds endpoints,
+/// Input validation for the public routing boundary (Router::route, on
+/// every topology): every communication must have in-bounds endpoints,
 /// distinct src and snk, and a finite, strictly positive weight. Throws
 /// std::logic_error (via PAMR_CHECK) naming the offending communication;
 /// does nothing on a valid set. An empty CommSet is valid.

@@ -3,12 +3,8 @@
 #include <optional>
 #include <utility>
 
-#include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
-#include "pamr/routing/validate.hpp"
-#include "pamr/routing/workspace.hpp"
 #include "pamr/util/assert.hpp"
-#include "pamr/util/timer.hpp"
 
 namespace pamr {
 namespace topo {
@@ -266,25 +262,6 @@ Routing route_pr(const Topology& topology, const CommSet& comms,
   return routing;
 }
 
-/// Shared epilogue, the finish() analogue: structure must always hold;
-/// feasibility and power come from the model on the finished loads.
-RouteResult finish(const Topology& topology, const CommSet& comms,
-                   const PowerModel& model, Routing routing, double elapsed_ms) {
-  RouteResult result;
-  result.elapsed_ms = elapsed_ms;
-  const ValidationResult structure = validate_structure(topology, comms, routing, 1);
-  PAMR_ASSERT_MSG(structure.ok, structure.error.c_str());
-  LinkLoads loads(topology.num_links());
-  loads.add_routing(routing);
-  if (const auto breakdown = model.breakdown(loads.values()); breakdown.has_value()) {
-    result.valid = true;
-    result.power = breakdown->total;
-    result.breakdown = *breakdown;
-  }
-  result.routing = std::move(routing);
-  return result;
-}
-
 }  // namespace
 
 std::vector<Path> two_change_paths(const Topology& topology, Coord src, Coord snk) {
@@ -296,47 +273,20 @@ std::vector<Path> two_change_paths(const Topology& topology, Coord src, Coord sn
   return out;
 }
 
-RouteResult route_on(const Topology& topology, RouterKind kind, const CommSet& comms,
-                     const PowerModel& model, RouteGoal goal) {
-  RouteWorkspace workspace;
-  return route_on(topology, kind, comms, model, goal, workspace);
-}
-
-RouteResult route_on(const Topology& topology, RouterKind kind, const CommSet& comms,
-                     const PowerModel& model, RouteGoal goal, RouteWorkspace& workspace) {
-  if (const Mesh* mesh = topology.as_mesh()) {
-    // Rect: the original §5 policies on the mesh itself.
-    return shared_router(kind).route(*mesh, comms, model, goal, workspace);
-  }
-  check_comm_set(topology, comms);
-  obs::bump(obs::Metric::kRouteCalls);
-  const obs::PhaseScope phase(obs::route_phase(to_cstring(kind)));
-  const WallTimer timer;
-  if (kind == RouterKind::kBest) {
-    RouteResult best;
-    for (const RouterKind base : all_base_routers()) {
-      RouteResult result = route_on(topology, base, comms, model, goal, workspace);
-      if (!result.valid) continue;
-      if (!best.valid || result.power < best.power) best = std::move(result);
-    }
-    best.elapsed_ms = timer.elapsed_ms();
-    return best;
-  }
-  Routing routing;
-  LocalSearchStats stats;
+Routing analogue_routing(const Topology& topology, RouterKind kind,
+                         const CommSet& comms, const PowerModel& model,
+                         LocalSearchStats& stats) {
   switch (kind) {
-    case RouterKind::kXY: routing = route_xy(topology, comms); break;
-    case RouterKind::kSG: routing = route_sg(topology, comms); break;
-    case RouterKind::kIG: routing = route_ig(topology, comms, model); break;
-    case RouterKind::kTB: routing = route_tb(topology, comms, model); break;
-    case RouterKind::kXYI: routing = route_xyi(topology, comms, model, stats); break;
-    case RouterKind::kPR: routing = route_pr(topology, comms, model, stats); break;
-    case RouterKind::kBest: break;  // handled above
+    case RouterKind::kXY: return route_xy(topology, comms);
+    case RouterKind::kSG: return route_sg(topology, comms);
+    case RouterKind::kIG: return route_ig(topology, comms, model);
+    case RouterKind::kTB: return route_tb(topology, comms, model);
+    case RouterKind::kXYI: return route_xyi(topology, comms, model, stats);
+    case RouterKind::kPR: return route_pr(topology, comms, model, stats);
+    case RouterKind::kBest: break;
   }
-  RouteResult result =
-      finish(topology, comms, model, std::move(routing), timer.elapsed_ms());
-  result.local_search = stats;
-  return result;
+  PAMR_CHECK(false, "no analogue routing for this router kind");
+  return {};  // unreachable
 }
 
 }  // namespace topo

@@ -1,25 +1,21 @@
-// Routing policies over an arbitrary Topology. route_on is the library's one
-// routing dispatcher: exp::run_instance routes every instance through it,
-// whatever the topology.
+// The policy analogues: what each RouterKind does on a topology other than
+// the Mesh. Router::route (routing/router.hpp) is the one routing entry; on
+// the Mesh it runs the original §5 policies, and elsewhere the portfolio
+// routers run analogue_routing through their default route_analogue.
 //
 // The §5 heuristics were written against the rectangular mesh and its
-// Manhattan-rectangle geometry; this layer gives every RouterKind a meaning
-// on any Topology:
-//
-//  * rect — forwarded, goal and workspace included, to the shared original
-//    routers (shared_router) on Topology::as_mesh(), the Mesh itself, so
-//    rectangular results are those of routing the Mesh directly.
-//  * torus/diag — deterministic topology-generic analogues built from the
-//    Topology primitives (next_steps / canonical_path / distance), with
-//    every tie-break pinned: XY routes canonically; SG walks hop-by-hop onto
-//    the least-loaded next step; IG walks onto the cheapest LoadCost delta;
-//    TB picks the cheapest path among the ≤2-direction-change enumeration;
-//    XYI starts from the canonical routing and re-picks strictly improving
-//    ≤2-change paths per communication; PR unloads the most-loaded link by
-//    rerouting its heaviest crossing communication; BEST keeps the valid
-//    minimum-power result of the six. They ignore the goal (they always
-//    return the full routing) and the workspace, and each call is timed in
-//    its policy's phase.route.<policy> timer, like the rect routers.
+// Manhattan-rectangle geometry; the analogues are deterministic,
+// topology-generic versions built from the Topology primitives
+// (next_steps / canonical_path / distance), with every tie-break pinned: XY
+// routes canonically; SG walks hop-by-hop onto the least-loaded next step;
+// IG walks onto the cheapest LoadCost delta; TB picks the cheapest path
+// among the ≤2-direction-change enumeration; XYI starts from the canonical
+// routing and re-picks strictly improving ≤2-change paths per
+// communication; PR unloads the most-loaded link by rerouting its heaviest
+// crossing communication. BEST runs its one loop over the six on any
+// topology. The analogues ignore the goal (they always return the full
+// routing) and build in their own buffers; Router::route times each call in
+// its policy's phase.route.<policy> timer, as on the Mesh.
 #pragma once
 
 #include <vector>
@@ -41,20 +37,14 @@ namespace topo {
 [[nodiscard]] std::vector<Path> two_change_paths(const Topology& topology,
                                                  Coord src, Coord snk);
 
-/// Routes `comms` on `topology` with the policy analogue of `kind`.
-/// Validates the communication set first (throws std::logic_error on
-/// malformed input); a deterministic function of its arguments. For the
-/// rectangular topology this is exactly shared_router(kind).route on the
-/// Mesh. This form builds a call-local RouteWorkspace.
-[[nodiscard]] RouteResult route_on(const Topology& topology, RouterKind kind,
-                                   const CommSet& comms, const PowerModel& model,
-                                   RouteGoal goal = RouteGoal::kRouting);
-
-/// The same on a caller-owned workspace (routing/workspace.hpp), which the
-/// rect routers reuse; the result is bit-identical to the form above.
-[[nodiscard]] RouteResult route_on(const Topology& topology, RouterKind kind,
-                                   const CommSet& comms, const PowerModel& model,
-                                   RouteGoal goal, RouteWorkspace& workspace);
+/// The routing `kind`'s analogue builds for `comms` on `topology`, where
+/// `kind` is one of the six base policies (CHECKed) and `comms` has passed
+/// check_comm_set. XYI and PR record their moves in `stats`. A
+/// deterministic function of its arguments; on the Mesh it gives the
+/// analogue, not the §5 policy.
+[[nodiscard]] Routing analogue_routing(const Topology& topology, RouterKind kind,
+                                       const CommSet& comms, const PowerModel& model,
+                                       LocalSearchStats& stats);
 
 }  // namespace topo
 }  // namespace pamr

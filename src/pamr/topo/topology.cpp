@@ -84,21 +84,11 @@ Topology::Topology(TopoKind kind, std::int32_t p, std::int32_t q, std::int32_t n
 }
 
 LinkId Topology::link_from(Coord from, std::int32_t dir) const {
-  PAMR_CHECK(contains(from), "core outside topology");
   PAMR_CHECK(dir >= 0 && dir < num_dirs_, "direction out of range");
+  if (!contains(from)) return kInvalidLink;
   return link_of_core_dir_[static_cast<std::size_t>(core_index(from)) *
                                static_cast<std::size_t>(num_dirs_) +
                            static_cast<std::size_t>(dir)];
-}
-
-LinkId Topology::link_between(Coord from, Coord to) const {
-  PAMR_CHECK(contains(from) && contains(to), "link endpoints outside topology");
-  for (std::int32_t dir = 0; dir < num_dirs_; ++dir) {
-    const LinkId id = link_from(from, dir);
-    if (id != kInvalidLink && links_[static_cast<std::size_t>(id)].to == to) return id;
-  }
-  PAMR_CHECK(false, "cores are not neighbours in this topology");
-  return kInvalidLink;  // unreachable
 }
 
 std::string Topology::describe_link(LinkId id) const {

@@ -109,15 +109,9 @@ class Topology {
 
   /// The link leaving `from` in direction `dir`, or kInvalidLink where the
   /// topology has none (mesh boundary; torus self-links on a dimension-1
-  /// axis).
+  /// axis) or `from` lies outside it — the answer of Mesh's LinkDir
+  /// overload too. CHECKs that `dir` indexes the direction table.
   [[nodiscard]] LinkId link_from(Coord from, std::int32_t dir) const;
-
-  /// The first link (in direction order) from `from` to the neighbouring
-  /// core `to`; CHECKs that one exists. On a dimension-2 torus axis two
-  /// links connect the same pair — path construction therefore works with
-  /// explicit TopoSteps, not core pairs; this lookup is a convenience for
-  /// tests and diagnostics.
-  [[nodiscard]] LinkId link_between(Coord from, Coord to) const;
 
   [[nodiscard]] std::string describe_link(LinkId id) const;
 
@@ -146,15 +140,15 @@ class Topology {
   /// is deadlock-free when hop h of a path runs on VC class vc_classes(path)[h]:
   /// within one class every dependency strictly increases a potential, and
   /// class transitions only move up a fixed class order (see
-  /// topo/validate.hpp's machine check). rect/diag use the 4 quadrant
+  /// routing/deadlock.hpp's machine check, verify_vc_acyclic). rect/diag use the 4 quadrant
   /// classes; the torus uses quadrant × (wrapped-u?, wrapped-v?) = 16 with a
   /// dateline-style class bump after each wrap link.
   [[nodiscard]] virtual std::int32_t num_vc_classes() const noexcept = 0;
   [[nodiscard]] virtual std::vector<std::int32_t> vc_classes(const Path& path) const = 0;
 
   /// This topology as the Mesh when it is the rectangular one — the hook
-  /// the router layer uses to run the original §5 policies. Null for every
-  /// other topology.
+  /// Router::route uses to run the original §5 policies (and their
+  /// analogues everywhere else). Null for every other topology.
   [[nodiscard]] virtual const Mesh* as_mesh() const noexcept { return nullptr; }
 
  protected:

@@ -49,12 +49,12 @@ inline void resort(std::vector<LinkId>& order, const LinkLoads& loads) {
 /// cut of its sub-rectangle for the cheapest link.
 class ImprovedGreedyRouter final : public Router {
  public:
-  [[nodiscard]] const char* name() const noexcept override { return "IG"; }
+  ImprovedGreedyRouter() noexcept : Router(RouterKind::kIG) {}
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
                                        const PowerModel& model, RouteGoal /*goal*/,
-                                       RouteWorkspace& /*workspace*/) const override {
+                                       RouteWorkspace& workspace) const override {
     const WallTimer timer;
     const LoadCost cost(model);
     LinkLoads loads(mesh);
@@ -101,7 +101,7 @@ class ImprovedGreedyRouter final : public Router {
     }
 
     return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),
-                  timer.elapsed_ms());
+                  timer.elapsed_ms(), workspace);
   }
 
  private:
@@ -141,14 +141,14 @@ class ImprovedGreedyRouter final : public Router {
 /// candidate rotation is materialized and costed link by link.
 class XYImproverRouter final : public Router {
  public:
-  [[nodiscard]] const char* name() const noexcept override { return "XYI"; }
+  XYImproverRouter() noexcept : Router(RouterKind::kXYI) {}
 
   void set_trace(XyiTrace* trace) noexcept { trace_ = trace; }
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
                                        const PowerModel& model, RouteGoal /*goal*/,
-                                       RouteWorkspace& /*workspace*/) const override {
+                                       RouteWorkspace& workspace) const override {
     const WallTimer timer;
     const LoadCost cost(model);
 
@@ -207,7 +207,7 @@ class XYImproverRouter final : public Router {
     }
     RouteResult result = finish(mesh, comms, model,
                                 make_single_path_routing(comms, std::move(final_paths)),
-                                timer.elapsed_ms());
+                                timer.elapsed_ms(), workspace);
     xyi::finish_search_stats(result, mesh, comms.size(), moves, cap);
     return result;
   }
@@ -323,14 +323,14 @@ class XYImproverRouter final : public Router {
 /// reachability prune.
 class PathRemoverRouter final : public Router {
  public:
-  [[nodiscard]] const char* name() const noexcept override { return "PR"; }
+  PathRemoverRouter() noexcept : Router(RouterKind::kPR) {}
 
   void set_trace(PrTrace* trace) noexcept { trace_ = trace; }
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
                                        const PowerModel& model, RouteGoal /*goal*/,
-                                       RouteWorkspace& /*workspace*/) const override {
+                                       RouteWorkspace& workspace) const override {
     const WallTimer timer;
     LinkLoads loads(mesh);
     std::vector<CommState> states;
@@ -398,7 +398,7 @@ class PathRemoverRouter final : public Router {
       }
     }
     return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),
-                  timer.elapsed_ms());
+                  timer.elapsed_ms(), workspace);
   }
 
  private:

@@ -2,7 +2,7 @@
 // deadlock avoidance technique is used"): channel dependency graphs, cycle
 // detection, XY's turn-model freedom, a hand-built Manhattan deadlock, and
 // the quadrant virtual-channel theorem, machine-checked by
-// topo::verify_vc_acyclic on the rectangular topology.
+// verify_vc_acyclic on the rectangular topology.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include "pamr/comm/generator.hpp"
 #include "pamr/routing/deadlock.hpp"
 #include "pamr/routing/routers.hpp"
-#include "pamr/topo/validate.hpp"
 
 namespace pamr {
 namespace {
@@ -112,7 +111,7 @@ TEST(Deadlock, QuadrantVcMakesTheRingSafe) {
               std::vector<std::int32_t>(path.links.size(), quadrant));
   }
   const Routing routing = make_single_path_routing(comms, std::move(paths));
-  EXPECT_TRUE(topo::verify_vc_acyclic(mesh, routing));
+  EXPECT_TRUE(verify_vc_acyclic(mesh, routing));
 }
 
 TEST(Deadlock, QuadrantVcHoldsForEveryHeuristicRouting) {
@@ -131,7 +130,7 @@ TEST(Deadlock, QuadrantVcHoldsForEveryHeuristicRouting) {
     for (const RouterKind kind : all_base_routers()) {
       const RouteResult result = make_router(kind)->route(mesh, comms, model);
       ASSERT_TRUE(result.routing.has_value());
-      EXPECT_TRUE(topo::verify_vc_acyclic(mesh, *result.routing))
+      EXPECT_TRUE(verify_vc_acyclic(mesh, *result.routing))
           << to_cstring(kind);
     }
   }

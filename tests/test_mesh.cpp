@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -70,11 +71,29 @@ TEST(Mesh, BordersHaveNoOutgoingLinks) {
   EXPECT_EQ(mesh.link_from({2, 2}, LinkDir::kEast), kInvalidLink);
 }
 
-TEST(Mesh, SuccessorCounts) {
-  const Mesh mesh(3, 3);
-  EXPECT_EQ(mesh.successors({0, 0}).size(), 2u);  // corner
-  EXPECT_EQ(mesh.successors({0, 1}).size(), 3u);  // edge
-  EXPECT_EQ(mesh.successors({1, 1}).size(), 4u);  // interior
+TEST(Mesh, LinkFromGivesOneAnswerThroughBothOverloads) {
+  // The Mesh's inline LinkDir overload and the Topology's direction-index
+  // overload answer alike: the link, or kInvalidLink at the boundary and
+  // for a core outside the mesh (CrossingIndex::note_load_change relies on
+  // the latter).
+  const std::int32_t p = 3;
+  const std::int32_t q = 4;
+  const Mesh mesh(p, q);
+  const topo::Topology& topology = mesh;
+  std::vector<Coord> cores = {{-1, 0}, {p, 0}, {0, -1}, {0, q}};
+  for (std::int32_t c = 0; c < mesh.num_cores(); ++c) cores.push_back(mesh.core_coord(c));
+  for (const Coord core : cores) {
+    for (int d = 0; d < kNumLinkDirs; ++d) {
+      const LinkId by_dir = mesh.link_from(core, static_cast<LinkDir>(d));
+      EXPECT_EQ(topology.link_from(core, d), by_dir) << to_string(core) << " dir " << d;
+      if (!mesh.contains(core)) {
+        EXPECT_EQ(by_dir, kInvalidLink) << to_string(core);
+      }
+    }
+  }
+  // An out-of-range direction index is still a caller bug.
+  EXPECT_THROW((void)topology.link_from({0, 0}, kNumLinkDirs), std::logic_error);
+  EXPECT_THROW((void)topology.link_from({0, 0}, -1), std::logic_error);
 }
 
 TEST(Mesh, MeshesOfOneShapeShareTheirLinkTables) {

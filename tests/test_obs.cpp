@@ -24,8 +24,9 @@
 #include "pamr/dist/coordinator.hpp"
 #include "pamr/dist/protocol.hpp"
 #include "pamr/obs/obs.hpp"
+#include "pamr/routing/router.hpp"
 #include "pamr/scenario/suite_runner.hpp"
-#include "pamr/topo/topo_router.hpp"
+#include "pamr/topo/topology.hpp"
 #include "suite_diff.hpp"
 
 namespace pamr {
@@ -200,19 +201,29 @@ TEST_F(ObsTest, DisabledRegistryRecordsNothing) {
 TEST_F(ObsTest, TopologyRoutingIsTimedPerPolicy) {
   // Torus and diag calls go to their policy's phase.route.<policy> timer,
   // as rect calls do; phase.route.other is left to the extension routers.
+  // A BEST call is timed once as BEST and once per base policy it runs.
   const PowerModel model = PowerModel::paper_discrete();
   const CommSet comms{{{0, 0}, {2, 3}, 500.0}, {{3, 1}, {0, 2}, 700.0},
                       {{1, 3}, {3, 0}, 300.0}};
+  std::vector<RouterKind> routers = all_base_routers();
+  routers.push_back(RouterKind::kBest);
   for (const topo::TopoKind kind : {topo::TopoKind::kTorus, topo::TopoKind::kDiag}) {
     const auto topology = topo::make_topology(kind, 4, 4);
-    for (const RouterKind router : all_base_routers()) {
+    for (const RouterKind router : routers) {
       reset();
-      (void)topo::route_on(*topology, router, comms, model);
+      (void)shared_router(router).route(*topology, comms, model);
       const Snapshot snap = snapshot();
-      const Metric phase = route_phase(to_cstring(router));
       const std::string call = std::string(topology->name()) + "/" + to_cstring(router);
-      EXPECT_EQ(snap.timer_calls(phase), 1u) << call;
-      EXPECT_GT(snap.timer_ns(phase), 0u) << call;
+      for (const RouterKind timed : routers) {
+        const Metric phase = route_phase(to_cstring(timed));
+        const bool runs = timed == router || router == RouterKind::kBest;
+        EXPECT_EQ(snap.timer_calls(phase), runs ? 1u : 0u) << call << " " << to_cstring(timed);
+        if (runs) {
+          EXPECT_GT(snap.timer_ns(phase), 0u) << call << " " << to_cstring(timed);
+        }
+      }
+      EXPECT_EQ(snap.counter(Metric::kRouteCalls), router == RouterKind::kBest ? 7u : 1u)
+          << call;
       EXPECT_EQ(snap.timer_calls(Metric::kPhaseRouteOther), 0u) << topology->name();
       EXPECT_EQ(snap.timer_ns(Metric::kPhaseRouteOther), 0u) << topology->name();
     }

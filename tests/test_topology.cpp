@@ -12,12 +12,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "pamr/routing/deadlock.hpp"
+#include "pamr/routing/extensions.hpp"
 #include "pamr/routing/path.hpp"
 #include "pamr/routing/router.hpp"
 #include "pamr/routing/validate.hpp"
@@ -25,7 +27,6 @@
 #include "pamr/scenario/registry.hpp"
 #include "pamr/topo/topo_router.hpp"
 #include "pamr/topo/topologies.hpp"
-#include "pamr/topo/validate.hpp"
 #include "suite_diff.hpp"
 
 namespace pamr {
@@ -117,8 +118,6 @@ TEST(TorusTopology, DegenerateAxes) {
   ASSERT_NE(west, kInvalidLink);
   EXPECT_NE(east, west);  // parallel links, same endpoints
   EXPECT_EQ(narrow.link(east).to, narrow.link(west).to);
-  // link_between resolves to the first in direction order (East).
-  EXPECT_EQ(narrow.link_between({0, 0}, {0, 1}), east);
 }
 
 TEST(DiagTopology, DirectionTableAndDistance) {
@@ -319,7 +318,7 @@ TEST(TopoValidate, RoutedInstancesAreVcDeadlockFree) {
     const auto topology = make_topology(kind, 6, 6);
     const CommSet comms = small_workload(6, 6, 20);
     for (const RouterKind router : all_base_routers()) {
-      const RouteResult result = route_on(*topology, router, comms, model);
+      const RouteResult result = shared_router(router).route(*topology, comms, model);
       ASSERT_TRUE(result.routing.has_value());
       const ValidationResult structure =
           validate_structure(*topology, comms, *result.routing);
@@ -348,14 +347,7 @@ TEST(TopoValidate, TorusAllEastRingNeedsTheDatelineClasses) {
   }
   ASSERT_TRUE(validate_structure(topology, comms, routing).ok);
   // Single physical channel: the ring deadlocks (Dally & Seitz cycle).
-  ChannelDependencyGraph single(static_cast<std::size_t>(topology.num_links()));
-  for (const CommRouting& routed : routing.per_comm) {
-    const Path& path = routed.flows.front().path;
-    for (std::size_t h = 0; h + 1 < path.links.size(); ++h) {
-      single[static_cast<std::size_t>(path.links[h])].push_back(path.links[h + 1]);
-    }
-  }
-  EXPECT_TRUE(find_dependency_cycle(single).has_value());
+  EXPECT_TRUE(has_deadlock_risk(topology, routing));
   // With the topology's VC classes the expanded graph is acyclic.
   EXPECT_TRUE(verify_vc_acyclic(topology, routing));
 }
@@ -363,60 +355,51 @@ TEST(TopoValidate, TorusAllEastRingNeedsTheDatelineClasses) {
 // -- The generic policy analogues --------------------------------------------
 
 TEST(TopoRouter, RectDelegationIsBitIdentical) {
-  const auto topology = make_topology(TopoKind::kRect, 6, 6);
+  // Router::route on the rect topology, seen as a const Topology& from
+  // make_topology, runs the §5 policies themselves: every result equals
+  // routing a directly built Mesh, under both goals, with one workspace
+  // reused by every call of both sides.
+  const std::unique_ptr<const Topology> topology = make_topology(TopoKind::kRect, 6, 6);
   const Mesh mesh(6, 6);
   const PowerModel model = PowerModel::paper_discrete();
   const CommSet comms = small_workload(6, 6, 18);
-  for (const RouterKind kind :
-       {RouterKind::kXY, RouterKind::kSG, RouterKind::kIG, RouterKind::kTB,
-        RouterKind::kXYI, RouterKind::kPR, RouterKind::kBest}) {
-    const RouteResult ours = route_on(*topology, kind, comms, model);
-    const RouteResult theirs = make_router(kind)->route(mesh, comms, model);
-    EXPECT_EQ(ours.valid, theirs.valid) << to_cstring(kind);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ours.power),
-              std::bit_cast<std::uint64_t>(theirs.power))
-        << to_cstring(kind);
-    ASSERT_TRUE(ours.routing.has_value());
-    ASSERT_TRUE(theirs.routing.has_value());
-    for (std::size_t i = 0; i < comms.size(); ++i) {
-      EXPECT_EQ(ours.routing->per_comm[i].flows.front().path,
-                theirs.routing->per_comm[i].flows.front().path)
-          << to_cstring(kind) << " comm " << i;
-    }
-  }
-
-  // The goal and the workspace reach the rect routers: on an overloaded
-  // workload, kVerdict calls on one reused workspace return what the
-  // routers return for them, abandoned calls (no routing) included.
+  // On the overloaded workload kVerdict calls may be abandoned (no routing).
   CommSet heavy = comms;
   for (Communication& comm : heavy) comm.weight *= 4.0;
-  RouteWorkspace ours_workspace;
-  RouteWorkspace theirs_workspace;
+  RouteWorkspace workspace;
   std::size_t abandoned = 0;
-  for (int round = 0; round < 2; ++round) {
-    for (const RouterKind kind : all_base_routers()) {
-      RouteResult ours =
-          route_on(*topology, kind, heavy, model, RouteGoal::kVerdict, ours_workspace);
-      RouteResult theirs = make_router(kind)->route(mesh, heavy, model,
-                                                    RouteGoal::kVerdict, theirs_workspace);
-      EXPECT_EQ(ours.valid, theirs.valid) << to_cstring(kind);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(ours.power),
-                std::bit_cast<std::uint64_t>(theirs.power))
-          << to_cstring(kind);
-      ASSERT_EQ(ours.routing.has_value(), theirs.routing.has_value()) << to_cstring(kind);
-      if (theirs.routing.has_value()) {
-        for (std::size_t i = 0; i < heavy.size(); ++i) {
-          EXPECT_EQ(ours.routing->per_comm[i].flows.front().path,
-                    theirs.routing->per_comm[i].flows.front().path)
-              << to_cstring(kind) << " comm " << i;
+  const std::pair<RouteGoal, const CommSet*> calls[] = {{RouteGoal::kRouting, &comms},
+                                                        {RouteGoal::kVerdict, &heavy}};
+  for (const auto& [goal, workload] : calls) {
+    for (int round = 0; round < 2; ++round) {
+      for (const RouterKind kind :
+           {RouterKind::kXY, RouterKind::kSG, RouterKind::kIG, RouterKind::kTB,
+            RouterKind::kXYI, RouterKind::kPR, RouterKind::kBest}) {
+        RouteResult ours =
+            shared_router(kind).route(*topology, *workload, model, goal, workspace);
+        RouteResult theirs = make_router(kind)->route(mesh, *workload, model, goal, workspace);
+        EXPECT_EQ(ours.valid, theirs.valid) << to_cstring(kind);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(ours.power),
+                  std::bit_cast<std::uint64_t>(theirs.power))
+            << to_cstring(kind);
+        EXPECT_EQ(ours.local_search.moves, theirs.local_search.moves) << to_cstring(kind);
+        ASSERT_EQ(ours.routing.has_value(), theirs.routing.has_value()) << to_cstring(kind);
+        if (theirs.routing.has_value()) {
+          for (std::size_t i = 0; i < workload->size(); ++i) {
+            EXPECT_EQ(ours.routing->per_comm[i].flows.front().path,
+                      theirs.routing->per_comm[i].flows.front().path)
+                << to_cstring(kind) << " comm " << i;
+          }
+        } else if (kind != RouterKind::kBest) {
+          ++abandoned;  // BEST has no routing when every policy fails
         }
-      } else {
-        ++abandoned;
+        workspace.recycle(ours);
+        workspace.recycle(theirs);
       }
-      ours_workspace.recycle(ours);
-      theirs_workspace.recycle(theirs);
     }
   }
+  // Only the §5 policies abandon (the analogues ignore the goal), so this
+  // also pins that rect calls do not reach the analogues.
   EXPECT_GT(abandoned, 0u) << "no call was abandoned, so the goal went untested";
 }
 
@@ -449,8 +432,8 @@ TEST(TopoRouter, AnaloguesAreDeterministicAndOrdered) {
     const auto topology = make_topology(kind, 6, 6);
     const CommSet comms = small_workload(6, 6, 24);
     for (const RouterKind router : all_base_routers()) {
-      const RouteResult a = route_on(*topology, router, comms, model);
-      const RouteResult b = route_on(*topology, router, comms, model);
+      const RouteResult a = shared_router(router).route(*topology, comms, model);
+      const RouteResult b = shared_router(router).route(*topology, comms, model);
       ASSERT_TRUE(a.routing.has_value());
       ASSERT_TRUE(b.routing.has_value());
       EXPECT_EQ(std::bit_cast<std::uint64_t>(a.power),
@@ -462,11 +445,11 @@ TEST(TopoRouter, AnaloguesAreDeterministicAndOrdered) {
       }
     }
     // BEST is the min-power valid base result.
-    const RouteResult best = route_on(*topology, RouterKind::kBest, comms, model);
+    const RouteResult best = shared_router(RouterKind::kBest).route(*topology, comms, model);
     double min_power = 0.0;
     bool any = false;
     for (const RouterKind router : all_base_routers()) {
-      const RouteResult result = route_on(*topology, router, comms, model);
+      const RouteResult result = shared_router(router).route(*topology, comms, model);
       if (!result.valid) continue;
       if (!any || result.power < min_power) min_power = result.power;
       any = true;
@@ -483,11 +466,38 @@ TEST(TopoRouter, MalformedInputThrowsForEveryTopology) {
   for (const TopoKind kind : {TopoKind::kRect, TopoKind::kTorus, TopoKind::kDiag}) {
     const auto topology = make_topology(kind, 4, 4);
     const CommSet self = {Communication{{1, 1}, {1, 1}, 100.0}};
-    EXPECT_THROW((void)route_on(*topology, RouterKind::kXY, self, model),
+    EXPECT_THROW((void)shared_router(RouterKind::kXY).route(*topology, self, model),
                  std::logic_error);
     const CommSet outside = {Communication{{0, 0}, {9, 0}, 100.0}};
-    EXPECT_THROW((void)route_on(*topology, RouterKind::kSG, outside, model),
+    EXPECT_THROW((void)shared_router(RouterKind::kSG).route(*topology, outside, model),
                  std::logic_error);
+  }
+}
+
+TEST(TopoRouter, ExtensionRoutersRouteOnRectOnly) {
+  // RR and SA have no analogue: on torus and diag the one entry throws,
+  // naming the policy and the topology; on rect they route as before.
+  const PowerModel model = PowerModel::paper_discrete();
+  const CommSet comms = small_workload(4, 4, 6);
+  const RipUpRerouteRouter rr;
+  const AnnealingRouter sa(AnnealingOptions{.iterations = 200});
+  for (const Router* router : {static_cast<const Router*>(&rr),
+                               static_cast<const Router*>(&sa)}) {
+    for (const TopoKind kind : {TopoKind::kTorus, TopoKind::kDiag}) {
+      const auto topology = make_topology(kind, 4, 4);
+      try {
+        (void)router->route(*topology, comms, model);
+        ADD_FAILURE() << router->name() << " routed on " << topology->name();
+      } catch (const std::logic_error& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(router->name()), std::string::npos) << what;
+        EXPECT_NE(what.find(topology->name()), std::string::npos) << what;
+      }
+    }
+    const auto rect = make_topology(TopoKind::kRect, 4, 4);
+    const RouteResult result = router->route(*rect, comms, model);
+    ASSERT_TRUE(result.routing.has_value()) << router->name();
+    EXPECT_TRUE(validate_structure(*rect, comms, *result.routing).ok) << router->name();
   }
 }
 
