@@ -25,14 +25,11 @@ void CrossingIndex::reset(const Mesh& mesh, std::size_t num_comms) {
   epoch_ = 1;
   sealed_ = false;
   const auto links = static_cast<std::size_t>(mesh.num_links());
-  const auto cores = static_cast<std::size_t>(mesh.num_cores());
   member_seg_.assign(links, Segment{});
   member_data_.clear();
   slot_data_.clear();
-  visitor_seg_.assign(cores, Segment{});
-  visitor_data_.clear();
   comm_stamp_.assign(num_comms, 1);  // ≥ 1, so never-computed slots (stamp 0) are stale
-  core_mark_.assign(cores, 0);
+  link_epoch_.assign(links, 0);
   fold_best_.assign(links, xyi::Candidate{});
   fold_comm_.assign(links, 0);
   fold_stamp_.assign(links, 0);
@@ -41,12 +38,23 @@ void CrossingIndex::reset(const Mesh& mesh, std::size_t num_comms) {
   v_pair_base_ = mesh.p() + 2 * mesh.q();
   lane_epoch_.assign(static_cast<std::size_t>(2 * (mesh.p() + mesh.q())), 0);
   band_ref_.assign(links, BandRef{});
+  reach_.assign(links, Reach{});
   // Precompute each link's fold band (see fold_valid): for a horizontal
   // link in row u, the h_row lanes u-1..u+1 and the v_pair row pairs
   // (u-1, u) and (u, u+1), clamped to the mesh; columns mirror for
-  // vertical links.
+  // vertical links. And its read-window neighbours (see slot_fresh), which
+  // link_from answers with kInvalidLink past the boundary.
   for (std::int32_t l = 0; l < mesh.num_links(); ++l) {
     const LinkInfo& info = mesh.link(static_cast<LinkId>(l));
+    Reach& reach = reach_[static_cast<std::size_t>(l)];
+    const std::array<LinkDir, 2> sides =
+        info.horizontal() ? std::array<LinkDir, 2>{LinkDir::kNorth, LinkDir::kSouth}
+                          : std::array<LinkDir, 2>{LinkDir::kWest, LinkDir::kEast};
+    for (std::size_t s = 0; s < sides.size(); ++s) {
+      reach.lane[s] = mesh.link_from(step(info.from, sides[s]), info.dir);
+      reach.out_of_from[s] = mesh.link_from(info.from, sides[s]);
+      reach.into_to[s] = mesh.link_from(step(info.to, opposite(sides[s])), sides[s]);
+    }
     BandRef& ref = band_ref_[static_cast<std::size_t>(l)];
     const auto push = [&ref](std::int32_t idx) {
       ref.idx[ref.n++] = static_cast<std::uint16_t>(idx);
@@ -77,9 +85,6 @@ void CrossingIndex::count_initial_path(std::span<const Coord> cores) {
     const LinkId link = mesh_->link_between(cores[k], cores[k + 1]);
     ++member_seg_[static_cast<std::size_t>(link)].cap;
   }
-  for (const Coord core : cores) {
-    ++visitor_seg_[static_cast<std::size_t>(mesh_->core_index(core))].cap;
-  }
 }
 
 void CrossingIndex::seal() {
@@ -92,13 +97,6 @@ void CrossingIndex::seal() {
   }
   member_data_.resize(next);
   slot_data_.resize(next);
-  next = 0;
-  for (Segment& seg : visitor_seg_) {
-    seg.begin = next;
-    seg.cap += kListSlack;
-    next += seg.cap;
-  }
-  visitor_data_.resize(next);
   sealed_ = true;
 }
 
@@ -110,9 +108,6 @@ void CrossingIndex::add_initial_path(std::uint32_t comm, std::span<const Coord> 
     const Segment& seg = member_seg_[static_cast<std::size_t>(link)];
     PAMR_ASSERT(seg.size == 0 || member_data_[seg.begin + seg.size - 1] < comm);
     insert_member(link, comm);
-  }
-  for (const Coord core : cores) {
-    push_visitor(static_cast<std::size_t>(mesh_->core_index(core)), comm);
   }
 }
 
@@ -126,17 +121,6 @@ void CrossingIndex::reserve_member(LinkId link) {
   slot_data_.resize(begin + cap);
   std::copy_n(member_data_.begin() + seg.begin, seg.size, member_data_.begin() + begin);
   std::copy_n(slot_data_.begin() + seg.begin, seg.size, slot_data_.begin() + begin);
-  seg.begin = begin;
-  seg.cap = cap;
-}
-
-void CrossingIndex::reserve_visitor(std::size_t idx) {
-  Segment& seg = visitor_seg_[idx];
-  if (seg.size < seg.cap) return;
-  const std::uint32_t cap = std::max(kMinMovedCap, 2 * seg.cap);
-  const auto begin = static_cast<std::uint32_t>(visitor_data_.size());
-  visitor_data_.resize(begin + cap);
-  std::copy_n(visitor_data_.begin() + seg.begin, seg.size, visitor_data_.begin() + begin);
   seg.begin = begin;
   seg.cap = cap;
 }
@@ -174,23 +158,6 @@ void CrossingIndex::erase_member(LinkId link, std::uint32_t comm) {
   --seg.size;
 }
 
-void CrossingIndex::push_visitor(std::size_t idx, std::uint32_t comm) {
-  reserve_visitor(idx);
-  Segment& seg = visitor_seg_[idx];
-  visitor_data_[seg.begin + seg.size++] = comm;
-}
-
-/// Visitor lists are unordered: order is irrelevant for stamping, so
-/// removal is a swap with the back.
-void CrossingIndex::erase_visitor(std::size_t idx, std::uint32_t comm) {
-  Segment& seg = visitor_seg_[idx];
-  std::uint32_t* list = visitor_data_.data() + seg.begin;
-  std::uint32_t* const at = std::find(list, list + seg.size, comm);
-  PAMR_ASSERT(at != list + seg.size);
-  *at = list[seg.size - 1];
-  --seg.size;
-}
-
 void CrossingIndex::touch_link_geometry(const LinkInfo& info) {
   if (info.horizontal()) {
     const auto row = static_cast<std::size_t>(info.from.u);
@@ -225,11 +192,6 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
     touch_link_geometry(mesh_->link(removed));
     touch_link_geometry(mesh_->link(added));
   }
-  for (std::size_t k = 0; k < before.size(); ++k) {
-    if (before[k] == after[k]) continue;
-    erase_visitor(static_cast<std::size_t>(mesh_->core_index(before[k])), comm);
-    push_visitor(static_cast<std::size_t>(mesh_->core_index(after[k])), comm);
-  }
 #if PAMR_CHECK_LEVEL >= 2
   // Paranoid: the rewritten window's member lists must still be strictly
   // ascending — the ascending walk is what reproduces the seed's
@@ -245,37 +207,9 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
 #endif
 }
 
-void CrossingIndex::stamp_core(Coord core) {
-  const auto idx = static_cast<std::size_t>(mesh_->core_index(core));
-  if (core_mark_[idx] == epoch_) return;  // already stamped under this move
-  core_mark_[idx] = epoch_;
-  const Segment& seg = visitor_seg_[idx];
-  for (std::uint32_t k = 0; k < seg.size; ++k) {
-    comm_stamp_[visitor_data_[seg.begin + k]] = epoch_;
-  }
-}
-
 void CrossingIndex::note_load_change(LinkId link) {
-  // The exact reader set of load(link), per the file comment's geometry:
-  //   * paths crossing the link itself (a removed-link term) — covered by
-  //     the endpoint visitors below;
-  //   * paths crossing a core of the link (the moved crossing step enters
-  //     or leaves the path there) — the endpoint visitors;
-  //   * paths one lane over whose shifted run would land on the link — the
-  //     members of the two lane-parallel links.
-  const LinkInfo& info = mesh_->link(link);
-  touch_link_geometry(info);
-  stamp_core(info.from);
-  stamp_core(info.to);
-  const auto lane_dirs = info.horizontal()
-                             ? std::array<LinkDir, 2>{LinkDir::kNorth, LinkDir::kSouth}
-                             : std::array<LinkDir, 2>{LinkDir::kEast, LinkDir::kWest};
-  for (const LinkDir lane : lane_dirs) {
-    const Coord from = step(info.from, lane);
-    const LinkId shifted = mesh_->link_from(from, info.dir);
-    if (shifted == kInvalidLink) continue;
-    for (const std::uint32_t comm : members(shifted)) comm_stamp_[comm] = epoch_;
-  }
+  link_epoch_[static_cast<std::size_t>(link)] = epoch_;
+  touch_link_geometry(mesh_->link(link));
 }
 
 }  // namespace pamr

@@ -7,41 +7,50 @@
 // scratch every round: a scan of every communication's full path per hot
 // link, re-done from the top of the link order after every move.
 //
-// CrossingIndex maintains four things under applied moves:
+// CrossingIndex maintains three things under applied moves:
 //
 //   * per-link member lists — the communications whose *current* path
 //     crosses the link, kept sorted by communication index so a walk
 //     reproduces the seed's ascending-ci candidate scan (and its
 //     first-candidate tie-break) exactly;
-//   * per-core visitor lists — the communications whose path visits the
-//     core, which is the reverse mapping needed for dirty stamping (below);
 //   * per-(link, member) evaluation slots — each member's cached best
-//     candidate rotation, revalidated by the comm-level stamp below;
+//     candidate rotation and the window it read, revalidated by the
+//     read-window rule below;
 //   * a per-link fold cache — the whole link's best (candidate, member)
 //     pair, reusable in O(1) while the link's three-lane band is untouched.
 //
-// The per-link member/slot lists and the per-core visitor lists live in
-// flat CSR arrays, built in two passes over the initial paths (count, then
-// add) with a little slack per list. A list that outgrows its slack moves
-// to the end of its array with doubled capacity, so a rewrite never
-// allocates once the arrays reached their high-water mark; reset() keeps
-// that capacity for the next route call.
+// The per-link member/slot lists live in flat CSR arrays, built in two
+// passes over the initial paths (count, then add) with a little slack per
+// list. A list that outgrows its slack moves to the end of its array with
+// doubled capacity, so a rewrite never allocates once the arrays reached
+// their high-water mark; reset() keeps that capacity for the next route
+// call.
 //
 // Two invalidation granularities keep the caches exact rather than
 // heuristic:
 //
-// 1. Comm-level stamps (per slot). Evaluating a hot link L reads, per
-//    crossing communication c: c's path (the rotation windows) and the
-//    loads of the candidate removed/added links. A candidate rotation's
-//    links are exactly (i) removed steps, which lie on c's path, (ii) the
-//    shifted run, whose links are one-lane parallels of path steps, and
-//    (iii) the moved crossing step, which has one endpoint on c's path.
-//    Inverting that: when the load of link ℓ changes, the communications
-//    whose cached evaluations could have read it are the visitors of ℓ's
-//    two endpoint cores (covers i and iii) plus the members of ℓ's two
-//    lane-parallel links (covers ii). A slot whose communication is older
-//    than every relevant stamp is therefore still exact; a stamp-dirtied
-//    one is re-evaluated whole (both rotations).
+// 1. Read windows (per slot). A slot's value, xyi::best_candidate of one
+//    member c at one hot link, depends only on c's path, c's weight and the
+//    loads of the links candidate_delta reads. The weight is fixed; every
+//    rewrite of c's path bumps c's stamp; every load change bumps the
+//    link's epoch (note_load_change). The slot records its xyi::Window, so
+//    it is fresh iff c is unrewritten since the slot's stamp and no link of
+//    that window's read set has an epoch past it. The read set, with path
+//    cores c[k], links l[k] = (c[k], c[k+1]), hot step pos and d the
+//    direction of the path's perpendicular steps:
+//      * backward candidate (has_prev), steps prev-1..pos rotated so the
+//        run l[prev..pos] shifts one lane against d: it removes
+//        l[prev-1..pos] and adds the -d lane-parallels of l[prev..pos]
+//        plus the d-link into c[pos+1], which closes the shifted run;
+//      * forward candidate (has_next), steps pos..next+1 rotated so the run
+//        l[pos..next] shifts one lane along d: it removes l[pos..next+1]
+//        and adds the d-link out of c[pos], which opens the shifted run,
+//        plus the +d lane-parallels of l[pos..next].
+//    Each added link's term reads its load (cost(load + w)) and cost_now,
+//    which the caller keeps equal to cost(load); each removed link's term
+//    reads the same two. Nothing else enters the delta. The lane-parallels
+//    and the hot link's d-links come from a per-link table built by
+//    reset(), so a check is a few flat reads per window step.
 //
 // 2. Lane-band epochs (per link). Every member's window around a
 //    horizontal link L in row u is a horizontal run in row u shifted to
@@ -68,11 +77,13 @@ namespace pamr {
 class CrossingIndex {
  public:
   /// Memoized per-(link, member) evaluation: the member's best candidate
-  /// rotation (xyi::best_candidate) at the loads of epoch `fresh_stamp`.
-  /// Stamp 0 = never computed (epochs start at 1).
+  /// rotation (xyi::best_candidate) at the loads of epoch `fresh_stamp`,
+  /// and the window that evaluation read. Stamp 0 = never computed (epochs
+  /// start at 1).
   struct Slot {
     xyi::Candidate best;
     std::uint64_t fresh_stamp = 0;
+    xyi::Window window;
   };
 
   /// An empty index; reset() prepares it for a mesh.
@@ -83,7 +94,7 @@ class CrossingIndex {
   /// count_initial_path for each, then add_initial_path for each.
   void reset(const Mesh& mesh, std::size_t num_comms);
 
-  /// Pass 1: counts the links and cores of one initial path.
+  /// Pass 1: counts the links of one initial path.
   void count_initial_path(std::span<const Coord> cores);
 
   /// Pass 2: registers a communication's initial path (as visited cores).
@@ -106,29 +117,55 @@ class CrossingIndex {
     return {slot_data_.data() + seg.begin, seg.size};
   }
 
-  /// True iff the slot (belonging to `comm`) still reflects the current
-  /// state: stamped at or past the comm's dirty stamp (which also implies
-  /// the path is unrewritten since, as a rewrite bumps the dirty stamp
-  /// too). fresh_stamp 0 (never computed) is always stale because comm
-  /// stamps start at 1.
-  [[nodiscard]] bool slot_fresh(const Slot& slot, std::uint32_t comm) const {
-    return slot.fresh_stamp >= comm_stamp_[comm];
+  /// True iff the slot of member `comm` at link `hot` still holds the
+  /// exact evaluation: `comm`'s path (link ids `path`) is unrewritten since
+  /// the slot was stamped and no link of its window's read set (see file
+  /// comment) changed load since. fresh_stamp 0 (never computed) is always
+  /// stale because comm stamps start at 1.
+  [[nodiscard]] bool slot_fresh(const Slot& slot, std::uint32_t comm, LinkId hot,
+                                std::span<const LinkId> path) const {
+    const std::uint64_t stamp = slot.fresh_stamp;
+    if (comm_stamp_[comm] > stamp) return false;
+    const auto changed = [&](LinkId link) {
+      return link_epoch_[static_cast<std::size_t>(link)] > stamp;
+    };
+    const xyi::Window& w = slot.window;
+    const std::size_t d = w.plus ? 1 : 0;  // side index of the perpendicular steps
+    const Reach& at_hot = reach_[static_cast<std::size_t>(hot)];
+    if (w.has_prev) {
+      if (changed(path[w.prev - 1]) || changed(at_hot.into_to[d])) return false;
+      for (std::size_t k = w.prev; k <= w.pos; ++k) {
+        const LinkId link = path[k];
+        if (changed(link) || changed(reach_[static_cast<std::size_t>(link)].lane[1 - d])) {
+          return false;
+        }
+      }
+    }
+    if (w.has_next) {
+      if (changed(path[w.next + 1]) || changed(at_hot.out_of_from[d])) return false;
+      for (std::size_t k = w.pos; k <= w.next; ++k) {
+        const LinkId link = path[k];
+        if (changed(link) || changed(reach_[static_cast<std::size_t>(link)].lane[d])) {
+          return false;
+        }
+      }
+    }
+    return true;
   }
 
   /// The stamp for slots recomputed now.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
   /// A move rewrote `comm`'s path from `before` to `after` (same length,
-  /// shared prefix/suffix): advances the move epoch, stamps `comm` dirty and
-  /// re-indexes exactly the changed window's links and cores.
+  /// shared prefix/suffix): advances the move epoch, stamps `comm`'s slots
+  /// stale and re-indexes exactly the changed window's links.
   void apply_rewrite(std::uint32_t comm, std::span<const Coord> before,
                      std::span<const Coord> after);
 
-  /// The stored load of `link` changed under the current move: stamps every
-  /// communication whose path passes within one hop of it (the set whose
-  /// cached evaluations could have read this load — see file comment) and
-  /// advances the link's band epochs. Call after apply_rewrite for each
-  /// link whose value actually changed.
+  /// The stored load of `link` changed under the current move: advances
+  /// the link's load epoch (which every slot whose window read the link
+  /// checks) and its band epochs. Call after apply_rewrite for each link
+  /// whose value actually changed.
   void note_load_change(LinkId link);
 
   /// True iff `link`'s cached fold (best candidate over all members) is
@@ -174,6 +211,18 @@ class CrossingIndex {
     std::uint16_t idx[5] = {0, 0, 0, 0, 0};
   };
 
+  /// The links one lane over from a link, per side of its perpendicular
+  /// axis (index 0 toward -u/-v, 1 toward +u/+v), for the read-window
+  /// check: `lane[s]` is the parallel link shifted toward side s,
+  /// `out_of_from[s]` the perpendicular link leaving `from` toward s, and
+  /// `into_to[s]` the perpendicular link heading toward s into `to`.
+  /// kInvalidLink past the mesh boundary, where no window reads.
+  struct Reach {
+    LinkId lane[2] = {kInvalidLink, kInvalidLink};
+    LinkId out_of_from[2] = {kInvalidLink, kInvalidLink};
+    LinkId into_to[2] = {kInvalidLink, kInvalidLink};
+  };
+
   /// One CSR list: entries [begin, begin + size) of its arrays, with room
   /// for `cap` before it must move.
   struct Segment {
@@ -186,14 +235,9 @@ class CrossingIndex {
   void seal();
   /// Makes room for one more member of `link`.
   void reserve_member(LinkId link);
-  /// Makes room for one more visitor of core `idx`.
-  void reserve_visitor(std::size_t idx);
   void insert_member(LinkId link, std::uint32_t comm);
   void erase_member(LinkId link, std::uint32_t comm);
-  void push_visitor(std::size_t idx, std::uint32_t comm);
-  void erase_visitor(std::size_t idx, std::uint32_t comm);
 
-  void stamp_core(Coord core);
   /// Stamps `info`'s band epochs at the current epoch — called for every
   /// load change and for every link entering or leaving a rewritten window
   /// (the latter unconditionally, so shape and membership changes
@@ -207,10 +251,9 @@ class CrossingIndex {
   std::vector<Segment> member_seg_;                    ///< link → its member list
   std::vector<std::uint32_t> member_data_;             ///< crossing comms, sorted
   std::vector<Slot> slot_data_;                        ///< parallel to member_data_
-  std::vector<Segment> visitor_seg_;                   ///< core → its visitor list
-  std::vector<std::uint32_t> visitor_data_;            ///< visiting comms, unordered
-  std::vector<std::uint64_t> comm_stamp_;              ///< comm → epoch last dirtied
-  std::vector<std::uint64_t> core_mark_;               ///< scratch: core stamped this epoch
+  std::vector<std::uint64_t> comm_stamp_;              ///< comm → epoch last rewritten
+  std::vector<std::uint64_t> link_epoch_;              ///< link → epoch of its last load change
+  std::vector<Reach> reach_;                           ///< link → its read-window neighbours
   // Per-link fold cache (see file comment).
   std::vector<xyi::Candidate> fold_best_;
   std::vector<std::uint32_t> fold_comm_;

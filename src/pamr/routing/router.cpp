@@ -47,7 +47,7 @@ RouteResult Router::route(const topo::Topology& topology, const CommSet& comms,
                  topology.name());
   check_comm_set(topology, comms);
   obs::bump(obs::Metric::kRouteCalls);
-  const obs::PhaseScope phase(obs::route_phase(name_));
+  const obs::PhaseScope phase(phase_);
   if (mesh == nullptr) return route_analogue(topology, comms, model, workspace);
   RouteResult result = route_impl(*mesh, comms, model, goal, workspace);
 #if PAMR_CHECK_LEVEL >= 2

@@ -17,6 +17,7 @@
 
 #include "pamr/comm/communication.hpp"
 #include "pamr/mesh/mesh.hpp"
+#include "pamr/obs/metrics.hpp"
 #include "pamr/power/power_model.hpp"
 #include "pamr/routing/routing.hpp"
 #include "pamr/routing/validate.hpp"
@@ -110,9 +111,11 @@ class Router {
  protected:
   /// A policy of the paper's portfolio, named after `kind`; on a topology
   /// other than the Mesh it runs `kind`'s analogue.
-  explicit Router(RouterKind kind) noexcept : name_(to_cstring(kind)), kind_(kind) {}
+  explicit Router(RouterKind kind) noexcept
+      : name_(to_cstring(kind)), phase_(obs::route_phase(name_)), kind_(kind) {}
   /// A policy outside the portfolio, which routes on the Mesh only.
-  explicit Router(const char* name) noexcept : name_(name) {}
+  explicit Router(const char* name) noexcept
+      : name_(name), phase_(obs::route_phase(name_)) {}
 
   /// Policy body on the Mesh; `comms` has already passed check_comm_set.
   /// Policies without per-call scratch ignore `workspace`.
@@ -147,6 +150,7 @@ class Router {
 
  private:
   const char* name_;
+  obs::Metric phase_;               ///< the phase timer of route calls
   std::optional<RouterKind> kind_;  ///< empty outside the portfolio
 };
 

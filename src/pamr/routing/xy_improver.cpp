@@ -47,10 +47,11 @@
 //     three-lane band is untouched reuses the cached result in O(1) —
 //     whether it found an improving move or not; when a link's band IS
 //     dirty and it is re-folded, each member's best candidate is cached
-//     per (link, member) slot and re-evaluated whole only once the
-//     member's comm-level stamp marks it dirty. The stamp and band rules
-//     make both caches exact, not heuristic — see crossing_index.hpp for
-//     the argument. The windowed allocation-free evaluation itself is
+//     per (link, member) slot with the window it read, and re-evaluated
+//     whole only once the member's path was rewritten or a link of that
+//     read window changed load. The read-window and band rules make both
+//     caches exact, not heuristic — see crossing_index.hpp for the
+//     argument. The windowed allocation-free evaluation itself is
 //     xy_moves.hpp's best_candidate.
 //
 // Load arithmetic follows the seed exactly: a move subtracts the weight
@@ -163,10 +164,11 @@ RouteResult XYImproverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
   // Recomputes one member's candidate from scratch, bypassing every cache.
   const auto fresh_candidate = [&](LinkId link, std::uint32_t ci) {
     const LinkInfo& info = mesh.link(link);
+    xyi::Window window;
     return xyi::best_candidate(mesh, cores_of(ci), path_links(ci),
                                xyi::known_crossing_position(cores_of(ci), info),
                                !info.horizontal(), comms[ci].weight, loads, cost,
-                               cost_now);
+                               cost_now, window);
   };
 #endif
 
@@ -208,20 +210,20 @@ RouteResult XYImproverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
 
       // Ascending-member scan with strict < (the seed's order and
       // tie-break), folding cached slots for fresh members and recomputing
-      // only the dirty ones.
+      // only the stale ones.
       const std::span<const std::uint32_t> member_list = crossings.members(hot);
       const std::span<CrossingIndex::Slot> slots = crossings.slots(hot);
       for (std::size_t m = 0; m < member_list.size(); ++m) {
         const std::uint32_t ci = member_list[m];
         CrossingIndex::Slot& slot = slots[m];
-        if (crossings.slot_fresh(slot, ci)) {
+        if (crossings.slot_fresh(slot, ci, hot, path_links(ci))) {
           ++n_hits;
         } else {
           ++n_misses;
           slot.best = xyi::best_candidate(
               mesh, cores_of(ci), path_links(ci),
               xyi::known_crossing_position(cores_of(ci), hot_info), hot_vertical,
-              comms[ci].weight, loads, cost, cost_now);
+              comms[ci].weight, loads, cost, cost_now, slot.window);
           slot.fresh_stamp = crossings.epoch();
         }
 #if PAMR_CHECK_LEVEL >= 2

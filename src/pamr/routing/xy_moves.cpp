@@ -17,28 +17,28 @@ bool step_is_vertical(std::span<const Coord> cores, std::size_t k) {
 
 /// The nearest perpendicular step on each side of the hot step `i`: the
 /// swap partners of the two candidate rotations.
-struct CandidateBounds {
-  bool has_prev = false;
-  std::size_t prev = 0;
-  bool has_next = false;
-  std::size_t next = 0;
-};
-
-CandidateBounds candidate_bounds(std::span<const Coord> cores, std::size_t i,
-                                 bool hot_vertical) {
-  CandidateBounds bounds;
+Window candidate_bounds(std::span<const Coord> cores, std::size_t i, bool hot_vertical) {
+  Window window;
+  window.pos = static_cast<std::uint32_t>(i);
   std::size_t prev = i;
   while (prev > 0 && step_is_vertical(cores, prev - 1) == hot_vertical) --prev;
-  bounds.prev = prev;
-  bounds.has_prev = prev > 0 && step_is_vertical(cores, prev - 1) != hot_vertical;
+  window.prev = static_cast<std::uint32_t>(prev);
+  window.has_prev = prev > 0 && step_is_vertical(cores, prev - 1) != hot_vertical;
   std::size_t next = i;
   while (next + 2 < cores.size() && step_is_vertical(cores, next + 1) == hot_vertical) {
     ++next;
   }
-  bounds.next = next;
-  bounds.has_next =
+  window.next = static_cast<std::uint32_t>(next);
+  window.has_next =
       next + 2 < cores.size() && step_is_vertical(cores, next + 1) != hot_vertical;
-  return bounds;
+  // A perpendicular step is a unit move along one axis: its coordinate
+  // deltas sum to +1 or -1.
+  const std::size_t perpendicular = window.has_prev ? prev - 1 : next + 1;
+  if (window.has_prev || window.has_next) {
+    window.plus = cores[perpendicular + 1].u - cores[perpendicular].u +
+                      cores[perpendicular + 1].v - cores[perpendicular].v > 0;
+  }
+  return window;
 }
 
 /// Windowed evaluation of one candidate rotation: the rotated run is the
@@ -87,8 +87,9 @@ double candidate_delta(const Mesh& mesh, std::span<const Coord> cores,
 Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
                          std::span<const LinkId> links, std::size_t pos,
                          bool hot_vertical, double weight, const LinkLoads& loads,
-                         const LoadCost& cost, std::span<const double> cost_now) {
-  const CandidateBounds bounds = candidate_bounds(cores, pos, hot_vertical);
+                         const LoadCost& cost, std::span<const double> cost_now,
+                         Window& window) {
+  window = candidate_bounds(cores, pos, hot_vertical);
   Candidate best;
   const auto consider = [&](std::size_t j, std::size_t i, bool forward) {
     const double delta =
@@ -105,11 +106,11 @@ Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
   // source side for vertical hot links, sink side for horizontal ones
   // (ties keep the first candidate).
   if (hot_vertical) {
-    if (bounds.has_prev) consider(bounds.prev - 1, pos, /*forward=*/false);
-    if (bounds.has_next) consider(pos, bounds.next + 1, /*forward=*/true);
+    if (window.has_prev) consider(window.prev - 1, pos, /*forward=*/false);
+    if (window.has_next) consider(pos, window.next + 1, /*forward=*/true);
   } else {
-    if (bounds.has_next) consider(pos, bounds.next + 1, /*forward=*/true);
-    if (bounds.has_prev) consider(bounds.prev - 1, pos, /*forward=*/false);
+    if (window.has_next) consider(pos, window.next + 1, /*forward=*/true);
+    if (window.has_prev) consider(window.prev - 1, pos, /*forward=*/false);
   }
   return best;
 }

@@ -43,6 +43,23 @@ struct Candidate {
   bool forward = false;
 };
 
+/// The read window of one best_candidate evaluation, in the path's step
+/// indices: the hot step `pos` and the nearest perpendicular steps around
+/// it, `prev - 1` (the backward candidate's swap partner, when `has_prev`)
+/// and `next + 1` (the forward one's, when `has_next`). `plus` is the
+/// direction of the path's perpendicular steps — toward +u or +v — which a
+/// monotone staircase shares among all of them. With the path's link ids
+/// and loads, it determines exactly which loads the evaluation read (see
+/// crossing_index.hpp).
+struct Window {
+  std::uint32_t pos = 0;
+  std::uint32_t prev = 0;
+  std::uint32_t next = 0;
+  bool has_prev = false;
+  bool has_next = false;
+  bool plus = false;
+};
+
 /// Index of the step of `cores` traversing the hot link, for a path *known*
 /// to cross it (e.g. taken from a CrossingIndex member list), in O(1)
 /// instead of a path scan: every XYI path is a monotone staircase (the
@@ -72,12 +89,12 @@ struct Candidate {
 /// bits are the same double either way. `links` must hold the path's link
 /// ids (links[k] joins cores[k] and cores[k+1], also caller-maintained) so
 /// the removed side of each step is an array read instead of an adjacency
-/// lookup.
+/// lookup. The evaluation's read window is written to `window`.
 [[nodiscard]] Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
                                        std::span<const LinkId> links, std::size_t pos,
                                        bool hot_vertical, double weight,
                                        const LinkLoads& loads, const LoadCost& cost,
-                                       std::span<const double> cost_now);
+                                       std::span<const double> cost_now, Window& window);
 
 /// Writes the rewritten core sequence of a finite candidate into `out`
 /// (same length as `cores`, no overlap).

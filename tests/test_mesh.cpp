@@ -74,8 +74,8 @@ TEST(Mesh, BordersHaveNoOutgoingLinks) {
 TEST(Mesh, LinkFromGivesOneAnswerThroughBothOverloads) {
   // The Mesh's inline LinkDir overload and the Topology's direction-index
   // overload answer alike: the link, or kInvalidLink at the boundary and
-  // for a core outside the mesh (CrossingIndex::note_load_change relies on
-  // the latter).
+  // for a core outside the mesh (CrossingIndex::reset's per-link table of
+  // read-window neighbours relies on the latter).
   const std::int32_t p = 3;
   const std::int32_t q = 4;
   const Mesh mesh(p, q);

@@ -9,14 +9,18 @@
 // the scaled move cap must never bite on these instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "pamr/comm/generator.hpp"
+#include "pamr/routing/crossing_index.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/path.hpp"
 #include "pamr/routing/routers.hpp"
+#include "pamr/routing/xy_moves.hpp"
 #include "pamr/util/rng.hpp"
 #include "seed_routers.hpp"
 
@@ -254,6 +258,129 @@ TEST(XyImproverEdgeCases, EveryMoveStrictlyDecreasesPenalizedPower) {
   };
   expect_descent(seed::XYImproverRouter(), "seed");
   expect_descent(XYImproverRouter(), "library");
+}
+
+// ------------------------------------------------ read-window soundness --
+
+/// A random monotone staircase from a random source to a random sink: the
+/// unit steps of the source/sink rectangle in a random order.
+std::vector<Coord> random_staircase(const Mesh& mesh, Rng& rng) {
+  const auto pick = [&] {
+    return mesh.core_coord(
+        static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(mesh.num_cores()))));
+  };
+  const Coord src = pick();
+  Coord snk = pick();
+  while (snk == src) snk = pick();
+  std::vector<Coord> steps;
+  for (std::int32_t k = 0; k < std::abs(snk.u - src.u); ++k) {
+    steps.push_back({sign_of(snk.u - src.u), 0});
+  }
+  for (std::int32_t k = 0; k < std::abs(snk.v - src.v); ++k) {
+    steps.push_back({0, sign_of(snk.v - src.v)});
+  }
+  for (std::size_t k = steps.size(); k > 1; --k) {
+    std::swap(steps[k - 1], steps[static_cast<std::size_t>(rng.below(k))]);
+  }
+  std::vector<Coord> cores{src};
+  for (const Coord delta : steps) {
+    cores.push_back({cores.back().u + delta.u, cores.back().v + delta.v});
+  }
+  return cores;
+}
+
+bool same_bits(const xyi::Candidate& a, const xyi::Candidate& b) {
+  return std::bit_cast<std::uint64_t>(a.delta) == std::bit_cast<std::uint64_t>(b.delta) &&
+         a.j == b.j && a.i == b.i && a.forward == b.forward;
+}
+
+TEST(XyImproverReadWindow, EveryLoadThatMovesACandidateStalesItsSlot) {
+  // CrossingIndex reuses a slot while its communication is unrewritten and
+  // no link of the slot's recorded read window changed load. Soundness:
+  // whenever perturbing one link's load changes the bits of best_candidate,
+  // a move that changes only that link's load must leave the slot stale.
+  // Every link of the mesh is perturbed, at every hot step of random
+  // staircases under random loads, on a continuous model (every load change
+  // moves every term that reads it) and on the paper's discrete one.
+  struct Model {
+    PowerModel model;
+    double weight_lo, weight_hi, background;
+  };
+  const Model models[] = {{PowerModel::theory(), 0.5, 2.0, 4.0},
+                          {PowerModel::paper_discrete(), 100.0, 1500.0, 3000.0}};
+  std::size_t must_be_stale = 0;
+  std::size_t reported_fresh = 0;
+  for (const auto& [p, q] : {MeshShape(1, 6), MeshShape(6, 1), MeshShape(2, 2),
+                             MeshShape(3, 5), MeshShape(5, 3), MeshShape(5, 5)}) {
+    const Mesh mesh(p, q);
+    const auto num_links = static_cast<std::size_t>(mesh.num_links());
+    Rng rng(derive_seed(0x5EAD, static_cast<std::uint64_t>(p),
+                        static_cast<std::uint64_t>(q)));
+    for (const Model& m : models) {
+      const LoadCost cost(m.model);
+      for (int trial = 0; trial < 60; ++trial) {
+        const std::vector<Coord> cores = random_staircase(mesh, rng);
+        std::vector<LinkId> links;
+        for (std::size_t k = 0; k + 1 < cores.size(); ++k) {
+          links.push_back(mesh.link_between(cores[k], cores[k + 1]));
+        }
+        const double weight = rng.uniform(m.weight_lo, m.weight_hi);
+        LinkLoads loads(mesh);
+        for (std::size_t l = 0; l < num_links; ++l) {
+          loads.add(static_cast<LinkId>(l), rng.uniform(0.0, m.background));
+        }
+        for (const LinkId link : links) loads.add(link, weight);
+        std::vector<double> cost_now(num_links);
+        for (std::size_t l = 0; l < num_links; ++l) {
+          cost_now[l] = cost(loads.load(static_cast<LinkId>(l)));
+        }
+        // Communication 0 is the staircase; communication 1 shares its
+        // path and stands for another communication whose move changes
+        // loads (its identity rewrite only advances the move epoch).
+        CrossingIndex index;
+        index.reset(mesh, 2);
+        index.count_initial_path(cores);
+        index.count_initial_path(cores);
+        index.add_initial_path(0, cores);
+        index.add_initial_path(1, cores);
+
+        for (std::size_t pos = 0; pos < links.size(); ++pos) {
+          const bool hot_vertical = !mesh.link(links[pos]).horizontal();
+          const auto evaluate = [&](xyi::Window& window) {
+            return xyi::best_candidate(mesh, cores, links, pos, hot_vertical, weight, loads,
+                                       cost, cost_now, window);
+          };
+          CrossingIndex::Slot slot;
+          slot.best = evaluate(slot.window);
+          for (std::size_t l = 0; l < num_links; ++l) {
+            const auto link = static_cast<LinkId>(l);
+            const double before = loads.load(link);
+            loads.add(link, rng.uniform(0.05, 1.0) * m.background);
+            cost_now[l] = cost(loads.load(link));
+            xyi::Window window;
+            const bool moved = !same_bits(evaluate(window), slot.best);
+            loads.mutable_values()[l] = before;
+            cost_now[l] = cost(before);
+
+            slot.fresh_stamp = index.epoch();
+            index.apply_rewrite(1, cores, cores);
+            index.note_load_change(link);
+            const bool fresh = index.slot_fresh(slot, 0, links[pos], links);
+            if (moved) {
+              ++must_be_stale;
+              EXPECT_FALSE(fresh) << p << "x" << q << " trial " << trial << " hot step "
+                                  << pos << " of " << links.size() << ": link " << l
+                                  << " moved the candidate but the slot stayed fresh";
+            }
+            reported_fresh += fresh ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  // Neither side of the check may be vacuous.
+  EXPECT_GT(must_be_stale, 2000u);
+  EXPECT_GT(reported_fresh, 2000u);
 }
 
 }  // namespace
