@@ -58,6 +58,8 @@ enum class Metric : std::uint32_t {
   kDistUnitsResumeSkipped,///< units satisfied from the journal by --resume
   kDistWorkerSpawns,      ///< worker processes forked (incl. respawns)
   // ----------------------------------------------- wall-clock timers --
+  // One per policy, in RouterKind order, BEST last: a router's timer is its
+  // kind's offset from kPhaseRouteXy (routing/router.cpp asserts the order).
   kPhaseRouteXy,
   kPhaseRouteSg,
   kPhaseRouteIg,
@@ -65,7 +67,6 @@ enum class Metric : std::uint32_t {
   kPhaseRouteXyi,
   kPhaseRoutePr,
   kPhaseRouteBest,        ///< BEST dispatcher; nests the six base timers
-  kPhaseRouteOther,       ///< routers outside the seven (the RR and SA extensions)
   kPhaseSim,              ///< simulator probe
   kPhaseUnit,             ///< one run_unit_instances call
   kPhaseSuite,            ///< one SuiteRunner::run_all
@@ -130,7 +131,6 @@ inline constexpr MetricInfo kMetricTable[kNumMetrics] = {
     {"phase.route.XYI", Kind::kTimer, Scope::kWall},
     {"phase.route.PR", Kind::kTimer, Scope::kWall},
     {"phase.route.BEST", Kind::kTimer, Scope::kWall},
-    {"phase.route.other", Kind::kTimer, Scope::kWall},
     {"phase.sim", Kind::kTimer, Scope::kWall},
     {"phase.unit", Kind::kTimer, Scope::kWall},
     {"phase.suite", Kind::kTimer, Scope::kWall},
@@ -151,26 +151,5 @@ inline constexpr std::size_t cell_offset(Metric m) noexcept {
 }
 
 inline constexpr std::size_t kTotalCells = cell_offset(Metric::kMetricCount);
-
-/// Maps a base-router display name ("XY", ..., "BEST") to its phase timer;
-/// anything unrecognized lands in phase.route.other.
-inline constexpr Metric route_phase(const char* name) noexcept {
-  constexpr const char* kNames[] = {"XY", "SG", "IG", "TB", "XYI", "PR", "BEST"};
-  constexpr Metric kPhases[] = {
-      Metric::kPhaseRouteXy,  Metric::kPhaseRouteSg,  Metric::kPhaseRouteIg,
-      Metric::kPhaseRouteTb,  Metric::kPhaseRouteXyi, Metric::kPhaseRoutePr,
-      Metric::kPhaseRouteBest,
-  };
-  for (std::size_t i = 0; i < 7; ++i) {
-    const char* a = kNames[i];
-    const char* b = name;
-    while (*a != '\0' && *a == *b) {
-      ++a;
-      ++b;
-    }
-    if (*a == '\0' && *b == '\0') return kPhases[i];
-  }
-  return Metric::kPhaseRouteOther;
-}
 
 }  // namespace pamr::obs

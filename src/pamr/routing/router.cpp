@@ -1,7 +1,7 @@
 #include "pamr/routing/router.hpp"
 
 #include <array>
-#include <string>
+#include <cstdint>
 #include <utility>
 
 #include "pamr/obs/obs.hpp"
@@ -13,6 +13,21 @@
 #include "pamr/util/timer.hpp"
 
 namespace pamr {
+namespace {
+
+// The phase.route.* timers sit in RouterKind order, BEST last, so a
+// router's timer is its kind's offset from phase.route.XY.
+static_assert(static_cast<std::uint32_t>(obs::Metric::kPhaseRouteBest) -
+                  static_cast<std::uint32_t>(obs::Metric::kPhaseRouteXy) ==
+              static_cast<std::uint32_t>(RouterKind::kBest));
+static_assert(static_cast<std::size_t>(RouterKind::kBest) == kNumBaseRouters);
+
+obs::Metric phase_of(RouterKind kind) noexcept {
+  return static_cast<obs::Metric>(static_cast<std::uint32_t>(obs::Metric::kPhaseRouteXy) +
+                                  static_cast<std::uint32_t>(kind));
+}
+
+}  // namespace
 
 const char* to_cstring(RouterKind kind) noexcept {
   switch (kind) {
@@ -41,13 +56,10 @@ RouteResult Router::route(const topo::Topology& topology, const CommSet& comms,
 RouteResult Router::route(const topo::Topology& topology, const CommSet& comms,
                           const PowerModel& model, RouteGoal goal,
                           RouteWorkspace& workspace) const {
-  const Mesh* mesh = topology.as_mesh();
-  PAMR_CHECK(mesh != nullptr || kind_.has_value(),
-             std::string(name_) + " routes on the rect topology only, not on " +
-                 topology.name());
   check_comm_set(topology, comms);
   obs::bump(obs::Metric::kRouteCalls);
-  const obs::PhaseScope phase(phase_);
+  const obs::PhaseScope phase(phase_of(kind_));
+  const Mesh* mesh = topology.as_mesh();
   if (mesh == nullptr) return route_analogue(topology, comms, model, workspace);
   RouteResult result = route_impl(*mesh, comms, model, goal, workspace);
 #if PAMR_CHECK_LEVEL >= 2
@@ -69,7 +81,7 @@ RouteResult Router::route_analogue(const topo::Topology& topology, const CommSet
                                    RouteWorkspace& workspace) const {
   const WallTimer timer;
   LocalSearchStats stats;
-  Routing routing = topo::analogue_routing(topology, *kind_, comms, model, stats);
+  Routing routing = topo::analogue_routing(topology, kind_, comms, model, stats);
   RouteResult result =
       finish(topology, comms, model, std::move(routing), timer.elapsed_ms(), workspace);
   result.local_search = stats;

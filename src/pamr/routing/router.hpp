@@ -17,7 +17,6 @@
 
 #include "pamr/comm/communication.hpp"
 #include "pamr/mesh/mesh.hpp"
-#include "pamr/obs/metrics.hpp"
 #include "pamr/power/power_model.hpp"
 #include "pamr/routing/routing.hpp"
 #include "pamr/routing/validate.hpp"
@@ -82,7 +81,7 @@ class Router {
  public:
   virtual ~Router() = default;
 
-  [[nodiscard]] const char* name() const noexcept { return name_; }
+  [[nodiscard]] const char* name() const noexcept { return to_cstring(kind_); }
 
   /// Builds a routing for `comms` on `topology` under `model`: the library's
   /// one routing entry. Validates the communication set first
@@ -93,8 +92,8 @@ class Router {
   /// contract of RouteGoal; at PAMR_CHECK_LEVEL >= 2 every abandoned call
   /// re-runs the full routing (with telemetry muted) and asserts that it is
   /// invalid. Elsewhere the policy's analogue runs (topo/topo_router.hpp)
-  /// and ignores the goal; RR and SA have none and throw std::logic_error.
-  /// A deterministic function of its arguments.
+  /// and ignores the goal. Each call is timed on the policy's
+  /// phase.route.<name> timer. A deterministic function of its arguments.
   ///
   /// This form builds a call-local RouteWorkspace for the call.
   [[nodiscard]] RouteResult route(const topo::Topology& topology, const CommSet& comms,
@@ -109,13 +108,9 @@ class Router {
                                   RouteWorkspace& workspace) const;
 
  protected:
-  /// A policy of the paper's portfolio, named after `kind`; on a topology
-  /// other than the Mesh it runs `kind`'s analogue.
-  explicit Router(RouterKind kind) noexcept
-      : name_(to_cstring(kind)), phase_(obs::route_phase(name_)), kind_(kind) {}
-  /// A policy outside the portfolio, which routes on the Mesh only.
-  explicit Router(const char* name) noexcept
-      : name_(name), phase_(obs::route_phase(name_)) {}
+  /// The policy `kind`; on a topology other than the Mesh it runs `kind`'s
+  /// analogue.
+  explicit Router(RouterKind kind) noexcept : kind_(kind) {}
 
   /// Policy body on the Mesh; `comms` has already passed check_comm_set.
   /// Policies without per-call scratch ignore `workspace`.
@@ -149,9 +144,7 @@ class Router {
   [[nodiscard]] static RouteResult abandon(double elapsed_ms) noexcept;
 
  private:
-  const char* name_;
-  obs::Metric phase_;               ///< the phase timer of route calls
-  std::optional<RouterKind> kind_;  ///< empty outside the portfolio
+  RouterKind kind_;
 };
 
 [[nodiscard]] std::unique_ptr<Router> make_router(RouterKind kind);

@@ -153,11 +153,5 @@ void print_scenario_result(const ScenarioResult& result, std::int32_t instances)
 bool write_scenario_outputs(const ScenarioResult& result, const std::string& dir,
                             bool write_csv, bool write_json);
 
-/// Runs a scenario and prints both tables; optionally writes
-/// output_directory()/<name>_{norm_inv_power,failure_ratio}.csv and
-/// <name>.json.
-void run_and_report(const Scenario& scenario, const SuiteOptions& options,
-                    bool write_csv, bool write_json = false);
-
 }  // namespace scenario
 }  // namespace pamr

@@ -69,19 +69,6 @@ TEST(ObsLayout, CellOffsetsArePinnedAndExhaustive) {
   EXPECT_EQ(expected, kTotalCells);
 }
 
-TEST(ObsLayout, RoutePhaseMapsEveryBaseRouterName) {
-  EXPECT_EQ(route_phase("XY"), Metric::kPhaseRouteXy);
-  EXPECT_EQ(route_phase("SG"), Metric::kPhaseRouteSg);
-  EXPECT_EQ(route_phase("IG"), Metric::kPhaseRouteIg);
-  EXPECT_EQ(route_phase("TB"), Metric::kPhaseRouteTb);
-  EXPECT_EQ(route_phase("XYI"), Metric::kPhaseRouteXyi);
-  EXPECT_EQ(route_phase("PR"), Metric::kPhaseRoutePr);
-  EXPECT_EQ(route_phase("BEST"), Metric::kPhaseRouteBest);
-  EXPECT_EQ(route_phase("X"), Metric::kPhaseRouteOther);
-  EXPECT_EQ(route_phase("XYZ"), Metric::kPhaseRouteOther);
-  EXPECT_EQ(route_phase(""), Metric::kPhaseRouteOther);
-}
-
 // -- Fixture ------------------------------------------------------------------
 
 class ObsTest : public testing::Test {
@@ -198,34 +185,48 @@ TEST_F(ObsTest, DisabledRegistryRecordsNothing) {
   }
 }
 
-TEST_F(ObsTest, TopologyRoutingIsTimedPerPolicy) {
-  // Torus and diag calls go to their policy's phase.route.<policy> timer,
-  // as rect calls do; phase.route.other is left to the extension routers.
-  // A BEST call is timed once as BEST and once per base policy it runs.
+TEST_F(ObsTest, EveryRouteCallIsTimedOnItsPolicysPhase) {
+  // A call of policy K is timed once on the timer the metric table names
+  // "phase.route.K", on every topology; a BEST call is timed once as BEST
+  // and once per base policy it runs. No other timer runs. The expected
+  // timer is found by name, independently of how Router picks it.
+  const auto timer_named = [](const std::string& name) {
+    for (std::size_t i = 0; i < kNumMetrics; ++i) {
+      if (name == kMetricTable[i].name) return static_cast<Metric>(i);
+    }
+    ADD_FAILURE() << "no metric named " << name;
+    return Metric::kMetricCount;
+  };
   const PowerModel model = PowerModel::paper_discrete();
   const CommSet comms{{{0, 0}, {2, 3}, 500.0}, {{3, 1}, {0, 2}, 700.0},
                       {{1, 3}, {3, 0}, 300.0}};
   std::vector<RouterKind> routers = all_base_routers();
   routers.push_back(RouterKind::kBest);
-  for (const topo::TopoKind kind : {topo::TopoKind::kTorus, topo::TopoKind::kDiag}) {
+  for (const topo::TopoKind kind :
+       {topo::TopoKind::kRect, topo::TopoKind::kTorus, topo::TopoKind::kDiag}) {
     const auto topology = topo::make_topology(kind, 4, 4);
     for (const RouterKind router : routers) {
+      std::set<Metric> timed{timer_named(std::string("phase.route.") + to_cstring(router))};
+      if (router == RouterKind::kBest) {
+        for (const RouterKind base : all_base_routers()) {
+          timed.insert(timer_named(std::string("phase.route.") + to_cstring(base)));
+        }
+      }
       reset();
       (void)shared_router(router).route(*topology, comms, model);
       const Snapshot snap = snapshot();
       const std::string call = std::string(topology->name()) + "/" + to_cstring(router);
-      for (const RouterKind timed : routers) {
-        const Metric phase = route_phase(to_cstring(timed));
-        const bool runs = timed == router || router == RouterKind::kBest;
-        EXPECT_EQ(snap.timer_calls(phase), runs ? 1u : 0u) << call << " " << to_cstring(timed);
+      for (std::size_t i = 0; i < kNumMetrics; ++i) {
+        const Metric metric = static_cast<Metric>(i);
+        if (info(metric).kind != Kind::kTimer) continue;
+        const bool runs = timed.count(metric) != 0;
+        EXPECT_EQ(snap.timer_calls(metric), runs ? 1u : 0u) << call << " " << info(metric).name;
         if (runs) {
-          EXPECT_GT(snap.timer_ns(phase), 0u) << call << " " << to_cstring(timed);
+          EXPECT_GT(snap.timer_ns(metric), 0u) << call << " " << info(metric).name;
         }
       }
       EXPECT_EQ(snap.counter(Metric::kRouteCalls), router == RouterKind::kBest ? 7u : 1u)
           << call;
-      EXPECT_EQ(snap.timer_calls(Metric::kPhaseRouteOther), 0u) << topology->name();
-      EXPECT_EQ(snap.timer_ns(Metric::kPhaseRouteOther), 0u) << topology->name();
     }
   }
 }

@@ -1,12 +1,16 @@
 // Tests for the scenario subsystem: envelope semantics, spec parse/print
-// round-trips, registry completeness, layer generation, and suite-runner
-// determinism across thread counts.
+// round-trips, registry completeness, layer generation, suite-runner
+// determinism across thread counts, and the pamr_scenarios CLI end to end
+// (the real binary, PAMR_SCENARIOS_BIN, injected by CMake).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 
 #include "pamr/comm/generator.hpp"
 #include "pamr/scenario/suite_runner.hpp"
+#include "suite_diff.hpp"
 
 namespace pamr {
 namespace scenario {
@@ -302,6 +306,62 @@ TEST(SuiteRunner, JsonExportNamesTheScenarioAndBothTables) {
   EXPECT_NE(json.find("\"failure_ratio\""), std::string::npos);
   EXPECT_NE(json.find("\"BEST\""), std::string::npos);
 }
+
+#ifdef PAMR_SCENARIOS_BIN
+
+/// Runs pamr_scenarios with its outputs going to `out_dir`.
+int run_scenarios(const std::string& out_dir, const std::string& args) {
+  const std::string command = "PAMR_OUT_DIR=" + out_dir + " " + PAMR_SCENARIOS_BIN + " " +
+                              args + " > /dev/null 2>&1";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+constexpr const char* kCliSpec = "mesh=4x4 model=discrete ; kind=uniform n=6 lo=100 hi=800";
+
+TEST(ScenariosCli, SpecRunsTheSuitePathWithItsStream) {
+  // --spec is a one-entry batch on the --run path: it streams one row per
+  // work unit and writes what the in-process runner writes, byte for byte.
+  constexpr std::int32_t kTrials = 20;
+  const Scenario adhoc = suitetest::adhoc_scenario(kCliSpec);
+  const std::string dir = suitetest::fresh_dir("scenarios_cli_spec");
+  const std::string stream = dir + "/stream.csv";
+  ASSERT_EQ(run_scenarios(dir, "--spec '" + std::string(kCliSpec) + "' --trials " +
+                                   std::to_string(kTrials) + " --csv --json --stream " +
+                                   stream),
+            0);
+
+  ASSERT_TRUE(std::filesystem::exists(stream));
+  SuiteOptions options;
+  options.instances = kTrials;
+  const std::size_t units =
+      enumerate_suite_units({{&adhoc, adhoc.default_seed}}, kTrials, options.chunk).size();
+  const std::string rows = suitetest::read_file(stream);
+  EXPECT_GT(units, 1u);
+  EXPECT_EQ(static_cast<std::size_t>(std::count(rows.begin(), rows.end(), '\n')),
+            1 + units);  // header + one row per unit
+
+  options.seed = adhoc.default_seed;
+  const std::string reference_dir = suitetest::fresh_dir("scenarios_cli_spec_ref");
+  ASSERT_TRUE(write_scenario_outputs(SuiteRunner(options).run(adhoc), reference_dir,
+                                     /*write_csv=*/true, /*write_json=*/true));
+  for (const char* suffix : {"_norm_inv_power.csv", "_failure_ratio.csv", ".json"}) {
+    const std::string file = adhoc.name + suffix;
+    EXPECT_EQ(suitetest::read_file(dir + "/" + file),
+              suitetest::read_file(reference_dir + "/" + file))
+        << file;
+  }
+}
+
+TEST(ScenariosCli, SpecAndRunAreMutuallyExclusive) {
+  const std::string dir = suitetest::fresh_dir("scenarios_cli_both");
+  EXPECT_EQ(run_scenarios(dir, "--spec '" + std::string(kCliSpec) +
+                                   "' --run fig7a_small --trials 2 --csv"),
+            2);
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+}
+
+#endif  // PAMR_SCENARIOS_BIN
 
 }  // namespace
 }  // namespace scenario

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "pamr/routing/deadlock.hpp"
-#include "pamr/routing/extensions.hpp"
 #include "pamr/routing/path.hpp"
 #include "pamr/routing/router.hpp"
 #include "pamr/routing/validate.hpp"
@@ -471,33 +470,6 @@ TEST(TopoRouter, MalformedInputThrowsForEveryTopology) {
     const CommSet outside = {Communication{{0, 0}, {9, 0}, 100.0}};
     EXPECT_THROW((void)shared_router(RouterKind::kSG).route(*topology, outside, model),
                  std::logic_error);
-  }
-}
-
-TEST(TopoRouter, ExtensionRoutersRouteOnRectOnly) {
-  // RR and SA have no analogue: on torus and diag the one entry throws,
-  // naming the policy and the topology; on rect they route as before.
-  const PowerModel model = PowerModel::paper_discrete();
-  const CommSet comms = small_workload(4, 4, 6);
-  const RipUpRerouteRouter rr;
-  const AnnealingRouter sa(AnnealingOptions{.iterations = 200});
-  for (const Router* router : {static_cast<const Router*>(&rr),
-                               static_cast<const Router*>(&sa)}) {
-    for (const TopoKind kind : {TopoKind::kTorus, TopoKind::kDiag}) {
-      const auto topology = make_topology(kind, 4, 4);
-      try {
-        (void)router->route(*topology, comms, model);
-        ADD_FAILURE() << router->name() << " routed on " << topology->name();
-      } catch (const std::logic_error& error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find(router->name()), std::string::npos) << what;
-        EXPECT_NE(what.find(topology->name()), std::string::npos) << what;
-      }
-    }
-    const auto rect = make_topology(TopoKind::kRect, 4, 4);
-    const RouteResult result = router->route(*rect, comms, model);
-    ASSERT_TRUE(result.routing.has_value()) << router->name();
-    EXPECT_TRUE(validate_structure(*rect, comms, *result.routing).ok) << router->name();
   }
 }
 

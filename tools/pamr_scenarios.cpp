@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
   parser.add_flag("list", "enumerate the named scenarios and exit");
   parser.add_string("describe", "", "print a scenario's point specs and exit");
   parser.add_string("run", "", "comma-separated scenario names, or 'all'");
-  parser.add_string("spec", "", "run one ad-hoc scenario spec (see scenario_spec.hpp)");
+  parser.add_string("spec", "",
+                    "run one ad-hoc scenario spec (see scenario_spec.hpp) instead of --run");
   parser.add_int("trials", 300, "instances per point", "PAMR_TRIALS");
   parser.add_int("seed", -1, "base seed; -1 uses each scenario's default");
   parser.add_int("threads", 0, "worker threads; 0 follows PAMR_THREADS/hardware");
@@ -96,78 +97,40 @@ int main(int argc, char** argv) {
       obs::set_process_label(0, "pamr_scenarios");
     }
   }
-  // The report's fingerprint mirrors pamr_dist's campaign identity, so a
-  // report from either driver names the same (entries, trials, chunk)
-  // expansion and the two can be compared by eye.
-  auto write_obs_outputs = [&](const std::vector<scenario::SuiteEntry>& batch) {
-    bool ok = true;
-    std::string obs_error;
-    if (!metrics_out.empty()) {
-      const std::string fingerprint =
-          dist::build_campaign_plan(batch, options.instances, options.chunk)
-              .fingerprint;
-      if (!obs::write_report(metrics_out, "pamr_scenarios", fingerprint, obs_error)) {
-        std::fprintf(stderr, "pamr_scenarios: --metrics-out %s: %s\n",
-                     metrics_out.c_str(), obs_error.c_str());
-        ok = false;
-      }
-    }
-    if (!trace_out.empty() && !obs::write_trace(trace_out, obs_error)) {
-      std::fprintf(stderr, "pamr_scenarios: --trace-out %s: %s\n", trace_out.c_str(),
-                   obs_error.c_str());
-      ok = false;
-    }
-    return ok;
-  };
-
-  // PAMR_CHECK failures surface as std::logic_error; anything the parser's
-  // validation did not anticipate should still exit with a diagnostic, not
-  // an abort.
-  auto run_one = [&](const Scenario& scenario) {
-    scenario::SuiteOptions scenario_options = options;
-    scenario_options.seed = seed >= 0 ? static_cast<std::uint64_t>(seed)
-                                      : scenario.default_seed;
-    try {
-      scenario::run_and_report(scenario, scenario_options, parser.get_flag("csv"),
-                               parser.get_flag("json"));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error running '%s': %s\n", scenario.name.c_str(), e.what());
-      return false;
-    }
-    return true;
-  };
-
-  if (const std::string& text = parser.get_string("spec"); !text.empty()) {
-    scenario::ScenarioSpec spec;
-    std::string error;
-    if (!scenario::ScenarioSpec::parse(text, spec, error)) {
-      std::fprintf(stderr, "bad --spec: %s\n", error.c_str());
+  const std::string& names = parser.get_string("run");
+  const std::string& spec_text = parser.get_string("spec");
+  if (names.empty() == spec_text.empty()) {  // neither or both
+    if (!names.empty()) {
+      std::fprintf(stderr, "--run and --spec are mutually exclusive\n");
       return 2;
     }
-    const Scenario adhoc = scenario::adhoc_scenario(std::move(spec));
-    if (!run_one(adhoc)) return 2;
-    const std::vector<scenario::SuiteEntry> batch{
-        {&adhoc,
-         seed >= 0 ? static_cast<std::uint64_t>(seed) : adhoc.default_seed}};
-    return write_obs_outputs(batch) ? 0 : 1;
-  }
-
-  const std::string& names = parser.get_string("run");
-  if (names.empty()) {
     std::fputs(parser.help_text().c_str(), stdout);
     return 2;
   }
 
-  // Whether one name, a comma list, or 'all': the batch runs as ONE
-  // flattened work list (SuiteRunner::run_all), so short scenarios don't
-  // serialize behind long ones — each result still matches a standalone
-  // run of that scenario bit-for-bit.
+  // Whether one name, a comma list, 'all' or an ad-hoc --spec: the batch
+  // runs as ONE flattened work list (SuiteRunner::run_all), so short
+  // scenarios don't serialize behind long ones — each result still matches
+  // a standalone run of that scenario bit-for-bit.
   std::vector<scenario::SuiteEntry> entries;
-  std::string resolve_error;
-  if (!scenario::resolve_suite_entries(registry, names, seed, entries,
-                                       resolve_error)) {
-    std::fprintf(stderr, "%s (try --list)\n", resolve_error.c_str());
-    return 2;
+  Scenario adhoc;  // must outlive the batch when --spec is used
+  if (!spec_text.empty()) {
+    scenario::ScenarioSpec spec;
+    std::string error;
+    if (!scenario::ScenarioSpec::parse(spec_text, spec, error)) {
+      std::fprintf(stderr, "bad --spec: %s\n", error.c_str());
+      return 2;
+    }
+    adhoc = scenario::adhoc_scenario(std::move(spec));
+    entries.push_back({&adhoc, seed >= 0 ? static_cast<std::uint64_t>(seed)
+                                         : adhoc.default_seed});
+  } else {
+    std::string resolve_error;
+    if (!scenario::resolve_suite_entries(registry, names, seed, entries,
+                                         resolve_error)) {
+      std::fprintf(stderr, "%s (try --list)\n", resolve_error.c_str());
+      return 2;
+    }
   }
 
   CsvStreamWriter stream;
@@ -182,6 +145,9 @@ int main(int argc, char** argv) {
     };
   }
 
+  // PAMR_CHECK failures surface as std::logic_error; anything the parser's
+  // validation did not anticipate should still exit with a diagnostic, not
+  // an abort.
   try {
     const std::vector<scenario::ScenarioResult> results =
         scenario::SuiteRunner(options).run_all(entries, sink);
@@ -192,8 +158,29 @@ int main(int argc, char** argv) {
                                              parser.get_flag("json"));
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error running '%s': %s\n", names.c_str(), e.what());
+    std::fprintf(stderr, "error running '%s': %s\n",
+                 spec_text.empty() ? names.c_str() : adhoc.name.c_str(), e.what());
     return 2;
   }
-  return write_obs_outputs(entries) ? 0 : 1;
+
+  // The report's fingerprint mirrors pamr_dist's campaign identity, so a
+  // report from either driver names the same (entries, trials, chunk)
+  // expansion and the two can be compared by eye.
+  int status = 0;
+  std::string obs_error;
+  if (!metrics_out.empty()) {
+    const std::string fingerprint =
+        dist::build_campaign_plan(entries, options.instances, options.chunk).fingerprint;
+    if (!obs::write_report(metrics_out, "pamr_scenarios", fingerprint, obs_error)) {
+      std::fprintf(stderr, "pamr_scenarios: --metrics-out %s: %s\n", metrics_out.c_str(),
+                   obs_error.c_str());
+      status = 1;
+    }
+  }
+  if (!trace_out.empty() && !obs::write_trace(trace_out, obs_error)) {
+    std::fprintf(stderr, "pamr_scenarios: --trace-out %s: %s\n", trace_out.c_str(),
+                 obs_error.c_str());
+    status = 1;
+  }
+  return status;
 }
