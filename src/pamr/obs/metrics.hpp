@@ -45,6 +45,7 @@ enum class Metric : std::uint32_t {
   kPrRemovals,            ///< PR removals applied
   kPrLinksRetired,        ///< LoadIndex::retire calls
   kLoadIndexReorders,     ///< LoadIndex::reorder calls
+  kLoadIndexRepairs,      ///< stale heap tops LoadIndex::top re-keyed (PR)
   kIgCutBounds,           ///< IG cut bounds evaluated (candidates short of the sink)
   kSimProbes,             ///< simulator probes of a finished routing
   kSuiteUnits,            ///< work units executed (run_unit_instances calls)
@@ -114,6 +115,7 @@ inline constexpr MetricInfo kMetricTable[kNumMetrics] = {
     {"pr.removals", Kind::kCounter, Scope::kUnit},
     {"pr.links.retired", Kind::kCounter, Scope::kUnit},
     {"load_index.reorders", Kind::kCounter, Scope::kUnit},
+    {"load_index.repairs", Kind::kCounter, Scope::kImpl},
     {"ig.cut_bounds", Kind::kCounter, Scope::kUnit},
     {"sim.probes", Kind::kCounter, Scope::kUnit},
     {"suite.units", Kind::kCounter, Scope::kUnit},

@@ -116,10 +116,9 @@ ExactResult solve_exact_1mp(const Mesh& mesh, const CommSet& comms,
       final_paths[state.order[k]] = *state.best_choice[k];
     }
     result.routing = make_single_path_routing(comms, std::move(final_paths));
-    const LinkLoads final_loads = loads_of_routing(mesh, *result.routing);
-    const auto power = model.total_power(final_loads.values());
-    PAMR_ASSERT(power.has_value());
-    result.power = *power;
+    const auto priced = price_routing(mesh, comms, *result.routing, model, state.loads);
+    PAMR_ASSERT(priced.has_value());
+    result.power = priced->total;
   } else if (warm.valid) {
     // Either node-capped, or the complete search found nothing strictly
     // better than the heuristic incumbent — in which case the incumbent is

@@ -45,16 +45,12 @@ SplitRouteResult route_split(const Mesh& mesh, const CommSet& comms,
   }
 
   result.elapsed_ms = timer.elapsed_ms();
-  const ValidationResult check = validate_routing(
-      mesh, comms, result.routing, model, static_cast<std::size_t>(max_paths));
-  if (check.ok) {
-    const LinkLoads final_loads = loads_of_routing(mesh, result.routing);
-    if (const auto breakdown = model.breakdown(final_loads.values());
-        breakdown.has_value()) {
-      result.valid = true;
-      result.power = breakdown->total;
-      result.breakdown = *breakdown;
-    }
+  // Priced on a fresh sum of the merged flows, in `loads`' storage.
+  if (const auto breakdown = price_routing(mesh, comms, result.routing, model, loads,
+                                           static_cast<std::size_t>(max_paths))) {
+    result.valid = true;
+    result.power = breakdown->total;
+    result.breakdown = *breakdown;
   }
   return result;
 }

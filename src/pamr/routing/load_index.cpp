@@ -143,6 +143,8 @@ void LoadIndex::reset(const LinkLoads& loads) {
     heap_.push_back({loads.load(link), static_cast<std::int64_t>(l), link});
     pos_[l] = static_cast<std::int32_t>(l);
   }
+  key_.assign(heap_.begin(), heap_.end());
+  repairs_ = 0;
   for (std::size_t at = n / 2; at-- > 0;) sift_down(at, heap_[at]);
   member_begin_.assign(n, 0);
   member_size_.assign(n, 0);
@@ -202,23 +204,18 @@ void LoadIndex::sift_down(std::size_t at, LoadKey key) {
   pos_[static_cast<std::size_t>(key.link)] = static_cast<std::int32_t>(at);
 }
 
-void LoadIndex::update(std::size_t at, const LoadKey& key) {
-  if (at > 0 && precedes(key, heap_[(at - 1) / 2])) {
-    sift_up(at, key);
-  } else {
-    sift_down(at, key);
-  }
-}
-
 void LoadIndex::retire(LinkId link) {
   obs::bump(obs::Metric::kPrLinksRetired);
-  const std::int32_t at = pos_[static_cast<std::size_t>(link)];
-  PAMR_DCHECK(at >= 0);
+  PAMR_DCHECK(pos_[static_cast<std::size_t>(link)] >= 0);
+  const auto at = static_cast<std::size_t>(pos_[static_cast<std::size_t>(link)]);
   pos_[static_cast<std::size_t>(link)] = -1;
   const LoadKey last = heap_.back();
   heap_.pop_back();
-  if (static_cast<std::size_t>(at) < heap_.size()) {
-    update(static_cast<std::size_t>(at), last);
+  if (at == heap_.size()) return;
+  if (at > 0 && precedes(last, heap_[(at - 1) / 2])) {
+    sift_up(at, last);
+  } else {
+    sift_down(at, last);
   }
 }
 
@@ -226,15 +223,19 @@ void LoadIndex::reorder(const std::vector<LinkId>& changed, const LinkLoads& loa
   obs::bump(obs::Metric::kLoadIndexReorders);
   moved_.clear();
   for (const LinkId link : changed) {
-    const std::int32_t at = pos_[static_cast<std::size_t>(link)];
-    if (at < 0) continue;  // retired
-    const LoadKey& key = heap_[static_cast<std::size_t>(at)];
+    if (pos_[static_cast<std::size_t>(link)] < 0) continue;  // retired
+    const LoadKey& key = key_[static_cast<std::size_t>(link)];
     if (key.load == loads.load(link)) continue;  // did not move
     moved_.push_back(key);
   }
   stamps_.restamp(moved_, loads);
+  // Only a key that now precedes its stored entry moves in the heap; any
+  // other leaves the entry as its upper bound, for top() to repair.
   for (const LoadKey& key : moved_) {
-    update(static_cast<std::size_t>(pos_[static_cast<std::size_t>(key.link)]), key);
+    const auto link = static_cast<std::size_t>(key.link);
+    key_[link] = key;
+    const auto at = static_cast<std::size_t>(pos_[link]);
+    if (precedes(key, heap_[at])) sift_up(at, key);
   }
 #if PAMR_CHECK_LEVEL >= 2
   check_invariants(loads);
@@ -261,11 +262,15 @@ void LoadIndex::check_invariants(const LinkLoads& loads) const {
     PAMR_INVARIANT_ALWAYS(
         "load-index", at == 0 || precedes(heap_[(at - 1) / 2], key),
         "heap property violated at slot " + std::to_string(at));
+    const LoadKey& truth = key_[link];
     PAMR_INVARIANT_ALWAYS(
-        "load-index", key.load == loads.load(key.link),
-        "stored load of link " + std::to_string(link) +
+        "load-index", truth.load == loads.load(key.link),
+        "true load of link " + std::to_string(link) +
             " differs from its current load — a load change was never "
             "reported to reorder()");
+    PAMR_INVARIANT_ALWAYS(
+        "load-index", precedes(key, truth) || (key.stamp == truth.stamp && key.load == truth.load),
+        "heap entry of link " + std::to_string(link) + " follows its true key");
   }
 }
 

@@ -60,8 +60,15 @@
 //
 //   * LoadIndex (PR) keeps them in an indexed binary heap. A round costs
 //     O(|M|) to restamp the moved links (plus the sort of their tied
-//     classes) and O(|M| log L) to sift them, instead of O(L) for a
-//     rebuild; PR reads only top().
+//     classes) and O(log L) per link it sifts, instead of O(L) for a
+//     rebuild; PR reads only top(). A link's heap entry may be a stale
+//     upper bound: an older key that precedes its true key (kept per
+//     link). A fall, or a rise that stays behind the entry, leaves the
+//     heap alone; a rise past it is written in and sifted up. The heap
+//     property holds on the entries, so once top() has re-keyed and sifted
+//     down stale tops, the top entry is a true key that precedes every
+//     entry and hence every true key: the seed's first link. Stamps are
+//     still drawn at once (they encode the order of events).
 //   * LoadOrder (XYI) keeps them in one flat array, sorted. XYI reads it
 //     from the front through a cursor and starts over after every applied
 //     move, so it wants every prefix step O(1). A round merges the moved
@@ -225,11 +232,19 @@ class LoadIndex {
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
   /// The first live link of the seed's order (highest load, history
-  /// tie-break). Requires !empty().
-  [[nodiscard]] LinkId top() const {
+  /// tie-break), after re-keying stale top entries (see the file comment).
+  /// Requires !empty().
+  [[nodiscard]] LinkId top() {
     PAMR_DCHECK(!heap_.empty());
+    while (heap_.front().stamp != key_[static_cast<std::size_t>(heap_.front().link)].stamp) {
+      ++repairs_;
+      sift_down(0, key_[static_cast<std::size_t>(heap_.front().link)]);
+    }
     return heap_.front().link;
   }
+
+  /// Stale tops re-keyed by top() since reset() (load_index.repairs).
+  [[nodiscard]] std::uint64_t repairs() const noexcept { return repairs_; }
 
   /// Marks a link permanently unremovable and erases it from the order in
   /// O(log L); any later load change reported for it is ignored (its
@@ -239,32 +254,33 @@ class LoadIndex {
   /// Re-establishes the seed's order after one update changed the stored
   /// loads of `changed` (no duplicates; retired links and links whose load
   /// did not actually move are skipped). Exactly equivalent to the seed's
-  /// stable_sort of the persistent order vector by the new loads; costs
-  /// O(moved · log L). At PAMR_CHECK_LEVEL >= 2 every call re-verifies the
+  /// stable_sort of the persistent order vector by the new loads, as read
+  /// through top(); costs O(moved) plus O(log L) per link that rises past
+  /// its heap entry. At PAMR_CHECK_LEVEL >= 2 every call re-verifies the
   /// full structural invariant against `loads` (O(L) per call).
   void reorder(const std::vector<LinkId>& changed, const LinkLoads& loads);
 
   /// Verifies the index's structural invariants against the current loads:
-  /// pos_ and the heap agree, every parent strictly precedes its children,
-  /// and every live link's stored load equals loads.load(link). Throws
-  /// pamr::InvariantError (category "load-index") on the first violation —
-  /// a stored load that differs from `loads` means some load change was
-  /// never reported to reorder(), which is exactly the corruption that
-  /// silently changes the heuristics' link order. Called automatically from
-  /// reorder() under the paranoid check level; always callable directly
-  /// (tests do).
+  /// pos_ and the heap agree, every parent entry strictly precedes its
+  /// children, every live link's true key holds loads.load(link), and its
+  /// entry precedes or equals that key. Throws pamr::InvariantError
+  /// (category "load-index") on the first violation — a true load that
+  /// differs from `loads` means some load change was never reported to
+  /// reorder(), which is exactly the corruption that silently changes the
+  /// heuristics' link order. Called automatically from reorder() under the
+  /// paranoid check level; always callable directly (tests do).
   void check_invariants(const LinkLoads& loads) const;
 
  private:
-  /// Writes `key` into slot `at` (whose previous key is being replaced)
-  /// and sifts it to its place. The sifts take the key by value: it may
-  /// alias a heap slot they overwrite.
-  void update(std::size_t at, const LoadKey& key);
+  /// Write `key` into slot `at` and sift it to its place. They take the
+  /// key by value: it may alias a heap slot they overwrite.
   void sift_up(std::size_t at, LoadKey key);
   void sift_down(std::size_t at, LoadKey key);
 
-  std::vector<LoadKey> heap_;      ///< live links, binary heap on precedes()
+  std::vector<LoadKey> heap_;      ///< live links' stored entries, heap on precedes()
+  std::vector<LoadKey> key_;       ///< link -> true key; its entry precedes or equals it
   std::vector<std::int32_t> pos_;  ///< link -> heap slot, -1 once retired
+  std::uint64_t repairs_ = 0;      ///< stale tops re-keyed since reset()
   StampRule stamps_;
   std::vector<LoadKey> moved_;     ///< scratch: keys of the moved links
   // Member lists, CSR: link l's list is member_data_[member_begin_[l] ..

@@ -12,7 +12,10 @@
 //     remaining path" rule;
 //   * prune links that no longer lie on any surviving src→snk path (the
 //     paper's "path cleaning" examples are exactly the fixed point of this
-//     forward/backward reachability prune) and re-spread the load.
+//     forward/backward reachability prune) and re-spread the load. The
+//     prune is a live-degree cascade (see CommState): it visits only the
+//     links the removal cuts off, and it keeps exactly the links a full
+//     forward/backward sweep would.
 //
 // The process stops when every communication retains a single path. Each
 // removal strictly shrinks the union of allowed links, so termination is
@@ -20,7 +23,8 @@
 //
 // "Most loaded link, heaviest communication using it" comes from a
 // LoadIndex: the top of a heap keyed on (load, history stamp), re-keyed
-// only for the links whose stored load actually changed, plus per-link
+// only for the links whose stored load actually changed (a fallen key is
+// sifted only once it reaches the top; see load_index.hpp), plus per-link
 // heaviest-first membership lists. Links whose scan finds no removable
 // member are retired permanently: every surviving member holds them in a
 // singleton cut, cuts only shrink, and membership only dies, so such a link
@@ -41,8 +45,8 @@
 // with m_t links before and m'_t after the removal goes
 // x → (x − δ/m_t) + δ/m'_t if it survives and x → x − δ/m_t if it is
 // erased. This file does exactly that per link, in one pass and without
-// copying the old cuts: each cut that may lose links (cut t0 and every cut
-// the windowed prune filters) records its old size just before erasing and
+// copying the old cuts: each cut that loses links (cut t0 and every cut the
+// cascade reaches) records its old size just before erasing and
 // retracts the old share from each link it erases; the pass then gives
 // every surviving link its (x − δ/m_t) + δ/m'_t, a cut the removal left
 // alone included (m'_t = m_t: that round trip can move a stored double by
@@ -60,8 +64,8 @@
 // it only grows as cuts shrink. So a forced load that passes
 // PowerModel::proven_overload proves the final routing invalid, and the
 // call stops. A cut turns singleton only when a removal erases a link from
-// it or its prune filters it, which is exactly the window
-// prune_after_removal already visits; the forced loads cost no extra scan.
+// it or the cascade kills some of its links, which are exactly the cuts
+// CommState::remove already filters; the forced loads cost no extra scan.
 // A two-link cut forces nothing: either link may be removed later. The
 // virtual spread (`loads`) proves nothing either, since it moves as paths
 // are removed.
@@ -80,24 +84,6 @@
 namespace pamr {
 
 namespace {
-
-/// Reusable buffers of the windowed prune: `row` is its per-depth
-/// recompute buffer, and `forward`/`backward` hold the paranoid
-/// cross-check's full reachability sweep, whose cells are marked with the
-/// current epoch instead of re-zeroing two per-core vectors per sweep. The
-/// vectors are the workspace's; only that cross-check reads them, so its
-/// first sweep of a call (epoch 0) sizes and zeroes them.
-struct PruneScratch {
-  std::vector<std::uint64_t>& forward;
-  std::vector<std::uint64_t>& backward;
-  std::vector<char>& row;
-  std::uint64_t epoch = 0;
-
-  explicit PruneScratch(RouteWorkspace::PathRemover& buffers)
-      : forward(buffers.sweep_forward),
-        backward(buffers.sweep_backward),
-        row(buffers.row) {}
-};
 
 /// One removal's re-spread of the chosen communication's weight (see the
 /// file comment): `old_size[t]` is cut t's size before this removal erased
@@ -126,17 +112,23 @@ struct Respread {
 
 /// Per-communication path-DAG state.
 ///
-/// prune_after_removal() keeps persistent per-cell reachability marks and
-/// recomputes only the depth window a removal at cut t0 can have changed:
-/// forward marks at depths > t0 until a depth stops changing, backward
-/// marks at depths ≤ t0 likewise, then re-filters exactly the cuts whose
-/// links read a changed mark. Marks only ever drop, and a cell whose mark
-/// goes stale (its support was erased in a cut outside the recompute
-/// window) is provably shadowed by the other direction's zero on every
-/// surviving link that could read it, so the windowed filter erases exactly
-/// the links the seed's full forward/backward sweep over every depth would
-/// — the PR differential suite pins the two end to end, and the paranoid
-/// check below re-verifies every windowed prune against a fresh sweep.
+/// Each cell of the rectangle keeps its live degrees: its live in-links and
+/// out-links in the communication's DAG, (a>0)+(b>0) and (a<du)+(b<dv) in
+/// the full rectangle. remove() kills one link, then cascades: a cell whose
+/// out-degree falls to 0 kills its live in-links (they lead nowhere), and
+/// one whose in-degree falls to 0 kills its live out-links (nothing reaches
+/// them). Source and sink never trigger: their unused counts start at 0,
+/// and the removed link's cut keeps a link on a surviving path. The links
+/// left are the trim's fixed point, which in a DAG is exactly the set of
+/// links on some src→snk path: from a live link, live links lead back to
+/// the source and on to the sink, and no link of a live src→snk path ever
+/// loses a degree that path gives it. So remove() keeps exactly what the
+/// seed's full forward/backward sweep keeps, at one step per killed link.
+/// Kills spread toward the source from the removed link's tail and toward
+/// the sink from its head, so the cuts that lose links are [lo, t0) and
+/// (t0, hi]; cut t0 loses only the removed link. The tests drive random
+/// removals against a full sweep; the paranoid check below re-checks the
+/// fixed point after every removal.
 ///
 /// The state lives in the workspace's flat arrays (see CommStates below);
 /// a CommState is a view of one communication's slice of them. Cut t holds
@@ -148,8 +140,8 @@ struct CommState {
   LinkId* links;               ///< every comm's cut slots (global array)
   std::uint32_t* cut_begin;    ///< per depth t: first slot of cut t
   std::uint32_t* cut_size;     ///< per depth t: live links of cut t
-  char* forward;               ///< persistent reachability marks,
-  char* backward;              ///< by core index
+  char* in_degree;             ///< live in-links per cell, by core index
+  char* out_degree;            ///< live out-links per cell, by core index
 
   [[nodiscard]] std::span<LinkId> cut(std::int32_t t) const noexcept {
     const auto idx = static_cast<std::size_t>(t);
@@ -228,157 +220,101 @@ struct CommState {
     changed.resize(static_cast<std::size_t>(out - changed.data()));
   }
 
-  /// Windowed prune after the caller erased a link from cut t0 (see struct
-  /// comment). Each filtered cut erases through erase_retracting. Appends
-  /// to `singled` the link of every cut the removal left single: cut t0 (it
-  /// held ≥ 2 links before the erase) and each filtered cut that dropped
-  /// from ≥ 2 links to one.
-  void prune_after_removal(const Mesh& mesh, std::int32_t t0, PruneScratch& scratch,
-                           const Respread& respread,
-                           std::vector<LinkId>& singled) const {
-    const std::int32_t len = rect.length();
-    PAMR_DCHECK(t0 >= 0 && t0 < len);
-    if (cut(t0).size() == 1) singled.push_back(cut(t0).front());
+  /// One removal of this communication's `weight`: kills `link` (in cut
+  /// t0, which keeps ≥ 2 links) and, by the live-degree cascade of the
+  /// struct comment, every link no src→snk path uses any more; erases them
+  /// from their cuts through erase_retracting and re-spreads
+  /// (finish_respread). Leaves in `pr.changed` every link whose stored load
+  /// moved and in `pr.singled` the link of every cut the removal left
+  /// single; `pr.dead` is the cascade's stack.
+  void remove(const Mesh& mesh, LinkId link, std::int32_t t0, double weight,
+              LinkLoads& loads, RouteWorkspace::PathRemover& pr) const {
+    const Respread respread{weight, loads, pr.old_size, pr.changed};
+    std::vector<Coord>& dead = pr.dead;
+    std::vector<LinkId>& singled = pr.singled;
+    pr.changed.clear();
+    singled.clear();
     const std::int32_t du = rect.du();
     const std::int32_t dv = rect.dv();
-    auto cell_key = [&](Coord c) {
-      return static_cast<std::size_t>(mesh.core_index(c));
+    std::int32_t lo = t0;  // the cuts [lo, hi] lost links
+    std::int32_t hi = t0;
+    auto kill = [&](LinkId l, std::int32_t t) {
+      allowed[static_cast<std::size_t>(l)] = 0;
+      lo = std::min(lo, t);
+      hi = std::max(hi, t);
+      const LinkInfo& info = mesh.link(l);
+      if (--out_degree[mesh.core_index(info.from)] == 0) dead.push_back(info.from);
+      if (--in_degree[mesh.core_index(info.to)] == 0) dead.push_back(info.to);
     };
-
-    // Forward marks can change only at depths > t0 (cuts before t0 are
-    // untouched); recompute depth by depth and stop at the first depth
-    // with no change — deeper marks depend only on unchanged inputs.
-    std::int32_t f_hi = t0;
-    for (std::int32_t d = t0; d < len; ++d) {
-      const std::int32_t a_lo = std::max<std::int32_t>(0, d + 1 - dv);
-      const std::int32_t a_hi = std::min(du, d + 1);
-      scratch.row.assign(static_cast<std::size_t>(a_hi - a_lo + 1), 0);
-      for (const LinkId link : cut(d)) {
-        const LinkInfo& info = mesh.link(link);
-        if (forward[cell_key(info.from)] != 0) {
-          std::int32_t a = 0;
-          std::int32_t b = 0;
-          const bool inside = rect.cell_offsets(info.to, a, b);
-          PAMR_DCHECK(inside);
-          scratch.row[static_cast<std::size_t>(a - a_lo)] = 1;
-        }
+    auto kill_live = [&](Coord from, Coord to, std::int32_t t) {
+      const LinkId l = mesh.link_between_unchecked(from, to);
+      if (allowed[static_cast<std::size_t>(l)] != 0) kill(l, t);
+    };
+    dead.clear();
+    kill(link, t0);
+    while (!dead.empty()) {
+      const Coord c = dead.back();
+      dead.pop_back();
+      std::int32_t a = 0;
+      std::int32_t b = 0;
+      const bool inside = rect.cell_offsets(c, a, b);
+      PAMR_DCHECK(inside);
+      if (out_degree[mesh.core_index(c)] == 0) {  // a dead end: kill its in-links
+        if (a > 0) kill_live(rect.cell(a - 1, b), c, a + b - 1);
+        if (b > 0) kill_live(rect.cell(a, b - 1), c, a + b - 1);
       }
-      bool depth_changed = false;
-      for (std::int32_t a = a_lo; a <= a_hi; ++a) {
-        char& mark = forward[cell_key(rect.cell(a, d + 1 - a))];
-        const char next = scratch.row[static_cast<std::size_t>(a - a_lo)];
-        if (mark != next) {
-          mark = next;
-          depth_changed = true;
-        }
+      if (in_degree[mesh.core_index(c)] == 0) {  // unreachable: kill its out-links
+        if (a < du) kill_live(c, rect.cell(a + 1, b), a + b);
+        if (b < dv) kill_live(c, rect.cell(a, b + 1), a + b);
       }
-      if (!depth_changed) break;
-      f_hi = d + 1;
     }
-
-    // Backward marks can change only at depths ≤ t0; sweep toward the
-    // source with the same stopping rule.
-    std::int32_t b_lo = t0 + 1;
-    for (std::int32_t d = t0; d >= 0; --d) {
-      const std::int32_t a_lo = std::max<std::int32_t>(0, d - dv);
-      const std::int32_t a_hi = std::min(du, d);
-      scratch.row.assign(static_cast<std::size_t>(a_hi - a_lo + 1), 0);
-      for (const LinkId link : cut(d)) {
-        const LinkInfo& info = mesh.link(link);
-        if (backward[cell_key(info.to)] != 0) {
-          std::int32_t a = 0;
-          std::int32_t b = 0;
-          const bool inside = rect.cell_offsets(info.from, a, b);
-          PAMR_DCHECK(inside);
-          scratch.row[static_cast<std::size_t>(a - a_lo)] = 1;
-        }
-      }
-      bool depth_changed = false;
-      for (std::int32_t a = a_lo; a <= a_hi; ++a) {
-        char& mark = backward[cell_key(rect.cell(a, d - a))];
-        const char next = scratch.row[static_cast<std::size_t>(a - a_lo)];
-        if (mark != next) {
-          mark = next;
-          depth_changed = true;
-        }
-      }
-      if (!depth_changed) break;
-      b_lo = d;
-    }
-
-    // Only links that read a changed mark can change liveness: tails at
-    // depths (t0, f_hi] and heads at depths [b_lo, t0]. Cut t0 itself
-    // keeps its alive set — its tails' forward and heads' backward marks
-    // sit outside both changed ranges.
     auto filter_cut = [&](std::int32_t d) {
       const std::size_t before = cut(d).size();
-      erase_retracting(d, [&](LinkId link) {
-        const LinkInfo& info = mesh.link(link);
-        const bool alive = allowed[static_cast<std::size_t>(link)] != 0 &&
-                           forward[cell_key(info.from)] != 0 &&
-                           backward[cell_key(info.to)] != 0;
-        if (!alive) allowed[static_cast<std::size_t>(link)] = 0;
-        return !alive;
-      }, respread);
+      erase_retracting(
+          d, [&](LinkId l) { return allowed[static_cast<std::size_t>(l)] == 0; }, respread);
       const std::span<const LinkId> after = cut(d);
       PAMR_ASSERT_MSG(!after.empty(), "prune emptied a cut — connectivity broken");
       if (before >= 2 && after.size() == 1) singled.push_back(after.front());
     };
-    for (std::int32_t d = std::max<std::int32_t>(0, b_lo - 1); d < t0; ++d) {
-      filter_cut(d);
-    }
-    for (std::int32_t d = t0 + 1; d <= f_hi; ++d) filter_cut(d);
-
+    filter_cut(t0);
+    for (std::int32_t d = lo; d < t0; ++d) filter_cut(d);
+    for (std::int32_t d = t0 + 1; d <= hi; ++d) filter_cut(d);
+    finish_respread(respread);
 #if PAMR_CHECK_LEVEL >= 2
-    check_windowed_prune(mesh, scratch);
+    check_prune(mesh);
 #endif
   }
 
-  /// Paranoid cross-check (automatic under the paranoid level): a fresh
-  /// full reachability sweep over the current cuts must find every
-  /// surviving link alive — i.e. the full-sweep prune would erase nothing
-  /// the windowed prune kept. (Persistent marks are allowed to go stale on
-  /// cells no surviving link reads; comparing them directly would
-  /// false-positive.)
-  void check_windowed_prune(const Mesh& mesh, PruneScratch& scratch) const {
-    const std::int32_t len = rect.length();
-    if (scratch.epoch == 0) {
-      scratch.forward.assign(static_cast<std::size_t>(mesh.num_cores()), 0);
-      scratch.backward.assign(static_cast<std::size_t>(mesh.num_cores()), 0);
-    }
-    const std::uint64_t epoch = ++scratch.epoch;
-    auto cell_key = [&](Coord c) {
-      return static_cast<std::size_t>(mesh.core_index(c));
+#if PAMR_CHECK_LEVEL >= 2
+  /// Paranoid check after every removal: each cell's degrees count its
+  /// live links; a cell with a live link has a live in-link unless it is
+  /// the source and a live out-link unless it is the sink (the cascade's
+  /// fixed point, so every surviving link lies on a src→snk path); and the
+  /// cuts hold as many links as are live.
+  void check_prune(const Mesh& mesh) const {
+    std::int64_t unmatched = 0;
+    for (std::int32_t t = 0; t < rect.length(); ++t) unmatched += cut(t).size();
+    auto live = [&](bool inside, Coord from, Coord to) {
+      return inside && allowed[static_cast<std::size_t>(mesh.link_between(from, to))] != 0;
     };
-    scratch.forward[cell_key(rect.src())] = epoch;
-    for (std::int32_t t = 0; t < len; ++t) {
-      for (const LinkId link : cut(t)) {
-        const LinkInfo& info = mesh.link(link);
-        if (scratch.forward[cell_key(info.from)] == epoch) {
-          scratch.forward[cell_key(info.to)] = epoch;
-        }
-      }
-    }
-    scratch.backward[cell_key(rect.snk())] = epoch;
-    for (std::int32_t t = len - 1; t >= 0; --t) {
-      for (const LinkId link : cut(t)) {
-        const LinkInfo& info = mesh.link(link);
-        if (scratch.backward[cell_key(info.to)] == epoch) {
-          scratch.backward[cell_key(info.from)] = epoch;
-        }
-      }
-    }
-    for (std::int32_t t = 0; t < len; ++t) {
-      for (const LinkId link : cut(t)) {
-        const LinkInfo& info = mesh.link(link);
+    for (std::int32_t a = 0; a <= rect.du(); ++a) {
+      for (std::int32_t b = 0; b <= rect.dv(); ++b) {
+        const Coord c = rect.cell(a, b);
+        const int in = live(a > 0, rect.cell(a - 1, b), c) + live(b > 0, rect.cell(a, b - 1), c);
+        const int out = live(a < rect.du(), c, rect.cell(a + 1, b)) +
+                        live(b < rect.dv(), c, rect.cell(a, b + 1));
+        unmatched -= out;
+        const auto cell = static_cast<std::size_t>(mesh.core_index(c));
         PAMR_INVARIANT_ALWAYS(
             "pr-prune",
-            scratch.forward[cell_key(info.from)] == epoch &&
-                scratch.backward[cell_key(info.to)] == epoch,
-            "windowed prune kept a link the full sweep would erase");
+            in_degree[cell] == in && out_degree[cell] == out &&
+                (in + out == 0 || ((in > 0 || a + b == 0) && (out > 0 || a + b == rect.length()))),
+            "the cascade left a wrong degree or a link on no src→snk path");
       }
     }
+    PAMR_INVARIANT_ALWAYS("pr-prune", unmatched == 0, "the cuts disagree with the live links");
   }
+#endif
 
   /// Appends one removal's PrTrace record.
   void trace(PrTrace& trace, std::size_t comm, std::int32_t depth,
@@ -432,12 +368,20 @@ class CommStates {
       }
     }
     b_.allowed.assign(comms.size() * num_links_, 0);
-    // Every cell of the full rectangle reaches and is reached — all marks
-    // start true (cells outside the rectangle are never read).
-    b_.forward.assign(comms.size() * num_cores_, 1);
-    b_.backward.assign(comms.size() * num_cores_, 1);
+    // Cells outside a rectangle are never read, so only its cells get
+    // their full-rectangle degrees.
+    b_.in_degree.resize(comms.size() * num_cores_);
+    b_.out_degree.resize(comms.size() * num_cores_);
     for (std::size_t idx = 0; idx < comms.size(); ++idx) {
       const CommState state = (*this)[idx];
+      const CommRect& rect = state.rect;
+      for (std::int32_t a = 0; a <= rect.du(); ++a) {
+        for (std::int32_t b = 0; b <= rect.dv(); ++b) {
+          const auto cell = static_cast<std::size_t>(mesh.core_index(rect.cell(a, b)));
+          state.in_degree[cell] = static_cast<char>((a > 0) + (b > 0));
+          state.out_degree[cell] = static_cast<char>((a < rect.du()) + (b < rect.dv()));
+        }
+      }
       for (std::int32_t t = 0; t < state.rect.length(); ++t) {
         for (const LinkId link : state.cut(t)) {
           state.allowed[static_cast<std::size_t>(link)] = 1;
@@ -455,8 +399,8 @@ class CommStates {
                      b_.cut_links.data(),
                      b_.cut_begin.data() + b_.depth_base[idx],
                      b_.cut_size.data() + b_.depth_base[idx],
-                     b_.forward.data() + idx * num_cores_,
-                     b_.backward.data() + idx * num_cores_};
+                     b_.in_degree.data() + idx * num_cores_,
+                     b_.out_degree.data() + idx * num_cores_};
   }
 
   /// Whether communication idx may still use `link`.
@@ -544,11 +488,13 @@ RouteResult PathRemoverRouter::route_impl(const Mesh& mesh, const CommSet& comms
   }
 
   std::size_t active = states.count_multi_path();
-  PruneScratch scratch(pr);
   pr.old_size.assign(static_cast<std::size_t>(mesh.p() + mesh.q()), 0);
-  std::vector<LinkId>& changed = pr.changed;
-  std::vector<LinkId>& singled = pr.singled;
   std::size_t removals = 0;
+  // Once per call, so the removal loop makes no obs call for them.
+  auto report = [&] {
+    obs::sample(obs::Metric::kPrRemovalsPerCall, removals);
+    obs::bump(obs::Metric::kLoadIndexRepairs, index.repairs());
+  };
 
   const std::size_t none = states.size();
   while (active > 0) {
@@ -592,32 +538,43 @@ RouteResult PathRemoverRouter::route_impl(const Mesh& mesh, const CommSet& comms
 
     const CommState state = states[chosen];
     const double weight = comms[chosen].weight;
-    const Respread respread{weight, loads, pr.old_size, changed};
-    changed.clear();
-    state.allowed[static_cast<std::size_t>(link)] = 0;
-    state.erase_retracting(depth, [link](LinkId l) { return l == link; }, respread);
-    singled.clear();
-    state.prune_after_removal(mesh, depth, scratch, respread, singled);
-    state.finish_respread(respread);
+    state.remove(mesh, link, depth, weight, loads, pr);
     if (trace_ != nullptr) state.trace(*trace_, chosen, depth, loads);
-    index.reorder(changed, loads);
+    index.reorder(pr.changed, loads);
     ++removals;
     obs::bump(obs::Metric::kPrRemovals);
     if (state.is_single_path()) --active;
     if (verdict) {
-      for (const LinkId single : singled) {
+      for (const LinkId single : pr.singled) {
         if (force(single, weight)) {
-          obs::sample(obs::Metric::kPrRemovalsPerCall, removals);
+          report();
           return abandon(timer.elapsed_ms());
         }
       }
     }
   }
 
-  obs::sample(obs::Metric::kPrRemovalsPerCall, removals);
+  report();
   workspace.paths.reset(comms);
   states.extract_paths(mesh, workspace.paths);
   return finish(mesh, comms, model, workspace, timer.elapsed_ms());
+}
+
+void PathRemoverRouter::remove_links(const Mesh& mesh, const Communication& comm,
+                                     RouteWorkspace& workspace,
+                                     const std::function<LinkId()>& next) {
+  RouteWorkspace::PathRemover& pr = workspace.pr;
+  workspace.loads.reset(mesh.num_links());
+  const CommSet comms{comm};
+  const CommState state = CommStates(pr, mesh, comms, workspace.loads)[0];
+  pr.old_size.assign(static_cast<std::size_t>(mesh.p() + mesh.q()), 0);
+  for (LinkId link = next(); link != kInvalidLink; link = next()) {
+    const std::int32_t depth = state.rect.depth(mesh.link(link).from);
+    PAMR_CHECK(state.allowed[static_cast<std::size_t>(link)] != 0 &&
+                   state.cut(depth).size() >= 2,
+               "remove_links: the link must be live in a cut that keeps >= 2 links");
+    state.remove(mesh, link, depth, comm.weight, workspace.loads, pr);
+  }
 }
 
 }  // namespace pamr

@@ -91,16 +91,12 @@ RouteResult Router::route_analogue(const topo::Topology& topology, const CommSet
 RouteResult Router::finish(const topo::Topology& topology, const CommSet& comms,
                            const PowerModel& model, Routing routing, double elapsed_ms,
                            RouteWorkspace& workspace) {
-  // All §5 heuristics and their analogues are single-path; multi-path
-  // callers go through the opt/ layer, which validates with its own s.
-  const ValidationResult structure = validate_structure(topology, comms, routing, 1);
-  PAMR_ASSERT_MSG(structure.ok, structure.error.c_str());
+  // All §5 heuristics and their analogues are single-path.
   RouteResult result;
   result.elapsed_ms = elapsed_ms;
-  LinkLoads& loads = workspace.final_loads;
-  loads.reset(topology.num_links());
-  loads.add_routing(routing);
-  if (const auto breakdown = model.breakdown(loads.values()); breakdown.has_value()) {
+  if (const auto breakdown =
+          price_routing(topology, comms, routing, model, workspace.final_loads);
+      breakdown.has_value()) {
     result.valid = true;
     result.power = breakdown->total;
     result.breakdown = *breakdown;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "pamr/routing/router.hpp"
 
@@ -110,6 +111,12 @@ class PathRemoverRouter final : public Router {
   PathRemoverRouter() noexcept : Router(RouterKind::kPR) {}
 
   void set_trace(PrTrace* trace) noexcept { trace_ = trace; }
+
+  /// The removal step alone, for the prune tests: builds `comm`'s full DAG
+  /// in `workspace.pr` and removes each link next() names (its cut must
+  /// keep ≥ 2 links) until it names kInvalidLink.
+  static void remove_links(const Mesh& mesh, const Communication& comm,
+                           RouteWorkspace& workspace, const std::function<LinkId()>& next);
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,

@@ -77,6 +77,17 @@ ValidationResult validate_routing(const topo::Topology& topology, const CommSet&
   return ValidationResult{true, {}};
 }
 
+std::optional<PowerBreakdown> price_routing(const topo::Topology& topology,
+                                            const CommSet& comms, const Routing& routing,
+                                            const PowerModel& model, LinkLoads& loads,
+                                            std::size_t max_paths) {
+  const ValidationResult structure = validate_structure(topology, comms, routing, max_paths);
+  PAMR_ASSERT_MSG(structure.ok, structure.error.c_str());
+  loads.reset(topology.num_links());
+  loads.add_routing(routing);
+  return model.breakdown(loads.values());
+}
+
 void check_comm_set(const topo::Topology& topology, const CommSet& comms) {
   for (std::size_t i = 0; i < comms.size(); ++i) {
     const Communication& comm = comms[i];

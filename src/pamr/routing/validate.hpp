@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "pamr/comm/communication.hpp"
@@ -21,6 +22,8 @@
 #include "pamr/topo/topology.hpp"
 
 namespace pamr {
+
+class LinkLoads;
 
 struct ValidationResult {
   bool ok = false;
@@ -45,6 +48,13 @@ struct ValidationResult {
                                                   const CommSet& comms,
                                                   const Routing& routing,
                                                   std::size_t max_paths = 1);
+
+/// The one pricing body (Router::finish, route_split, solve_exact_1mp):
+/// asserts validate_structure, sums the link loads into `loads` (reset
+/// first) and prices them; nullopt when a link is overloaded.
+[[nodiscard]] std::optional<PowerBreakdown> price_routing(
+    const topo::Topology& topology, const CommSet& comms, const Routing& routing,
+    const PowerModel& model, LinkLoads& loads, std::size_t max_paths = 1);
 
 /// Input validation for the public routing boundary (Router::route, on
 /// every topology): every communication must have in-bounds endpoints,

@@ -118,11 +118,9 @@ class RouteWorkspace {
     std::vector<std::uint32_t> cut_begin;  ///< per (comm, depth): first slot
     std::vector<std::uint32_t> cut_size;   ///< per (comm, depth): live links
     std::vector<std::uint32_t> depth_base; ///< per comm: its depth-0 entry
-    std::vector<char> forward;             ///< comm-major, one mark per core
-    std::vector<char> backward;            ///< comm-major, one mark per core
-    std::vector<std::uint64_t> sweep_forward;   ///< level-2 full-sweep epochs per core
-    std::vector<std::uint64_t> sweep_backward;  ///< level-2 full-sweep epochs per core
-    std::vector<char> row;                 ///< windowed prune's depth buffer
+    std::vector<char> in_degree;           ///< comm-major, live in-links per core
+    std::vector<char> out_degree;          ///< comm-major, live out-links per core
+    std::vector<Coord> dead;               ///< the prune cascade's stack of cells
     std::vector<double> forced;            ///< forced load per link (witness)
     std::vector<std::uint32_t> old_size;   ///< per depth: re-spread's old cut sizes
     LoadIndex index;

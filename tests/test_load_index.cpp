@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "pamr/mesh/rectangle.hpp"
 #include "pamr/routing/load_index.hpp"
 #include "pamr/routing/routers.hpp"
+#include "pamr/routing/workspace.hpp"
 #include "seed_routers.hpp"
 
 namespace pamr {
@@ -86,7 +88,7 @@ class StableSortOracle {
 
 /// LoadOrder never retires, so it follows the oracle's full order; LoadIndex
 /// its live order.
-void expect_matches(const LoadIndex& index, const LoadOrder& order,
+void expect_matches(LoadIndex& index, const LoadOrder& order,
                     const StableSortOracle& oracle, const LinkLoads& loads,
                     const std::string& label) {
   ASSERT_EQ(array_of(order), oracle.all()) << label;
@@ -106,7 +108,7 @@ TEST(LoadIndex, InitialOrderIsLoadDescendingWithLinkIdTies) {
   loads.add(LinkId{3}, 10.0);
   loads.add(LinkId{7}, 10.0);
   loads.add(LinkId{1}, 25.0);
-  const LoadIndex index(loads);
+  LoadIndex index(loads);
   LoadOrder load_order;
   load_order.reset(loads);
 
@@ -322,6 +324,75 @@ TEST(LoadIndex, RetireErasesTheLinkImmediately) {
     index.retire(index.top());
   }
   EXPECT_EQ(drained, order);
+}
+
+TEST(LoadIndex, FallenKeysAreRepairedOnlyAtTheTop) {
+  // Rounds dominated by falls, as PR's removals are: a fallen link keeps
+  // its old heap entry until it reaches the top, where top() re-keys it.
+  // Every round is checked against the oracle; draining a copy re-keys
+  // every entry still stale, so the copy's repairs count them.
+  std::uint64_t falls = 0;
+  std::uint64_t repaired = 0;
+  std::uint64_t stale_at_end = 0;
+  for (const std::uint64_t seed : {0xFA11ull, 5ull, 0x7E57ull}) {
+    const Mesh mesh(6, 6);  // 120 links
+    const auto num_links = static_cast<std::size_t>(mesh.num_links());
+    LinkLoads loads(mesh);
+    Rng rng(seed);
+    for (std::size_t l = 0; l < num_links; ++l) {
+      loads.add(static_cast<LinkId>(l), 10.0 * static_cast<double>(1 + rng.below(40)));
+    }
+    LoadIndex index(loads);
+    StableSortOracle oracle(loads);
+    for (int round = 0; round < 300; ++round) {
+      std::vector<LinkId> changed;
+      const auto count = 1 + rng.below(8);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        // Half the rounds move the top first, as a PR removal does.
+        const LinkId link = i == 0 && rng.below(2) == 0 && !index.empty()
+                                ? index.top()
+                                : static_cast<LinkId>(rng.below(num_links));
+        if (std::find(changed.begin(), changed.end(), link) != changed.end()) continue;
+        changed.push_back(link);
+        const double load = loads.load(link);
+        // Three falls (some onto a tie grid) to one rise; a rise may
+        // stay behind its stale entry or pass it.
+        const double target = rng.below(4) != 0
+                                  ? (rng.below(2) == 0 ? load * rng.uniform(0.0, 1.0)
+                                                       : 10.0 * std::floor(load / 20.0))
+                                  : load + 10.0 * static_cast<double>(1 + rng.below(30));
+        if (target < load && !oracle.retired(link)) ++falls;
+        loads.add(link, target - load);
+      }
+      index.reorder(changed, loads);
+      oracle.resort(loads);
+      if (rng.below(8) == 0 && !index.empty()) {
+        // Retire the top (as PR does) or a live link deeper in the heap.
+        LinkId victim = index.top();
+        if (rng.below(2) == 0) {
+          const std::vector<LinkId> live = oracle.live();
+          victim = live[rng.below(live.size())];
+        }
+        index.retire(victim);
+        oracle.retire(victim);
+      }
+      const std::vector<LinkId> live = oracle.live();
+      if (live.empty()) break;
+      ASSERT_EQ(index.top(), live.front()) << "seed " << seed << " round " << round;
+      index.check_invariants(loads);
+    }
+    ASSERT_EQ(drained_order(index), oracle.live()) << "seed " << seed;
+    LoadIndex copy = index;
+    const std::uint64_t before = copy.repairs();
+    while (!copy.empty()) copy.retire(copy.top());
+    repaired += index.repairs();
+    stale_at_end += copy.repairs() - before;
+  }
+  // Both sides of the laziness happen: stale tops are repaired, and falls
+  // that never reached the top were never sifted.
+  EXPECT_GE(repaired, 200u);
+  EXPECT_GE(stale_at_end, 50u);
+  EXPECT_LT(repaired, falls);
 }
 
 /// A member list as a vector, for comparisons.
@@ -595,6 +666,128 @@ TEST(PathRemoverRespread, OnePassMatchesTwoPassesAfterEveryRemoval) {
   // The workloads must exercise both cases the one pass has to get right.
   EXPECT_GT(total.both_sides, 0);
   EXPECT_GT(total.round_trips, 0);
+}
+
+// ------------------------------------------------- live-degree cascade --
+
+/// The live links of the one communication built in `workspace.pr`, cut by
+/// cut.
+std::vector<std::vector<LinkId>> live_cuts(const RouteWorkspace& workspace,
+                                           std::int32_t length) {
+  const RouteWorkspace::PathRemover& pr = workspace.pr;
+  std::vector<std::vector<LinkId>> cuts;
+  for (std::size_t t = 0; t < static_cast<std::size_t>(length); ++t) {
+    const auto begin = pr.cut_links.begin() + pr.cut_begin[t];
+    cuts.emplace_back(begin, begin + pr.cut_size[t]);
+  }
+  return cuts;
+}
+
+/// The links of `cuts` that a fresh full sweep keeps: reached from src by
+/// a forward sweep and reaching snk in a backward one.
+std::vector<std::vector<LinkId>> swept(const Mesh& mesh, const CommRect& rect,
+                                       const std::vector<std::vector<LinkId>>& cuts) {
+  std::vector<char> forward(static_cast<std::size_t>(mesh.num_cores()), 0);
+  std::vector<char> backward(forward.size(), 0);
+  const auto cell = [&](Coord c) { return static_cast<std::size_t>(mesh.core_index(c)); };
+  forward[cell(rect.src())] = 1;
+  for (const std::vector<LinkId>& cut : cuts) {
+    for (const LinkId link : cut) {
+      if (forward[cell(mesh.link(link).from)] != 0) forward[cell(mesh.link(link).to)] = 1;
+    }
+  }
+  backward[cell(rect.snk())] = 1;
+  for (auto cut = cuts.rbegin(); cut != cuts.rend(); ++cut) {
+    for (const LinkId link : *cut) {
+      if (backward[cell(mesh.link(link).to)] != 0) backward[cell(mesh.link(link).from)] = 1;
+    }
+  }
+  std::vector<std::vector<LinkId>> kept(cuts.size());
+  for (std::size_t t = 0; t < cuts.size(); ++t) {
+    for (const LinkId link : cuts[t]) {
+      if (forward[cell(mesh.link(link).from)] != 0 && backward[cell(mesh.link(link).to)] != 0) {
+        kept[t].push_back(link);
+      }
+    }
+  }
+  return kept;
+}
+
+TEST(PathRemoverPrune, CascadeKeepsExactlyTheSweepsLinks) {
+  // Random removals, each of a live link whose cut keeps >= 2 links, on
+  // rectangles of 1×n, n×1, 3×7 and 6×6 steps in all four quadrants, at
+  // the default check level. After every removal the live cuts must equal
+  // a fresh full sweep of the previous cuts without the removed link: no
+  // link kept that the sweep erases, none erased that it keeps. The
+  // allowed flags must agree with the cuts.
+  std::vector<std::pair<std::int32_t, std::int32_t>> shapes{{3, 7}, {6, 6}};
+  for (std::int32_t n = 1; n <= 8; ++n) {
+    shapes.emplace_back(1, n);
+    shapes.emplace_back(n, 1);
+  }
+  int removals = 0;
+  int toward_src = 0;   // removals whose cascade killed links before the cut
+  int toward_snk = 0;   // ... and after it
+  Rng rng(0xCA5C);
+  RouteWorkspace workspace;
+  for (const auto& [du, dv] : shapes) {
+    const Mesh mesh(du + 3, dv + 3);
+    for (int quadrant = 0; quadrant < 4; ++quadrant) {
+      const bool up = (quadrant & 1) != 0;
+      const bool left = (quadrant & 2) != 0;
+      const Coord src{up ? du + 1 : 1, left ? dv + 1 : 1};
+      const Coord snk{up ? 1 : du + 1, left ? 1 : dv + 1};
+      const CommRect rect(mesh, src, snk);
+      const std::string label = std::to_string(du) + "x" + std::to_string(dv) +
+                                " quadrant " + std::to_string(quadrant);
+      for (int run = 0; run < 12; ++run) {
+        std::vector<std::vector<LinkId>> expected;
+        std::int32_t depth = -1;
+        PathRemoverRouter::remove_links(
+            mesh, Communication{src, snk, 100.0}, workspace, [&]() -> LinkId {
+              const std::vector<std::vector<LinkId>> cuts = live_cuts(workspace, rect.length());
+              if (depth >= 0) {
+                EXPECT_EQ(cuts, expected) << label << " run " << run;
+                ++removals;
+              }
+              for (LinkId link = 0; link < mesh.num_links(); ++link) {
+                const bool live = std::any_of(cuts.begin(), cuts.end(), [&](const auto& cut) {
+                  return std::find(cut.begin(), cut.end(), link) != cut.end();
+                });
+                EXPECT_EQ(workspace.pr.allowed[static_cast<std::size_t>(link)] != 0, live)
+                    << label << " link " << link;
+              }
+              std::vector<std::int32_t> removable;
+              for (std::size_t t = 0; t < cuts.size(); ++t) {
+                if (cuts[t].size() >= 2) removable.push_back(static_cast<std::int32_t>(t));
+              }
+              if (removable.empty() || testing::Test::HasFailure()) return kInvalidLink;
+              depth = removable[rng.below(removable.size())];
+              const std::vector<LinkId>& cut = cuts[static_cast<std::size_t>(depth)];
+              const LinkId link = cut[rng.below(cut.size())];
+              expected = cuts;
+              std::erase(expected[static_cast<std::size_t>(depth)], link);
+              expected = swept(mesh, rect, expected);
+              bool before = false;
+              bool after = false;
+              for (std::size_t t = 0; t < cuts.size(); ++t) {
+                const bool lost = expected[t].size() + (t == static_cast<std::size_t>(depth))
+                                  < cuts[t].size();
+                before |= lost && static_cast<std::int32_t>(t) < depth;
+                after |= lost && static_cast<std::int32_t>(t) > depth;
+              }
+              toward_src += before ? 1 : 0;
+              toward_snk += after ? 1 : 0;
+              return link;
+            });
+        ASSERT_FALSE(testing::Test::HasFailure()) << label << " run " << run;
+      }
+    }
+  }
+  // The removals must cascade both ways, so both kill rules are exercised.
+  EXPECT_GE(removals, 2000);
+  EXPECT_GE(toward_src, 200);
+  EXPECT_GE(toward_snk, 200);
 }
 
 }  // namespace
