@@ -11,7 +11,7 @@
 namespace pamr::obs {
 
 /// Writes the current registry snapshot. `driver` names the producing
-/// binary ("pamr_scenarios", "pamr_dist"); `fingerprint` is the campaign
+/// binary ("pamr_scenarios"); `fingerprint` is the campaign
 /// fingerprint of the work that ran (dist::build_campaign_plan), or "" for
 /// ad-hoc runs.
 [[nodiscard]] bool write_report(const std::string& path, std::string_view driver,

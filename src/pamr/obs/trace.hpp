@@ -6,7 +6,7 @@
 // ships them over the wire protocol as an ordinary message (see
 // dist/worker.cpp); the coordinator files them under that worker's trace
 // pid, so the merged trace.json shows one lane per process. pid 0 is
-// always the local process (the coordinator, or pamr_scenarios itself).
+// always the local process (the coordinator, or the in-process run).
 //
 // write_trace() turns the recorded intervals into properly nested B/E
 // event pairs per (pid, tid): spans are sorted by (start, -end) and

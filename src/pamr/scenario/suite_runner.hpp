@@ -72,10 +72,10 @@ struct ScenarioResult {
     const std::vector<exp::PointAggregate>& partials);
 
 /// The canonical `--spec` wrapper: a single-point scenario named "adhoc"
-/// under the library default seed. `pamr_scenarios --spec`, `pamr_dist
-/// --spec` and the differential test fixture all build ad-hoc runs through
-/// this one helper, so their outputs stay byte-comparable by construction
-/// instead of by parallel hand-rolled copies.
+/// under the library default seed. `pamr_scenarios --spec` and the
+/// differential test fixture both build ad-hoc runs through this one
+/// helper, so their outputs stay byte-comparable by construction instead
+/// of by parallel hand-rolled copies.
 [[nodiscard]] Scenario adhoc_scenario(ScenarioSpec spec);
 
 /// Runs every instance of one spec (the single-point kernel). `pool` may
@@ -135,20 +135,20 @@ class SuiteRunner {
 /// Header / row of the live progress stream (one CsvStreamWriter row per
 /// completed unit, in completion order): the unit's coordinates plus each
 /// series' chunk-partial mean normalized inverse. Shared by
-/// `pamr_scenarios --stream` and the pamr_dist coordinator so the two
+/// `pamr_scenarios --stream` and the dist coordinator so the two
 /// streams are drop-in compatible for live plotting.
 [[nodiscard]] std::vector<std::string> stream_csv_header();
 [[nodiscard]] std::vector<Cell> stream_csv_row(const std::string& scenario, double x,
                                                const SuiteUnit& unit,
                                                const exp::PointAggregate& partial);
 
-/// Prints both tables of one result to stdout (shared by the scenario CLI
-/// and pamr_dist, so their human-readable reports match too).
+/// Prints both tables of one result to stdout (one printer for both
+/// executors of pamr_scenarios, so their human-readable reports match too).
 void print_scenario_result(const ScenarioResult& result, std::int32_t instances);
 
 /// Writes dir/<name>_{norm_inv_power,failure_ratio}.csv and, optionally,
-/// dir/<name>.json. One shared implementation is what makes `pamr_dist`
-/// output byte-identical to `pamr_scenarios --csv --json`. Returns false
+/// dir/<name>.json. One shared implementation is what makes the worker
+/// executor's files byte-identical to the in-process ones. Returns false
 /// (after logging) if any write failed.
 bool write_scenario_outputs(const ScenarioResult& result, const std::string& dir,
                             bool write_csv, bool write_json);

@@ -6,7 +6,8 @@
 // worker counts, or completion order. Both the in-process SuiteRunner and
 // the distributed coordinator (pamr::dist) enumerate with this function, and
 // both fold unit aggregates back in unit-index order, which is what makes a
-// 2-worker `pamr_dist` run match a 1-thread SuiteRunner bit-for-bit.
+// 2-worker `pamr_scenarios --workers 2` run match a 1-thread SuiteRunner
+// bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ struct SuiteUnit {
 /// registry names — into suite entries. A non-negative `seed` overrides
 /// every scenario's default seed. Returns false with `error` naming the
 /// first unknown scenario (leaving `out` untouched). Shared by
-/// pamr_scenarios and pamr_dist so name/seed semantics cannot drift.
+/// pamr_scenarios and perfbench so name/seed semantics cannot drift.
 [[nodiscard]] bool resolve_suite_entries(const ScenarioRegistry& registry,
                                          std::string_view names, std::int64_t seed,
                                          std::vector<SuiteEntry>& out,

@@ -65,7 +65,7 @@ class CsvStreamWriter {
 
   /// Opens `path` and writes the header row. With `append` set, an
   /// existing non-empty file is continued instead (no second header) —
-  /// how `pamr_dist --resume` keeps one stream across interruptions.
+  /// how `pamr_scenarios --workers N --resume` keeps one stream across interruptions.
   /// Returns false (after logging) on I/O failure.
   [[nodiscard]] bool open(const std::string& path,
                           const std::vector<std::string>& header,

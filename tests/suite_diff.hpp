@@ -1,17 +1,17 @@
 // Reusable differential-determinism fixture for suite execution paths.
 //
 // The repo's core output guarantee is that every execution path of a
-// campaign — 1-thread SuiteRunner, N-thread SuiteRunner, N-worker
-// `pamr_dist`, and an interrupted-then-`--resume`d `pamr_dist` — produces
+// campaign — 1-thread SuiteRunner, N-thread SuiteRunner, `pamr_scenarios`
+// in process, on N workers, and interrupted then `--resume`d — produces
 // bit-identical aggregates and byte-identical CSV/JSON. test_dist pinned
 // that for the original workloads; this header is the same harness
 // extracted so every new workload layer (trace replay, open-loop injection,
 // placement modes, mesh sweeps) runs the identical battery instead of
 // copying it.
 //
-// The end-to-end halves need the real pamr_dist binary: targets that want
-// them get `PAMR_DIST_BIN` injected by CMake; without it the in-process
-// thread-count differential still runs.
+// The end-to-end halves need the real pamr_scenarios binary: targets that
+// want them get `PAMR_SCENARIOS_BIN` injected by CMake; without it the
+// in-process thread-count differential still runs.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -80,9 +80,9 @@ inline std::string fresh_dir(const std::string& name) {
   return path;
 }
 
-/// The same ad-hoc wrapper `--spec` uses in both CLIs (scenario::
+/// The same ad-hoc wrapper `--spec` uses in the CLI (scenario::
 /// adhoc_scenario), from text — in-process reference outputs stay
-/// byte-comparable with `pamr_dist --spec` outputs by construction.
+/// byte-comparable with `pamr_scenarios --spec` outputs by construction.
 inline scenario::Scenario adhoc_scenario(const std::string& spec_text) {
   return scenario::adhoc_scenario(parse_spec(spec_text));
 }
@@ -107,10 +107,12 @@ inline scenario::ScenarioResult expect_thread_count_invariant(
   return reference;
 }
 
-#ifdef PAMR_DIST_BIN
+#ifdef PAMR_SCENARIOS_BIN
 
-inline int run_dist(const std::string& args) {
-  const std::string command = std::string(PAMR_DIST_BIN) + " " + args + " > /dev/null";
+/// Runs pamr_scenarios with `args`, its tables on stdout discarded;
+/// returns the exit code.
+inline int run_scenarios(const std::string& args) {
+  const std::string command = std::string(PAMR_SCENARIOS_BIN) + " " + args + " > /dev/null";
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -132,14 +134,14 @@ inline void expect_outputs_match(const std::string& reference_dir,
 
 /// The full battery for one scenario:
 ///   1-thread SuiteRunner == N-thread SuiteRunner   (bitwise aggregates)
-///   == 2-worker pamr_dist                          (byte-identical files)
-///   == interrupted + --resume'd pamr_dist          (byte-identical files)
-/// `dist_selector` is the campaign argument for pamr_dist: "--run <name>"
+///   == pamr_scenarios in process, 4 threads        (byte-identical files)
+///   == pamr_scenarios on 2 workers                 (byte-identical files)
+///   == interrupted + --resume'd on 2 workers       (byte-identical files)
+/// `selector` is the campaign argument for pamr_scenarios: "--run <name>"
 /// or "--spec '<text>'".
 inline void expect_suite_differential(const scenario::Scenario& scenario,
-                                      const std::string& dist_selector,
-                                      std::int32_t trials, std::size_t chunk,
-                                      const std::string& tag) {
+                                      const std::string& selector, std::int32_t trials,
+                                      std::size_t chunk, const std::string& tag) {
   const scenario::ScenarioResult reference =
       expect_thread_count_invariant(scenario, trials, chunk);
   const std::string reference_dir = fresh_dir(tag + "_ref");
@@ -147,23 +149,28 @@ inline void expect_suite_differential(const scenario::Scenario& scenario,
                                                /*write_csv=*/true,
                                                /*write_json=*/true));
 
-  const std::string base = dist_selector + " --workers 2 --trials " +
-                           std::to_string(trials) + " --chunk " +
-                           std::to_string(chunk) + " --no-tables --out ";
+  const std::string common = selector + " --trials " + std::to_string(trials) +
+                             " --chunk " + std::to_string(chunk) + " --csv --json";
+
+  // In process on four threads.
+  const std::string threads_dir = fresh_dir(tag + "_threads");
+  ASSERT_EQ(run_scenarios(common + " --workers 0 --threads 4 --out " + threads_dir), 0);
+  expect_outputs_match(reference_dir, threads_dir, scenario.name);
 
   // Straight 2-worker campaign.
+  const std::string base = common + " --workers 2 --out ";
   const std::string dist_dir = fresh_dir(tag + "_dist");
-  ASSERT_EQ(run_dist(base + dist_dir), 0);
+  ASSERT_EQ(run_scenarios(base + dist_dir), 0);
   expect_outputs_match(reference_dir, dist_dir, scenario.name);
 
   // Interrupted after one unit, then resumed from the journal.
   const std::string resume_dir = fresh_dir(tag + "_resume");
-  ASSERT_EQ(run_dist(base + resume_dir + " --max-units 1"), 3);
-  ASSERT_EQ(run_dist(base + resume_dir + " --resume"), 0);
+  ASSERT_EQ(run_scenarios(base + resume_dir + " --max-units 1"), 3);
+  ASSERT_EQ(run_scenarios(base + resume_dir + " --resume"), 0);
   expect_outputs_match(reference_dir, resume_dir, scenario.name);
 }
 
-#endif  // PAMR_DIST_BIN
+#endif  // PAMR_SCENARIOS_BIN
 
 }  // namespace suitetest
 }  // namespace pamr

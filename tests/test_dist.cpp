@@ -1,11 +1,11 @@
 // Tests for the distributed suite runner: wire-format round-trips, unit
 // enumeration, the shard journal, canonical-order merging, and — through
-// the real pamr_dist binary (PAMR_DIST_BIN, injected by CMake) — the
-// end-to-end guarantees: 1-thread SuiteRunner == N-thread SuiteRunner ==
-// 2-worker pamr_dist bit-for-bit, and interrupt → --resume → identical
-// bytes, including with a worker that keeps crashing mid-campaign. The
-// bitwise/byte-diff machinery lives in suite_diff.hpp, shared with the
-// workload-layer differential tests (test_workloads).
+// the real pamr_scenarios binary (PAMR_SCENARIOS_BIN, injected by CMake) —
+// the end-to-end guarantees: 1-thread SuiteRunner == N-thread SuiteRunner ==
+// `pamr_scenarios --workers 2` bit-for-bit, and interrupt → --resume →
+// identical bytes, including with a worker that keeps crashing
+// mid-campaign. The bitwise/byte-diff machinery lives in suite_diff.hpp,
+// shared with the workload-layer differential tests (test_workloads).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -379,12 +379,12 @@ TEST(Differential, MergerReproducesSuiteRunnerBitForBit) {
 
 // -- End-to-end through the real binary -------------------------------------
 
-#ifdef PAMR_DIST_BIN
+#ifdef PAMR_SCENARIOS_BIN
 
 constexpr const char* kScenario = "fig7a_small";
 constexpr int kTrials = 10;
 
-using suitetest::run_dist;
+using suitetest::run_scenarios;
 
 /// Reference bytes: the in-process SuiteRunner result written through the
 /// same reporting code `pamr_scenarios --csv --json` uses.
@@ -409,8 +409,8 @@ void expect_outputs_match_reference(const std::string& dir) {
 
 TEST(EndToEnd, TwoWorkersMatchSingleProcessByteForByte) {
   const std::string dir = fresh_dir("e2e");
-  ASSERT_EQ(run_dist("--run " + std::string(kScenario) + " --workers 2 --trials " +
-                     std::to_string(kTrials) + " --no-tables --out " + dir),
+  ASSERT_EQ(run_scenarios("--run " + std::string(kScenario) + " --workers 2 --trials " +
+                          std::to_string(kTrials) + " --csv --json --out " + dir),
             0);
   expect_outputs_match_reference(dir);
   EXPECT_TRUE(std::filesystem::exists(dir + "/shards.log"));
@@ -421,9 +421,9 @@ TEST(EndToEnd, InterruptedThenResumedRunMatchesByteForByte) {
   const std::string dir = fresh_dir("resume");
   const std::string base = "--run " + std::string(kScenario) +
                            " --workers 2 --trials " + std::to_string(kTrials) +
-                           " --no-tables --out " + dir;
+                           " --csv --json --out " + dir;
   // Interrupt after 3 units: exit code 3, journal keeps what finished.
-  ASSERT_EQ(run_dist(base + " --max-units 3"), 3);
+  ASSERT_EQ(run_scenarios(base + " --max-units 3"), 3);
   std::size_t done_lines = 0;
   std::istringstream journal(read_file(dir + "/shards.log"));
   for (std::string line; std::getline(journal, line);) {
@@ -431,9 +431,9 @@ TEST(EndToEnd, InterruptedThenResumedRunMatchesByteForByte) {
   }
   EXPECT_EQ(done_lines, 3u);
   // Without --resume the journal is protected from accidental overwrite.
-  EXPECT_NE(run_dist(base), 0);
+  EXPECT_NE(run_scenarios(base), 0);
   // Resume completes the campaign and the merged bytes are identical.
-  ASSERT_EQ(run_dist(base + " --resume"), 0);
+  ASSERT_EQ(run_scenarios(base + " --resume"), 0);
   expect_outputs_match_reference(dir);
 }
 
@@ -444,16 +444,16 @@ TEST(EndToEnd, TornJournalLinesSurviveRepeatedResume) {
   const std::string dir = fresh_dir("resume_torn");
   const std::string base = "--run " + std::string(kScenario) +
                            " --workers 2 --trials " + std::to_string(kTrials) +
-                           " --no-tables --out " + dir;
+                           " --csv --json --out " + dir;
   const auto tear = [&] {
     std::ofstream(dir + "/shards.log", std::ios::app | std::ios::binary)
         << "done 1 aggv=";
   };
-  ASSERT_EQ(run_dist(base + " --max-units 2"), 3);
+  ASSERT_EQ(run_scenarios(base + " --max-units 2"), 3);
   tear();
-  ASSERT_EQ(run_dist(base + " --resume --max-units 2"), 3);
+  ASSERT_EQ(run_scenarios(base + " --resume --max-units 2"), 3);
   tear();
-  ASSERT_EQ(run_dist(base + " --resume"), 0);
+  ASSERT_EQ(run_scenarios(base + " --resume"), 0);
   expect_outputs_match_reference(dir);
 }
 
@@ -461,14 +461,14 @@ TEST(EndToEnd, CrashingWorkersAreRequeuedOntoReplacements) {
   const std::string dir = fresh_dir("crash");
   ASSERT_EQ(setenv("PAMR_DIST_WORKER_FAIL_AFTER", "2", 1), 0);
   const int exit_code =
-      run_dist("--run " + std::string(kScenario) + " --workers 2 --trials " +
-               std::to_string(kTrials) + " --no-tables --out " + dir);
+      run_scenarios("--run " + std::string(kScenario) + " --workers 2 --trials " +
+                    std::to_string(kTrials) + " --csv --json --out " + dir);
   ASSERT_EQ(unsetenv("PAMR_DIST_WORKER_FAIL_AFTER"), 0);
   ASSERT_EQ(exit_code, 0);
   expect_outputs_match_reference(dir);
 }
 
-#endif  // PAMR_DIST_BIN
+#endif  // PAMR_SCENARIOS_BIN
 
 }  // namespace
 }  // namespace dist

@@ -417,12 +417,12 @@ TEST_F(ObsTest, TraceWriterEmitsBalancedNestedEvents) {
   EXPECT_TRUE(check.process_names.count("worker 7"));
 }
 
-// -- End-to-end through the dist driver --------------------------------------
+// -- End-to-end through worker processes -------------------------------------
 
-#ifdef PAMR_DIST_BIN
+#ifdef PAMR_SCENARIOS_BIN
 
 using suitetest::expect_outputs_match;
-using suitetest::run_dist;
+using suitetest::run_scenarios;
 
 TEST_F(ObsTest, DistUnitCountersMatchInProcessBitForBit) {
   // Reference: the 1-thread in-process run of the same campaign.
@@ -435,7 +435,7 @@ TEST_F(ObsTest, DistUnitCountersMatchInProcessBitForBit) {
       dist::build_campaign_plan(std::move(entries), kTrials, kChunk);
   dist::CoordinatorOptions options;
   options.workers = 2;
-  options.worker_exe = PAMR_DIST_BIN;
+  options.worker_exe = PAMR_SCENARIOS_BIN;
   options.out_dir = fresh_dir("obs_dist_ctr");
   const dist::CampaignOutcome outcome = dist::run_campaign(plan, options);
   ASSERT_TRUE(outcome.complete);
@@ -464,15 +464,15 @@ TEST_F(ObsTest, TelemetryFlagsLeaveResultBytesIdentical) {
   const std::string base = "--run " + std::string(kScenarioName) +
                            " --workers 2 --trials " + std::to_string(kTrials) +
                            " --chunk " + std::to_string(kChunk) +
-                           " --no-tables --out ";
+                           " --csv --json --out ";
 
   const std::string off_dir = fresh_dir("obs_off");
-  ASSERT_EQ(run_dist(base + off_dir), 0);
+  ASSERT_EQ(run_scenarios(base + off_dir), 0);
 
   const std::string on_dir = fresh_dir("obs_on");
   const std::string flags = " --trace-out " + on_dir + "/trace.json" +
                             " --metrics-out " + on_dir + "/report.json";
-  ASSERT_EQ(run_dist(base + on_dir + flags), 0);
+  ASSERT_EQ(run_scenarios(base + on_dir + flags), 0);
   expect_outputs_match(off_dir, on_dir, kScenarioName);
 
   // Interrupted after one unit, resumed — still byte-identical, and the
@@ -480,8 +480,8 @@ TEST_F(ObsTest, TelemetryFlagsLeaveResultBytesIdentical) {
   const std::string resume_dir = fresh_dir("obs_flags_resume");
   const std::string resume_flags = " --trace-out " + resume_dir + "/trace.json" +
                                    " --metrics-out " + resume_dir + "/report.json";
-  ASSERT_EQ(run_dist(base + resume_dir + resume_flags + " --max-units 1"), 3);
-  ASSERT_EQ(run_dist(base + resume_dir + resume_flags + " --resume"), 0);
+  ASSERT_EQ(run_scenarios(base + resume_dir + resume_flags + " --max-units 1"), 3);
+  ASSERT_EQ(run_scenarios(base + resume_dir + resume_flags + " --resume"), 0);
   expect_outputs_match(off_dir, resume_dir, kScenarioName);
 
   // The merged multi-process trace is structurally valid and shows the
@@ -503,7 +503,7 @@ TEST_F(ObsTest, TelemetryFlagsLeaveResultBytesIdentical) {
   // The report carries the pinned counters of the whole campaign.
   const std::string report = read_file(on_dir + "/report.json");
   EXPECT_NE(report.find("\"schema\": \"pamr-metrics/1\""), std::string::npos);
-  EXPECT_NE(report.find("\"driver\": \"pamr_dist\""), std::string::npos);
+  EXPECT_NE(report.find("\"driver\": \"pamr_scenarios\""), std::string::npos);
   const std::uint64_t instances =
       test_scenario().points.size() * static_cast<std::uint64_t>(kTrials);
   const std::string certified_key =
@@ -524,9 +524,9 @@ TEST_F(ObsTest, TelemetryFlagsLeaveResultBytesIdentical) {
 }
 
 TEST_F(ObsTest, FullDifferentialBatteryWithTelemetryOn) {
-  // The standard four-way battery (1 thread == 4 threads == 2-worker dist
-  // == interrupted + resumed dist), with counters and tracing live in every
-  // process: telemetry must not move a single output byte.
+  // The standard battery (1 thread == 4 threads == the binary in process ==
+  // on 2 workers == interrupted + resumed), with counters and tracing live
+  // in every process: telemetry must not move a single output byte.
   ASSERT_EQ(setenv("PAMR_OBS", "1", 1), 0);
   ASSERT_EQ(setenv("PAMR_OBS_TRACE", "1", 1), 0);
   set_trace_enabled(true);
@@ -535,7 +535,7 @@ TEST_F(ObsTest, FullDifferentialBatteryWithTelemetryOn) {
                                        kChunk, "obs_battery");
 }
 
-#endif  // PAMR_DIST_BIN
+#endif  // PAMR_SCENARIOS_BIN
 
 }  // namespace
 }  // namespace obs

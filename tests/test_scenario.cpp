@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 
 #include "pamr/comm/generator.hpp"
 #include "pamr/scenario/suite_runner.hpp"
@@ -309,13 +310,7 @@ TEST(SuiteRunner, JsonExportNamesTheScenarioAndBothTables) {
 
 #ifdef PAMR_SCENARIOS_BIN
 
-/// Runs pamr_scenarios with its outputs going to `out_dir`.
-int run_scenarios(const std::string& out_dir, const std::string& args) {
-  const std::string command = "PAMR_OUT_DIR=" + out_dir + " " + PAMR_SCENARIOS_BIN + " " +
-                              args + " > /dev/null 2>&1";
-  const int status = std::system(command.c_str());
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
+using suitetest::run_scenarios;
 
 constexpr const char* kCliSpec = "mesh=4x4 model=discrete ; kind=uniform n=6 lo=100 hi=800";
 
@@ -326,9 +321,9 @@ TEST(ScenariosCli, SpecRunsTheSuitePathWithItsStream) {
   const Scenario adhoc = suitetest::adhoc_scenario(kCliSpec);
   const std::string dir = suitetest::fresh_dir("scenarios_cli_spec");
   const std::string stream = dir + "/stream.csv";
-  ASSERT_EQ(run_scenarios(dir, "--spec '" + std::string(kCliSpec) + "' --trials " +
-                                   std::to_string(kTrials) + " --csv --json --stream " +
-                                   stream),
+  ASSERT_EQ(run_scenarios("--spec '" + std::string(kCliSpec) + "' --trials " +
+                          std::to_string(kTrials) + " --csv --json --out " + dir +
+                          " --stream " + stream),
             0);
 
   ASSERT_TRUE(std::filesystem::exists(stream));
@@ -354,11 +349,28 @@ TEST(ScenariosCli, SpecRunsTheSuitePathWithItsStream) {
 }
 
 TEST(ScenariosCli, SpecAndRunAreMutuallyExclusive) {
+  // Usage errors exit 2 before anything is written: --spec with --run, the
+  // worker-only options without --workers, and --stream with them.
   const std::string dir = suitetest::fresh_dir("scenarios_cli_both");
-  EXPECT_EQ(run_scenarios(dir, "--spec '" + std::string(kCliSpec) +
-                                   "' --run fig7a_small --trials 2 --csv"),
-            2);
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  const std::string spec = "--spec '" + std::string(kCliSpec) + "'";
+  for (const std::string& args :
+       {spec + " --run fig7a_small", spec + " --resume", spec + " --max-units 1",
+        spec + " --workers 2 --stream " + dir + "/stream.csv"}) {
+    EXPECT_EQ(run_scenarios(args + " --trials 2 --csv --out " + dir), 2) << args;
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << args;
+  }
+}
+
+TEST(ScenariosCli, FailedTableWriteExitsOne) {
+  const std::string spec = "--spec '" + std::string(kCliSpec) + "' --trials 4 --csv --json";
+  // An output directory below a regular file cannot be created, even by root.
+  const std::string dir = suitetest::fresh_dir("scenarios_cli_unwritable");
+  std::ofstream(dir + "/file") << "not a directory\n";
+  EXPECT_EQ(run_scenarios(spec + " --out " + dir + "/file/sub"), 1);
+  // A table whose path is taken by a directory cannot be opened: the run
+  // finishes, and the failed write still fails the exit code.
+  std::filesystem::create_directories(dir + "/taken/adhoc.json");
+  EXPECT_EQ(run_scenarios(spec + " --out " + dir + "/taken"), 1);
 }
 
 #endif  // PAMR_SCENARIOS_BIN

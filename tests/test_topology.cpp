@@ -6,8 +6,8 @@
 // graph must be acyclic for routed instances and for the adversarial
 // all-East ring), the `topo=` spec axis round-trips and rejections, and the
 // differential-determinism battery (suite_diff.hpp) for torus and diag
-// campaigns: 1-thread == N-thread == 2-worker pamr_dist ==
-// interrupted+resumed, bit for bit.
+// campaigns: 1-thread == N-thread == pamr_scenarios in process == on 2
+// workers == interrupted+resumed, bit for bit.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -547,12 +547,13 @@ TEST(TopoSpec, RegistryEntriesResolve) {
 TEST(TopologyDifferential, TopologyCompareThreadInvariant) {
   // The registry scenario through the in-process runner: 1 thread vs 4,
   // aggregates bitwise identical. (CI's topology smoke runs the same
-  // scenario through pamr_scenarios and pamr_dist and diffs the files.)
+  // scenario through pamr_scenarios with --workers 0 and 2 and diffs the
+  // files.)
   const Scenario& scenario = ScenarioRegistry::builtin().at("topology_compare");
   (void)suitetest::expect_thread_count_invariant(scenario, 4, 2);
 }
 
-#ifdef PAMR_DIST_BIN
+#ifdef PAMR_SCENARIOS_BIN
 
 void expect_spec_differential(const std::string& spec_text, std::int32_t trials,
                               std::size_t chunk, const std::string& tag) {
@@ -574,7 +575,7 @@ TEST(TopologyDifferential, DiagSuite) {
       4, "diag");
 }
 
-#endif  // PAMR_DIST_BIN
+#endif  // PAMR_SCENARIOS_BIN
 
 }  // namespace
 }  // namespace topo

@@ -4,8 +4,8 @@
 // plus the text-form golden round-trips for every new ScenarioSpec key and
 // the registry's near-miss diagnostics. The differential battery at the
 // bottom (suite_diff.hpp) pins the determinism guarantee for each new
-// workload kind: 1-thread == N-thread == 2-worker pamr_dist ==
-// interrupted+resumed, bit for bit.
+// workload kind: 1-thread == N-thread == pamr_scenarios in process == on 2
+// workers == interrupted+resumed, bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -437,7 +437,7 @@ TEST(RegistryLookup, UnknownNameSuggestsNearMissesAndListsTheCatalogue) {
 // sized so every campaign has >= 2 units (the interruption leg needs a
 // unit left to resume).
 
-#ifdef PAMR_DIST_BIN
+#ifdef PAMR_SCENARIOS_BIN
 
 void expect_spec_differential(const std::string& spec_text, std::int32_t trials,
                               std::size_t chunk, const std::string& tag) {
@@ -479,10 +479,9 @@ TEST(WorkloadDifferential, MeshSweep) {
                     " model=discrete ; kind=uniform n=" + std::to_string(p * p) +
                     " lo=100 hi=1500")});
   }
-  // No single --spec covers a multi-point sweep; drive pamr_dist with the
-  // equivalent registry entry instead once per point is not possible — so
-  // this case pins the in-process half only and the registry mesh_scaling
-  // entry covers the distributed half in CI's workload smoke.
+  // No single --spec covers a multi-point sweep, so this case pins the
+  // in-process half only; RegistryMeshScalingThroughDist runs the
+  // registry's mesh_scaling sweep through the binary.
   (void)suitetest::expect_thread_count_invariant(sweep, 10, 4);
 }
 
@@ -494,7 +493,15 @@ TEST(WorkloadDifferential, RegistryTraceReplayThroughDist) {
                                        "trace_registry");
 }
 
-#endif  // PAMR_DIST_BIN
+TEST(WorkloadDifferential, RegistryMeshScalingThroughDist) {
+  // The registry's mesh-axis sweep (4x4..12x12): every point on its own
+  // mesh, through both executors of the binary and a resumed worker run.
+  const Scenario& scenario = ScenarioRegistry::builtin().at("mesh_scaling");
+  suitetest::expect_suite_differential(scenario, "--run mesh_scaling", 4, 2,
+                                       "mesh_registry");
+}
+
+#endif  // PAMR_SCENARIOS_BIN
 
 }  // namespace
 }  // namespace scenario
