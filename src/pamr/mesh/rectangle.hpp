@@ -32,10 +32,19 @@ class CommRect {
   [[nodiscard]] std::int32_t dv() const noexcept { return dv_; }
   [[nodiscard]] std::int32_t length() const noexcept { return du_ + dv_; }
 
-  [[nodiscard]] bool contains(Coord c) const noexcept;
+  [[nodiscard]] bool contains(Coord c) const noexcept {
+    std::int32_t a = 0;
+    std::int32_t b = 0;
+    return offsets(c, a, b);
+  }
 
-  /// L1 distance from src; defined for cells inside the rectangle.
-  [[nodiscard]] std::int32_t depth(Coord c) const noexcept;
+  /// L1 distance from src; -1 for cells outside the rectangle.
+  [[nodiscard]] std::int32_t depth(Coord c) const noexcept {
+    std::int32_t a = 0;
+    std::int32_t b = 0;
+    if (!offsets(c, a, b)) return -1;
+    return a + b;
+  }
 
   /// Offsets of a cell from src along the quadrant's step directions
   /// (a = rows advanced ∈ [0, du], b = columns advanced ∈ [0, dv]); false
@@ -80,7 +89,21 @@ class CommRect {
 
   /// The ≤2 monotone steps from `c` that remain inside the rectangle
   /// (vertical first, then horizontal, for deterministic iteration order).
-  [[nodiscard]] Steps next_steps(Coord c) const;
+  [[nodiscard]] Steps next_steps(Coord c) const {
+    Steps steps;
+    std::int32_t a = 0;
+    std::int32_t b = 0;
+    if (!offsets(c, a, b)) return steps;
+    if (a < du_) {
+      const Coord to = cell_at(a + 1, b);
+      steps.items[steps.n++] = Step{mesh_->link_between(c, to), to};
+    }
+    if (b < dv_) {
+      const Coord to = cell_at(a, b + 1);
+      steps.items[steps.n++] = Step{mesh_->link_between(c, to), to};
+    }
+    return steps;
+  }
 
   /// Calls f(link) for every link crossing from depth t to depth t+1
   /// inside the rectangle — the per-communication cut used by IG's virtual
@@ -100,13 +123,38 @@ class CommRect {
 
   /// Number of links in cut t (closed form: cells at depth t each contribute
   /// their in-rectangle steps).
-  [[nodiscard]] std::int32_t cut_size(std::int32_t t) const noexcept;
+  [[nodiscard]] std::int32_t cut_size(std::int32_t t) const noexcept {
+    if (t < 0 || t >= length()) return 0;
+    const std::int32_t a_lo = t > dv_ ? t - dv_ : 0;
+    const std::int32_t a_hi = t < du_ ? t : du_;
+    std::int32_t count = 0;
+    for (std::int32_t a = a_lo; a <= a_hi; ++a) {
+      if (a < du_) ++count;       // vertical step available
+      if (t - a < dv_) ++count;   // horizontal step available
+    }
+    return count;
+  }
 
  private:
+  // The cell arithmetic is inline: PR's cascade, for_each_cut_link, IG, SG
+  // and TB run it on every step.
+
   /// Offset of a cell from src along the quadrant's step directions:
   /// a = rows advanced (0..du), b = columns advanced (0..dv).
-  [[nodiscard]] bool offsets(Coord c, std::int32_t& a, std::int32_t& b) const noexcept;
-  [[nodiscard]] Coord cell_at(std::int32_t a, std::int32_t b) const noexcept;
+  [[nodiscard]] bool offsets(Coord c, std::int32_t& a, std::int32_t& b) const noexcept {
+    // With a zero step sign the rectangle is degenerate along that axis and
+    // the offset must be zero.
+    const std::int32_t raw_a = su_ != 0 ? (c.u - src_.u) * su_ : c.u - src_.u;
+    const std::int32_t raw_b = sv_ != 0 ? (c.v - src_.v) * sv_ : c.v - src_.v;
+    if (raw_a < 0 || raw_a > du_ || raw_b < 0 || raw_b > dv_) return false;
+    a = raw_a;
+    b = raw_b;
+    return true;
+  }
+
+  [[nodiscard]] Coord cell_at(std::int32_t a, std::int32_t b) const noexcept {
+    return {src_.u + su_ * a, src_.v + sv_ * b};
+  }
 
   const Mesh* mesh_;
   Coord src_;

@@ -20,25 +20,11 @@ constexpr std::uint32_t kMinMovedCap = 4;
 
 }  // namespace
 
-void CrossingIndex::reset(const Mesh& mesh, std::size_t num_comms) {
-  mesh_ = &mesh;
-  epoch_ = 1;
-  sealed_ = false;
+void CrossingIndex::build_geometry(const Mesh& mesh, std::vector<Reach>& reach_of,
+                                   std::vector<BandRef>& band_of) const {
   const auto links = static_cast<std::size_t>(mesh.num_links());
-  member_seg_.assign(links, Segment{});
-  member_data_.clear();
-  slot_data_.clear();
-  comm_stamp_.assign(num_comms, 1);  // ≥ 1, so never-computed slots (stamp 0) are stale
-  link_epoch_.assign(links, 0);
-  fold_best_.assign(links, xyi::Candidate{});
-  fold_comm_.assign(links, 0);
-  fold_stamp_.assign(links, 0);
-  h_pair_base_ = mesh.p();
-  v_col_base_ = mesh.p() + mesh.q();
-  v_pair_base_ = mesh.p() + 2 * mesh.q();
-  lane_epoch_.assign(static_cast<std::size_t>(2 * (mesh.p() + mesh.q())), 0);
-  band_ref_.assign(links, BandRef{});
-  reach_.assign(links, Reach{});
+  band_of.assign(links, BandRef{});
+  reach_of.assign(links, Reach{});
   // Precompute each link's fold band (see fold_valid): for a horizontal
   // link in row u, the h_row lanes u-1..u+1 and the v_pair row pairs
   // (u-1, u) and (u, u+1), clamped to the mesh; columns mirror for
@@ -46,7 +32,7 @@ void CrossingIndex::reset(const Mesh& mesh, std::size_t num_comms) {
   // link_from answers with kInvalidLink past the boundary.
   for (std::int32_t l = 0; l < mesh.num_links(); ++l) {
     const LinkInfo& info = mesh.link(static_cast<LinkId>(l));
-    Reach& reach = reach_[static_cast<std::size_t>(l)];
+    Reach& reach = reach_of[static_cast<std::size_t>(l)];
     const std::array<LinkDir, 2> sides =
         info.horizontal() ? std::array<LinkDir, 2>{LinkDir::kNorth, LinkDir::kSouth}
                           : std::array<LinkDir, 2>{LinkDir::kWest, LinkDir::kEast};
@@ -55,7 +41,7 @@ void CrossingIndex::reset(const Mesh& mesh, std::size_t num_comms) {
       reach.out_of_from[s] = mesh.link_from(info.from, sides[s]);
       reach.into_to[s] = mesh.link_from(step(info.to, opposite(sides[s])), sides[s]);
     }
-    BandRef& ref = band_ref_[static_cast<std::size_t>(l)];
+    BandRef& ref = band_of[static_cast<std::size_t>(l)];
     const auto push = [&ref](std::int32_t idx) {
       ref.idx[ref.n++] = static_cast<std::uint16_t>(idx);
     };
@@ -77,6 +63,44 @@ void CrossingIndex::reset(const Mesh& mesh, std::size_t num_comms) {
       }
     }
   }
+}
+
+void CrossingIndex::reset(const Mesh& mesh, std::size_t num_comms) {
+  mesh_ = &mesh;
+  epoch_ = 1;
+  sealed_ = false;
+  const auto links = static_cast<std::size_t>(mesh.num_links());
+  member_seg_.assign(links, Segment{});
+  member_data_.clear();
+  slot_data_.clear();
+  comm_stamp_.assign(num_comms, 1);  // ≥ 1, so never-computed slots (stamp 0) are stale
+  link_epoch_.assign(links, 0);
+  // A fold is read only once fold_stamp_ is set, which record_fold does
+  // together with the other two.
+  fold_best_.resize(links);
+  fold_comm_.resize(links);
+  fold_stamp_.assign(links, 0);
+  h_pair_base_ = mesh.p();
+  v_col_base_ = mesh.p() + mesh.q();
+  v_pair_base_ = mesh.p() + 2 * mesh.q();
+  lane_epoch_.assign(static_cast<std::size_t>(2 * (mesh.p() + mesh.q())), 0);
+  // The link numbering, and with it the geometry tables, is a function of
+  // the shape alone (mesh.hpp), so a route call on the previous call's
+  // shape keeps them.
+  if (mesh.p() != geometry_p_ || mesh.q() != geometry_q_) {
+    build_geometry(mesh, reach_, band_ref_);
+    geometry_p_ = mesh.p();
+    geometry_q_ = mesh.q();
+    return;
+  }
+#if PAMR_CHECK_LEVEL >= 2
+  // Paranoid: the kept tables must be the ones this mesh builds.
+  std::vector<Reach> reach;
+  std::vector<BandRef> band_ref;
+  build_geometry(mesh, reach, band_ref);
+  PAMR_INVARIANT("crossing-index", reach == reach_ && band_ref == band_ref_,
+                 "kept geometry tables differ from the mesh's own");
+#endif
 }
 
 void CrossingIndex::count_initial_path(std::span<const Coord> cores) {
@@ -104,10 +128,13 @@ void CrossingIndex::add_initial_path(std::uint32_t comm, std::span<const Coord> 
   if (!sealed_) seal();
   for (std::size_t k = 0; k + 1 < cores.size(); ++k) {
     const LinkId link = mesh_->link_between(cores[k], cores[k + 1]);
-    // Registration order: comm is the largest member so far.
-    const Segment& seg = member_seg_[static_cast<std::size_t>(link)];
-    PAMR_ASSERT(seg.size == 0 || member_data_[seg.begin + seg.size - 1] < comm);
-    insert_member(link, comm);
+    // Registration order: comm is the largest member so far, and seal()
+    // gave the list room for every counted member, so it appends in place;
+    // its slot is still the fresh one seal() laid out.
+    Segment& seg = member_seg_[static_cast<std::size_t>(link)];
+    PAMR_ASSERT(seg.size < seg.cap &&
+                (seg.size == 0 || member_data_[seg.begin + seg.size - 1] < comm));
+    member_data_[seg.begin + seg.size++] = comm;
   }
 }
 

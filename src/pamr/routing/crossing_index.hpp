@@ -90,7 +90,9 @@ class CrossingIndex {
   CrossingIndex() = default;
 
   /// Empties the index for `num_comms` communications on `mesh`, keeping
-  /// the buffers' capacity. Then register every initial path twice:
+  /// the buffers' capacity, and the geometry tables too when `mesh` has the
+  /// previous call's shape (at PAMR_CHECK_LEVEL >= 2 they are rebuilt and
+  /// compared). Then register every initial path twice:
   /// count_initial_path for each, then add_initial_path for each.
   void reset(const Mesh& mesh, std::size_t num_comms);
 
@@ -209,6 +211,8 @@ class CrossingIndex {
   struct BandRef {
     std::uint8_t n = 0;
     std::uint16_t idx[5] = {0, 0, 0, 0, 0};
+
+    bool operator==(const BandRef&) const = default;
   };
 
   /// The links one lane over from a link, per side of its perpendicular
@@ -221,6 +225,8 @@ class CrossingIndex {
     LinkId lane[2] = {kInvalidLink, kInvalidLink};
     LinkId out_of_from[2] = {kInvalidLink, kInvalidLink};
     LinkId into_to[2] = {kInvalidLink, kInvalidLink};
+
+    bool operator==(const Reach&) const = default;
   };
 
   /// One CSR list: entries [begin, begin + size) of its arrays, with room
@@ -231,6 +237,10 @@ class CrossingIndex {
     std::uint32_t cap = 0;
   };
 
+  /// Fills the per-link geometry tables (read-window neighbours and fold
+  /// bands) of `mesh`; reads the lane bases, so set them first.
+  void build_geometry(const Mesh& mesh, std::vector<Reach>& reach_of,
+                      std::vector<BandRef>& band_of) const;
   /// Ends pass 1: lays every counted list out with its slack.
   void seal();
   /// Makes room for one more member of `link`.
@@ -269,6 +279,9 @@ class CrossingIndex {
   std::int32_t v_pair_base_ = 0;
   std::vector<std::uint64_t> lane_epoch_;
   std::vector<BandRef> band_ref_;  ///< link → its fold band's lane offsets
+  // The shape reach_ and band_ref_ were built for (0 × 0: none yet).
+  std::int32_t geometry_p_ = 0;
+  std::int32_t geometry_q_ = 0;
 };
 
 }  // namespace pamr

@@ -54,19 +54,9 @@ LoadCost::LoadCost(const PowerModel& model)
   level_costs_ = model.level_powers();
 }
 
-double LoadCost::operator()(double load) const noexcept {
-  if (load <= 0.0) return 0.0;
-  if (!level_edges_.empty()) {
-    // Discrete fast path. A load above the top level always lands in the
-    // penalty branch below: quantize() returns nullopt there even inside
-    // the feasibility tolerance.
-    if (load <= level_edges_.back()) {
-      std::size_t level = 0;
-      while (level_edges_[level] < load) ++level;
-      return level_costs_[level];
-    }
-  } else if (const auto power = model_->link_power(load); power.has_value()) {
-    return *power;
+double LoadCost::beyond_levels(double load) const noexcept {
+  if (level_edges_.empty()) {
+    if (const auto power = model_->link_power(load); power.has_value()) return *power;
   }
   // Infeasible: continuous extension of the dynamic curve + linear penalty.
   // The penalty slope dwarfs any realistic power value (§6 powers are a few

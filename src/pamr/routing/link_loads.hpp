@@ -97,8 +97,20 @@ class LoadCost {
 
   /// Cost of one link at `load`: the model's power when feasible, the
   /// continuous extension plus a steep overload penalty otherwise; 0 when
-  /// idle.
-  [[nodiscard]] double operator()(double load) const noexcept;
+  /// idle. The discrete fast path is inline: every heuristic's inner loop
+  /// calls this.
+  [[nodiscard]] double operator()(double load) const noexcept {
+    if (load <= 0.0) return 0.0;
+    // Discrete: a scan of the level edges. A load above the top level
+    // always lands in the penalty branch: quantize() returns nullopt there
+    // even inside the feasibility tolerance.
+    if (!level_edges_.empty() && load <= level_edges_.back()) {
+      std::size_t level = 0;
+      while (level_edges_[level] < load) ++level;
+      return level_costs_[level];
+    }
+    return beyond_levels(load);
+  }
 
   /// Cost difference of moving one link from `before` to `after`.
   [[nodiscard]] double delta(double before, double after) const noexcept {
@@ -110,6 +122,10 @@ class LoadCost {
   [[nodiscard]] double total(std::span<const double> loads) const noexcept;
 
  private:
+  /// operator() of a positive load past the discrete levels, or of any
+  /// positive load under a continuous model.
+  [[nodiscard]] double beyond_levels(double load) const noexcept;
+
   const PowerModel* model_;
   std::span<const double> level_edges_;  ///< discrete: level frequencies (inclusive tops)
   std::span<const double> level_costs_;  ///< exact link_power at each level

@@ -131,25 +131,34 @@ void StampRule::check_tied_classes(const std::vector<LoadKey>& moved,
 void LoadIndex::reset(const LinkLoads& loads) {
   // The seed's first round: identity order stably sorted by the initial
   // loads, i.e. (load desc, LinkId asc) — so each initial stamp is the
-  // link's id and no sort is needed, only a heapify.
+  // link's id and no sort is needed. The loaded links go to the front and
+  // are heapified; the idle ones fill the back in LinkId order, which is
+  // already heap order: every loaded key precedes an idle one, and an idle
+  // key precedes its idle children (later slots, higher ids).
   const std::size_t n = loads.values().size();
+  const double* const load_of = loads.values().data();
   stamps_.reset(n);
   moved_.clear();
-  heap_.clear();
-  heap_.reserve(n);
+  heap_.resize(n);
+  key_.resize(n);
   pos_.resize(n);
-  for (std::size_t l = 0; l < n; ++l) {
-    const auto link = static_cast<LinkId>(l);
-    heap_.push_back({loads.load(link), static_cast<std::int64_t>(l), link});
-    pos_[l] = static_cast<std::int32_t>(l);
+  std::size_t loaded = 0;
+  std::size_t idle = n;
+  for (std::size_t l = n; l-- > 0;) {
+    key_[l] = {load_of[l], static_cast<std::int64_t>(l), static_cast<LinkId>(l)};
+    const std::size_t at = key_[l].load > 0.0 ? loaded++ : --idle;
+    heap_[at] = key_[l];
+    pos_[l] = static_cast<std::int32_t>(at);
   }
-  key_.assign(heap_.begin(), heap_.end());
   repairs_ = 0;
-  for (std::size_t at = n / 2; at-- > 0;) sift_down(at, heap_[at]);
+  for (std::size_t at = loaded / 2; at-- > 0;) sift_down(at, heap_[at]);
   member_begin_.assign(n, 0);
   member_size_.assign(n, 0);
   member_data_.clear();
   members_sealed_ = false;
+#if PAMR_CHECK_LEVEL >= 2
+  check_invariants(loads);
+#endif
 }
 
 void LoadIndex::count_member(LinkId link) {
@@ -275,21 +284,29 @@ void LoadIndex::check_invariants(const LinkLoads& loads) const {
 }
 
 void LoadOrder::reset(const LinkLoads& loads) {
-  // The seed's first round: (load desc, LinkId asc), stamp = LinkId.
+  // The seed's first round: (load desc, LinkId asc), stamp = LinkId. The
+  // idle links fill the back in LinkId order, which is already their final
+  // place, so only the loaded front is sorted.
   const std::size_t n = loads.values().size();
+  const double* const load_of = loads.values().data();
   stamps_.reset(n);
   moved_.clear();
   keys_.resize(n);
-  for (std::size_t l = 0; l < n; ++l) {
-    const auto link = static_cast<LinkId>(l);
-    keys_[l] = {loads.load(link), static_cast<std::int64_t>(l), link};
+  std::size_t loaded = 0;
+  std::size_t idle = n;
+  for (std::size_t l = n; l-- > 0;) {
+    const LoadKey key{load_of[l], static_cast<std::int64_t>(l), static_cast<LinkId>(l)};
+    keys_[key.load > 0.0 ? loaded++ : --idle] = key;
   }
-  std::sort(keys_.begin(), keys_.end(),
+  std::sort(keys_.begin(), keys_.begin() + static_cast<std::ptrdiff_t>(loaded),
             [](const LoadKey& a, const LoadKey& b) { return precedes(a, b); });
   pos_.resize(n);
   for (std::size_t at = 0; at < n; ++at) {
     pos_[static_cast<std::size_t>(keys_[at].link)] = static_cast<std::uint32_t>(at);
   }
+#if PAMR_CHECK_LEVEL >= 2
+  check_invariants(loads);
+#endif
 }
 
 void LoadOrder::reorder(const std::vector<LinkId>& changed, const LinkLoads& loads) {

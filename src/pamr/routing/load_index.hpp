@@ -198,11 +198,13 @@ class LoadIndex {
   LoadIndex() = default;
 
   /// Captures the seed's first round: the identity permutation stably
-  /// sorted by the initial loads (ties by LinkId). O(L) heapify.
+  /// sorted by the initial loads (ties by LinkId). O(L), heapifying only
+  /// the loaded links.
   explicit LoadIndex(const LinkLoads& loads) { reset(loads); }
 
   /// Rebuilds the index in place for `loads`, as the constructor does;
-  /// every member list is emptied. Keeps the buffers' capacity.
+  /// every member list is emptied. Keeps the buffers' capacity. At
+  /// PAMR_CHECK_LEVEL >= 2 it ends with check_invariants.
   void reset(const LinkLoads& loads);
 
   // ------------------------------------------------------- membership --
@@ -298,7 +300,9 @@ class LoadIndex {
 class LoadOrder {
  public:
   /// Rebuilds the order for `loads`: the seed's first round, (load desc,
-  /// LinkId asc). Keeps the buffers' capacity.
+  /// LinkId asc). Only the loaded links are sorted; the idle ones already
+  /// sit at the back in LinkId order. Keeps the buffers' capacity. At
+  /// PAMR_CHECK_LEVEL >= 2 it ends with check_invariants.
   void reset(const LinkLoads& loads);
 
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }

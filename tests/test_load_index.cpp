@@ -15,6 +15,7 @@
 #include <cmath>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pamr/comm/generator.hpp"
@@ -124,6 +125,12 @@ TEST(LoadIndex, InitialOrderIsLoadDescendingWithLinkIdTies) {
   EXPECT_EQ(index.top(), LinkId{1});
 }
 
+/// An index and an order that one run of oracle rounds resets.
+struct IndexAndOrder {
+  LoadIndex index;
+  LoadOrder order;
+};
+
 /// Random update rounds against the oracle. Every round reports a set of
 /// distinct links, mixing: fresh values; exact duplicates of other links'
 /// loads; a small value grid (so whole tie blocks form); a pair that rises
@@ -133,19 +140,34 @@ TEST(LoadIndex, InitialOrderIsLoadDescendingWithLinkIdTies) {
 /// retired links (reported or not) and retire() calls between reorders.
 /// The LoadOrder takes the same reports (it ignores no link: XYI retires
 /// none).
-void run_oracle_rounds(const Mesh& mesh, std::uint64_t seed, int rounds, bool retire) {
+///
+/// With `idle_share` > 0 at least that share of the links starts idle
+/// (load 0), as in a small route call, and the rounds lift idle links off 0.
+/// `reused`, if given, is reset instead of a fresh pair: e.g. one that
+/// served another mesh.
+void run_oracle_rounds(const Mesh& mesh, std::uint64_t seed, int rounds, bool retire,
+                       double idle_share = 0.0, IndexAndOrder* reused = nullptr) {
   const auto num_links = static_cast<std::size_t>(mesh.num_links());
   LinkLoads loads(mesh);
   Rng rng(seed);
+  const auto max_loaded = static_cast<std::size_t>(
+      static_cast<double>(num_links) * (1.0 - idle_share));
+  std::size_t loaded = 0;
   for (std::size_t l = 0; l < num_links; ++l) {
+    if (idle_share > 0.0 && (loaded == max_loaded || rng.uniform(0.0, 1.0) < idle_share)) {
+      continue;
+    }
     // Half the links on a coarse grid: ties from the very first round.
     const double value = (rng.below(2) == 0)
                              ? rng.uniform(0.0, 100.0)
                              : 10.0 * static_cast<double>(rng.below(6));
     loads.add(static_cast<LinkId>(l), value);
+    ++loaded;
   }
-  LoadIndex index(loads);
-  LoadOrder order;
+  IndexAndOrder fresh;
+  LoadIndex& index = reused != nullptr ? reused->index : fresh.index;
+  LoadOrder& order = reused != nullptr ? reused->order : fresh.order;
+  index.reset(loads);
   order.reset(loads);
   StableSortOracle oracle(loads);
   const auto label = [&](int round) {
@@ -275,6 +297,20 @@ TEST(LoadOrder, SingleMovesAcrossTheWholeArrayMatchStableSort) {
     oracle.resort(loads);
     ASSERT_EQ(array_of(order), oracle.all()) << "round " << round;
     order.check_invariants(loads);
+  }
+}
+
+TEST(LoadIndex, ResetWithMostlyIdleLinksMatchesStableSort) {
+  // Both resets order only the loaded links and put the idle ones behind
+  // them. One index and one order serve every shape, so each reset also
+  // reuses buffers a larger or smaller mesh (and retirements) left behind.
+  IndexAndOrder reused;
+  for (const std::uint64_t seed : {3ull, 0x1D1Eull}) {
+    for (const auto& [p, q] : {std::pair{8, 8}, std::pair{3, 5}, std::pair{16, 16},
+                               std::pair{2, 2}}) {
+      run_oracle_rounds(Mesh(p, q), seed, 40, /*retire=*/seed == 3, /*idle_share=*/0.75,
+                        &reused);
+    }
   }
 }
 

@@ -74,30 +74,41 @@ std::vector<Policy> policies() {
 
 TEST(RouteWorkspace, AReusedWorkspaceRoutesLikeAFreshOne) {
   const PowerModel model = PowerModel::paper_discrete();
-  // B: a routable-ish 8×8 instance. Each A differs from B and is larger:
-  // more communications on the same mesh (some overloaded, so witnesses
-  // fire and XYI moves), or a larger mesh.
-  const Instance b = make_instance(8, 8, 24, 100.0, 1500.0, 11);
+  // B: routable-ish 8×8 instances; the second runs a longer XYI descent.
+  // Each A differs from B and is larger: more communications on the same
+  // mesh (some overloaded, so witnesses fire and XYI moves), or a larger
+  // mesh — two of which share one side with B, so per-shape tables must be
+  // keyed on both sides.
+  const std::vector<Instance> bs = {
+      make_instance(8, 8, 24, 100.0, 1500.0, 11),
+      make_instance(8, 8, 40, 100.0, 1500.0, 12),
+  };
   const std::vector<Instance> as = {
       make_instance(8, 8, 70, 100.0, 2500.0, 12),
       make_instance(8, 8, 40, 2500.0, 3500.0, 13),
       make_instance(12, 10, 90, 100.0, 1500.0, 14),
+      make_instance(8, 12, 60, 100.0, 1500.0, 15),
+      make_instance(12, 8, 60, 100.0, 1500.0, 16),
   };
   for (const Policy& policy : policies()) {
     for (const RouteGoal goal : {RouteGoal::kRouting, RouteGoal::kVerdict}) {
-      const std::string context =
-          policy.name + (goal == RouteGoal::kVerdict ? " verdict" : " routing");
-      RouteWorkspace fresh;
-      const RouteResult expected = policy.router->route(b.mesh, b.comms, model, goal, fresh);
-      // The call-local workspace of the four-argument form is the same code.
-      expect_same_result(policy.router->route(b.mesh, b.comms, model, goal), expected,
-                         context + ", call-local workspace");
-      for (std::size_t k = 0; k < as.size(); ++k) {
-        RouteWorkspace used;
-        RouteResult first = policy.router->route(as[k].mesh, as[k].comms, model, goal, used);
-        used.recycle(first);
-        expect_same_result(policy.router->route(b.mesh, b.comms, model, goal, used),
-                           expected, context + ", after instance A" + std::to_string(k));
+      for (std::size_t j = 0; j < bs.size(); ++j) {
+        const Instance& b = bs[j];
+        const std::string context = policy.name +
+                                    (goal == RouteGoal::kVerdict ? " verdict" : " routing") +
+                                    ", instance B" + std::to_string(j);
+        RouteWorkspace fresh;
+        const RouteResult expected = policy.router->route(b.mesh, b.comms, model, goal, fresh);
+        // The call-local workspace of the four-argument form is the same code.
+        expect_same_result(policy.router->route(b.mesh, b.comms, model, goal), expected,
+                           context + ", call-local workspace");
+        for (std::size_t k = 0; k < as.size(); ++k) {
+          RouteWorkspace used;
+          RouteResult first = policy.router->route(as[k].mesh, as[k].comms, model, goal, used);
+          used.recycle(first);
+          expect_same_result(policy.router->route(b.mesh, b.comms, model, goal, used),
+                             expected, context + ", after instance A" + std::to_string(k));
+        }
       }
     }
   }
